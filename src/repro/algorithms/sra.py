@@ -25,7 +25,7 @@ import numpy as np
 from repro import obs
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.algorithms.baselines import LocalSearchRebalancer
-from repro.migration import StagingPlanner, WaveScheduler, diff_moves
+from repro.migration import StagingPlanner, diff_moves
 from repro.algorithms.base import RebalanceResult, Rebalancer, finalize_result
 from repro.algorithms.budget import MigrationBudget
 from repro.algorithms.destroy import (
@@ -121,10 +121,7 @@ class SRA(Rebalancer):
             required_returns=required,
             weights=cfg.weights,
         )
-        planner = StagingPlanner(
-            WaveScheduler(),
-            max_hops_per_shard=cfg.max_hops_per_shard,
-        )
+        planner = StagingPlanner(max_hops_per_shard=cfg.max_hops_per_shard)
         budget = cfg.migration_budget
         if budget is not None and not budget.bounded:
             budget = None

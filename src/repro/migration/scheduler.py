@@ -7,10 +7,12 @@ only if, counting every in-flight copy, no machine exceeds capacity.
 Sources release their copy when the wave completes.
 
 When no remaining move can start, the residual move set is **capacity
-deadlocked** (machines must mutually free space for each other).  The
-scheduler reports stranded moves; :mod:`repro.migration.staging` breaks
-such deadlocks by routing shards through machines with spare headroom —
-which is exactly the role borrowed exchange machines play in the paper.
+deadlocked** (machines must mutually free space for each other).
+:class:`WavePacker` is the one greedy wave loop: :class:`WaveScheduler`
+packs once and reports the stranded moves, while
+:mod:`repro.migration.staging` breaks each deadlock by routing a shard
+through a machine with spare headroom — exactly the role borrowed exchange
+machines play in the paper — and resumes the same packer.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from repro import obs
 from repro.cluster import ClusterState
 from repro.migration.moves import Move
 
-__all__ = ["Schedule", "WaveScheduler"]
+__all__ = ["ATOL", "Schedule", "WavePacker", "WaveScheduler"]
+
+#: Capacity-comparison tolerance of the transient constraint.
+ATOL = 1e-9
 
 
 @dataclass
@@ -66,107 +71,125 @@ class Schedule:
         return float(sum(mv.bytes for mv in self.all_moves()))
 
 
-class WaveScheduler:
-    """Greedy transient-feasible wave construction.
+class WavePacker:
+    """Greedy transient-feasible wave packing, resumable after a deadlock.
 
-    Parameters
-    ----------
-    atol:
-        Capacity-comparison tolerance.
-    prefer_large_first:
-        Within a wave, try to start large moves first — draining heavy
-        shards early frees the most space for later waves (greedy
-        heuristic; both orders are admissible).
+    :meth:`pack` builds waves from the current loads and shard locations
+    until every pending move has run or none can start.  A caller may then
+    rewrite :attr:`pending` (:class:`~repro.migration.staging.StagingPlanner`
+    splices staging hops into it) and call :meth:`pack` again; packing
+    resumes from the same loads, locations and waves.  The input state is
+    never mutated.
+
+    Moves must reference shards that currently sit on their ``src`` (as
+    produced by ``diff_moves`` or a staging hop sequence — hop chains are
+    handled because later hops only become startable after the earlier hop
+    retires).
     """
 
-    def __init__(self, *, atol: float = 1e-9, prefer_large_first: bool = True) -> None:
-        self.atol = atol
-        self.prefer_large_first = prefer_large_first
+    def __init__(self, state: ClusterState, moves: list[Move]) -> None:
+        self.state = state
+        self.loads = state.loads.copy()
+        # Shard location tracking so multi-hop chains schedule correctly.
+        self.location = state.assignment.copy()
+        # Within a wave, large moves try to start first: draining heavy
+        # shards early frees the most space for later waves.
+        self.pending: list[Move] = sorted(moves, key=lambda mv: -mv.bytes)
+        self.waves: list[list[Move]] = []
+        # peaks[k] is the running transient peak over the first k waves.
+        # peaks[0] is the fleet's current peak, not 0.0 — "no migration"
+        # still leaves machines loaded.
+        self.peaks = [
+            float(np.max(self.loads / state.capacity)) if self.loads.size else 0.0
+        ]
 
-    def schedule(self, state: ClusterState, moves: list[Move]) -> Schedule:
-        """Schedule *moves* starting from *state*'s current placement.
-
-        The input state is not mutated.  Moves must reference shards that
-        currently sit on their ``src`` (as produced by ``diff_moves`` or a
-        prior staging hop sequence — hop chains are handled because later
-        hops only become startable after the earlier hop retires).
-        """
-        loads = state.loads.copy()
+    def pack(self) -> bool:
+        """Pack waves until every pending move has run (True) or none can start."""
+        state = self.state
+        loads = self.loads
+        location = self.location
         capacity = state.capacity
         demand = state.demand
-        # Shard location tracking so multi-hop chains schedule correctly.
-        location = state.assignment.copy()
-
-        pending = list(moves)
-        if self.prefer_large_first:
-            pending.sort(key=lambda mv: -mv.bytes)
-        schedule = Schedule()
-        # The transient peak of an empty move list is the fleet's current
-        # peak, not 0.0 — "no migration" still leaves machines loaded.
-        peak = float(np.max(loads / capacity)) if loads.size else 0.0
         has_replicas = bool(state.replica_groups)
-        tracer = obs.current().tracer
-        trace_on = tracer.enabled
-
-        while pending:
+        while self.pending:
             wave: list[Move] = []
             in_flight = np.zeros_like(loads)
             started: set[int] = set()  # shards moving this wave
-            for mv in pending:
+            for mv in self.pending:
                 if mv.shard_id in started:
                     continue  # one hop per shard per wave
                 if location[mv.shard_id] != mv.src:
                     continue  # earlier hop not completed yet
-                if has_replicas and self._replica_blocked(
-                    state, location, mv.shard_id, mv.dst
-                ):
+                if has_replicas and self._replica_blocked(mv.shard_id, mv.dst):
                     continue  # a sibling currently lives on the destination
                 extra = demand[mv.shard_id]
                 if np.all(
-                    loads[mv.dst] + in_flight[mv.dst] + extra
-                    <= capacity[mv.dst] + self.atol
+                    loads[mv.dst] + in_flight[mv.dst] + extra <= capacity[mv.dst] + ATOL
                 ):
                     in_flight[mv.dst] += extra
                     wave.append(mv)
                     started.add(mv.shard_id)
             if not wave:
-                schedule.stranded = pending
-                break
-            # Peak transient utilization during this wave.
-            peak = max(peak, float(np.max((loads + in_flight) / capacity)))
+                return False
+            self.peaks.append(
+                max(self.peaks[-1], float(np.max((loads + in_flight) / capacity)))
+            )
             # Retire the wave: release sources, land destinations.
             for mv in wave:
                 loads[mv.src] -= demand[mv.shard_id]
                 loads[mv.dst] += demand[mv.shard_id]
                 location[mv.shard_id] = mv.dst
-            schedule.waves.append(wave)
-            if trace_on:
+            self.waves.append(wave)
+            done = {id(mv) for mv in wave}
+            self.pending = [mv for mv in self.pending if id(mv) not in done]
+        return True
+
+    def to_schedule(
+        self, num_waves: int | None = None, stranded: list[Move] | None = None
+    ) -> Schedule:
+        """The first *num_waves* packed waves as a :class:`Schedule`.
+
+        Each returned wave is traced once as a ``migration.wave`` event, so
+        call this once per result.
+        """
+        n = len(self.waves) if num_waves is None else num_waves
+        schedule = Schedule(
+            waves=self.waves[:n],
+            stranded=list(stranded or []),
+            peak_transient_utilization=self.peaks[n],
+        )
+        tracer = obs.current().tracer
+        if tracer.enabled:
+            for k, wave in enumerate(schedule.waves):
                 tracer.event(
                     "migration.wave",
-                    wave=len(schedule.waves) - 1,
+                    wave=k,
                     moves=len(wave),
                     bytes=float(sum(mv.bytes for mv in wave)),
-                    transient_peak=peak,
+                    transient_peak=self.peaks[k + 1],
                 )
-            done = {id(mv) for mv in wave}
-            pending = [mv for mv in pending if id(mv) not in done]
-
-        schedule.peak_transient_utilization = peak
         return schedule
 
-    def is_feasible(self, state: ClusterState, moves: list[Move]) -> bool:
-        """True when every move can be scheduled without staging."""
-        return self.schedule(state, moves).feasible
-
-    @staticmethod
-    def _replica_blocked(
-        state: ClusterState, location: np.ndarray, shard_id: int, dst: int
-    ) -> bool:
+    def _replica_blocked(self, shard_id: int, dst: int) -> bool:
         """True when a sibling replica currently occupies *dst*.
 
         Transient anti-affinity: even a copy in flight must not share a
         machine with a sibling, or a single machine failure during the
         migration would take out two replicas of one logical shard.
         """
-        peers = state.replica_peers(shard_id)
-        return bool(peers.size and np.any(location[peers] == dst))
+        peers = self.state.replica_peers(shard_id)
+        return bool(peers.size and np.any(self.location[peers] == dst))
+
+
+class WaveScheduler:
+    """Direct (unstaged) transient-feasible wave construction."""
+
+    def schedule(self, state: ClusterState, moves: list[Move]) -> Schedule:
+        """Schedule *moves* starting from *state*'s current placement.
+
+        Moves that cannot start once no wave makes progress are reported
+        as ``stranded``.  The input state is not mutated.
+        """
+        packer = WavePacker(state, moves)
+        packer.pack()
+        return packer.to_schedule(stranded=packer.pending)

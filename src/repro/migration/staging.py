@@ -20,7 +20,7 @@ import numpy as np
 from repro import obs
 from repro.cluster import ClusterState
 from repro.migration.moves import Move, diff_moves
-from repro.migration.scheduler import Schedule, WaveScheduler
+from repro.migration.scheduler import ATOL, Schedule, WavePacker
 
 __all__ = ["dependency_graph", "deadlock_cycles", "StagingPlanner", "PlanResult"]
 
@@ -37,7 +37,7 @@ def dependency_graph(state: ClusterState, moves: list[Move]) -> nx.DiGraph:
     g.add_nodes_from(range(state.num_machines))
     headroom = state.headroom()
     for mv in moves:
-        if not np.all(state.demand[mv.shard_id] <= headroom[mv.dst] + 1e-9):
+        if not np.all(state.demand[mv.shard_id] <= headroom[mv.dst] + ATOL):
             g.add_edge(mv.src, mv.dst, shard=mv.shard_id)
     return g
 
@@ -83,212 +83,123 @@ class StagingPlanner:
 
     Parameters
     ----------
-    scheduler:
-        Wave scheduler used for feasibility checking and final ordering.
     max_hops_per_shard:
         Staging depth limit; 1 intermediate hop suffices for all capacity
         deadlocks that any single machine's headroom can break, higher
         values let chains of staging hosts be used.
-    prefer_exchange_hosts:
-        Stage through borrowed (exchange) machines before in-service ones.
     """
 
-    def __init__(
-        self,
-        scheduler: WaveScheduler | None = None,
-        *,
-        max_hops_per_shard: int = 2,
-        prefer_exchange_hosts: bool = True,
-    ) -> None:
+    def __init__(self, *, max_hops_per_shard: int = 2) -> None:
         if max_hops_per_shard < 1:
             raise ValueError("max_hops_per_shard must be >= 1")
-        self.scheduler = scheduler or WaveScheduler()
         self.max_hops_per_shard = max_hops_per_shard
-        self.prefer_exchange_hosts = prefer_exchange_hosts
 
     # ------------------------------------------------------------------ API
     def plan(self, state: ClusterState, target_assignment: np.ndarray) -> PlanResult:
         """Produce a feasible schedule from *state* to *target_assignment*.
 
-        Staging is attempted only when direct scheduling strands moves.
+        Waves are packed directly until no move can start.  At each such
+        deadlock one stranded shard is rerouted through the machine with
+        the most headroom (borrowed exchange machines first) and packing
+        resumes — the schedule IS the simulated execution, never
+        re-derived, since greedy wave packing is order-sensitive.  When no
+        stranded move can be staged (hop budget spent or no host fits),
+        the result is the direct schedule, stranded at its first deadlock.
         The input state is never mutated.
         """
         moves = diff_moves(state, target_assignment)
-        direct = self.scheduler.schedule(state, moves)
-        if direct.feasible:
-            self._publish(direct)
-            return PlanResult(schedule=direct, direct_feasible=True)
+        packer = WavePacker(state, moves)
+        if packer.pack():
+            return self._publish(packer.to_schedule(), direct_feasible=True)
 
-        staged_schedule, staged_shards = self._stage(state, moves)
-        if staged_schedule is None:
-            self._publish(direct)
-            return PlanResult(schedule=direct, direct_feasible=False)
-        self._publish(staged_schedule)
-        return PlanResult(
-            schedule=staged_schedule,
-            staged_shards=tuple(sorted(staged_shards)),
-            direct_feasible=False,
+        direct_waves = len(packer.waves)
+        direct_stranded = list(packer.pending)
+        hops_used: dict[int, int] = {}
+        while self._stage_one(packer, hops_used):
+            if packer.pack():
+                return self._publish(
+                    packer.to_schedule(),
+                    staged_shards=tuple(sorted(hops_used)),
+                    direct_feasible=False,
+                )
+        return self._publish(
+            packer.to_schedule(direct_waves, direct_stranded), direct_feasible=False
         )
 
     @staticmethod
-    def _publish(schedule: Schedule) -> None:
-        """Expose the executed schedule's transient peak to the registry."""
+    def _publish(
+        schedule: Schedule,
+        *,
+        direct_feasible: bool,
+        staged_shards: tuple[int, ...] = (),
+    ) -> PlanResult:
+        """Wrap the executed schedule, exposing its transient peak to the registry."""
         metrics = obs.current().metrics
         if metrics.enabled:
             metrics.gauge("migration.peak_transient_utilization").set(
                 schedule.peak_transient_utilization
             )
             metrics.counter("migration.plans").inc()
+        return PlanResult(
+            schedule=schedule,
+            staged_shards=staged_shards,
+            direct_feasible=direct_feasible,
+        )
 
     # ------------------------------------------------------------- internal
-    def _stage(
-        self, state: ClusterState, moves: list[Move]
-    ) -> tuple[Schedule | None, set[int]]:
-        """Greedy wave simulation with on-demand staging.
+    def _stage_one(self, packer: WavePacker, hops_used: dict[int, int]) -> bool:
+        """Reroute the first stageable stranded move through a staging host.
 
-        Builds the wave schedule directly (the returned schedule IS the
-        simulated execution — it is never re-derived, which could fail
-        since greedy wave packing is order-sensitive).  When no move can
-        start, reroutes one stranded shard through the machine with the
-        most headroom and continues.  Returns (None, shards) when no
-        staging host exists for any stranded move.
+        Splices the two hops into ``packer.pending`` in the move's place.
+        Returns False when no stranded move has hops left and a host.
         """
-        loads = state.loads.copy()
-        capacity = state.capacity
-        demand = state.demand
-        location = state.assignment.copy()
-        hops_used: dict[int, int] = {}
-        staged_shards: set[int] = set()
-        schedule = Schedule()
-        peak = float(np.max(loads / capacity))
-        pending: list[Move] = sorted(moves, key=lambda mv: -mv.bytes)
-        exchange_mask = state.exchange_mask
-        tracer = obs.current().tracer
-        trace_on = tracer.enabled
-
-        guard = 0
-        while pending:
-            guard += 1
-            if guard > 4 * len(moves) + 16:
-                return None, staged_shards  # should not happen; safety net
-            progressed = False
-            wave: list[Move] = []
-            in_flight = np.zeros_like(loads)
-            started: set[int] = set()
-            for mv in pending:
-                if mv.shard_id in started or location[mv.shard_id] != mv.src:
-                    continue
-                if WaveScheduler._replica_blocked(state, location, mv.shard_id, mv.dst):
-                    continue
-                extra = demand[mv.shard_id]
-                if np.all(
-                    loads[mv.dst] + in_flight[mv.dst] + extra <= capacity[mv.dst] + 1e-9
-                ):
-                    in_flight[mv.dst] += extra
-                    wave.append(mv)
-                    started.add(mv.shard_id)
-            if wave:
-                peak = max(peak, float(np.max((loads + in_flight) / capacity)))
-                for mv in wave:
-                    loads[mv.src] -= demand[mv.shard_id]
-                    loads[mv.dst] += demand[mv.shard_id]
-                    location[mv.shard_id] = mv.dst
-                done = {id(mv) for mv in wave}
-                pending = [mv for mv in pending if id(mv) not in done]
-                schedule.waves.append(wave)
-                if trace_on:
-                    tracer.event(
-                        "migration.wave",
-                        wave=len(schedule.waves) - 1,
-                        moves=len(wave),
-                        bytes=float(sum(m.bytes for m in wave)),
-                        transient_peak=peak,
-                        staged=True,
-                    )
-                progressed = True
+        pending = packer.pending
+        for k, mv in enumerate(pending):
+            if packer.location[mv.shard_id] != mv.src:
                 continue
-
-            # Deadlock: stage one stranded move through a spare machine.
-            for k, mv in enumerate(pending):
-                if location[mv.shard_id] != mv.src:
-                    continue
-                if hops_used.get(mv.shard_id, 0) >= self.max_hops_per_shard:
-                    continue
-                host = self._staging_host(
-                    mv,
-                    loads,
-                    capacity,
-                    demand[mv.shard_id],
-                    exchange_mask,
-                    blocked=state.offline_mask,
-                    sibling_hosts=location[state.replica_peers(mv.shard_id)],
+            if hops_used.get(mv.shard_id, 0) >= self.max_hops_per_shard:
+                continue
+            host = self._staging_host(packer, mv)
+            if host is None:
+                continue
+            pending[k : k + 1] = [
+                Move(mv.shard_id, mv.src, host, mv.bytes, hop_of=mv.src),
+                Move(mv.shard_id, host, mv.dst, mv.bytes, hop_of=mv.src),
+            ]
+            hops_used[mv.shard_id] = hops_used.get(mv.shard_id, 0) + 1
+            tracer = obs.current().tracer
+            if tracer.enabled:
+                tracer.event(
+                    "migration.staging_hop",
+                    shard=int(mv.shard_id),
+                    via=int(host),
+                    src=int(mv.src),
+                    dst=int(mv.dst),
                 )
-                if host is None:
-                    continue
-                hop1 = Move(
-                    shard_id=mv.shard_id,
-                    src=mv.src,
-                    dst=host,
-                    bytes=mv.bytes,
-                    hop_of=mv.src,
-                )
-                hop2 = Move(
-                    shard_id=mv.shard_id,
-                    src=host,
-                    dst=mv.dst,
-                    bytes=mv.bytes,
-                    hop_of=mv.src,
-                )
-                pending[k : k + 1] = [hop1, hop2]
-                hops_used[mv.shard_id] = hops_used.get(mv.shard_id, 0) + 1
-                staged_shards.add(mv.shard_id)
-                if trace_on:
-                    tracer.event(
-                        "migration.staging_hop",
-                        shard=int(mv.shard_id),
-                        via=int(host),
-                        src=int(mv.src),
-                        dst=int(mv.dst),
-                    )
-                progressed = True
-                break
-            if not progressed:
-                return None, staged_shards
-        schedule.peak_transient_utilization = peak
-        return schedule, staged_shards
+            return True
+        return False
 
-    def _staging_host(
-        self,
-        mv: Move,
-        loads: np.ndarray,
-        capacity: np.ndarray,
-        extra: np.ndarray,
-        exchange_mask: np.ndarray,
-        blocked: np.ndarray | None = None,
-        sibling_hosts: np.ndarray | None = None,
-    ) -> int | None:
-        """Best machine able to temporarily hold the shard, or None.
+    @staticmethod
+    def _staging_host(packer: WavePacker, mv: Move) -> int | None:
+        """Best machine able to temporarily hold *mv*'s shard, or None.
 
-        Offline (failed) machines are never used as staging hosts;
-        blocked designated-return machines remain legitimate hosts (they
-        are only handed back once the migration completes).
+        Borrowed (exchange) machines are preferred, then the most slack.
+        Offline (failed) machines and machines hosting a sibling replica
+        are never used as staging hosts; blocked designated-return
+        machines remain legitimate hosts (they are only handed back once
+        the migration completes).
         """
-        headroom = capacity - loads
-        fits = np.all(headroom >= extra - 1e-12, axis=1)
+        state = packer.state
+        headroom = state.capacity - packer.loads
+        fits = np.all(headroom >= state.demand[mv.shard_id] - 1e-12, axis=1)
         fits[mv.src] = False
         fits[mv.dst] = False
-        if blocked is not None:
-            fits[blocked] = False
-        if sibling_hosts is not None and sibling_hosts.size:
-            valid = sibling_hosts[(sibling_hosts >= 0) & (sibling_hosts < fits.size)]
-            fits[valid] = False
+        fits[state.offline_mask] = False
+        sibling_hosts = packer.location[state.replica_peers(mv.shard_id)]
+        fits[sibling_hosts[(sibling_hosts >= 0) & (sibling_hosts < fits.size)]] = False
         candidates = np.flatnonzero(fits)
         if candidates.size == 0:
             return None
         slack = headroom[candidates].min(axis=1)
-        if self.prefer_exchange_hosts:
-            is_exch = exchange_mask[candidates]
-            order = np.lexsort((-slack, ~is_exch))
-        else:
-            order = np.argsort(-slack)
+        order = np.lexsort((-slack, ~state.exchange_mask[candidates]))
         return int(candidates[order[0]])

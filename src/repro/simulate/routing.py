@@ -25,7 +25,13 @@ import numpy as np
 
 from repro._validation import check_in
 from repro.cluster import ClusterState
-from repro.simulate.des import ServingConfig, ServingReport, _busy_fraction, _empty_summary
+from repro.simulate.des import (
+    ServingConfig,
+    ServingReport,
+    _busy_fraction,
+    _effective_speeds,
+    _empty_summary,
+)
 from repro.simulate.latency import summarize
 from repro.simulate.workprofile import WorkProfile
 
@@ -75,12 +81,7 @@ def simulate_routed_serving(
     }
     covered = sorted(groups)
 
-    cpu_idx = state.schema.index("cpu") if "cpu" in state.schema.names else 0
-    speed = state.capacity[:, cpu_idx] * cfg.postings_per_cpu_second
-    for mid, frac in cfg.background_load.items():
-        if not 0 <= mid < state.num_machines:
-            raise ValueError(f"background_load references unknown machine {mid}")
-        speed[mid] = speed[mid] * (1.0 - frac)
+    speed = _effective_speeds(state, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     num_arrivals = rng.poisson(cfg.arrival_rate * cfg.duration)

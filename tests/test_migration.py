@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cluster import ClusterState, Machine, Shard
 from repro.migration import (
     BandwidthModel,
@@ -137,7 +138,7 @@ class TestWaveScheduler:
 
     def test_is_feasible_helper(self):
         state, target = swap_deadlock_state()
-        assert not WaveScheduler().is_feasible(state, diff_moves(state, target))
+        assert not WaveScheduler().schedule(state, diff_moves(state, target)).feasible
 
     def test_empty_moves(self):
         state, _ = swap_deadlock_state()
@@ -227,6 +228,28 @@ class TestStagingPlanner:
     def test_invalid_hop_limit(self):
         with pytest.raises(ValueError, match="max_hops"):
             StagingPlanner(max_hops_per_shard=0)
+
+    def test_each_wave_traced_once(self):
+        # A small shard moves off m0 in wave 0; only then does the m0/m1
+        # swap deadlock, and staging via the vacant m2 resumes after it.
+        machines = Machine.homogeneous(4, 10.0)
+        shards = [
+            Shard(id=0, demand=np.full(3, 6.0)),
+            Shard(id=1, demand=np.full(3, 6.0)),
+            Shard(id=2, demand=np.full(3, 1.0)),
+        ]
+        state = ClusterState(machines, shards, [0, 1, 0])
+        target = np.array([1, 0, 3])
+        with obs.observed() as o:
+            plan = StagingPlanner().plan(state, target)
+        assert plan.feasible and not plan.direct_feasible
+        assert [mv.shard_id for mv in plan.schedule.waves[0]] == [2]
+        waves = [
+            r["attrs"]["wave"]
+            for r in o.tracer.records()
+            if r.get("name") == "migration.wave"
+        ]
+        assert waves == list(range(plan.schedule.num_waves))
 
 
 class TestBandwidthModel:

@@ -103,3 +103,17 @@ class TestRoutedServing:
             simulate_routed_serving(state, profile, logical_of[:-1])
         with pytest.raises(ValueError, match="unknown logical"):
             simulate_routed_serving(state, profile, [99] * state.num_shards)
+
+    def test_background_load_revalidated_at_use_time(self):
+        # ServingConfig validates background_load at construction, but the
+        # dict stays mutable: a fraction pushed to 1.0 afterwards must be
+        # rejected exactly as simulate_serving rejects it, not turned into
+        # a zero-speed machine with infinite latencies.
+        state, logical_of = replicated_cluster(k=2)
+        profile = WorkProfile(np.full((4, 4), 1000.0))
+        cfg = ServingConfig(arrival_rate=10.0, duration=5.0, seed=8)
+        cfg.background_load[0] = 1.0
+        with pytest.raises(ValueError, match="background_load"):
+            simulate_serving(state, profile, logical_of, cfg)
+        with pytest.raises(ValueError, match="background_load"):
+            simulate_routed_serving(state, profile, logical_of, cfg)
