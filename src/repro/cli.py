@@ -428,8 +428,6 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 def _cmd_runtime(args: argparse.Namespace) -> int:
     # Local imports: the runtime stack pulls in the simulation layers,
     # which the other subcommands don't need at startup.
-    import numpy as np
-
     from repro.algorithms import SRA as _SRA
     from repro.algorithms import AlnsConfig as _AlnsConfig
     from repro.algorithms import MigrationBudget as _MigrationBudget
@@ -441,13 +439,17 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         DriftDetectorConfig,
         DriftProcess,
         IncrementalRebalanceController,
-        QueryArrivalProcess,
         RebalanceController,
         Runtime,
-        ServingFleet,
         synthetic_profile,
     )
-    from repro.simulate import WorkProfile, diurnal_rate, nonhomogeneous_arrivals, summarize
+    from repro.simulate import (
+        ServingConfig,
+        WorkProfile,
+        diurnal_rate,
+        nonhomogeneous_arrivals,
+    )
+    from repro.simulate.des import _serving_process, _serving_report
 
     state = load_json(args.snapshot)
     if not state.is_fully_assigned():
@@ -481,26 +483,24 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
 
-    rng = np.random.default_rng(args.seed)
+    times = None
     if args.arrival_trace == "diurnal":
         rate = diurnal_rate(
             args.arrival_rate, peak_ratio=args.peak_ratio, period=args.duration
         )
         times = nonhomogeneous_arrivals(rate, args.duration, seed=args.seed)
-    else:
-        n = rng.poisson(args.arrival_rate * args.duration)
-        times = np.sort(rng.uniform(0.0, args.duration, size=n))
-    query_rows = rng.integers(0, profile.num_queries, size=times.size)
-
-    cpu_idx = state.schema.index("cpu") if "cpu" in state.schema.names else 0
-    speeds = state.capacity[:, cpu_idx] * args.postings_per_cpu_second
-
-    with _ObsSession(args):
-        fleet = ServingFleet(speeds)
-        location = state.assignment_view().copy()
-        arrivals = QueryArrivalProcess(
-            fleet, location, profile.work, np.arange(state.num_shards), times, query_rows
+    try:
+        serving = ServingConfig(
+            arrival_rate=args.arrival_rate,
+            duration=args.duration,
+            postings_per_cpu_second=args.postings_per_cpu_second,
+            seed=args.seed,
         )
+        arrivals = _serving_process(state, profile, None, serving, times)
+    except ValueError as exc:
+        print(f"runtime: {exc}", file=sys.stderr)
+        return 2
+    with _ObsSession(args):
         runtime = Runtime()
         runtime.add(arrivals)
         handle = ClusterHandle(state)
@@ -529,8 +529,8 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
                 policy=args.rebalance_policy,
                 threshold=args.rebalance_threshold,
                 execution="simulated",
-                fleet=fleet,
-                location=location,
+                fleet=arrivals.fleet,
+                location=arrivals.location,
                 bandwidth=BandwidthModel(bandwidth=args.bandwidth),
                 transfer_overhead=args.transfer_overhead,
                 trigger_at=args.rebalance_at,
@@ -550,8 +550,8 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             )
             common = dict(
                 execution="simulated",
-                fleet=fleet,
-                location=location,
+                fleet=arrivals.fleet,
+                location=arrivals.location,
                 bandwidth=BandwidthModel(bandwidth=args.bandwidth),
                 transfer_overhead=args.transfer_overhead,
                 check_interval=args.check_interval,
@@ -578,19 +578,14 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
                 )
             runtime.add(controller)
         end = runtime.run()
-        fleet.flush()
-
-        lat = arrivals.latencies()
-        window = max(args.duration, float(times[-1])) if times.size else args.duration
-        busy = fleet.busy_fraction(window)
-        print(f"queries           {arrivals.queries_completed}")
+        report = _serving_report(arrivals, serving, capture_raw=False)
+        print(f"queries           {report.queries_completed}")
         print(f"simulated end (s) {end:.3f}")
-        if lat.size:
-            summary = summarize(lat)
-            print(f"latency p50 (ms)  {1e3 * summary.p50:.3f}")
-            print(f"latency p95 (ms)  {1e3 * summary.p95:.3f}")
-            print(f"latency p99 (ms)  {1e3 * summary.p99:.3f}")
-        print(f"peak busy         {float(busy.max()):.4f}")
+        if report.queries_completed:
+            print(f"latency p50 (ms)  {1e3 * report.latency.p50:.3f}")
+            print(f"latency p95 (ms)  {1e3 * report.latency.p95:.3f}")
+            print(f"latency p99 (ms)  {1e3 * report.latency.p99:.3f}")
+        print(f"peak busy         {report.peak_busy_fraction:.4f}")
         if controller is not None:
             for ep in controller.episodes:
                 print(

@@ -17,7 +17,7 @@ from repro.algorithms import AlnsConfig, SRA, SRAConfig
 from repro.cluster import ClusterState, Machine, Shard
 from repro.engine import CorpusConfig, ShardedIndex, generate_corpus, generate_queries
 from repro.experiments.harness import register
-from repro.simulate import ServingConfig, WorkProfile, simulate_routed_serving
+from repro.simulate import ServingConfig, WorkProfile, simulate_serving
 
 _QPS = 55.0
 _PPCS = 2e5
@@ -58,7 +58,7 @@ def run(fast: bool = True, *, placement_seed: int = 41) -> list[dict]:
         )
         balanced = _rebalance(state, iterations)
         for policy in ("random", "round_robin", "least_loaded"):
-            report = simulate_routed_serving(
+            report = simulate_serving(
                 balanced, profile, logical_of, serving, policy=policy
             )
             rows.append(

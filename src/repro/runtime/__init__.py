@@ -16,7 +16,8 @@ Layers
     speed changes; bit-for-bit the legacy loop at constant speed).
 :mod:`repro.runtime.serving`
     :class:`QueryArrivalProcess` — replays arrival traces against the
-    fleet through the live shard→machine map.
+    fleet through the live shard→machine map, optionally routing each
+    query to one replica per logical shard (:class:`ReplicaRouter`).
 :mod:`repro.runtime.migration`
     :class:`MigrationExecutor` — runs a wave schedule in simulated time
     with NIC derating and transient dual holds.
@@ -51,7 +52,7 @@ from repro.runtime.processes import (
     RebalanceController,
 )
 from repro.runtime.profile import synthetic_profile
-from repro.runtime.serving import QueryArrivalProcess
+from repro.runtime.serving import QueryArrivalProcess, ReplicaRouter, RoutingPolicy
 
 __all__ = [
     "SimClock",
@@ -62,6 +63,8 @@ __all__ = [
     "FCFSMachine",
     "ServingFleet",
     "QueryArrivalProcess",
+    "ReplicaRouter",
+    "RoutingPolicy",
     "MigrationExecutor",
     "ClusterHandle",
     "DriftProcess",

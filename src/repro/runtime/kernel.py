@@ -21,6 +21,7 @@ function of its processes' inputs.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Protocol, Tuple
 
 from repro import obs
@@ -104,17 +105,20 @@ class Runtime:
         return process
 
     def at(self, time: float, fn: Callback) -> None:
-        """Schedule *fn* at absolute simulated *time* (>= now)."""
-        if time < self.clock.now:
-            raise ValueError(
-                f"cannot schedule an event at t={time} before now={self.clock.now}"
-            )
+        """Schedule *fn* at absolute simulated *time* (finite, >= now)."""
+        # One chained comparison: NaN and +/-inf fail it as well.
+        if not self.clock.now <= time < math.inf:
+            if time < self.clock.now:
+                raise ValueError(
+                    f"cannot schedule an event at t={time} before now={self.clock.now}"
+                )
+            raise ValueError(f"event time must be finite, got {time}")
         self.events.push(time, fn)
 
     def after(self, delay: float, fn: Callback) -> None:
-        """Schedule *fn* after *delay* seconds of simulated time."""
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
+        """Schedule *fn* after *delay* seconds (finite, >= 0) of simulated time."""
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
         self.events.push(self.clock.now + delay, fn)
 
     def run(self, until: float | None = None) -> float:

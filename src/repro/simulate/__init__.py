@@ -1,5 +1,6 @@
 """Discrete-event simulation of query serving under a placement."""
 
+from repro.runtime.serving import RoutingPolicy
 from repro.simulate.des import ServingConfig, ServingReport, simulate_serving
 from repro.simulate.migration_load import (
     MigrationWindowReport,
@@ -9,7 +10,6 @@ from repro.simulate.migration_load import (
     simulate_migration_window,
 )
 from repro.simulate.latency import LatencySummary, summarize
-from repro.simulate.routing import RoutingPolicy, simulate_routed_serving
 from repro.simulate.traces import diurnal_rate, nonhomogeneous_arrivals
 from repro.simulate.workprofile import WorkProfile
 
@@ -26,7 +26,6 @@ __all__ = [
     "TimelineWindowReport",
     "simulate_migration_timeline",
     "RoutingPolicy",
-    "simulate_routed_serving",
     "diurnal_rate",
     "nonhomogeneous_arrivals",
 ]

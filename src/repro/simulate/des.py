@@ -4,7 +4,9 @@ The model:
 
 * Queries arrive in a Poisson stream of ``arrival_rate`` per second.
 * Each query fans out one task per shard; a task queues FCFS at the
-  machine hosting that shard.
+  machine hosting that shard.  With a routing ``policy`` the cluster
+  shards of one engine shard are replicas, and the query sends one task
+  to one of them (:class:`~repro.runtime.serving.ReplicaRouter`).
 * Each machine is a single server whose speed is its CPU capacity times
   ``postings_per_cpu_second`` (postings processed per second), optionally
   derated by per-machine background load (e.g. an in-progress shard
@@ -29,7 +31,7 @@ speeds that change mid-run while a migration wave saturates a NIC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from repro.cluster import ClusterState
 from repro.obs.metrics import LATENCY_EDGES_S, UTILIZATION_EDGES
 from repro.runtime.kernel import Runtime
 from repro.runtime.machines import ServingFleet
-from repro.runtime.serving import QueryArrivalProcess
+from repro.runtime.serving import QueryArrivalProcess, ReplicaRouter, RoutingPolicy
 from repro.simulate.latency import LatencySummary, summarize
 from repro.simulate.workprofile import WorkProfile
 
@@ -116,6 +118,7 @@ def simulate_serving(
     *,
     arrival_times: np.ndarray | None = None,
     capture_raw: bool = False,
+    policy: RoutingPolicy | None = None,
 ) -> ServingReport:
     """Simulate query serving against *state*'s current placement.
 
@@ -134,6 +137,12 @@ def simulate_serving(
         :mod:`repro.simulate.traces`); overrides the Poisson process.
     capture_raw:
         Also return the per-query arrival/latency arrays.
+    policy:
+        Replica routing (see :class:`~repro.runtime.serving.ReplicaRouter`):
+        the cluster shards mapped to one engine shard are its replicas,
+        and each query reaches exactly one of them, picked by this
+        policy.  ``None`` sends every cluster shard its engine shard's
+        work.
 
     Notes
     -----
@@ -141,23 +150,10 @@ def simulate_serving(
     simulation is deterministic given the seed.
     """
     cfg = config or ServingConfig()
-    mapping = (
-        np.arange(state.num_shards)
-        if shard_to_engine_shard is None
-        else np.asarray(shard_to_engine_shard, dtype=np.int64)
+    arrivals = _serving_process(
+        state, profile, shard_to_engine_shard, cfg, arrival_times, policy
     )
-    if mapping.shape != (state.num_shards,):
-        raise ValueError("shard_to_engine_shard must map every cluster shard")
-    if np.any((mapping < 0) | (mapping >= profile.num_shards)):
-        raise ValueError("shard_to_engine_shard references unknown engine shards")
-    if not state.is_fully_assigned():
-        raise ValueError("simulation requires a fully assigned state")
-
-    speed = _effective_speeds(state, cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    arrival_times, num_arrivals = _sample_arrivals(rng, cfg, arrival_times)
-    query_rows = rng.integers(0, profile.num_queries, size=num_arrivals)
+    num_arrivals = arrivals.arrival_times.size
 
     o = obs.current()
     with o.tracer.span(
@@ -171,38 +167,20 @@ def simulate_serving(
         # are constant here, so the fleet's arithmetic reduces to exactly
         # the historical single-pass loop (see the bitwise contract in
         # repro.runtime.machines).
-        fleet = ServingFleet(speed)
-        arrivals = QueryArrivalProcess(
-            fleet,
-            state.assignment_view(),
-            profile.work,
-            mapping,
-            arrival_times,
-            query_rows,
-        )
         runtime = Runtime()
         runtime.add(arrivals)
         runtime.run()
-        fleet.flush()
-        latencies = arrivals.latencies()
-
-        busy_fraction = _busy_fraction(
-            fleet.busy_time(), arrival_times, cfg, state.num_machines
-        )
-        report = ServingReport(
-            latency=summarize(latencies) if num_arrivals else _empty_summary(),
-            machine_busy_fraction=busy_fraction,
-            queries_completed=int(num_arrivals),
-            raw_arrivals=arrival_times.copy() if capture_raw else None,
-            raw_latencies=latencies.copy() if capture_raw else None,
-        )
+        report = _serving_report(arrivals, cfg, capture_raw=capture_raw)
         if o.metrics.enabled:
+            busy_fraction = report.machine_busy_fraction
             m = o.metrics
             m.counter("sim.queries").inc(num_arrivals)
-            m.histogram("sim.latency_seconds", LATENCY_EDGES_S).observe_many(latencies)
+            m.histogram("sim.latency_seconds", LATENCY_EDGES_S).observe_many(
+                arrivals.latencies()
+            )
             if num_arrivals > 1:
                 m.histogram("sim.interarrival_seconds", LATENCY_EDGES_S).observe_many(
-                    np.diff(arrival_times)
+                    np.diff(arrivals.arrival_times)
                 )
             m.histogram("sim.machine_busy_fraction", UTILIZATION_EDGES).observe_many(
                 busy_fraction
@@ -216,6 +194,76 @@ def simulate_serving(
     return report
 
 
+def _serving_process(
+    state: ClusterState,
+    profile: WorkProfile,
+    shard_to_engine_shard: Sequence[int] | None,
+    cfg: ServingConfig,
+    arrival_times: np.ndarray | None,
+    policy: RoutingPolicy | None = None,
+) -> QueryArrivalProcess:
+    """Validate the inputs and wire one serving run, ready for a runtime.
+
+    Arrivals are the configured Poisson stream, or *arrival_times*
+    sorted.  The process owns a fresh fleet and a private copy of the
+    placement (``process.location``), which a migration executor may
+    rewrite.  Shared by ``simulate_serving``, the migration timeline and
+    the ``repro runtime`` CLI.  RNG draw order is part of the
+    reproducibility contract: Poisson count, uniform times and query
+    rows here, then the router's draws during the run.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    router = None if policy is None else ReplicaRouter(policy, rng)
+    mapping = (
+        np.arange(state.num_shards)
+        if shard_to_engine_shard is None
+        else np.asarray(shard_to_engine_shard, dtype=np.int64)
+    )
+    if mapping.shape != (state.num_shards,):
+        raise ValueError("shard_to_engine_shard must map every cluster shard")
+    if np.any((mapping < 0) | (mapping >= profile.num_shards)):
+        raise ValueError("shard_to_engine_shard references unknown engine shards")
+    if not state.is_fully_assigned():
+        raise ValueError("simulation requires a fully assigned state")
+    speed = _effective_speeds(state, cfg)
+    if arrival_times is None:
+        num_arrivals = rng.poisson(cfg.arrival_rate * cfg.duration)
+        times = np.sort(rng.uniform(0.0, cfg.duration, size=num_arrivals))
+    else:
+        times = np.sort(np.asarray(arrival_times, dtype=np.float64))
+        if not np.all(np.isfinite(times)):
+            raise ValueError("arrival_times must be finite")
+        if times.size and times[0] < 0:
+            raise ValueError("arrival_times must be non-negative")
+    query_rows = rng.integers(0, profile.num_queries, size=times.size)
+    return QueryArrivalProcess(
+        ServingFleet(speed),
+        state.assignment_view().copy(),
+        profile.work,
+        mapping,
+        times,
+        query_rows,
+        router=router,
+    )
+
+
+def _serving_report(
+    arrivals: QueryArrivalProcess, cfg: ServingConfig, *, capture_raw: bool
+) -> ServingReport:
+    """Flush the fleet after a run and summarize it."""
+    fleet = arrivals.fleet
+    fleet.flush()
+    times = arrivals.arrival_times
+    latencies = arrivals.latencies()
+    return ServingReport(
+        latency=summarize(latencies) if times.size else _empty_summary(),
+        machine_busy_fraction=_busy_fraction(fleet.busy_time(), times, cfg),
+        queries_completed=int(times.size),
+        raw_arrivals=times.copy() if capture_raw else None,
+        raw_latencies=latencies if capture_raw else None,
+    )
+
+
 def _effective_speeds(state: ClusterState, cfg: ServingConfig) -> np.ndarray:
     """Per-machine serving speed with background-load derating applied.
 
@@ -223,8 +271,8 @@ def _effective_speeds(state: ClusterState, cfg: ServingConfig) -> np.ndarray:
     checks them at construction, but the mapping object itself is
     mutable, and a fraction at or above 1.0 would silently produce a
     zero-or-negative speed (an instantly diverging queue) rather than an
-    error.  Shared by ``simulate_serving`` and the time-resolved
-    migration window so both modes reject the same bad inputs.
+    error.  Every serving entry point goes through ``_serving_process``
+    and so rejects the same bad inputs.
     """
     cpu_idx = state.schema.index("cpu") if "cpu" in state.schema.names else 0
     speed = state.capacity[:, cpu_idx] * cfg.postings_per_cpu_second
@@ -238,30 +286,8 @@ def _effective_speeds(state: ClusterState, cfg: ServingConfig) -> np.ndarray:
     return speed
 
 
-def _sample_arrivals(
-    rng: np.random.Generator,
-    cfg: ServingConfig,
-    arrival_times: np.ndarray | None,
-) -> Tuple[np.ndarray, int]:
-    """Arrival times and count: the configured Poisson stream, or a
-    sorted/validated explicit trace.  RNG draw order is part of the
-    reproducibility contract — poisson count, then uniform times — and
-    callers draw query rows immediately after."""
-    if arrival_times is None:
-        num_arrivals = rng.poisson(cfg.arrival_rate * cfg.duration)
-        times = np.sort(rng.uniform(0.0, cfg.duration, size=num_arrivals))
-        return times, num_arrivals
-    times = np.sort(np.asarray(arrival_times, dtype=np.float64))
-    if times.size and times[0] < 0:
-        raise ValueError("arrival_times must be non-negative")
-    return times, int(times.size)
-
-
 def _busy_fraction(
-    busy_time: np.ndarray,
-    arrival_times: np.ndarray,
-    cfg: ServingConfig,
-    num_machines: int,
+    busy_time: np.ndarray, arrival_times: np.ndarray, cfg: ServingConfig
 ) -> np.ndarray:
     """Per-machine busy fraction over the arrival window.
 

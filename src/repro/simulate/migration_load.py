@@ -24,16 +24,13 @@ from repro._validation import check_fraction, check_positive
 from repro.cluster import ClusterState
 from repro.migration import BandwidthModel, PlanResult
 from repro.runtime.kernel import Runtime
-from repro.runtime.machines import ServingFleet
 from repro.runtime.migration import MigrationExecutor
-from repro.runtime.serving import QueryArrivalProcess
 from repro.simulate.des import (
     ServingConfig,
     ServingReport,
-    _busy_fraction,
-    _effective_speeds,
     _empty_summary,
-    _sample_arrivals,
+    _serving_process,
+    _serving_report,
     simulate_serving,
 )
 from repro.simulate.latency import summarize
@@ -243,37 +240,17 @@ def simulate_migration_timeline(
     check_positive("transfer_overhead", transfer_overhead)
     if not plan.feasible:
         raise ValueError("cannot execute an infeasible plan on the timeline")
-    mapping = (
-        np.arange(initial.num_shards)
-        if shard_to_engine_shard is None
-        else np.asarray(shard_to_engine_shard, dtype=np.int64)
-    )
-    if mapping.shape != (initial.num_shards,):
-        raise ValueError("shard_to_engine_shard must map every cluster shard")
-    if np.any((mapping < 0) | (mapping >= profile.num_shards)):
-        raise ValueError("shard_to_engine_shard references unknown engine shards")
-    if not initial.is_fully_assigned():
-        raise ValueError("simulation requires a fully assigned state")
-    model = bandwidth or BandwidthModel()
-    speed = _effective_speeds(initial, config)
-
-    rng = np.random.default_rng(config.seed)
-    arrival_times, num_arrivals = _sample_arrivals(rng, config, arrival_times)
-    query_rows = rng.integers(0, profile.num_queries, size=num_arrivals)
-
-    fleet = ServingFleet(speed)
-    location = initial.assignment_view().copy()
-    arrivals = QueryArrivalProcess(
-        fleet, location, profile.work, mapping, arrival_times, query_rows
+    arrivals = _serving_process(
+        initial, profile, shard_to_engine_shard, config, arrival_times
     )
     executor = MigrationExecutor(
         schedule=plan.schedule,
-        fleet=fleet,
-        location=location,
+        fleet=arrivals.fleet,
+        location=arrivals.location,
         loads=initial.loads.copy(),
         capacity=initial.capacity,
         demand=initial.demand,
-        model=model,
+        model=bandwidth or BandwidthModel(),
         transfer_overhead=transfer_overhead,
         start_at=migration_start,
     )
@@ -281,25 +258,13 @@ def simulate_migration_timeline(
     runtime.add(arrivals)
     runtime.add(executor)
     runtime.run()
-    fleet.flush()
 
-    target = np.asarray(final_assignment, dtype=np.int64)
-    if not np.array_equal(location, target):
+    serving = _serving_report(arrivals, config, capture_raw=True)
+    if not np.array_equal(arrivals.location, np.asarray(final_assignment, dtype=np.int64)):
         raise RuntimeError(
             "executed schedule did not land the final assignment; "
             "the plan and final_assignment disagree"
         )
-    latencies = arrivals.latencies()
-    busy_fraction = _busy_fraction(
-        fleet.busy_time(), arrival_times, config, initial.num_machines
-    )
-    serving = ServingReport(
-        latency=summarize(latencies) if num_arrivals else _empty_summary(),
-        machine_busy_fraction=busy_fraction,
-        queries_completed=int(num_arrivals),
-        raw_arrivals=arrival_times.copy(),
-        raw_latencies=latencies,
-    )
     return TimelineWindowReport(
         serving=serving,
         migration_start=migration_start,

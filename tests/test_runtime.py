@@ -61,6 +61,15 @@ class TestKernel:
         with pytest.raises(ValueError, match="before now"):
             rt.run()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, bad):
+        rt = Runtime()
+        with pytest.raises(ValueError):
+            rt.at(bad, lambda r: None)
+        with pytest.raises(ValueError, match="delay"):
+            rt.after(bad, lambda r: None)
+        assert len(rt.events) == 0
+
     def test_run_until_leaves_later_events_queued(self):
         rt = Runtime()
         seen = []
@@ -479,6 +488,16 @@ class TestTimeline:
         )
         with pytest.raises(ValueError, match="infeasible"):
             simulate_migration_timeline(state, target, infeasible, profile, cfg)
+
+    def test_non_finite_arrivals_rejected(self):
+        state, target, plan = _executor_fixture()
+        profile = WorkProfile(np.full((4, 4), 2000.0))
+        cfg = ServingConfig(arrival_rate=5.0, duration=2.0, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_migration_timeline(
+                state, target, plan, profile, cfg,
+                arrival_times=np.array([0.5, np.nan]),
+            )
 
 
 # ----------------------------------------------- audit fixes (satellites)

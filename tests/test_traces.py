@@ -102,6 +102,17 @@ class TestDesWithTrace:
         with pytest.raises(ValueError, match="non-negative"):
             simulate_serving(state, profile, arrival_times=np.array([-1.0]))
 
+    @pytest.mark.parametrize(
+        "times", [[0.5, np.nan, 1.0], [0.5, np.inf], [-np.inf, 1.0]]
+    )
+    def test_non_finite_arrivals_rejected(self, times):
+        # A NaN or infinite arrival used to be accepted and turn every
+        # latency percentile into NaN.
+        state = self._state()
+        profile = WorkProfile(np.full((2, 2), 1000.0))
+        with pytest.raises(ValueError, match="finite"):
+            simulate_serving(state, profile, arrival_times=np.array(times))
+
     def test_peak_hour_has_worse_latency(self):
         state = self._state()
         profile = WorkProfile(np.full((2, 2), 4000.0))
