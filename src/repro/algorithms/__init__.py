@@ -19,7 +19,6 @@ from repro.algorithms.destroy import (
 )
 from repro.algorithms.lns import AlnsConfig, AlnsEngine, AlnsOutcome
 from repro.algorithms.objective import Objective, ObjectiveWeights
-from repro.algorithms.portfolio import PortfolioRebalancer
 from repro.algorithms.repair import (
     DEFAULT_REPAIR_OPS,
     Regret2Insertion,
@@ -46,7 +45,6 @@ __all__ = [
     "SRAConfig",
     "MigrationBudget",
     "BudgetLocalityBias",
-    "PortfolioRebalancer",
     "random_removal",
     "worst_machine_removal",
     "shaw_removal",

@@ -400,9 +400,14 @@ def _make_algorithm(args: argparse.Namespace):
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
+    try:
+        algorithm = _make_algorithm(args)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     state = load_json(args.snapshot)
     rebalancer = ResourceExchangeRebalancer(
-        _make_algorithm(args),
+        algorithm,
         exchange_machines=args.exchange,
         required_returns=args.returns,
     )

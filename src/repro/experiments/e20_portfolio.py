@@ -1,15 +1,15 @@
 """E20 — seed portfolio vs one long run (extension).
 
 At an equal total iteration budget, is it better to run one long LNS or
-K independent short runs and keep the best?  On rugged tight instances
-the portfolio usually wins (independent seeds escape different local
-basins), and it parallelizes perfectly — the classic argument for
-:class:`~repro.algorithms.PortfolioRebalancer`.
+K independent short runs and keep the best?  The hope is that
+independent seeds escape different local basins on rugged tight
+instances, and the restarts parallelize perfectly — the classic
+argument for best-of-K, which ``SRAConfig(restarts=K)`` runs.
 """
 
 from __future__ import annotations
 
-from repro.algorithms import AlnsConfig, PortfolioRebalancer, SRA, SRAConfig
+from repro.algorithms import SRA, AlnsConfig, SRAConfig
 from repro.cluster import ExchangeLedger
 from repro.experiments.harness import register
 from repro.workloads import make_exchange_machines, tight_suite
@@ -25,13 +25,8 @@ def run(fast: bool = True) -> list[dict]:
         grown, ledger = ExchangeLedger.borrow(state, make_exchange_machines(state, 2))
         for k in portfolios:
             per_run = total_budget // k
-            cfg = SRAConfig(alns=AlnsConfig(iterations=per_run, seed=100))
-            algo = (
-                SRA(cfg)
-                if k == 1
-                else PortfolioRebalancer(cfg, runs=k, n_jobs=1)
-            )
-            result = algo.rebalance(grown, ledger)
+            cfg = SRAConfig(alns=AlnsConfig(iterations=per_run, seed=100), restarts=k)
+            result = SRA(cfg).rebalance(grown, ledger)
             rows.append(
                 {
                     "instance": name,

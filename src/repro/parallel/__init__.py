@@ -4,16 +4,18 @@ Public surface:
 
 * :func:`~repro.parallel.seeds.spawn_seeds` — deterministic per-task
   seeds via ``numpy.random.SeedSequence.spawn`` keyed by task index;
-* :class:`~repro.parallel.runner.ParallelRunner` — worker pool (one-shot
-  or persistent) with per-task timeouts, crash isolation and
-  ``repro.obs`` merge;
+* :class:`~repro.parallel.runner.ParallelRunner` — serial path or a
+  pool of long-lived workers, with per-task timeouts, crash isolation
+  and ``repro.obs`` merge;
 * :mod:`~repro.parallel.shm` — shared-memory instance publication
   (:func:`~repro.parallel.shm.publish_state` /
   :func:`~repro.parallel.shm.attach_state`) and the cooperative
   incumbent slot (:class:`~repro.parallel.shm.IncumbentSlot`);
-* :func:`~repro.parallel.restarts.run_sra_restarts` — best-of-K SRA
-  restart fan-out over the persistent shared-memory pool, blind or
-  cooperative (what ``SRAConfig.restarts`` / CLI ``--restarts`` drive);
+* :func:`~repro.parallel.restarts.run_sra_restarts` — the one best-of-K
+  SRA runner, fanned out over the worker pool with the instance in
+  shared memory, blind or cooperative (what ``SRAConfig.restarts`` /
+  CLI ``--restarts`` and the scenario matrix's ``portfolio`` axis
+  drive);
 * :func:`~repro.parallel.driver.run_experiments` /
   :func:`~repro.parallel.driver.save_tables` — parallel E1–E20
   experiment driver (what ``repro.cli experiment --all --workers N``

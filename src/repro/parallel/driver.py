@@ -82,7 +82,8 @@ def run_experiments(
         TaskSpec(fn=_experiment_task, args=(key, fast), name=f"experiment:{key}")
         for key in selected
     ]
-    results = ParallelRunner(n_workers, timeout_s=timeout_s).run(specs)
+    with ParallelRunner(n_workers, timeout_s=timeout_s) as runner:
+        results = runner.run(specs)
     return [
         ExperimentResult(
             key=key,

@@ -1,24 +1,24 @@
 """Parallel SRA restarts: shared-memory pool, blind or cooperative.
 
-LNS restarts share nothing, so K restarts scale across processes
-trivially — the companion resource-equivalence-classes argument (see
-PAPERS.md) for treating local search as embarrassingly restartable.
-Restart ``k`` runs the configured SRA with seed
-``spawn_seeds(master_seed, K)[k]``, so the restart set is a pure
+This is the library's one best-of-K runner: ``SRA(SRAConfig(restarts=K,
+n_workers=N))`` calls it.  LNS restarts share nothing, so K restarts
+scale across processes trivially — the companion resource-equivalence-
+classes argument (see PAPERS.md) for treating local search as
+embarrassingly restartable.  Restart ``k`` runs the configured SRA with
+seed ``spawn_seeds(master_seed, K)[k]``, so the restart set is a pure
 function of the master seed: the same K restarts run with 1, 2 or 8
 workers produce bitwise-identical per-restart results, and the winner
 is selected by a deterministic rule over the task-ordered results
-(feasibility first, then peak utilization, then move count — the same
-rule :class:`~repro.algorithms.PortfolioRebalancer` uses).
+(feasibility first, then peak utilization, then move count).
 
-The multi-worker fan-out runs on a **persistent** pool over
-**shared-memory state** (``use_shm=True``, the default): the parent
-publishes the instance once via :func:`repro.parallel.shm.publish_state`
-and each worker attaches at spawn, so a restart task pickles only its
-config — not tens of thousands of machine/shard dataclasses.  This is
-what turned the pool from a slowdown (BENCH_alns.json historically
-recorded 0.70x at 2 workers on m50) into a speedup on instances large
-enough to amortize the worker spawn.
+The multi-worker fan-out runs on the :class:`ParallelRunner` pool over
+**shared-memory state**: the parent publishes the instance once via
+:func:`repro.parallel.shm.publish_state` and each worker attaches at
+spawn, so a restart task pickles only its config — not tens of
+thousands of machine/shard dataclasses.  This is what turned the pool
+from a slowdown (BENCH_alns.json historically recorded 0.70x at 2
+workers on m50) into a speedup on instances large enough to amortize
+the worker spawn.
 
 ``cooperative=True`` upgrades blind best-of-K to a portfolio: restarts
 periodically publish/adopt incumbents through a shared best-solution
@@ -34,8 +34,9 @@ starts from the best of restarts ``0..k-1``.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.parallel.runner import ParallelRunner, TaskResult, TaskSpec
 from repro.parallel.seeds import spawn_seeds
@@ -80,64 +81,50 @@ class RestartReport:
 
 
 # Worker-process globals, installed once per worker by ``_init_worker``
-# (persistent-pool initializer).  Tasks consult them instead of carrying
+# (the pool initializer).  Tasks consult them instead of carrying
 # the state / exchange through pickled task args.
 _WORKER_STATE: AttachedState | None = None
 _WORKER_EXCHANGE: IncumbentExchange | None = None
 
 
 def _init_worker(
-    state_handle: StateHandle | None,
+    state_handle: StateHandle,
     slot_handle: IncumbentHandle | None,
     lock: Any,
     period: int,
 ) -> None:
-    """Persistent-pool initializer: attach shared segments once.
+    """Pool initializer: attach shared segments once.
 
     Runs in the worker process at spawn.  The lock arrives through
     ``Process`` creation (``multiprocessing`` primitives cannot cross
     task pipes).  Attach-only: the parent owns both segments' unlink.
     """
     global _WORKER_STATE, _WORKER_EXCHANGE
-    _WORKER_STATE = attach_state(state_handle) if state_handle is not None else None
+    _WORKER_STATE = attach_state(state_handle)
     _WORKER_EXCHANGE = (
         attach_incumbent(slot_handle, lock, period) if slot_handle is not None else None
     )
 
 
 def _run_one(
-    config: "SRAConfig", state: "ClusterState", ledger: "ExchangeLedger | None"
-) -> "RebalanceResult":
-    """One restart over an explicitly passed (pickled) state."""
-    from repro.algorithms.sra import SRA
-
-    exchange = None if _WORKER_EXCHANGE is None else _WORKER_EXCHANGE.clone()
-    return SRA(config, exchange=exchange).rebalance(state, ledger)
-
-
-def _run_one_shared(
-    config: "SRAConfig", ledger: "ExchangeLedger | None"
-) -> "RebalanceResult":
-    """One restart over the worker's attached shared-memory state."""
-    from repro.algorithms.sra import SRA
-
-    attached = _WORKER_STATE
-    if attached is None:
-        raise RuntimeError("shared-state task ran in a worker without _init_worker")
-    exchange = None if _WORKER_EXCHANGE is None else _WORKER_EXCHANGE.clone()
-    return SRA(config, exchange=exchange).rebalance(attached.state, ledger)
-
-
-def _run_one_cooperative(
     config: "SRAConfig",
     state: "ClusterState",
     ledger: "ExchangeLedger | None",
-    exchange: IncumbentExchange,
+    exchange: IncumbentExchange | None = None,
 ) -> "RebalanceResult":
-    """One serial-portfolio restart (in-process exchange, never pickled)."""
+    """One restart; a cooperative restart gets its own exchange client."""
     from repro.algorithms.sra import SRA
 
-    return SRA(config, exchange=exchange.clone()).rebalance(state, ledger)
+    client = None if exchange is None else exchange.clone()
+    return SRA(config, exchange=client).rebalance(state, ledger)
+
+
+def _run_one_shared(config: "SRAConfig", ledger: "ExchangeLedger | None") -> "RebalanceResult":
+    """One restart over the worker's attached shared-memory state."""
+    attached = _WORKER_STATE
+    if attached is None:
+        raise RuntimeError("shared-state task ran in a worker without _init_worker")
+    return _run_one(config, attached.state, ledger, _WORKER_EXCHANGE)
 
 
 def run_sra_restarts(
@@ -148,7 +135,6 @@ def run_sra_restarts(
     restarts: int,
     n_workers: int = 1,
     timeout_s: float | None = None,
-    use_shm: bool = True,
     cooperative: bool = False,
     exchange_period: int = 50,
 ) -> RestartReport:
@@ -156,14 +142,13 @@ def run_sra_restarts(
 
     Each restart gets its spawned seed and ``restarts=1, n_workers=1,
     cooperative=False`` (so a restart never recursively fans out).
-    With ``n_workers > 1`` the fan-out runs on a persistent worker pool;
-    ``use_shm`` (default) additionally publishes *state* to shared
-    memory so tasks stop pickling it — blind-mode results stay
-    bitwise-identical to the serial path either way.  ``cooperative``
-    switches blind best-of-K to portfolio search with incumbent
-    exchange every *exchange_period* iterations (see module docstring
-    for the determinism caveat).  Raises ``RuntimeError`` when every
-    restart failed.
+    With ``n_workers > 1`` the fan-out runs on a worker pool that reads
+    *state* from shared memory; blind-mode results stay
+    bitwise-identical to the serial path.  ``cooperative`` switches
+    blind best-of-K to portfolio search with incumbent exchange every
+    *exchange_period* iterations (see module docstring for the
+    determinism caveat).  Raises ``RuntimeError`` when every restart
+    failed.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -172,80 +157,41 @@ def run_sra_restarts(
         replace(config, seed=seed, restarts=1, n_workers=1, cooperative=False)
         for seed in seeds
     ]
-
-    if n_workers == 1:
-        if cooperative:
-            exchange = local_incumbent_exchange(
-                state.num_shards, state.num_machines, exchange_period
+    with ExitStack() as owned:
+        if n_workers == 1:
+            exchange = (
+                local_incumbent_exchange(state.num_shards, state.num_machines, exchange_period)
+                if cooperative
+                else None
             )
-            specs = [
-                TaskSpec(
-                    fn=_run_one_cooperative,
-                    args=(cfg, state, ledger, exchange),
-                    name=f"sra.restart[{k}]",
-                    seed=seed,
-                )
-                for k, (cfg, seed) in enumerate(zip(configs, seeds, strict=True))
-            ]
+            runner = ParallelRunner(1, timeout_s=timeout_s)
+            fn, args = _run_one, (state, ledger, exchange)
         else:
-            specs = [
-                TaskSpec(
-                    fn=_run_one,
-                    args=(cfg, state, ledger),
-                    name=f"sra.restart[{k}]",
-                    seed=seed,
-                )
-                for k, (cfg, seed) in enumerate(zip(configs, seeds, strict=True))
-            ]
-        results = ParallelRunner(1, timeout_s=timeout_s).run(specs)
-        return _select(results, seeds, restarts)
-
-    shared = publish_state(state) if use_shm else None
-    slot = (
-        IncumbentSlot(state.num_shards, state.num_machines) if cooperative else None
-    )
-    runner = ParallelRunner(
-        n_workers,
-        timeout_s=timeout_s,
-        persistent=True,
-        initializer=_init_worker,
-        initargs=(
-            shared.handle if shared is not None else None,
-            slot.handle if slot is not None else None,
-            slot.lock if slot is not None else None,
-            exchange_period,
-        ),
-    )
-    if shared is not None:
-        specs = [
-            TaskSpec(
-                fn=_run_one_shared,
-                args=(cfg, ledger),
-                name=f"sra.restart[{k}]",
-                seed=seed,
+            # The parent owns both segments: the stack closes and unlinks
+            # them after the runner has shut its workers down.
+            shared = owned.enter_context(publish_state(state))
+            slot = (
+                owned.enter_context(IncumbentSlot(state.num_shards, state.num_machines))
+                if cooperative
+                else None
             )
+            runner = ParallelRunner(
+                n_workers,
+                timeout_s=timeout_s,
+                initializer=_init_worker,
+                initargs=(
+                    shared.handle,
+                    None if slot is None else slot.handle,
+                    None if slot is None else slot.lock,
+                    exchange_period,
+                ),
+            )
+            fn, args = _run_one_shared, (ledger,)
+        specs = [
+            TaskSpec(fn=fn, args=(cfg, *args), name=f"sra.restart[{k}]", seed=seed)
             for k, (cfg, seed) in enumerate(zip(configs, seeds, strict=True))
         ]
-    else:
-        specs = [
-            TaskSpec(
-                fn=_run_one,
-                args=(cfg, state, ledger),
-                name=f"sra.restart[{k}]",
-                seed=seed,
-            )
-            for k, (cfg, seed) in enumerate(zip(configs, seeds, strict=True))
-        ]
-    try:
-        results = runner.run(specs)
-    finally:
-        runner.close()
-        if shared is not None:
-            shared.close()
-            shared.unlink()
-        if slot is not None:
-            slot.close()
-            slot.unlink()
+        results = owned.enter_context(runner).run(specs)
     return _select(results, seeds, restarts)
 
 
@@ -270,8 +216,3 @@ def _select(
 def _selection_key(row: TaskResult) -> tuple[bool, float, int]:
     result: "RebalanceResult" = row.value
     return (not result.feasible, result.peak_after, result.num_moves)
-
-
-def restart_seeds(config: "SRAConfig", restarts: int) -> Sequence[int]:
-    """The per-restart seeds a fan-out of *restarts* would use."""
-    return spawn_seeds(config.alns.seed, restarts)

@@ -16,21 +16,17 @@ properties distinguish it from a bare ``ProcessPoolExecutor``:
   ``parallel.task`` span and folds task metrics into its registry, in
   task order, so merged artifacts are deterministic.
 
-Two pool disciplines are available:
-
-* the default **one-shot** mode forks one process per task (bounded
-  concurrency) — simple, maximally isolated, but the per-task process
-  cost is paid ``len(tasks)`` times;
-* **persistent** mode (``persistent=True``) spawns ``n_workers``
-  long-lived workers once and feeds tasks through per-worker duplex
-  pipes.  An optional ``initializer(*initargs)`` runs once per worker
-  at spawn — this is how ``run_sra_restarts`` attaches workers to the
-  shared-memory instance (see :mod:`repro.parallel.shm`) so tasks stop
-  re-pickling ``ClusterState``.  Crash isolation and timeouts are
-  preserved: a dead or overrunning worker is detected via pipe
-  EOF / wall clock, its task recorded as failed/timed out, and a
-  replacement spawned while tasks remain.  Close the runner (it is a
-  context manager) to shut the workers down.
+With ``n_workers > 1`` the runner spawns long-lived workers on demand,
+at most ``n_workers`` and never more than there are tasks waiting for
+an idle one, and feeds tasks through per-worker duplex pipes.  The
+workers serve every later :meth:`ParallelRunner.run` call and live
+until :meth:`ParallelRunner.close` (the runner is a context manager).
+An optional ``initializer(*initargs)`` runs once per worker at spawn —
+this is how ``run_sra_restarts`` attaches workers to the shared-memory
+instance (see :mod:`repro.parallel.shm`) so tasks stop re-pickling
+``ClusterState``.  A dead or overrunning worker is detected via pipe
+EOF / wall clock, its task recorded as failed/timed out, and a
+replacement spawned while tasks remain.
 
 ``n_workers=1`` is the serial path: tasks run in-process (no
 ``multiprocessing`` at all) under the ambient obs bundle, which is
@@ -51,6 +47,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -109,14 +106,12 @@ class _Running:
     """Parent-side bookkeeping for one in-flight task."""
 
     index: int
-    spec: TaskSpec
-    process: Any
     started: float
 
 
 @dataclass
 class _Worker:
-    """Parent-side bookkeeping for one persistent worker process."""
+    """Parent-side bookkeeping for one worker process."""
 
     process: Any
     conn: Any
@@ -132,8 +127,8 @@ def _execute_task(spec: TaskSpec, capture_obs: bool) -> dict[str, Any]:
 
     The payload is a plain dict so the parent can interpret it even when
     the task's exception types are not importable there.  The previous
-    ambient bundle is restored afterwards, so persistent workers do not
-    leak one task's tracer into the next.
+    ambient bundle is restored afterwards, so a worker does not leak one
+    task's tracer into the next.
     """
     bundle = (
         obs.Obs(obs.Tracer(), obs.MetricsRegistry()) if capture_obs else obs.NULL_OBS
@@ -154,42 +149,30 @@ def _execute_task(spec: TaskSpec, capture_obs: bool) -> dict[str, Any]:
     return payload
 
 
-def _send_payload(conn: Any, payload: dict[str, Any], index: int | None = None) -> None:
+def _send_payload(conn: Any, payload: dict[str, Any]) -> None:
     """Ship *payload* to the parent; degrade unpicklable results to a
     failure row instead of vanishing."""
-
-    def wrap(p: dict[str, Any]) -> Any:
-        return p if index is None else (index, p)
-
     try:
-        conn.send(wrap(payload))
+        conn.send(payload)
     except Exception as exc:  # unpicklable result: report, don't vanish
         conn.send(
-            wrap(
-                {
-                    "ok": False,
-                    "value": None,
-                    "error": f"task result not picklable: {_format_error(exc)}",
-                    "duration_s": payload.get("duration_s", 0.0),
-                }
-            )
+            {
+                "ok": False,
+                "value": None,
+                "error": f"task result not picklable: {_format_error(exc)}",
+                "duration_s": payload.get("duration_s", 0.0),
+            }
         )
 
 
-def _worker_entry(spec: TaskSpec, capture_obs: bool, conn: Any) -> None:
-    """One-shot worker process body: run the task, ship the payload."""
-    _send_payload(conn, _execute_task(spec, capture_obs))
-    conn.close()
-
-
-def _persistent_worker_main(
+def _worker_main(
     conn: Any,
     initializer: Callable[..., None] | None,
     initargs: tuple[Any, ...],
 ) -> None:
-    """Persistent worker loop: init once, then serve tasks until EOF.
+    """Worker loop: init once, then serve tasks until EOF.
 
-    Each message is ``(index, spec, capture_obs)``; ``None`` (or pipe
+    Each message is ``(spec, capture_obs)``; ``None`` (or pipe
     EOF) shuts the worker down.  An initializer failure kills the worker
     — the parent observes EOF, records the assigned task as crashed and
     respawns, so a broken initializer fails tasks rather than hanging
@@ -204,9 +187,27 @@ def _persistent_worker_main(
             break
         if msg is None:
             break
-        index, spec, capture_obs = msg
-        _send_payload(conn, _execute_task(spec, capture_obs), index=index)
+        spec, capture_obs = msg
+        _send_payload(conn, _execute_task(spec, capture_obs))
     conn.close()
+
+
+def _shutdown(workers: list[_Worker]) -> None:
+    """Stop and reap *workers*, emptying the list in place."""
+    stopping = list(workers)
+    workers.clear()
+    for worker in stopping:
+        if worker.process.is_alive():
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+    for worker in stopping:
+        worker.process.join(1.0)
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
 
 
 class ParallelRunner:
@@ -220,23 +221,14 @@ class ParallelRunner:
         path, with no multiprocessing machinery involved.
     timeout_s:
         Optional per-task wall-clock limit.  Only enforced on the pool
-        paths (``n_workers > 1``); the serial path cannot preempt a
+        path (``n_workers > 1``); the serial path cannot preempt a
         running task.
-    start_method:
-        ``multiprocessing`` start method (None = platform default,
-        ``fork`` on Linux).  Tasks must tolerate ``spawn`` to be
-        portable.
-    persistent:
-        When True, spawn ``n_workers`` long-lived workers on first use
-        and feed them tasks over pipes instead of forking one process
-        per task.  Call :meth:`close` (or use the runner as a context
-        manager) when done.
     initializer / initargs:
-        Optional per-worker setup hook for persistent mode, run once in
-        each worker process at spawn (and once in-process for the
-        serial path).  Arguments travel through ``Process`` creation,
-        so ``multiprocessing`` primitives (locks) are allowed here even
-        though they cannot cross task pipes.
+        Optional per-worker setup hook, run once in each worker process
+        at spawn (and once in-process for the serial path).  Arguments
+        travel through ``Process`` creation, so ``multiprocessing``
+        primitives (locks) are allowed here even though they cannot
+        cross task pipes.
     """
 
     def __init__(
@@ -244,8 +236,6 @@ class ParallelRunner:
         n_workers: int = 1,
         *,
         timeout_s: float | None = None,
-        start_method: str | None = None,
-        persistent: bool = False,
         initializer: Callable[..., None] | None = None,
         initargs: tuple[Any, ...] = (),
     ) -> None:
@@ -254,12 +244,15 @@ class ParallelRunner:
             check_positive("timeout_s", timeout_s)
         self.n_workers = int(n_workers)
         self.timeout_s = timeout_s
-        self.persistent = bool(persistent)
         self._initializer = initializer
         self._initargs = tuple(initargs)
         self._inline_initialized = False
         self._workers: list[_Worker] = []
-        self._ctx = mp.get_context(start_method)
+        # Workers block on their pipe until told to stop, and forked
+        # siblings keep each other's pipe ends open, so a runner dropped
+        # without close() must still stop them, or the interpreter's
+        # exit-time join of child processes would hang.
+        weakref.finalize(self, _shutdown, self._workers)
 
     # ------------------------------------------------------------------ API
     def run(self, tasks: Sequence[TaskSpec]) -> list[TaskResult]:
@@ -272,24 +265,11 @@ class ParallelRunner:
                 self._initializer(*self._initargs)
                 self._inline_initialized = True
             return [self._run_inline(i, spec) for i, spec in enumerate(specs)]
-        slots = self._run_persistent(specs) if self.persistent else self._run_pool(specs)
-        return self._merge(specs, slots)
+        return self._merge(specs, self._run_pool(specs))
 
     def close(self) -> None:
-        """Shut down persistent workers (idempotent; no-op otherwise)."""
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            if worker.process.is_alive():
-                try:
-                    worker.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker in workers:
-            worker.process.join(1.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
-            worker.conn.close()
+        """Shut down the pool's workers (idempotent)."""
+        _shutdown(self._workers)
 
     def __enter__(self) -> "ParallelRunner":
         return self
@@ -330,66 +310,7 @@ class ParallelRunner:
             seed=spec.seed,
         )
 
-    # ------------------------------------------------- one-shot pool path
-    def _run_pool(self, specs: list[TaskSpec]) -> list[_Slot]:
-        capture = obs.current().enabled
-        slots: list[_Slot | None] = [None] * len(specs)
-        pending: deque[tuple[int, TaskSpec]] = deque(enumerate(specs))
-        running: dict[Any, _Running] = {}
-        try:
-            while pending or running:
-                while pending and len(running) < self.n_workers:
-                    index, spec = pending.popleft()
-                    recv, send = self._ctx.Pipe(duplex=False)
-                    process = self._ctx.Process(
-                        target=_worker_entry, args=(spec, capture, send)
-                    )
-                    process.start()
-                    send.close()  # parent's copy; EOF now tracks the worker
-                    running[recv] = _Running(index, spec, process, time.perf_counter())
-                tick = 0.05 if self.timeout_s is not None else None
-                ready = wait(list(running.keys()), timeout=tick)
-                for conn in ready:
-                    run = running.pop(conn)
-                    slots[run.index] = self._collect(run, conn)
-                if self.timeout_s is not None:
-                    now = time.perf_counter()
-                    for conn, run in list(running.items()):
-                        if now - run.started >= self.timeout_s:
-                            running.pop(conn)
-                            self._kill(run.process)
-                            conn.close()
-                            slots[run.index] = _Slot(
-                                ok=False,
-                                error=f"timed out after {self.timeout_s:g}s",
-                                duration_s=now - run.started,
-                                timed_out=True,
-                            )
-        finally:
-            for conn, run in running.items():
-                self._kill(run.process)
-                conn.close()
-        return [slot if slot is not None else _Slot(ok=False, error="not run")
-                for slot in slots]
-
-    def _collect(self, run: _Running, conn: Any) -> _Slot:
-        """Read one finished worker's payload (or record its crash)."""
-        payload: Mapping[str, Any] | None
-        try:
-            payload = conn.recv()
-        except (EOFError, OSError):
-            payload = None
-        conn.close()
-        run.process.join()
-        if payload is None:
-            code = run.process.exitcode
-            return _Slot(
-                ok=False,
-                error=f"worker crashed before reporting (exitcode {code})",
-                duration_s=time.perf_counter() - run.started,
-            )
-        return self._slot_from_payload(payload)
-
+    # ------------------------------------------------------------ pool path
     @staticmethod
     def _slot_from_payload(payload: Mapping[str, Any]) -> _Slot:
         return _Slot(
@@ -409,18 +330,15 @@ class ParallelRunner:
             process.kill()
             process.join()
 
-    # ----------------------------------------------- persistent pool path
-    def _spawn_worker(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_persistent_worker_main,
+    def _spawn_worker(self) -> None:
+        parent_conn, child_conn = mp.Pipe(duplex=True)
+        process = mp.Process(
+            target=_worker_main,
             args=(child_conn, self._initializer, self._initargs),
         )
         process.start()
         child_conn.close()
-        worker = _Worker(process=process, conn=parent_conn)
-        self._workers.append(worker)
-        return worker
+        self._workers.append(_Worker(process=process, conn=parent_conn))
 
     def _drop(self, worker: _Worker) -> None:
         """Remove a dead/overrunning worker from the pool."""
@@ -429,20 +347,33 @@ class ParallelRunner:
         self._kill(worker.process)
         worker.conn.close()
 
-    def _run_persistent(self, specs: list[TaskSpec]) -> list[_Slot]:
+    def _crashed(self, worker: _Worker, started: float) -> _Slot:
+        """Reap a worker that died without reporting; return its failure row."""
+        worker.process.join(1.0)  # EOF can beat the exit status; wait for it
+        self._drop(worker)
+        return _Slot(
+            ok=False,
+            error=f"worker crashed before reporting (exitcode {worker.process.exitcode})",
+            duration_s=time.perf_counter() - started,
+        )
+
+    def _run_pool(self, specs: list[TaskSpec]) -> list[_Slot]:
         """Feed *specs* to the long-lived worker pool.
 
-        Every spawned worker handles at least one task outcome (success,
-        crash row, or timeout row) before being replaced, so the run
-        terminates even when workers die on arrival (for example when
-        the initializer itself raises).
+        A worker is spawned only while more tasks are pending than there
+        are idle workers.  Every spawned worker handles at least one task
+        outcome (success, crash row, or timeout row) before being
+        replaced, so the run terminates even when workers die on arrival
+        (for example when the initializer itself raises).
         """
         capture = obs.current().enabled
         slots: list[_Slot | None] = [None] * len(specs)
         pending: deque[tuple[int, TaskSpec]] = deque(enumerate(specs))
         while pending or any(w.current is not None for w in self._workers):
-            while pending and len(self._workers) < self.n_workers:
+            idle = sum(1 for w in self._workers if w.current is None)
+            while len(pending) > idle and len(self._workers) < self.n_workers:
                 self._spawn_worker()
+                idle += 1
             for worker in list(self._workers):
                 if not pending:
                     break
@@ -450,18 +381,13 @@ class ParallelRunner:
                     continue
                 index, spec = pending.popleft()
                 try:
-                    worker.conn.send((index, spec, capture))
+                    worker.conn.send((spec, capture))
                 except (BrokenPipeError, OSError):
                     # The worker died while idle; its replacement (if
                     # tasks remain) is spawned on the next loop pass.
-                    slots[index] = _Slot(
-                        ok=False,
-                        error="worker crashed before reporting "
-                        f"(exitcode {worker.process.exitcode})",
-                    )
-                    self._drop(worker)
+                    slots[index] = self._crashed(worker, time.perf_counter())
                     continue
-                worker.current = _Running(index, spec, worker.process, time.perf_counter())
+                worker.current = _Running(index, time.perf_counter())
             busy = {w.conn: w for w in self._workers if w.current is not None}
             if not busy:
                 continue
@@ -472,17 +398,11 @@ class ParallelRunner:
                 run = worker.current
                 assert run is not None
                 try:
-                    index, payload = conn.recv()
+                    payload = conn.recv()
                 except (EOFError, OSError):
-                    slots[run.index] = _Slot(
-                        ok=False,
-                        error="worker crashed before reporting "
-                        f"(exitcode {worker.process.exitcode})",
-                        duration_s=time.perf_counter() - run.started,
-                    )
-                    self._drop(worker)
+                    slots[run.index] = self._crashed(worker, run.started)
                     continue
-                slots[index] = self._slot_from_payload(payload)
+                slots[run.index] = self._slot_from_payload(payload)
                 worker.current = None
             if self.timeout_s is not None:
                 now = time.perf_counter()
@@ -496,8 +416,10 @@ class ParallelRunner:
                             timed_out=True,
                         )
                         self._drop(worker)
-        return [slot if slot is not None else _Slot(ok=False, error="not run")
-                for slot in slots]
+        return [
+            slot if slot is not None else _Slot(ok=False, error="not run")
+            for slot in slots
+        ]
 
     # ---------------------------------------------------------------- merge
     def _merge(self, specs: list[TaskSpec], slots: list[_Slot]) -> list[TaskResult]:

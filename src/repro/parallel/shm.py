@@ -1,6 +1,6 @@
 """Shared-memory instance publication and the cooperative incumbent slot.
 
-Two facilities back the persistent restart pool (see
+Two facilities back the restart pool (see
 docs/ARCHITECTURE.md, "Parallel execution"):
 
 * **Instance publication** — :func:`publish_state` copies a

@@ -48,11 +48,9 @@ def _make_sra(seed: int, iterations: int):
 
 
 def _make_portfolio(seed: int, iterations: int):
-    from repro.algorithms import AlnsConfig, PortfolioRebalancer, SRAConfig
+    from repro.algorithms import SRA, AlnsConfig, SRAConfig
 
-    return PortfolioRebalancer(
-        SRAConfig(alns=AlnsConfig(iterations=iterations, seed=seed)), runs=2
-    )
+    return SRA(SRAConfig(alns=AlnsConfig(iterations=iterations, seed=seed), restarts=2))
 
 
 def _make_greedy(seed: int, iterations: int):
@@ -171,7 +169,8 @@ def run_matrix(
         )
         for spec, algorithm, key in cells
     ]
-    results = ParallelRunner(n_workers, timeout_s=timeout_s).run(tasks)
+    with ParallelRunner(n_workers, timeout_s=timeout_s) as runner:
+        results = runner.run(tasks)
     out: list[MatrixCell] = []
     for (spec, algorithm, key), res in zip(cells, results, strict=True):
         _, _, digest = resolve(spec)

@@ -189,6 +189,20 @@ class TestParallelFlags:
             )
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "flag,needle",
+        [
+            ("--restarts", "restarts must be >= 1"),
+            ("--workers", "n_workers must be > 0"),
+            ("--iterations", "iterations must be > 0"),
+        ],
+    )
+    def test_non_positive_search_flags_exit_2(self, snapshot, capsys, flag, needle):
+        assert main(["run", str(snapshot), flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: ") and needle in err
+        assert "Traceback" not in err
+
 
 class TestExperiment:
     def test_known_experiment_runs(self, capsys):

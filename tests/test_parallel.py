@@ -23,7 +23,8 @@ from repro.parallel import (
     spawn_seed,
     spawn_seeds,
 )
-from repro.workloads import SyntheticConfig, generate
+from repro.cluster import ExchangeLedger
+from repro.workloads import SyntheticConfig, generate, make_exchange_machines
 
 
 # ----------------------------------------------------------------- task fns
@@ -196,7 +197,7 @@ class TestObsMerge:
 
 
 class TestRestartDeterminism:
-    """ISSUE 3 acceptance: identical objectives and seeds for any worker count."""
+    """Identical objectives and seeds for any worker count."""
 
     def test_workers_1_2_4_identical(self):
         state = _small_state()
@@ -247,13 +248,49 @@ class TestRestartDeterminism:
             run_sra_restarts(_small_state(), config=SRAConfig(), restarts=0)
 
 
+class TestBestOfK:
+    """``SRA(SRAConfig(restarts=K))`` is the library's best-of-K search."""
+
+    @staticmethod
+    def config(iterations=150, **kwargs):
+        return SRAConfig(alns=AlnsConfig(iterations=iterations, seed=10), **kwargs)
+
+    def test_best_no_worse_than_any_restart(self):
+        report = run_sra_restarts(_small_state(), config=self.config(), restarts=4)
+        assert report.best.feasible
+        for row in report.results:
+            assert row.ok
+            assert report.best.peak_after <= row.value.peak_after
+
+    def test_iterations_totalled(self):
+        result = SRA(self.config(100, restarts=3)).rebalance(_small_state())
+        assert result.iterations == 300
+
+    def test_parallel_matches_sequential(self):
+        state = _small_state()
+        seq = SRA(self.config(restarts=2)).rebalance(state)
+        par = SRA(self.config(restarts=2, n_workers=2)).rebalance(state)
+        np.testing.assert_array_equal(seq.target_assignment, par.target_assignment)
+        assert seq.peak_after == par.peak_after
+
+    def test_with_exchange_ledger(self):
+        state = _small_state()
+        grown, ledger = ExchangeLedger.borrow(state, make_exchange_machines(state, 1))
+        result = SRA(self.config(restarts=2)).rebalance(grown, ledger)
+        assert result.feasible
+        assert result.settlement is not None
+
+
 class TestExperimentDriver:
     def test_rows_identical_across_worker_counts(self):
-        serial = run_experiments(["e1"], n_workers=1)
-        pool = run_experiments(["e1"], n_workers=2)
-        assert serial[0].ok and pool[0].ok
-        assert serial[0].rows == pool[0].rows
-        assert serial[0].key == "e1"
+        # Three experiments on two workers: one worker runs two of them.
+        keys = ["e1", "e7", "e16"]
+        serial = run_experiments(keys, n_workers=1)
+        pool = run_experiments(keys, n_workers=2)
+        assert [r.key for r in serial] == [r.key for r in pool] == keys
+        for a, b in zip(serial, pool, strict=True):
+            assert a.ok and b.ok
+            assert a.rows == b.rows
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiments"):

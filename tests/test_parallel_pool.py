@@ -1,14 +1,14 @@
-"""Correctness sweep for the persistent shared-memory restart pool.
+"""Correctness sweep for the shared-memory restart pool.
 
-Covers the ISSUE 7 surface: the winner-aliasing regression, the
-serial/pool exception contract, persistent-pool reuse/crash/timeout
-semantics, the shared-memory lifecycle (attach/detach/unlink with no
+Covers the winner-aliasing regression, the serial/pool exception
+contract, worker reuse/crash/timeout semantics, the shared-memory lifecycle (attach/detach/unlink with no
 leaked ``/dev/shm`` segments on any exit path), cooperative incumbent
 exchange, and the hypothesis-pinned property that blind-mode pool
 results stay bitwise-identical to serial with shm enabled.
 """
 
 import os
+import subprocess
 import sys
 import time
 
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import obs
 from repro.algorithms import AlnsConfig, SRA, SRAConfig
 from repro.algorithms.lns import AlnsEngine
@@ -152,7 +153,7 @@ class TestExceptionContract:
             assert rows[1].ok and rows[1].value == 4
 
     def test_persistent_pool_matches_too(self):
-        with ParallelRunner(2, persistent=True) as runner:
+        with ParallelRunner(2) as runner:
             rows = runner.run([TaskSpec(fn=_sys_exit, name="boom"),
                                TaskSpec(fn=_square, args=(2,), name="ok")])
         assert not rows[0].ok and "SystemExit" in rows[0].error
@@ -163,7 +164,7 @@ class TestExceptionContract:
 class TestPersistentPool:
     def test_workers_are_reused_across_runs(self):
         specs = [TaskSpec(fn=_pid, args=(i,)) for i in range(6)]
-        with ParallelRunner(2, persistent=True) as runner:
+        with ParallelRunner(2) as runner:
             first = {r.value for r in runner.run(specs)}
             second = {r.value for r in runner.run(specs)}
         assert len(first) <= 2
@@ -172,7 +173,7 @@ class TestPersistentPool:
 
     def test_results_in_task_order(self):
         specs = [TaskSpec(fn=_square, args=(i,)) for i in range(7)]
-        with ParallelRunner(3, persistent=True) as runner:
+        with ParallelRunner(3) as runner:
             rows = runner.run(specs)
         assert [r.value for r in rows] == [i * i for i in range(7)]
         assert [r.index for r in rows] == list(range(7))
@@ -181,7 +182,7 @@ class TestPersistentPool:
         specs = [TaskSpec(fn=_hard_exit, name="die"),
                  TaskSpec(fn=_square, args=(3,), name="ok"),
                  TaskSpec(fn=_square, args=(4,), name="ok2")]
-        with ParallelRunner(2, persistent=True) as runner:
+        with ParallelRunner(2) as runner:
             rows = runner.run(specs)
             # The pool must still work after burying a worker.
             again = runner.run([TaskSpec(fn=_square, args=(5,))])
@@ -192,7 +193,7 @@ class TestPersistentPool:
 
     def test_timeout_kills_and_run_completes(self):
         t0 = time.perf_counter()
-        with ParallelRunner(2, persistent=True, timeout_s=0.5) as runner:
+        with ParallelRunner(2, timeout_s=0.5) as runner:
             rows = runner.run([TaskSpec(fn=_sleep_forever, name="slow"),
                                TaskSpec(fn=_square, args=(4,), name="ok")])
         assert time.perf_counter() - t0 < 30
@@ -200,27 +201,61 @@ class TestPersistentPool:
         assert rows[1].ok and rows[1].value == 16
 
     def test_initializer_runs_once_per_worker(self):
-        with ParallelRunner(
-            2, persistent=True, initializer=_remember, initargs=(41,)
-        ) as runner:
+        with ParallelRunner(2, initializer=_remember, initargs=(41,)) as runner:
             rows = runner.run([TaskSpec(fn=_recall) for _ in range(4)])
         assert [r.value for r in rows] == [41] * 4
 
     def test_crashy_initializer_fails_tasks_not_hangs(self):
-        with ParallelRunner(
-            2, persistent=True, initializer=_crashy_init
-        ) as runner:
+        with ParallelRunner(2, initializer=_crashy_init) as runner:
             rows = runner.run([TaskSpec(fn=_square, args=(1,)) for _ in range(3)])
         assert all(not r.ok for r in rows)
         assert all("crashed" in r.error for r in rows)
 
     def test_unpicklable_result_reported(self):
-        with ParallelRunner(2, persistent=True) as runner:
+        with ParallelRunner(2) as runner:
             rows = runner.run([TaskSpec(fn=_unpicklable, name="bad")])
         assert not rows[0].ok and "picklable" in rows[0].error
 
+    def test_spawns_no_more_workers_than_tasks(self):
+        with ParallelRunner(4) as runner:
+            runner.run([TaskSpec(fn=_square, args=(2,))])
+            assert len(runner._workers) == 1
+            # Idle workers take the next batch before any new one spawns.
+            rows = runner.run([TaskSpec(fn=_pid, args=(i,)) for i in range(3)])
+            assert len(runner._workers) == 3
+            assert len({r.value for r in rows}) <= 3
+            runner.run([TaskSpec(fn=_square, args=(i,)) for i in range(9)])
+            assert len(runner._workers) == 4
+        assert runner._workers == []
+
+    def test_restart_fan_out_spawns_one_worker_per_restart(self, monkeypatch):
+        spawned = []
+        spawn = ParallelRunner._spawn_worker
+
+        def counting_spawn(runner):
+            spawned.append(runner)
+            spawn(runner)
+
+        monkeypatch.setattr(ParallelRunner, "_spawn_worker", counting_spawn)
+        config = SRAConfig(alns=AlnsConfig(iterations=10, seed=2))
+        run_sra_restarts(_small_state(), config=config, restarts=2, n_workers=4)
+        assert len(spawned) == 2
+
+    def test_unclosed_runner_does_not_block_exit(self):
+        # Idle workers wait on their pipes; a runner that is never closed
+        # must still stop them, or interpreter exit would join forever.
+        script = (
+            "import operator\n"
+            "from repro.parallel import ParallelRunner, TaskSpec\n"
+            "runner = ParallelRunner(2)\n"
+            "runner.run([TaskSpec(fn=operator.add, args=(1, 2))] * 3)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert done.returncode == 0
+
     def test_close_is_idempotent(self):
-        runner = ParallelRunner(2, persistent=True)
+        runner = ParallelRunner(2)
         runner.run([TaskSpec(fn=_square, args=(2,))])
         runner.close()
         runner.close()
@@ -230,7 +265,7 @@ class TestPersistentPool:
         with obs.observed() as serial_bundle:
             ParallelRunner(1).run(specs)
         with obs.observed() as pool_bundle:
-            with ParallelRunner(2, persistent=True) as runner:
+            with ParallelRunner(2) as runner:
                 runner.run(specs)
         assert (
             serial_bundle.metrics.to_dict()["counters"]["work.items"]
@@ -321,7 +356,6 @@ class TestSharedStateLifecycle:
         try:
             with ParallelRunner(
                 2,
-                persistent=True,
                 initializer=_init_worker,
                 initargs=(shared.handle, None, None, 50),
             ) as runner:
@@ -475,7 +509,7 @@ class TestCooperativeExchange:
 
 # ------------------------------------------------------- bitwise determinism
 class TestBlindBitwiseIdentity:
-    """ISSUE 7 acceptance: blind pool results (shm enabled) stay
+    """Blind pool results (state in shared memory) stay
     bitwise-identical to serial."""
 
     @settings(max_examples=3, deadline=None)
@@ -484,9 +518,7 @@ class TestBlindBitwiseIdentity:
         state = _small_state(seed % 7)
         config = SRAConfig(alns=AlnsConfig(iterations=15, seed=seed))
         serial = run_sra_restarts(state, config=config, restarts=2, n_workers=1)
-        pool = run_sra_restarts(
-            state, config=config, restarts=2, n_workers=2, use_shm=True
-        )
+        pool = run_sra_restarts(state, config=config, restarts=2, n_workers=2)
         assert pool.best.peak_after == serial.best.peak_after
         assert pool.best.iterations == serial.best.iterations
         np.testing.assert_array_equal(
