@@ -280,6 +280,12 @@ class TestBestOfK:
         assert result.feasible
         assert result.settlement is not None
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="restarts"):
+            self.config(restarts=0)
+        with pytest.raises(ValueError, match="n_workers"):
+            self.config(n_workers=0)
+
 
 class TestExperimentDriver:
     def test_rows_identical_across_worker_counts(self):
