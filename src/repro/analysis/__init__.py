@@ -5,38 +5,35 @@ credibility rests on (docs/ARCHITECTURE.md, "Static analysis &
 invariants"):
 
 * a rule engine (:class:`Rule`, :func:`register`, :func:`lint_paths`)
-  walking stdlib ASTs, with line-scoped ``# repro: allow-<rule>``
-  suppressions and a committed ratchet baseline (new violations fail,
-  grandfathered ones are listed and may only shrink);
-* the shipped per-module rule pack REP001–REP005
-  (:mod:`repro.analysis.rules`): seeded RNG construction, wall-clock
-  discipline, ClusterState transaction discipline, span context-manager
-  usage, unordered float folds;
-* an interprocedural layer — cross-module symbol table and call graph
-  (:mod:`repro.analysis.callgraph`), per-function CFGs with exception
-  edges (:mod:`repro.analysis.cfg`) and a forward-dataflow framework
-  (:mod:`repro.analysis.dataflow`) — carrying the project-wide pack
-  REP006–REP009 (:mod:`repro.analysis.interp`): shared-memory lock
-  discipline, transaction balance over all paths, seed provenance
-  through helper wrappers, SoA mirror write discipline;
+  walking stdlib ASTs in one pass: every rule may check one module at a
+  time and the whole project at once, and a line-scoped
+  ``# repro: allow-<rule>`` comment is the only way to silence a
+  finding;
+* the project substrate the cross-module checks run on — symbol table
+  and call graph (:mod:`repro.analysis.callgraph`), per-function CFGs
+  with exception edges (:mod:`repro.analysis.cfg`) and a
+  forward-dataflow framework (:mod:`repro.analysis.dataflow`);
+* the rule pack REP001–REP007 (:mod:`repro.analysis.rules`), one rule
+  per invariant: seeded RNG construction (through helper calls too),
+  wall-clock discipline, ClusterState mutation discipline (through
+  mirror aliases too), span context-manager usage, unordered float
+  folds, shared-memory lock discipline, transaction balance over all
+  paths;
 * a mypy strictness ratchet (:mod:`repro.analysis.typing_ratchet`).
 
 Entry points: ``repro lint`` and ``python -m repro.analysis``.
 """
 
-from repro.analysis import interp, rules  # noqa: F401  (registers the rule packs)
-from repro.analysis.baseline import BaselineResult, compare, group_findings
+from repro.analysis import rules  # noqa: F401  (registers the rule pack)
 from repro.analysis.callgraph import CallGraph, Project
 from repro.analysis.cli import main
 from repro.analysis.context import ModuleContext
 from repro.analysis.engine import (
-    ProjectRule,
     Rule,
     all_rules,
     get_rule,
     lint_paths,
     lint_project,
-    lint_source,
     register,
 )
 from repro.analysis.findings import Finding
@@ -45,7 +42,6 @@ __all__ = [
     "Finding",
     "ModuleContext",
     "Rule",
-    "ProjectRule",
     "Project",
     "CallGraph",
     "register",
@@ -53,9 +49,5 @@ __all__ = [
     "get_rule",
     "lint_paths",
     "lint_project",
-    "lint_source",
-    "BaselineResult",
-    "compare",
-    "group_findings",
     "main",
 ]

@@ -16,7 +16,7 @@ classes, methods, module-level function aliases — and resolves each
 * **first-order function values** — ``g = helper; g(...)`` binds through
   a per-function alias pass, and ``ClassName(...)`` binds to
   ``ClassName.__init__`` so constructor keyword arguments participate in
-  interprocedural taint (REP008's seed laundering check).
+  interprocedural taint (REP001's laundered-seed check).
 
 Soundness limits (a *static* call graph of a dynamic language is always
 a bargain; docs/ARCHITECTURE.md spells the terms out): higher-order

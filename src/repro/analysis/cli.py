@@ -1,24 +1,17 @@
 """``repro lint`` / ``python -m repro.analysis`` — the lint front end.
 
-Runs the registered rule pack over the target paths (default:
-``src/repro``), applies the committed baseline ratchet and reports:
+Runs the registered rule pack REP001–REP007 over the target paths
+(default: ``src/repro``) in one pass and prints every finding; any
+finding makes the exit code 1.  A line-scoped
+``# repro: allow-<slug>`` comment is the only way to silence one.
 
-* **new** findings — violations beyond the grandfathered counts; their
-  presence makes the exit code 1;
-* **grandfathered** findings — debt the baseline admits; always listed
-  so it stays visible, never fatal;
-* **stale** baseline groups — debt that has been paid down; the hint to
-  run ``--update-baseline`` and lock the improvement in.
-
-``--no-baseline`` reports every finding as new (the nightly job uses it
-to keep the full debt inventory visible as an artifact); ``--rules``
-restricts the pack; ``--format json`` emits a machine-readable report.
-
-The interprocedural pack (REP006–REP009) runs by default; disable with
-``--no-interprocedural`` for a fast per-module pass.  ``--callgraph
+``--rules`` restricts the pack; ``--format json`` emits a
+machine-readable report (``{"findings": [...]}``).  ``--callgraph
 {dot,json}`` prints the resolved call graph instead of linting, and
 ``--explain REPnnn`` prints one rule's contract, rationale and
-suppression example straight from its docstring.
+suppression example straight from its docstring.  A target path that
+does not exist, an empty ``--rules`` selection or an unknown rule id
+exits 2.
 """
 
 from __future__ import annotations
@@ -30,15 +23,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis import baseline as baseline_mod
-from repro.analysis import interp as _interp  # noqa: F401  (registers the pack)
 from repro.analysis import rules as _rules  # noqa: F401  (registers the pack)
 from repro.analysis.callgraph import Project
-from repro.analysis.engine import all_rules, lint_paths, load_contexts
+from repro.analysis.engine import all_rules, get_rule, lint_paths, load_contexts
 
 __all__ = ["add_arguments", "run", "main", "find_root"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def find_root(start: Path) -> Path:
@@ -59,24 +48,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--root",
         default=None,
-        help="repo root for relative paths and the default baseline "
+        help="repo root for relative paths "
         "(default: auto-detected via pyproject.toml)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=f"ratchet baseline (default: <root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: every finding is reported as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current findings and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -90,20 +63,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         default="text",
         dest="output_format",
         help="report format",
-    )
-    parser.add_argument(
-        "--interprocedural",
-        action="store_true",
-        default=True,
-        dest="interprocedural",
-        help="run the cross-module pack REP006-REP009 over the call "
-        "graph (default: on)",
-    )
-    parser.add_argument(
-        "--no-interprocedural",
-        action="store_false",
-        dest="interprocedural",
-        help="per-module rules only (fast path; skips REP006-REP009)",
     )
     parser.add_argument(
         "--callgraph",
@@ -124,8 +83,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def explain(rule_ref: str) -> int:
     """Print one rule's docstring (contract / rationale / suppression)."""
-    from repro.analysis.engine import get_rule
-
     try:
         rule = get_rule(rule_ref.strip())
     except KeyError:
@@ -140,7 +97,7 @@ def explain(rule_ref: str) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    if getattr(args, "explain", None):
+    if args.explain is not None:
         return explain(args.explain)
     root = find_root(Path(args.root) if args.root else Path.cwd())
     paths = (
@@ -148,7 +105,11 @@ def run(args: argparse.Namespace) -> int:
         if args.paths
         else [root / "src" / "repro"]
     )
-    if getattr(args, "callgraph", None):
+    for path in paths:
+        if not path.exists():
+            print(f"lint: no such path: {path}", file=sys.stderr)
+            return 2
+    if args.callgraph:
         contexts, errors = load_contexts(paths, root)
         for finding in errors:
             print(finding.format(), file=sys.stderr)
@@ -158,69 +119,33 @@ def run(args: argparse.Namespace) -> int:
         else:
             print(json.dumps(graph.to_json(), indent=2))
         return 0
-    selected = None
-    if args.rules:
+    selected = all_rules()
+    if args.rules is not None:
         wanted = {r.strip().upper() for r in args.rules.split(",") if r.strip()}
-        selected = [r for r in all_rules() if r.rule_id in wanted]
+        if not wanted:
+            print(f"lint: --rules {args.rules!r} selects no rule", file=sys.stderr)
+            return 2
+        selected = tuple(r for r in selected if r.rule_id in wanted)
         unknown = wanted - {r.rule_id for r in selected}
         if unknown:
             print(f"lint: unknown rules {sorted(unknown)}", file=sys.stderr)
             return 2
 
-    findings = lint_paths(
-        paths, root, rules=selected, interprocedural=args.interprocedural
-    )
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    )
-
-    if args.update_baseline:
-        baseline_mod.save(findings, baseline_path)
-        print(
-            f"lint: baseline updated with {len(findings)} finding(s) -> "
-            f"{baseline_path}"
-        )
-        return 0
-
-    groups = {} if args.no_baseline else baseline_mod.load(baseline_path)
-    result = baseline_mod.compare(findings, groups)
-
+    findings = lint_paths(paths, root, rules=selected)
     if args.output_format == "json":
-        print(
-            json.dumps(
-                {
-                    "new": [f.to_dict() for f in result.new],
-                    "grandfathered": [f.to_dict() for f in result.grandfathered],
-                    "stale": result.stale,
-                },
-                indent=2,
-            )
-        )
-        return 0 if result.ok else 1
+        print(json.dumps({"findings": [f.to_dict() for f in findings]}, indent=2))
+        return 1 if findings else 0
 
-    for f in result.new:
+    for f in findings:
         print(f.format())
-    for f in result.grandfathered:
-        print(f"{f.format()}  [baseline]")
-    if result.stale:
-        freed = sum(result.stale.values())
+    if findings:
         print(
-            f"lint: {freed} baselined finding(s) no longer occur — run "
-            "`python -m repro.analysis --update-baseline` to lock that in"
-        )
-    if result.new:
-        rule_ids = sorted({f.rule_id for f in result.new})
-        print(
-            f"lint: {len(result.new)} new finding(s), "
-            f"{len(result.grandfathered)} grandfathered — run "
-            f"`repro lint --explain {rule_ids[0]}` for the contract behind "
-            "each rule"
+            f"lint: {len(findings)} finding(s) — run "
+            f"`repro lint --explain {min(f.rule_id for f in findings)}` for "
+            "the contract behind each rule"
         )
         return 1
-    print(
-        f"lint: ok ({len(result.grandfathered)} grandfathered finding(s), "
-        f"{len(all_rules() if selected is None else selected)} rule(s))"
-    )
+    print(f"lint: ok ({len(selected)} rule(s))")
     return 0
 
 
@@ -228,8 +153,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST invariant linter for determinism, RNG, lock and "
-        "transaction discipline (per-module rules REP001-REP005, "
-        "interprocedural rules REP006-REP009)",
+        "transaction discipline (rules REP001-REP007)",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

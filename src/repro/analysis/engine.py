@@ -1,18 +1,15 @@
 """Rule registry and the lint driver.
 
-A rule is a subclass of :class:`Rule` registered with :func:`register`;
-the driver (:func:`lint_paths`) walks the target tree, builds one
-:class:`~repro.analysis.context.ModuleContext` per ``.py`` file, runs
-every (selected) rule over it, drops findings covered by inline
-``# repro: allow-<rule>`` suppressions, and returns the survivors in
-deterministic (file, line, rule) order.
-
-Interprocedural rules subclass :class:`ProjectRule` instead: they see a
+A rule is a subclass of :class:`Rule` registered with :func:`register`.
+It has two hooks: :meth:`Rule.check` sees one
+:class:`~repro.analysis.context.ModuleContext` at a time, and
+:meth:`Rule.check_project` sees a
 :class:`~repro.analysis.callgraph.Project` — every module at once, plus
-the symbol table and call graph built from them — and run after the
-per-module pass (:func:`lint_paths` with ``interprocedural=True``, the
-default).  Their findings go through the same suppression and ratchet
-machinery, keyed by the module each finding lands in.
+the symbol table and call graph built from them.  One driver
+(:func:`lint_paths` over files, :func:`lint_project` over in-memory
+sources) runs both hooks of every selected rule, drops findings covered
+by inline ``# repro: allow-<rule>`` suppressions, and returns the
+survivors in deterministic (file, line, rule) order.
 
 The engine is deliberately zero-dependency (stdlib ``ast`` only): the
 invariants it checks — seeded determinism, simulated-time discipline,
@@ -32,12 +29,10 @@ from repro.analysis.findings import Finding
 
 __all__ = [
     "Rule",
-    "ProjectRule",
     "register",
     "all_rules",
     "get_rule",
     "lint_paths",
-    "lint_source",
     "lint_project",
     "load_contexts",
 ]
@@ -47,10 +42,12 @@ class Rule:
     """Base class for one invariant check.
 
     Subclasses set :attr:`rule_id` (``REPnnn``), :attr:`slug` (the
-    suppression token), :attr:`description`, and implement
-    :meth:`check`, yielding findings for one module.  :meth:`applies_to`
-    scopes the rule by repo-relative path; the default is all of
-    ``src/repro``.
+    suppression token), :attr:`description`, and implement either hook
+    or both: :meth:`check` yields findings for one module,
+    :meth:`check_project` yields findings over the whole project (call
+    graph included).  :meth:`applies_to` scopes the rule by
+    repo-relative path — the modules :meth:`check` visits and the files
+    project findings may land in; the default is all of ``src/repro``.
     """
 
     rule_id: str = ""
@@ -61,7 +58,10 @@ class Rule:
         return rel.startswith("src/repro/")
 
     def check(self, mod: ModuleContext) -> Iterator[Finding]:
-        raise NotImplementedError
+        return iter(())
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        return iter(())
 
     def finding(self, mod: ModuleContext, node: ast.AST, message: str) -> Finding:
         return Finding(
@@ -70,28 +70,6 @@ class Rule:
             rule_id=self.rule_id,
             message=message,
         )
-
-
-class ProjectRule(Rule):
-    """Base class for one *interprocedural* invariant check.
-
-    Subclasses implement :meth:`check_project`, yielding findings over a
-    whole :class:`~repro.analysis.callgraph.Project` (symbol table +
-    call graph).  The per-module :meth:`check` hook is a no-op: project
-    rules produce nothing when the driver runs single-module
-    (``lint_source``, or ``lint_paths(interprocedural=False)``) — which
-    is exactly the property the cross-module fixtures in
-    ``tests/test_analysis.py`` pin down.
-
-    :meth:`applies_to` filters project findings by the file each one
-    lands in, same semantics as for module rules.
-    """
-
-    def check(self, mod: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: "Project") -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 _REGISTRY: dict[str, Rule] = {}
@@ -125,25 +103,6 @@ def _iter_py_files(paths: Sequence[Path]) -> Iterator[Path]:
             yield path
 
 
-def lint_source(
-    source: str,
-    rel: str,
-    *,
-    rules: Iterable[Rule] | None = None,
-    path: Path | None = None,
-) -> list[Finding]:
-    """Lint one in-memory module (the unit the fixture tests drive)."""
-    mod = ModuleContext(path or Path(rel), rel, source)
-    out: list[Finding] = []
-    for rule in rules if rules is not None else all_rules():
-        if not rule.applies_to(rel):
-            continue
-        for finding in rule.check(mod):
-            if not mod.is_suppressed(finding.line, rule.rule_id, rule.slug):
-                out.append(finding)
-    return sorted(out)
-
-
 def load_contexts(
     paths: Sequence[Path], root: Path
 ) -> tuple[dict[str, ModuleContext], list[Finding]]:
@@ -166,21 +125,32 @@ def load_contexts(
     return contexts, errors
 
 
-def _run_project_rules(
-    project: Project, rules: Sequence[ProjectRule]
+def _lint(
+    contexts: Mapping[str, ModuleContext], rules: Iterable[Rule] | None
 ) -> list[Finding]:
+    """Run both hooks of every rule over *contexts*; drop findings out of
+    the rule's scope or covered by a suppression."""
+    project = Project(contexts.values())
     out: list[Finding] = []
-    for rule in rules:
-        for finding in rule.check_project(project):
-            if not rule.applies_to(finding.file):
-                continue
-            mod = project.context_of(finding.file)
-            if mod is not None and mod.is_suppressed(
+    for rule in rules if rules is not None else all_rules():
+        found = [
+            finding
+            for rel, mod in contexts.items()
+            if rule.applies_to(rel)
+            for finding in rule.check(mod)
+        ]
+        found.extend(
+            finding
+            for finding in rule.check_project(project)
+            if rule.applies_to(finding.file)
+        )
+        for finding in found:
+            mod = contexts.get(finding.file)
+            if mod is None or not mod.is_suppressed(
                 finding.line, rule.rule_id, rule.slug
             ):
-                continue
-            out.append(finding)
-    return out
+                out.append(finding)
+    return sorted(out)
 
 
 def lint_project(
@@ -188,28 +158,12 @@ def lint_project(
     *,
     rules: Iterable[Rule] | None = None,
 ) -> list[Finding]:
-    """Lint an in-memory multi-module project ``{rel: source}`` — the
-    unit the cross-module fixture tests drive.  Runs both the per-module
-    and the interprocedural passes."""
-    selected = tuple(rules) if rules is not None else all_rules()
-    module_rules = [r for r in selected if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in selected if isinstance(r, ProjectRule)]
-    findings: list[Finding] = []
-    contexts: dict[str, ModuleContext] = {}
-    for rel in sorted(sources):
-        mod = ModuleContext(Path(rel), rel, sources[rel])
-        contexts[rel] = mod
-        for rule in module_rules:
-            if not rule.applies_to(rel):
-                continue
-            for finding in rule.check(mod):
-                if not mod.is_suppressed(finding.line, rule.rule_id, rule.slug):
-                    findings.append(finding)
-    if project_rules and contexts:
-        findings.extend(
-            _run_project_rules(Project(contexts.values()), project_rules)
-        )
-    return sorted(findings)
+    """Lint an in-memory project ``{rel: source}`` — the unit the
+    fixture tests drive (a single-module fixture is a one-entry map)."""
+    return _lint(
+        {rel: ModuleContext(Path(rel), rel, sources[rel]) for rel in sorted(sources)},
+        rules,
+    )
 
 
 def lint_paths(
@@ -217,26 +171,8 @@ def lint_paths(
     root: Path,
     *,
     rules: Iterable[Rule] | None = None,
-    interprocedural: bool = True,
 ) -> list[Finding]:
-    """Lint every ``.py`` file under *paths*; findings are repo-relative
-    to *root* and sorted (file, line, rule).  With *interprocedural*
-    (the default), the whole target is additionally analysed as one
-    :class:`~repro.analysis.callgraph.Project` and the
-    :class:`ProjectRule` pack runs over its call graph."""
-    selected = tuple(rules) if rules is not None else all_rules()
-    module_rules = [r for r in selected if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in selected if isinstance(r, ProjectRule)]
-    contexts, findings = load_contexts(paths, root)
-    for rel, mod in contexts.items():
-        for rule in module_rules:
-            if not rule.applies_to(rel):
-                continue
-            for finding in rule.check(mod):
-                if not mod.is_suppressed(finding.line, rule.rule_id, rule.slug):
-                    findings.append(finding)
-    if interprocedural and project_rules and contexts:
-        findings.extend(
-            _run_project_rules(Project(contexts.values()), project_rules)
-        )
-    return sorted(findings)
+    """Lint every ``.py`` file under *paths* as one project; findings
+    are repo-relative to *root* and sorted (file, line, rule)."""
+    contexts, errors = load_contexts(paths, root)
+    return sorted(errors + _lint(contexts, rules))

@@ -1,10 +1,9 @@
 """The unit of linter output: one :class:`Finding` per rule violation.
 
 Findings are plain, ordered, hashable records so that every downstream
-consumer — the text reporter, the JSON formatter, the committed baseline
-and its ratchet comparison — can treat them as values.  File paths are
-stored repo-relative in POSIX form, which keeps the committed baseline
-identical across operating systems and checkout locations.
+consumer — the text reporter and the JSON formatter — can treat them as
+values.  File paths are stored repo-relative in POSIX form, which keeps
+reports identical across operating systems and checkout locations.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ class Finding:
     """One rule violation at a specific source location.
 
     Ordering is (file, line, rule_id, message) so sorted finding lists —
-    and therefore lint output and baselines — are deterministic.
+    and therefore lint output — are deterministic.
     """
 
     file: str

@@ -1,24 +1,29 @@
-"""The shipped rule pack: REP001–REP005.
+"""The shipped rule pack: REP001–REP007, one rule per invariant.
 
 Each rule encodes an invariant of this reproduction that no
 off-the-shelf linter knows about (docs/ARCHITECTURE.md, "Static
-analysis & invariants", explains the why behind each):
+analysis & invariants", explains the why behind each).  A rule checks
+its invariant with whichever hooks it needs: the per-module AST
+(:meth:`~repro.analysis.engine.Rule.check`), the cross-module call
+graph, or per-function CFGs with a forward dataflow pass
+(:meth:`~repro.analysis.engine.Rule.check_project`):
 
 * **REP001** ``rng-seed`` — RNG construction with a literal or missing
-  seed.  Bitwise-reproducible trajectories require every stream to
-  derive from a configured seed (or ``SeedSequence.spawn``); PR 2 fixed
-  a recovery bug of exactly this class (``default_rng(0)`` shadowing
-  the configured seed).
+  seed, directly (``default_rng(42)``) or laundered through helper
+  calls (``make_rng(42)`` where ``make_rng`` forwards to
+  ``default_rng``).  Bitwise-reproducible trajectories require every
+  stream to derive from a configured seed (or ``SeedSequence.spawn``).
 * **REP002** ``wall-clock`` — wall-clock reads (``time.*``,
   ``datetime.now``…) or stdlib ``random`` in simulation/algorithm code,
   where simulated time (``repro.runtime.SimClock``) or an injected
   clock must be used.  ``parallel/``, ``obs/`` and the experiment
   drivers legitimately measure real time and are out of scope; the few
   runtime-*reporting* sites inside scope carry inline allows.
-* **REP003** ``state-mutation`` — direct writes to ``ClusterState``
-  internals (private caches, live array views, copy-returning
-  properties) outside ``cluster/state.py``.  Such writes bypass the
-  undo journal and desynchronize the delta-evaluation caches.
+* **REP003** ``state-mutation`` — writes to ``ClusterState`` internals
+  (private caches, live array views, copy-returning properties, the SoA
+  mirrors) outside ``cluster/state.py``, directly or through a mirror
+  alias that crosses function boundaries.  Such writes bypass the undo
+  journal and desynchronize the delta-evaluation caches.
 * **REP004** ``span-context`` — ``Tracer.span(...)`` used other than as
   a ``with`` context manager.  A manually entered span leaks on any
   exception path and corrupts the trace tree.
@@ -26,14 +31,30 @@ analysis & invariants", explains the why behind each):
   ``frozenset`` iteration in ``algorithms/`` / ``metrics/``.  Float
   addition is not associative, so set iteration order changes results
   between runs/processes even with identical seeds.
+* **REP006** ``shm-lock`` — writes to the shared-memory incumbent slot
+  (``_SlotView`` / ``IncumbentSlot`` arrays, the version counter)
+  outside a ``with <lock>:`` region, including writes buried in helpers
+  that are only ever called under the lock (the call-graph fixpoint
+  blesses those), and worker-side re-enabling of read-only attached
+  views (``view.flags.writeable = True``).
+* **REP007** ``txn-balance`` — a ``state.begin()`` with a path (normal
+  *or* exception edge) to function exit on which neither ``commit()``
+  nor ``rollback()`` definitely ran.  A leaked journal silently
+  corrupts the next search.
+
+Every rule documents its Contract / Rationale / Suppression sections in
+its class docstring — ``repro lint --explain REPnnn`` prints them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, TypeGuard
 
+from repro.analysis.callgraph import CallSite, FunctionInfo, Project
+from repro.analysis.cfg import CFG, _header_exprs, build_cfg
 from repro.analysis.context import ModuleContext
+from repro.analysis.dataflow import ForwardAnalysis, run_forward
 from repro.analysis.engine import Rule, register
 from repro.analysis.findings import Finding
 
@@ -43,7 +64,14 @@ __all__ = [
     "StateMutationRule",
     "SpanContextRule",
     "UnorderedFoldRule",
+    "ShmLockDisciplineRule",
+    "TransactionBalanceRule",
 ]
+
+
+# --------------------------------------------------------------------------
+# shared helpers
+# --------------------------------------------------------------------------
 
 _DYNAMIC_NODES = (
     ast.Name,
@@ -65,6 +93,75 @@ def _is_static(node: ast.AST) -> bool:
     return not any(isinstance(sub, _DYNAMIC_NODES) for sub in ast.walk(node))
 
 
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _walk_shallow(fn: ast.AST) -> Iterator[ast.AST]:
+    """Walk *fn*'s body without descending into nested defs/lambdas —
+    nested functions have their own :class:`FunctionInfo` and are
+    analysed in their own right (with their own lock/taint context)."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _assign_targets(node: ast.AST) -> list[ast.expr]:
+    if isinstance(node, ast.Assign):
+        return list(node.targets)
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        return [node.target]
+    return []
+
+
+def _propagate_params(
+    project: Project,
+    is_tainted_expr: "_TaintTest",
+) -> set[tuple[str, str]]:
+    """Forward interprocedural parameter taint: ``(qualname, param)`` is
+    tainted when *any* call site passes a tainted argument, where the
+    caller's own tainted params feed the test.  Plain fixpoint —
+    monotone over a finite set, so it terminates."""
+    tainted: set[tuple[str, str]] = set()
+    changed = True
+    while changed:
+        changed = False
+        for site in project.graph.sites:
+            caller = project.functions.get(site.caller)
+            mod = project.modules[site.module_rel]
+            for param, arg in site.args.items():
+                key = (site.callee, param)
+                if key in tainted:
+                    continue
+                if is_tainted_expr(project, mod, caller, arg, tainted):
+                    tainted.add(key)
+                    changed = True
+    return tainted
+
+
+class _TaintTest:
+    """Callable protocol stand-in: is *arg* tainted in *caller*?"""
+
+    def __call__(
+        self,
+        project: Project,
+        mod: ModuleContext,
+        caller: FunctionInfo | None,
+        arg: ast.expr,
+        tainted_params: set[tuple[str, str]],
+    ) -> bool:
+        raise NotImplementedError
+
+
+# --------------------------------------------------------------------------
+# REP001 — seeded RNG construction
+# --------------------------------------------------------------------------
+
 def _seed_argument(call: ast.Call, keyword: str) -> ast.AST | None:
     if call.args and not isinstance(call.args[0], ast.Starred):
         return call.args[0]
@@ -74,51 +171,84 @@ def _seed_argument(call: ast.Call, keyword: str) -> ast.AST | None:
     return None
 
 
+def _rng_constructor(mod: ModuleContext, call: ast.Call) -> tuple[str, str] | None:
+    """``(name, seed keyword)`` when *call* constructs a numpy stream."""
+    target = mod.resolve(call.func)
+    if target is None:
+        return None
+    for name, keyword in (("default_rng", "seed"), ("SeedSequence", "entropy")):
+        if target == name or target.endswith("." + name):
+            return name, keyword
+    return None
+
+
+#: Experiment drivers are the configuration origin: a published default
+#: seed there *is* the reproducibility contract, so seeds they pass to
+#: helpers are not laundering.
+_CONFIG_ORIGIN = "src/repro/experiments/"
+
+
 @register
 class RngSeedRule(Rule):
-    """RNG constructed with a literal or missing seed.
+    """RNG constructed with a literal or missing seed, directly or
+    through helper calls.
 
     Contract:
         Every ``numpy.random.default_rng(...)`` / ``SeedSequence(...)``
         call receives a *dynamic* seed expression — a config value, a
         parameter, or a ``SeedSequence.spawn`` child.  Literal seeds,
         missing seeds, and the legacy ``numpy.random.seed`` /
-        ``RandomState`` APIs are all violations.
+        ``RandomState`` APIs are all violations.  Seeds are followed
+        across calls: a compile-time-constant argument to a helper
+        parameter that reaches a constructor's seed slot, through any
+        number of hops (``make_rng(42)`` where ``make_rng`` forwards to
+        ``default_rng``), is flagged at the call, and a literal default
+        on such a parameter is flagged at the ``def``.  Passing an
+        explicit ``None`` to a helper is not flagged — it is the
+        documented "use the configured default" signal.
 
     Rationale:
         Bitwise-reproducible trajectories require every stream to derive
         from the one configured seed.  A literal shadows that seed
         silently: the run "works" but replays a fixed realization no
-        matter what the config says (PR 2 fixed a recovery bug of
-        exactly this class).  REP008 extends this check across call
-        boundaries to seeds laundered through helper parameters.
+        matter what the config says (a recovery bug of exactly this
+        class once shipped: ``default_rng(0)`` shadowing the configured
+        seed).  It resurfaces trivially as ``make_rng(0)`` once a
+        wrapper exists; call-site matching cannot see through the
+        wrapper, a conduit analysis over the call graph can.
 
     Suppression:
         ``# repro: allow-rng-seed`` on the offending line (or alone on
         the line above), with a comment saying why this stream must not
         follow the configured seed — e.g. a deliberately adversarial
         fixture generator.
+
+    Experiment drivers (``src/repro/experiments/``) are out of scope of
+    the laundered-seed check: they are the configuration origin, where a
+    published default seed *is* the reproducibility contract (same
+    scoping rationale as REP002's wall-clock carve-out).
     """
 
     rule_id = "REP001"
     slug = "rng-seed"
     description = (
-        "RNG constructed with a literal or missing seed; seeds must flow "
-        "from config or SeedSequence.spawn"
+        "RNG constructed with a literal or missing seed, directly or "
+        "through helper calls; seeds must flow from config or "
+        "SeedSequence.spawn"
     )
 
     def check(self, mod: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
+            constructor = _rng_constructor(mod, node)
+            if constructor is not None:
+                yield from self._check_seeded(mod, node, *constructor)
+                continue
             target = mod.resolve(node.func)
             if target is None:
                 continue
-            if target == "default_rng" or target.endswith(".default_rng"):
-                yield from self._check_seeded(mod, node, "default_rng", "seed")
-            elif target == "SeedSequence" or target.endswith(".SeedSequence"):
-                yield from self._check_seeded(mod, node, "SeedSequence", "entropy")
-            elif target in ("numpy.random.seed", "numpy.random.RandomState") or (
+            if target in ("numpy.random.seed", "numpy.random.RandomState") or (
                 target.endswith("random.RandomState")
             ):
                 yield self.finding(
@@ -149,6 +279,149 @@ class RngSeedRule(Rule):
                 "must flow from config or SeedSequence.spawn",
             )
 
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        """Literal seeds laundered through helper calls (≥ 1 hop; the
+        direct constructor call is :meth:`check`'s finding)."""
+        conduits = self._conduit_params(project)
+        if not conduits:
+            return
+        # Findings: call sites passing a static literal into a conduit.
+        for site in project.graph.sites:
+            mod = project.modules[site.module_rel]
+            if mod.rel.startswith(_CONFIG_ORIGIN):
+                continue
+            for param, arg in site.args.items():
+                if (site.callee, param) not in conduits:
+                    continue
+                if isinstance(arg, ast.Constant) and arg.value is None:
+                    continue
+                if _is_static(arg):
+                    helper = site.callee.rsplit(".", 1)[-1]
+                    yield self.finding(
+                        mod,
+                        site.node,
+                        f"literal seed {ast.unparse(arg)} laundered "
+                        f"through {helper}({param}=...) into an RNG "
+                        "constructor — thread the configured seed instead",
+                    )
+        # Findings: conduit params with static non-None defaults.
+        for (qualname, param), _ in sorted(conduits.items()):
+            info = project.functions.get(qualname)
+            if info is None or info.module_rel.startswith(_CONFIG_ORIGIN):
+                continue
+            default = self._default_of(info, param)
+            if default is None:
+                continue
+            if isinstance(default, ast.Constant) and default.value is None:
+                continue
+            if _is_static(default):
+                yield self.finding(
+                    project.modules[info.module_rel],
+                    info.node,
+                    f"parameter {param}={ast.unparse(default)} defaults a "
+                    "seed that reaches an RNG constructor — default to "
+                    "None and thread the configured seed",
+                )
+
+    @staticmethod
+    def _default_of(info: FunctionInfo, param: str) -> ast.expr | None:
+        args = info.node.args
+        positional = [*args.posonlyargs, *args.args]
+        defaults = args.defaults
+        offset = len(positional) - len(defaults)
+        for i, arg in enumerate(positional):
+            if arg.arg == param and i >= offset:
+                return defaults[i - offset]
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if arg.arg == param and default is not None:
+                return default
+        return None
+
+    def _conduit_params(self, project: Project) -> dict[tuple[str, str], int]:
+        """Backward fixpoint: ``(qualname, param) -> hop count`` for
+        params whose value flows into an RNG constructor's seed slot,
+        directly (hop 1) or through a conduit of a callee (hop n+1)."""
+        sites_by_node = {id(site.node): site for site in project.graph.sites}
+        conduits: dict[tuple[str, str], int] = {}
+        changed = True
+        while changed:
+            changed = False
+            for info in project.functions.values():
+                mod = project.modules[info.module_rel]
+                params = set(info.kw_params)
+                if not params:
+                    continue
+                aliases = self._param_aliases(info, params)
+                for call in (
+                    sub
+                    for sub in ast.walk(info.node)
+                    if isinstance(sub, ast.Call)
+                ):
+                    hop = self._call_consumes(
+                        mod, call, aliases, conduits, sites_by_node
+                    )
+                    if hop is None:
+                        continue
+                    param, depth = hop
+                    key = (info.qualname, param)
+                    if key not in conduits or conduits[key] > depth:
+                        conduits[key] = depth
+                        changed = True
+        return conduits
+
+    @staticmethod
+    def _param_aliases(
+        info: FunctionInfo, params: set[str]
+    ) -> dict[str, str]:
+        """name -> param it copies, flow-insensitively (x = seed)."""
+        aliases = {p: p for p in params}
+        changed = True
+        while changed:
+            changed = False
+            for sub in ast.walk(info.node):
+                if (
+                    isinstance(sub, ast.Assign)
+                    and len(sub.targets) == 1
+                    and isinstance(sub.targets[0], ast.Name)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id in aliases
+                    and sub.targets[0].id not in aliases
+                ):
+                    aliases[sub.targets[0].id] = aliases[sub.value.id]
+                    changed = True
+        return aliases
+
+    @staticmethod
+    def _call_consumes(
+        mod: ModuleContext,
+        call: ast.Call,
+        aliases: dict[str, str],
+        conduits: dict[tuple[str, str], int],
+        sites_by_node: dict[int, CallSite],
+    ) -> tuple[str, int] | None:
+        """(param, hops) when *call* feeds a caller param into a seed
+        slot: an RNG constructor directly, or a callee's conduit."""
+        constructor = _rng_constructor(mod, call)
+        if constructor is not None:
+            seed = _seed_argument(call, constructor[1])
+            if isinstance(seed, ast.Name) and seed.id in aliases:
+                return (aliases[seed.id], 1)
+            return None
+        site = sites_by_node.get(id(call))
+        if site is None:
+            return None
+        for param, arg in site.args.items():
+            depth = conduits.get((site.callee, param))
+            if depth is None:
+                continue
+            if isinstance(arg, ast.Name) and arg.id in aliases:
+                return (aliases[arg.id], depth + 1)
+        return None
+
+
+# --------------------------------------------------------------------------
+# REP002 — wall-clock discipline
+# --------------------------------------------------------------------------
 
 #: Call targets that read the wall clock.
 _WALL_CLOCK_CALLS = frozenset(
@@ -249,6 +522,10 @@ class WallClockRule(Rule):
                     )
 
 
+# --------------------------------------------------------------------------
+# REP003 — ClusterState mutation discipline
+# --------------------------------------------------------------------------
+
 #: ClusterState's private caches (cluster/state.py is the one writer).
 _STATE_PRIVATE_ATTRS = frozenset(
     {
@@ -301,11 +578,120 @@ _STATE_VIEW_CALLS = frozenset(
     }
 )
 
+#: Zero-copy accessors returning the live SoA mirrors.
+_MIRROR_CALLS = frozenset({"loads_by_dim", "capacity_by_dim", "inv_capacity_by_dim"})
+#: The mirror attributes themselves (ClusterState internals).
+_MIRROR_ATTRS = frozenset({"_loads_t", "_peak_block"})
+
+
+def _is_private_cache(expr: ast.AST) -> TypeGuard[ast.Attribute]:
+    """``<state>._loads`` and friends.  A foreign write goes through a
+    state reference (``state._loads = ...``); a bare-self attribute is
+    another class's own field that happens to share the name."""
+    return (
+        isinstance(expr, ast.Attribute)
+        and expr.attr in _STATE_PRIVATE_ATTRS
+        and not _is_self(expr.value)
+    )
+
+
+class _MirrorTaint(_TaintTest):
+    """Is *arg* (transitively) one of the live SoA mirror views?"""
+
+    def __call__(
+        self,
+        project: Project,
+        mod: ModuleContext,
+        caller: FunctionInfo | None,
+        arg: ast.expr,
+        tainted_params: set[tuple[str, str]],
+    ) -> bool:
+        local = _local_mirror_names(project, caller, tainted_params)
+        return _expr_is_mirror(arg, local, _class_mirror_attrs(project, caller))
+
+
+def _class_mirror_attrs(
+    project: Project, caller: FunctionInfo | None
+) -> frozenset[str]:
+    """Attributes of the caller's class holding a mirror view
+    (``self._lt = state.loads_by_dim()`` in ``__init__``)."""
+    if caller is None or caller.cls is None:
+        return frozenset()
+    info = project.classes.get(caller.cls)
+    if info is None:
+        return frozenset()
+    out = set()
+    for attr, values in info.attr_values.items():
+        for value in values:
+            if _expr_is_mirror(value, frozenset(), frozenset()):
+                out.add(attr)
+                break
+    return frozenset(out)
+
+
+def _expr_is_mirror(
+    expr: ast.expr, local_names: frozenset[str], self_attrs: frozenset[str]
+) -> bool:
+    """Syntactic mirror test.  Taint flows through name copies, slices
+    and ``self.attr`` loads — **not** through BinOp and friends, whose
+    results are fresh arrays (``loads * inv_cap`` is safe to own)."""
+    if isinstance(expr, ast.Name):
+        return expr.id in local_names
+    if isinstance(expr, ast.Call):
+        return (
+            isinstance(expr.func, ast.Attribute)
+            and expr.func.attr in _MIRROR_CALLS
+        )
+    if isinstance(expr, ast.Attribute):
+        if expr.attr in _MIRROR_ATTRS:
+            return True
+        if (
+            isinstance(expr.value, ast.Name)
+            and expr.value.id == "self"
+            and expr.attr in self_attrs
+        ):
+            return True
+        return False
+    if isinstance(expr, ast.Subscript):
+        return _expr_is_mirror(expr.value, local_names, self_attrs)
+    return False
+
+
+def _local_mirror_names(
+    project: Project,
+    info: FunctionInfo | None,
+    tainted_params: set[tuple[str, str]],
+) -> frozenset[str]:
+    """Names bound to a mirror view inside *info*, flow-insensitively:
+    tainted params plus copy/slice assignments, to a fixpoint."""
+    if info is None:
+        return frozenset()
+    names = {
+        param
+        for param in info.kw_params
+        if (info.qualname, param) in tainted_params
+    }
+    self_attrs = _class_mirror_attrs(project, info)
+    changed = True
+    while changed:
+        changed = False
+        for sub in _walk_shallow(info.node):
+            if (
+                isinstance(sub, ast.Assign)
+                and len(sub.targets) == 1
+                and isinstance(sub.targets[0], ast.Name)
+                and sub.targets[0].id not in names
+                and _expr_is_mirror(sub.value, frozenset(names), self_attrs)
+            ):
+                names.add(sub.targets[0].id)
+                changed = True
+    return frozenset(names)
+
 
 @register
 class StateMutationRule(Rule):
-    """Direct mutation of ``ClusterState`` internals outside
-    ``cluster/state.py``.
+    """Mutation of ``ClusterState`` internals outside
+    ``cluster/state.py``, directly or through a mirror alias.
 
     Contract:
         Outside ``src/repro/cluster/state.py``, no attribute or
@@ -313,7 +699,15 @@ class StateMutationRule(Rule):
         ``_loads_t``, ``_peak_block``, …), no call to the private
         maintenance methods, and no subscript store through the
         view-returning properties (``loads``, ``assignment``, …) or
-        ``*_view()`` accessors.
+        ``*_view()`` accessors.  The SoA mirrors — the arrays returned
+        by ``loads_by_dim()`` / ``capacity_by_dim()`` /
+        ``inv_capacity_by_dim()`` and the ``_loads_t`` / ``_peak_block``
+        attributes — are read-only too: no subscript stores, augmented
+        assigns, ``.fill()`` or ``np.copyto`` into them, even when the
+        view arrived through helper parameters, a local alias, or was
+        stashed on ``self`` in ``__init__``.  Products and sums
+        *derived* from a mirror (``loads * inv_cap``) are fresh arrays
+        and freely writable.  Each offending write is one finding.
 
     Rationale:
         Every legal mutation flows through the transactional API
@@ -321,8 +715,8 @@ class StateMutationRule(Rule):
         ``rollback``) so the undo journal and the delta-evaluation
         caches stay coherent.  A direct write bypasses both: rollback
         silently restores stale values and incremental objectives drift
-        from the arrays.  REP009 extends this to *aliases* of the
-        mirror arrays that cross function boundaries.
+        from the arrays.  The mirrors are zero-copy views, so a write
+        through an alias that crossed a call boundary is the same bug.
 
     Suppression:
         ``# repro: allow-state-mutation`` on the line.  Legitimate only
@@ -333,8 +727,9 @@ class StateMutationRule(Rule):
     rule_id = "REP003"
     slug = "state-mutation"
     description = (
-        "direct mutation of ClusterState internals outside cluster/state.py; "
-        "use the transactional API (begin/move/assign_shard/commit/rollback)"
+        "mutation of ClusterState internals (caches, views, SoA mirrors and "
+        "their aliases) outside cluster/state.py; use the transactional API "
+        "(begin/move/assign_shard/commit/rollback)"
     )
 
     def applies_to(self, rel: str) -> bool:
@@ -343,12 +738,7 @@ class StateMutationRule(Rule):
     def check(self, mod: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(mod.tree):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
+                for target in _assign_targets(node):
                     yield from self._check_target(mod, target)
             elif isinstance(node, ast.Call):
                 func = node.func
@@ -369,14 +759,7 @@ class StateMutationRule(Rule):
             for elt in target.elts:
                 yield from self._check_target(mod, elt)
             return
-        if (
-            isinstance(target, ast.Attribute)
-            and target.attr in _STATE_PRIVATE_ATTRS
-            # A foreign write goes through a state reference
-            # (state._loads = ...); a bare-self attribute is another
-            # class's own field that happens to share the name.
-            and not _is_self(target.value)
-        ):
+        if _is_private_cache(target):
             yield self.finding(
                 mod,
                 target,
@@ -386,11 +769,7 @@ class StateMutationRule(Rule):
             return
         if isinstance(target, ast.Subscript):
             value = target.value
-            if (
-                isinstance(value, ast.Attribute)
-                and value.attr in _STATE_PRIVATE_ATTRS
-                and not _is_self(value.value)
-            ):
+            if _is_private_cache(value):
                 yield self.finding(
                     mod,
                     target,
@@ -426,10 +805,73 @@ class StateMutationRule(Rule):
                     "live array — copy it or use the transactional API",
                 )
 
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        """Writes into the SoA mirrors through aliases: local names,
+        ``self`` attributes and helper parameters (forward taint over
+        the call graph)."""
+        tainted_params = _propagate_params(project, _MirrorTaint())
+        for info in project.functions.values():
+            mod = project.modules[info.module_rel]
+            if not self.applies_to(mod.rel):
+                continue
+            local = _local_mirror_names(project, info, tainted_params)
+            self_attrs = _class_mirror_attrs(project, info)
+            for node in _walk_shallow(info.node):
+                yield from self._check_mirror_write(mod, node, local, self_attrs)
 
-def _is_self(node: ast.AST) -> bool:
-    return isinstance(node, ast.Name) and node.id == "self"
+    def _check_mirror_write(
+        self,
+        mod: ModuleContext,
+        node: ast.AST,
+        local: frozenset[str],
+        self_attrs: frozenset[str],
+    ) -> Iterator[Finding]:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in _assign_targets(node):
+                if (
+                    isinstance(target, ast.Subscript)
+                    # state._loads_t[...] is already check()'s finding.
+                    and not _is_private_cache(target.value)
+                    and _expr_is_mirror(target.value, local, self_attrs)
+                ):
+                    yield self._mirror_write(mod, target, "subscript store into")
+                elif (
+                    isinstance(node, ast.AugAssign)
+                    and isinstance(target, ast.Name)
+                    and target.id in local
+                ):
+                    yield self._mirror_write(mod, target, "augmented assignment to")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "fill"
+                and _expr_is_mirror(func.value, local, self_attrs)
+            ):
+                yield self._mirror_write(mod, node, ".fill() on")
+            else:
+                resolved = mod.resolve(func)
+                if (
+                    resolved is not None
+                    and resolved.endswith("copyto")
+                    and node.args
+                    and _expr_is_mirror(node.args[0], local, self_attrs)
+                ):
+                    yield self._mirror_write(mod, node, "np.copyto() into")
 
+    def _mirror_write(self, mod: ModuleContext, node: ast.AST, how: str) -> Finding:
+        return self.finding(
+            mod,
+            node,
+            f"{how} a live SoA mirror view outside cluster/state.py — "
+            "the mirrors are journal-consistent internals; copy() the "
+            "view or use the transactional API",
+        )
+
+
+# --------------------------------------------------------------------------
+# REP004 — span context managers
+# --------------------------------------------------------------------------
 
 @register
 class SpanContextRule(Rule):
@@ -476,6 +918,10 @@ class SpanContextRule(Rule):
                     "manually leaks on exceptions and corrupts the trace tree",
                 )
 
+
+# --------------------------------------------------------------------------
+# REP005 — ordered float folds
+# --------------------------------------------------------------------------
 
 _SUM_CALLS = frozenset({"sum", "math.fsum", "numpy.sum"})
 
@@ -556,3 +1002,473 @@ class UnorderedFoldRule(Rule):
                         f"{target}() over set iteration is order-"
                         "nondeterministic — iterate sorted(...) instead",
                     )
+
+
+# --------------------------------------------------------------------------
+# REP006 — shm lock discipline
+# --------------------------------------------------------------------------
+
+#: Classes whose arrays share one multiprocessing lock.
+_SLOT_CLASS_NAMES = frozenset({"_SlotView", "IncumbentSlot"})
+#: The shared ndarrays inside a slot (writes must hold the lock).
+_SLOT_ARRAY_ATTRS = frozenset({"version", "objective", "assign", "blocked"})
+
+
+def _is_lock_expr(mod: ModuleContext, expr: ast.expr) -> bool:
+    """True when *expr* looks like acquiring a lock: a Name/Attribute
+    chain (or a call on one) whose dotted text mentions ``lock``."""
+    target = expr.func if isinstance(expr, ast.Call) else expr
+    resolved = mod.resolve(target)
+    return resolved is not None and "lock" in resolved.lower()
+
+
+def _inside_with_lock(mod: ModuleContext, node: ast.AST) -> bool:
+    """True when *node* sits lexically inside ``with <lock-like>:``."""
+    cur: ast.AST | None = node
+    while cur is not None:
+        cur = mod.parent(cur)
+        if isinstance(cur, (ast.With, ast.AsyncWith)) and any(
+            _is_lock_expr(mod, item.context_expr) for item in cur.items
+        ):
+            return True
+    return False
+
+
+class _SlotTaint(_TaintTest):
+    def __call__(
+        self,
+        project: Project,
+        mod: ModuleContext,
+        caller: FunctionInfo | None,
+        arg: ast.expr,
+        tainted_params: set[tuple[str, str]],
+    ) -> bool:
+        if (
+            isinstance(arg, ast.Name)
+            and caller is not None
+            and (caller.qualname, arg.id) in tainted_params
+        ):
+            return True
+        env = project.env_of(caller) if caller is not None else {}
+        cls = project.class_of_expr(
+            mod, arg, env, caller.cls if caller is not None else None
+        )
+        return cls is not None and cls.rpartition(".")[2] in _SLOT_CLASS_NAMES
+
+
+@register
+class ShmLockDisciplineRule(Rule):
+    """Writes to shared incumbent-slot memory must hold the slot lock.
+
+    Contract
+    --------
+    Every store into a ``_SlotView`` / ``IncumbentSlot`` shared array
+    (``.assign``, ``.objective``, ``.blocked``) or its ``.version``
+    counter happens lexically inside ``with <lock>:``, or inside a
+    helper whose *every* transitive call site holds the lock.  Attached
+    read-only state views are never re-enabled for writing
+    (``view.flags.writeable = True``) outside ``parallel/shm.py``.
+
+    Rationale
+    ---------
+    The incumbent exchange publishes (objective, assignment) pairs via a
+    seqlock-style version counter; an unlocked write can interleave with
+    a reader and hand a worker a torn incumbent, which silently degrades
+    the cooperative search (indistinguishable from a worse algorithm).
+
+    Suppression
+    -----------
+    ``# repro: allow-shm-lock`` on the write's line, with a justification
+    comment — e.g. pre-publication initialisation in ``__init__`` before
+    any other process can hold a reference.
+    """
+
+    rule_id = "REP006"
+    slug = "shm-lock"
+    description = (
+        "write to shared incumbent-slot memory (slot arrays, version "
+        "counter) outside a lock region; see `repro lint --explain REP006`"
+    )
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        slot_params = _propagate_params(project, _SlotTaint())
+        locked = self._always_locked(project)
+        taint = _SlotTaint()
+        for info in project.functions.values():
+            mod = project.modules[info.module_rel]
+            fn_locked = info.qualname in locked
+            for node in _walk_shallow(info.node):
+                for target in _assign_targets(node):
+                    write = self._slot_write(
+                        project, mod, info, target, slot_params, taint
+                    )
+                    if write is None:
+                        continue
+                    if fn_locked or _inside_with_lock(mod, node):
+                        continue
+                    yield self.finding(
+                        mod,
+                        target,
+                        f"write to shared slot array .{write} outside a "
+                        "`with lock:` region — a torn write hands readers "
+                        "a corrupt incumbent",
+                    )
+                # Worker-side unlocking of read-only attached views.
+                if (
+                    isinstance(node, ast.Assign)
+                    and mod.rel != "src/repro/parallel/shm.py"
+                ):
+                    for target in node.targets:
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and target.attr == "writeable"
+                            and isinstance(target.value, ast.Attribute)
+                            and target.value.attr == "flags"
+                        ):
+                            yield self.finding(
+                                mod,
+                                target,
+                                "re-enabling writes on an attached "
+                                "read-only view — workers must treat "
+                                "attached state as immutable",
+                            )
+
+    def _slot_write(
+        self,
+        project: Project,
+        mod: ModuleContext,
+        info: FunctionInfo,
+        target: ast.expr,
+        slot_params: set[tuple[str, str]],
+        taint: _SlotTaint,
+    ) -> str | None:
+        """The slot-array attr being written through *target*, or None."""
+        # slot.assign[...] = x   /   slot.version[...] += 1
+        if isinstance(target, ast.Subscript):
+            value = target.value
+            if (
+                isinstance(value, ast.Attribute)
+                and value.attr in _SLOT_ARRAY_ATTRS
+                and taint(project, mod, info, value.value, slot_params)
+            ):
+                return value.attr
+            return None
+        # slot.objective = x  (rebinding the view attribute itself) —
+        # except through `self`: a slot class constructing/rebinding its
+        # own views is definitionally pre-publication.
+        if (
+            isinstance(target, ast.Attribute)
+            and target.attr in _SLOT_ARRAY_ATTRS
+            and not (
+                isinstance(target.value, ast.Name) and target.value.id == "self"
+            )
+            and taint(project, mod, info, target.value, slot_params)
+        ):
+            return target.attr
+        return None
+
+    def _always_locked(self, project: Project) -> set[str]:
+        """Greatest fixpoint of "every transitive call site holds the
+        lock".  Start from everything, strip functions with no call
+        sites or any unlocked site; what survives is provably only ever
+        entered under the lock.  (Mutually-recursive helpers with no
+        outside caller survive vacuously — dead code, no findings.)"""
+        locked = set(project.functions)
+        changed = True
+        while changed:
+            changed = False
+            for qualname in sorted(locked):
+                sites = project.graph.callers_of(qualname)
+                ok = bool(sites)
+                for site in sites:
+                    mod = project.modules[site.module_rel]
+                    if _inside_with_lock(mod, site.node):
+                        continue
+                    if site.caller in locked:
+                        continue
+                    ok = False
+                    break
+                if not ok:
+                    locked.discard(qualname)
+                    changed = True
+        return locked
+
+
+# --------------------------------------------------------------------------
+# REP007 — transaction balance
+# --------------------------------------------------------------------------
+
+_OPEN = "open"
+_MAYBE = "maybe"
+_CLOSED = "closed"
+
+#: One must-alias group of transaction handles: the names, the lattice
+#: status, and the line of the ``begin()`` that opened it.
+_Group = tuple[frozenset[str], str, int]
+#: Whole state: a frozenset of groups (canonical — see ``_normalize``).
+_TxnState = frozenset[_Group]
+
+
+def _receiver_key(expr: ast.expr) -> str | None:
+    """Stable key of a transaction handle: ``x`` or ``self.attr``."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    ):
+        return f"self.{expr.attr}"
+    return None
+
+
+def _normalize(groups: Iterator[_Group] | list[_Group]) -> _TxnState:
+    """Canonical form: drop empty groups and closed singletons (closed
+    multi-name groups keep their alias information)."""
+    out = []
+    for names, status, line in groups:
+        if not names:
+            continue
+        if status == _CLOSED and len(names) == 1:
+            continue
+        out.append((names, status, line))
+    return frozenset(out)
+
+
+class _TxnAnalysis(ForwardAnalysis[_TxnState]):
+    """Forward must-alias transaction tracking (REP007's engine)."""
+
+    def initial(self) -> _TxnState:
+        return frozenset()
+
+    # -- helpers ----------------------------------------------------------
+    @staticmethod
+    def _group_of(state: _TxnState, key: str) -> _Group | None:
+        for group in state:
+            if key in group[0]:
+                return group
+        return None
+
+    @staticmethod
+    def _drop(state: _TxnState, key: str) -> list[_Group]:
+        out = []
+        for names, status, line in state:
+            out.append((names - {key}, status, line))
+        return out
+
+    def _set_status(self, state: _TxnState, key: str, status: str, line: int) -> _TxnState:
+        group = self._group_of(state, key)
+        if group is None:
+            if status == _OPEN:
+                return _normalize(list(state) + [(frozenset({key}), _OPEN, line)])
+            return state
+        names, _, old_line = group
+        rest = [g for g in state if g is not group]
+        keep_line = old_line if status != _OPEN else line
+        return _normalize(rest + [(names, status, keep_line)])
+
+    @staticmethod
+    def _executed_exprs(node: ast.AST) -> list[ast.AST]:
+        """What this CFG node actually evaluates: for compound-statement
+        headers only the header expression (the body is its own nodes —
+        walking the whole ``ast.If`` here would apply a begin() buried
+        in the branch body at the header, on *both* branches)."""
+        if isinstance(node, ast.stmt):
+            return _header_exprs(node)
+        return [node]
+
+    # -- transfer ---------------------------------------------------------
+    def transfer(self, node: ast.AST | None, state: _TxnState) -> _TxnState:
+        if node is None:
+            return state
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            return state  # defining a nested scope executes nothing
+        # Alias tracking: `a = b` joins a into b's group.
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            tkey = _receiver_key(target)
+            if tkey is not None:
+                groups = self._drop(state, tkey)
+                vkey = (
+                    _receiver_key(node.value)
+                    if isinstance(node.value, (ast.Name, ast.Attribute))
+                    else None
+                )
+                if vkey is not None:
+                    for i, (names, status, line) in enumerate(groups):
+                        if vkey in names:
+                            groups[i] = (names | {tkey}, status, line)
+                            return _normalize(groups)
+                    # Track the alias pair even while closed, so a later
+                    # begin() through either name covers both.
+                    groups.append((frozenset({tkey, vkey}), _CLOSED, 0))
+                return _normalize(groups)
+        # begin/commit/rollback calls this node actually evaluates.
+        for expr in self._executed_exprs(node):
+            for sub in ast.walk(expr):
+                if (
+                    isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in ("begin", "commit", "rollback")
+                ):
+                    key = _receiver_key(sub.func.value)
+                    if key is None:
+                        continue
+                    if sub.func.attr == "begin":
+                        state = self._set_status(state, key, _OPEN, sub.lineno)
+                    else:
+                        state = self._set_status(state, key, _CLOSED, 0)
+        return state
+
+    def transfer_exception(self, node: ast.AST | None, state: _TxnState) -> _TxnState:
+        """State carried on the exception edge.  A raising ``begin()``
+        did not open anything (in-state, the framework default) — but a
+        raising ``commit()``/``rollback()`` still *consumed* the
+        bracket: the contract asked for the call to be reached, and it
+        was; whatever it raised is the caller's problem.  Without this,
+        every ``except: rollback(); raise`` handler would be flagged for
+        the path where rollback itself blows up."""
+        if node is None or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            return state
+        for expr in self._executed_exprs(node):
+            for sub in ast.walk(expr):
+                if (
+                    isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in ("commit", "rollback")
+                ):
+                    key = _receiver_key(sub.func.value)
+                    if key is not None:
+                        state = self._set_status(state, key, _CLOSED, 0)
+        return state
+
+    def assume(self, cond: ast.expr, branch: bool, state: _TxnState) -> _TxnState:
+        while isinstance(cond, ast.UnaryOp) and isinstance(cond.op, ast.Not):
+            cond = cond.operand
+            branch = not branch
+        if isinstance(cond, ast.Attribute) and cond.attr == "in_transaction":
+            key = _receiver_key(cond.value)
+            if key is not None:
+                group = self._group_of(state, key)
+                if group is not None:
+                    names, status, line = group
+                    rest = [g for g in state if g is not group]
+                    if not branch:
+                        return _normalize(rest + [(names, _CLOSED, line)])
+                    if status == _MAYBE:
+                        return _normalize(rest + [(names, _OPEN, line)])
+        return state
+
+    def join(self, a: _TxnState, b: _TxnState) -> _TxnState:
+        if a == b:
+            return a
+        names = {n for g in a for n in g[0]} | {n for g in b for n in g[0]}
+
+        def locate(state: _TxnState, name: str) -> tuple[object, str, int]:
+            group = self._group_of(state, name)
+            if group is None:
+                return (name, _CLOSED, 0)  # untracked == closed singleton
+            return (id(group), group[1], group[2])
+
+        clusters: dict[tuple[object, object], tuple[set[str], str, int]] = {}
+        for name in names:
+            ga, sa, la = locate(a, name)
+            gb, sb, lb = locate(b, name)
+            status = sa if sa == sb else _MAYBE
+            line = max(la, lb) if status != _CLOSED else 0
+            if status == _MAYBE and line == 0:
+                line = max(la, lb)
+            key = (ga, gb)
+            if key in clusters:
+                clusters[key][0].add(name)
+            else:
+                clusters[key] = ({name}, status, line)
+        return _normalize(
+            [(frozenset(ns), st, ln) for ns, st, ln in clusters.values()]
+        )
+
+
+@register
+class TransactionBalanceRule(Rule):
+    """Every ``begin()`` definitely reaches ``commit()`` or ``rollback()``.
+
+    Contract
+    --------
+    On every path from a ``state.begin()`` to function exit — including
+    the exception edge of every intervening call — either ``commit()``
+    or ``rollback()`` has run on that state (through any must-alias of
+    it).  Guarding cleanup with ``if state.in_transaction:`` is
+    understood.
+
+    Rationale
+    ---------
+    A leaked journal corrupts the *next* search on the same state: undo
+    entries pile up and a later ``rollback()`` rewinds through someone
+    else's accepted moves.  The bug class is the span leak's (REP004),
+    but on exception paths no test exercises.
+
+    Suppression
+    -----------
+    ``# repro: allow-txn-balance`` on the ``begin()`` line, e.g. for a
+    deliberate open-transaction handoff documented at the call site.
+
+    The analysis reports only *definite* leaks (an ``open`` lattice
+    value on an exit edge, never ``maybe``), so correlated branches —
+    ``if use_delta: begin()`` … ``if use_delta: commit()`` — do not
+    produce false positives; they join to ``maybe`` and stay silent.
+    """
+
+    rule_id = "REP007"
+    slug = "txn-balance"
+    description = (
+        "state.begin() with a path (incl. exception edges) to exit where "
+        "neither commit() nor rollback() definitely ran; see "
+        "`repro lint --explain REP007`"
+    )
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        for info in project.functions.values():
+            has_begin = any(
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "begin"
+                for sub in ast.walk(info.node)
+            )
+            if not has_begin:
+                continue
+            mod = project.modules[info.module_rel]
+            yield from self._check_function(mod, info)
+
+    def _check_function(
+        self, mod: ModuleContext, info: FunctionInfo
+    ) -> Iterator[Finding]:
+        cfg: CFG = build_cfg(info.node)
+        result = run_forward(cfg, _TxnAnalysis())
+        leaks: dict[int, str] = {}
+        for idx, edge in enumerate(cfg.edges):
+            if edge.dst not in (cfg.exit, cfg.raise_exit):
+                continue
+            state = result.edge_states.get(idx)
+            if state is None:
+                continue
+            how = "an exception path" if edge.dst == cfg.raise_exit else "a return path"
+            for names, status, line in state:
+                if status == _OPEN and line > 0:
+                    # Exception exits dominate the message when both leak.
+                    if line not in leaks or edge.dst == cfg.raise_exit:
+                        leaks[line] = how
+        for line in sorted(leaks):
+            yield Finding(
+                file=mod.rel,
+                line=line,
+                rule_id=self.rule_id,
+                message=(
+                    f"transaction opened here can leak via {leaks[line]} of "
+                    f"{info.qualname.rsplit('.', 1)[-1]}() without commit/"
+                    "rollback — wrap in try/except or try/finally"
+                ),
+            )

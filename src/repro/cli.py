@@ -28,12 +28,12 @@
   scenario×algorithm grid through the parallel driver, writing per-cell
   row tables plus an ``index.json`` (the CI scenario-matrix jobs are
   thin wrappers over this subcommand);
-* ``lint``       — run the AST invariant linter (rules REP001–REP005:
+* ``lint``       — run the AST invariant linter (rules REP001–REP007:
   seeded RNG construction, wall-clock discipline, ClusterState
-  transaction discipline, span usage, unordered float folds) with the
-  committed ratchet baseline — see docs/ARCHITECTURE.md, "Static
-  analysis & invariants".  Also available as
-  ``python -m repro.analysis``.
+  mutation discipline, span usage, unordered float folds, shared-memory
+  lock discipline, transaction balance); any finding exits 1 — see
+  docs/ARCHITECTURE.md, "Static analysis & invariants".  Also
+  available as ``python -m repro.analysis``.
 
 ``run``/``rebalance`` accept ``--restarts K --workers N`` to fan K
 independent SRA restarts across N worker processes (best-of-K wins;
@@ -211,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the AST invariant linter (per-module REP001-REP005, "
-             "interprocedural REP006-REP009) with the committed ratchet "
-             "baseline",
+        help="run the AST invariant linter (rules REP001-REP007); any "
+             "finding exits 1",
     )
     from repro.analysis.cli import add_arguments as _add_lint_arguments
 

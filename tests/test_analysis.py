@@ -3,9 +3,8 @@
 Each rule gets fixture-driven positives *and* negatives (the negatives
 are what keep the linter honest — a rule that fires on the blessed
 idiom would be suppressed into uselessness within a week), plus the
-suppression grammar, the baseline ratchet semantics, the CLI front end
-and a self-check that the repository at HEAD lints clean under its
-committed baseline.
+suppression grammar, the CLI front end and a self-check that the
+repository at HEAD lints clean.
 """
 
 import importlib.util
@@ -17,14 +16,10 @@ import pytest
 from repro.analysis import (
     Finding,
     all_rules,
-    compare,
     get_rule,
-    group_findings,
     lint_paths,
     lint_project,
-    lint_source,
 )
-from repro.analysis import baseline as baseline_mod
 from repro.analysis import typing_ratchet
 from repro.analysis.cli import main as lint_main
 from repro.analysis.context import ModuleContext
@@ -39,14 +34,14 @@ def rule_ids(findings):
 
 
 def lint(source, rel=ALGO, rules=None):
-    return lint_source(source, rel, rules=rules)
+    return lint_project({rel: source}, rules=rules)
 
 
 class TestRegistry:
     def test_pack_is_registered(self):
         assert [r.rule_id for r in all_rules()] == [
             "REP001", "REP002", "REP003", "REP004", "REP005",
-            "REP006", "REP007", "REP008", "REP009",
+            "REP006", "REP007",
         ]
 
     def test_get_rule_is_case_insensitive(self):
@@ -191,6 +186,27 @@ class TestRep003StateMutation:
         src = "state.move(j, m)\nstate.assign_shard(j, m)\nstate.commit()\n"
         assert lint(src) == []
 
+    def test_private_mirror_write_reported_once(self):
+        # Both the direct-write and the mirror-alias check see this
+        # write; it is one offending write, so one finding.
+        src = "def f(state):\n    state._loads_t[0] = 1.0\n"
+        findings = lint(src)
+        assert rule_ids(findings) == ["REP003"]
+        assert findings[0].line == 2
+
+    def test_self_mirror_attr_write_in_foreign_class_flagged(self):
+        # A bare-self private name is usually the class's own field, but
+        # the SoA mirror names are flagged wherever they are written.
+        src = (
+            "class Scorer:\n"
+            "    def reset(self):\n"
+            "        self._loads_t[0] = 0.0\n"
+        )
+        findings = lint(src)
+        assert rule_ids(findings) == ["REP003"]
+        assert findings[0].line == 3
+        assert "SoA mirror" in findings[0].message
+
 
 class TestRep004SpanContext:
     def test_manual_enter_flagged(self):
@@ -280,7 +296,7 @@ class TestRep006ShmLock:
     def test_old_per_module_engine_cannot_see_it(self):
         # The same worker module linted alone is clean: the taint that
         # makes the write dangerous arrives through the call graph.
-        assert lint_source(WORKER_UNLOCKED, "src/repro/parallel/worker.py") == []
+        assert lint_project({"src/repro/parallel/worker.py": WORKER_UNLOCKED}) == []
 
     def test_helper_called_only_under_lock_is_blessed(self):
         src = (
@@ -423,10 +439,6 @@ class TestRep007TransactionBalance:
         )
         assert lint_txn(src) == []
 
-    def test_old_per_module_engine_cannot_see_it(self):
-        src = "def risky(state):\n    state.begin()\n    state.move(0, 1)\n    state.commit()\n"
-        assert lint_source(src, TXN_REL) == []
-
 
 RNG_HELPERS = """\
 from numpy.random import default_rng
@@ -440,8 +452,9 @@ def make_stream(seed=None):
 
 
 class TestRep008SeedProvenance:
-    """The seed-provenance rule needs the call graph: REP001 sees
-    ``default_rng(42)``, only conduit analysis sees ``make_stream(42)``."""
+    """REP001's laundered-seed check needs the call graph: the per-module
+    check sees ``default_rng(42)``, only conduit analysis over the
+    helpers sees ``make_stream(42)``."""
 
     def test_two_hop_cross_module_laundering_flagged(self):
         driver = (
@@ -454,7 +467,7 @@ class TestRep008SeedProvenance:
             "src/repro/utils/rngs.py": RNG_HELPERS,
             "src/repro/utils/driver.py": driver,
         })
-        assert rule_ids(findings) == ["REP008"]
+        assert rule_ids(findings) == ["REP001"]
         assert findings[0].file == "src/repro/utils/driver.py"
         assert findings[0].line == 4
         assert "laundered" in findings[0].message
@@ -466,7 +479,7 @@ class TestRep008SeedProvenance:
             "def build():\n"
             "    return make_stream(42)\n"
         )
-        assert lint_source(driver, "src/repro/utils/driver.py") == []
+        assert lint_project({"src/repro/utils/driver.py": driver}) == []
 
     def test_conduit_literal_default_flagged_at_def(self):
         src = (
@@ -476,7 +489,7 @@ class TestRep008SeedProvenance:
             "    return default_rng(seed)\n"
         )
         findings = lint_project({"src/repro/utils/rngs.py": src})
-        assert rule_ids(findings) == ["REP008"]
+        assert rule_ids(findings) == ["REP001"]
         assert findings[0].line == 3
         assert "defaults a seed" in findings[0].message
 
@@ -510,8 +523,9 @@ class TestRep008SeedProvenance:
 
 
 class TestRep009SoaMirror:
-    """The mirror-discipline rule extends REP003 across the call graph:
-    the view escapes through a parameter and is clobbered elsewhere."""
+    """REP003's mirror-alias check follows the SoA views across the call
+    graph: the view escapes through a parameter and is clobbered
+    elsewhere."""
 
     def test_cross_module_param_write_flagged(self):
         helper = "def clobber(lt):\n    lt[0] = 0.0\n"
@@ -525,13 +539,13 @@ class TestRep009SoaMirror:
             "src/repro/algorithms/helper.py": helper,
             "src/repro/algorithms/driver.py": driver,
         })
-        assert rule_ids(findings) == ["REP009"]
+        assert rule_ids(findings) == ["REP003"]
         assert findings[0].file == "src/repro/algorithms/helper.py"
         assert findings[0].line == 2
 
     def test_old_per_module_engine_cannot_see_it(self):
         helper = "def clobber(lt):\n    lt[0] = 0.0\n"
-        assert lint_source(helper, "src/repro/algorithms/helper.py") == []
+        assert lint_project({"src/repro/algorithms/helper.py": helper}) == []
 
     def test_local_alias_subscript_write_flagged(self):
         src = (
@@ -540,7 +554,7 @@ class TestRep009SoaMirror:
             "    lt[0] = 1.0\n"
         )
         findings = lint_project({"src/repro/algorithms/x.py": src})
-        assert rule_ids(findings) == ["REP009"]
+        assert rule_ids(findings) == ["REP003"]
 
     def test_fill_and_copyto_flagged(self):
         src = (
@@ -551,7 +565,7 @@ class TestRep009SoaMirror:
             "    np.copyto(state.loads_by_dim(), row)\n"
         )
         findings = lint_project({"src/repro/algorithms/x.py": src})
-        assert rule_ids(findings) == ["REP009", "REP009"]
+        assert rule_ids(findings) == ["REP003", "REP003"]
 
     def test_self_attr_mirror_write_flagged(self):
         src = (
@@ -563,7 +577,7 @@ class TestRep009SoaMirror:
             "        self._lt[0] = 0.0\n"
         )
         findings = lint_project({"src/repro/algorithms/x.py": src})
-        assert rule_ids(findings) == ["REP009"]
+        assert rule_ids(findings) == ["REP003"]
         assert findings[0].line == 6
 
     def test_derived_array_is_fresh_and_writable(self):
@@ -667,49 +681,6 @@ class TestLintPaths:
         assert rule_ids(findings) == ["REP000"]
 
 
-class TestBaselineRatchet:
-    F1 = Finding("a.py", 1, "REP001", "m1")
-    F2 = Finding("a.py", 9, "REP001", "m2")
-    F3 = Finding("b.py", 2, "REP002", "m3")
-
-    def test_group_findings(self):
-        groups = group_findings([self.F1, self.F2, self.F3])
-        assert groups == {"a.py::REP001": 2, "b.py::REP002": 1}
-
-    def test_growth_fails(self):
-        result = compare([self.F1, self.F2], {"a.py::REP001": 1})
-        assert not result.ok
-        # The first finding in line order carries the grandfathered slot.
-        assert result.grandfathered == (self.F1,)
-        assert result.new == (self.F2,)
-
-    def test_within_baseline_ok(self):
-        result = compare([self.F1, self.F2], {"a.py::REP001": 2})
-        assert result.ok
-        assert result.new == ()
-        assert result.stale == {}
-
-    def test_shrink_is_ok_and_reported_stale(self):
-        result = compare([self.F1], {"a.py::REP001": 3, "b.py::REP002": 1})
-        assert result.ok
-        assert result.stale == {"a.py::REP001": 2, "b.py::REP002": 1}
-
-    def test_new_file_fails(self):
-        result = compare([self.F3], {"a.py::REP001": 1})
-        assert not result.ok
-        assert result.new == (self.F3,)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        baseline_mod.save([self.F1, self.F2, self.F3], path)
-        assert baseline_mod.load(path) == {"a.py::REP001": 2, "b.py::REP002": 1}
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 1
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert baseline_mod.load(tmp_path / "absent.json") == {}
-
-
 def make_repo(tmp_path, source="import time\nt = time.time()\n"):
     """A minimal lintable repo: pyproject marker + one in-scope module."""
     (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
@@ -725,30 +696,12 @@ class TestLintCli:
         make_repo(tmp_path)
         assert lint_main(["--root", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "REP002" in out and "new finding" in out
+        assert "REP002" in out and "1 finding(s)" in out
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
+    def test_missing_path_exits_2(self, tmp_path, capsys):
         make_repo(tmp_path)
-        assert lint_main(["--root", str(tmp_path), "--update-baseline"]) == 0
-        assert (tmp_path / "lint-baseline.json").exists()
-        capsys.readouterr()
-        assert lint_main(["--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "[baseline]" in out  # grandfathered debt stays visible
-
-    def test_fixed_debt_reports_stale(self, tmp_path, capsys):
-        target = make_repo(tmp_path)
-        lint_main(["--root", str(tmp_path), "--update-baseline"])
-        target.write_text("x = 1\n")
-        capsys.readouterr()
-        assert lint_main(["--root", str(tmp_path)]) == 0
-        assert "no longer occur" in capsys.readouterr().out
-
-    def test_no_baseline_reports_everything(self, tmp_path, capsys):
-        make_repo(tmp_path)
-        lint_main(["--root", str(tmp_path), "--update-baseline"])
-        capsys.readouterr()
-        assert lint_main(["--root", str(tmp_path), "--no-baseline"]) == 1
+        assert lint_main(["--root", str(tmp_path), "src/repor"]) == 2
+        assert "lint: no such path: src/repor" in capsys.readouterr().err
 
     def test_rules_filter(self, tmp_path):
         make_repo(tmp_path)
@@ -757,25 +710,15 @@ class TestLintCli:
 
     def test_unknown_rule_exits_2(self, tmp_path):
         make_repo(tmp_path)
-        assert lint_main(["--root", str(tmp_path), "--rules", "REP999"]) == 2
+        for rules in ("REP999", ",", ""):
+            assert lint_main(["--root", str(tmp_path), "--rules", rules]) == 2
 
     def test_json_format(self, tmp_path, capsys):
         make_repo(tmp_path)
         assert lint_main(["--root", str(tmp_path), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["new"] and doc["new"][0]["rule"] == "REP002"
-        assert doc["grandfathered"] == []
-
-    def test_no_interprocedural_skips_project_rules(self, tmp_path):
-        leaky = (
-            "def f(state):\n"
-            "    state.begin()\n"
-            "    state.move(0, 1)\n"
-            "    state.commit()\n"
-        )
-        make_repo(tmp_path, leaky)
-        assert lint_main(["--root", str(tmp_path)]) == 1
-        assert lint_main(["--root", str(tmp_path), "--no-interprocedural"]) == 0
+        assert list(doc) == ["findings"]
+        assert doc["findings"] and doc["findings"][0]["rule"] == "REP002"
 
     def test_explain_prints_contract(self, capsys):
         assert lint_main(["--explain", "REP007"]) == 0
@@ -791,9 +734,10 @@ class TestLintCli:
             assert "Suppression" in out, rule.rule_id
 
     def test_explain_unknown_rule_exits_2(self, capsys):
-        assert lint_main(["--explain", "REP999"]) == 2
-        err = capsys.readouterr().err
-        assert "REP001" in err  # lists the known pack
+        for ref in ("REP999", "REP008", ""):
+            assert lint_main(["--explain", ref]) == 2
+            err = capsys.readouterr().err
+            assert "REP001" in err  # lists the known pack
 
     def test_failure_message_points_at_explain(self, tmp_path, capsys):
         make_repo(tmp_path)
@@ -819,17 +763,10 @@ class TestLintCli:
         )
 
     def test_repo_at_head_lints_clean(self, capsys):
-        """Self-check: the repository satisfies its own invariants —
-        including the interprocedural pack, which runs by default and
-        carries *no* grandfathered debt."""
+        """Self-check: the repository satisfies its own invariants, with
+        no finding at all — there is no grandfathered debt."""
         assert lint_main(["--root", str(REPO_ROOT)]) == 0
-        out = capsys.readouterr().out
-        # The committed baseline holds only experiment-module RNG debt;
-        # REP006-REP009 entered with an empty grandfather list.
-        for line in out.splitlines():
-            if line.endswith("[baseline]"):
-                assert line.startswith("src/repro/experiments/")
-                assert "REP001" in line
+        assert capsys.readouterr().out == "lint: ok (7 rule(s))\n"
 
 
 MYPY_OUTPUT = """\
