@@ -13,7 +13,7 @@ Run:  python examples/shared_pool.py
 
 from repro.algorithms import AlnsConfig, SRA, SRAConfig
 from repro.experiments.harness import print_table
-from repro.pool import MachinePool, rebalance_with_pool
+from repro.pool import MachinePool, exchange_episode
 from repro.workloads import SyntheticConfig, generate, make_exchange_machines
 
 
@@ -34,17 +34,17 @@ def main() -> None:
                 seed=c,
             )
         )
-        rebalance_with_pool(
-            pool,
+        exchange_episode(
             state,
             SRA(SRAConfig(alns=AlnsConfig(iterations=800, seed=1))),
-            budget=2,
+            pool.lend(2),
+            pool=pool,
             label=f"cluster-{c}",
         )
         ep = pool.history[-1]
         rows.append(
             {
-                "cluster": ep.cluster_label,
+                "cluster": ep.label,
                 "lent": ep.lent,
                 "returned": ep.returned,
                 "exchanged": ep.exchanged,

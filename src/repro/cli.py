@@ -13,7 +13,7 @@
   measured work profiles, and optionally a mid-run SRA rebalance whose
   migration executes wave-by-wave while queries keep arriving — either
   a one-shot ``--rebalance-at T`` check or a continuous ``--controller``
-  loop (``incremental`` = EWMA drift detection gating warm-started,
+  loop (``incremental`` = EWMA drift detection gating
   budget-bounded rounds; compose with ``--drift`` to exercise it);
 * ``experiment`` — regenerate one experiment table (E1–E21) or, with
   ``--all``, the whole suite — optionally fanned across worker
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="off",
                     help="continuous rebalance controller: policy checked every "
                          "--check-interval seconds over the whole run; "
-                         "'incremental' gates warm-started, budget-bounded SRA "
+                         "'incremental' gates budget-bounded SRA "
                          "rounds on an EWMA drift detector (exclusive with "
                          "--rebalance-at)")
     rt.add_argument("--check-interval", type=float, default=15.0,

@@ -6,11 +6,8 @@ DESIGN.md §1 for the formal problem the model supports.
 
 from repro.cluster.exchange import (
     ExchangeLedger,
-    ExchangePoolManager,
     ExchangeSettlement,
     ExchangeViolation,
-    PoolDecision,
-    PoolSizingPolicy,
     settle_fleet,
 )
 from repro.cluster.machine import Machine, MachineClass
@@ -33,9 +30,6 @@ __all__ = [
     "ExchangeSettlement",
     "ExchangeViolation",
     "settle_fleet",
-    "PoolDecision",
-    "PoolSizingPolicy",
-    "ExchangePoolManager",
     "to_dict",
     "from_dict",
     "save_json",

@@ -21,10 +21,11 @@ Two return policies are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
+from repro._validation import check_in
 from repro.cluster.machine import Machine
 from repro.cluster.resources import dominates
 from repro.cluster.state import ClusterState
@@ -34,9 +35,6 @@ __all__ = [
     "ExchangeViolation",
     "ExchangeSettlement",
     "settle_fleet",
-    "PoolDecision",
-    "PoolSizingPolicy",
-    "ExchangePoolManager",
 ]
 
 ReturnPolicy = Literal["count", "capacity"]
@@ -79,6 +77,7 @@ class ExchangeLedger:
         and the ledger tracking the debt.  ``required_returns`` defaults
         to the number of borrowed machines.
         """
+        check_in("policy", policy, get_args(ReturnPolicy))
         if required_returns is None:
             required_returns = len(machines)
         if required_returns < 0:
@@ -195,148 +194,6 @@ class ExchangeSettlement:
     returned_ids: tuple[int, ...]
     retained_borrowed_ids: tuple[int, ...]
     returned_capacity: np.ndarray
-
-
-@dataclass(frozen=True)
-class PoolDecision:
-    """One control round's borrow/release verdict.
-
-    At most one side is nonzero: a round either grows the fleet from
-    the pool, shrinks it back, or holds.  ``reason`` is a short audit
-    tag (``"overload"``, ``"release"``, ``"hold"``, ``"held"``,
-    ``"idle"``) for episode records.
-    """
-
-    borrow: int = 0
-    release: int = 0
-    reason: str = "idle"
-
-
-@dataclass(frozen=True)
-class PoolSizingPolicy:
-    """How many vacant pool machines to borrow or return per round.
-
-    Replaces the fixed borrow-``B``-return-``B`` episode semantics with
-    a continuous loan: machines borrowed under pressure *stay in the
-    fleet* across rounds (``required_returns=0`` on the borrow) and are
-    handed back — possibly as drained in-service machines, the exchange
-    the paper is named for — once the pressure subsides.
-
-    Hysteresis is twofold, so the loan doesn't thrash:
-
-    * a **peak band**: borrow only above ``borrow_above``, release only
-      below ``release_below`` (the gap is the dead zone);
-    * a **hold time**: a changed loan must sit ``min_hold_rounds``
-      control rounds before any release.
-
-    Attributes
-    ----------
-    borrow_above:
-        Peak utilization above which the fleet borrows.
-    release_below:
-        Peak utilization below which held machines may be released;
-        must be strictly below ``borrow_above``.
-    overload_gain:
-        Machines requested per unit of peak overshoot beyond
-        ``borrow_above`` (always at least 1 when over).
-    max_borrow_per_round / max_release_per_round:
-        Per-round caps on loan growth/shrink.
-    min_hold_rounds:
-        Control rounds a loan is held before it may shrink.
-    """
-
-    borrow_above: float = 0.9
-    release_below: float = 0.8
-    overload_gain: float = 20.0
-    max_borrow_per_round: int = 2
-    max_release_per_round: int = 2
-    min_hold_rounds: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.release_below < self.borrow_above:
-            raise ValueError(
-                "need 0 < release_below < borrow_above, got "
-                f"{self.release_below} / {self.borrow_above}"
-            )
-        if self.overload_gain <= 0:
-            raise ValueError(f"overload_gain must be > 0, got {self.overload_gain}")
-        if self.max_borrow_per_round < 0 or self.max_release_per_round < 0:
-            raise ValueError("per-round borrow/release caps must be >= 0")
-        if self.min_hold_rounds < 0:
-            raise ValueError(f"min_hold_rounds must be >= 0, got {self.min_hold_rounds}")
-
-    def decide(
-        self, *, peak: float, on_loan: int, available: int, rounds_held: int
-    ) -> PoolDecision:
-        """Pure decision for one round (no state; see ExchangePoolManager)."""
-        if peak > self.borrow_above:
-            want = max(1, int(np.ceil((peak - self.borrow_above) * self.overload_gain)))
-            borrow = min(want, self.max_borrow_per_round, available)
-            if borrow > 0:
-                return PoolDecision(borrow=borrow, reason="overload")
-            return PoolDecision(reason="hold")
-        if peak < self.release_below and on_loan > 0:
-            if rounds_held < self.min_hold_rounds:
-                return PoolDecision(reason="held")
-            release = min(on_loan, self.max_release_per_round)
-            return PoolDecision(release=release, reason="release")
-        return PoolDecision(reason="idle" if on_loan == 0 else "hold")
-
-
-class ExchangePoolManager:
-    """Stateful loan tracker applying a :class:`PoolSizingPolicy`.
-
-    Owns nothing but counters: the caller executes the decision (lend
-    machines into an :meth:`ExchangeLedger.borrow`, settle returns back
-    into its pool) and reports what actually happened via :meth:`note`.
-    ``machine_rounds`` integrates the loan over time — the cost figure
-    pool-sizing studies compare against fixed-budget borrowing.
-    """
-
-    def __init__(self, policy: PoolSizingPolicy | None = None) -> None:
-        self.policy = policy or PoolSizingPolicy()
-        self.on_loan = 0
-        #: Control rounds since the loan last changed (the hold clock).
-        self.rounds_held = 0
-        #: Standing loan integrated over control rounds — the cost figure
-        #: pool-sizing studies compare against fixed-budget borrowing.
-        self.machine_rounds = 0
-        #: One audit row per executed borrow/release/hold-back round.
-        self.history: list[dict[str, int | str]] = []
-
-    def check(self, *, peak: float, available: int) -> PoolDecision:
-        """Once per control round: advance the hold clock, integrate the
-        standing loan, and return the policy's verdict for this round."""
-        self.rounds_held += 1
-        self.machine_rounds += self.on_loan
-        return self.policy.decide(
-            peak=peak,
-            on_loan=self.on_loan,
-            available=available,
-            rounds_held=self.rounds_held,
-        )
-
-    def note(self, decision: PoolDecision, *, borrowed: int, released: int) -> None:
-        """Record what a round actually executed.
-
-        *borrowed*/*released* are the realized deltas (an infeasible
-        episode may return lent machines immediately: borrowed=0).
-        """
-        if borrowed < 0 or released < 0:
-            raise ValueError("borrowed/released must be >= 0")
-        if released > self.on_loan + borrowed:
-            raise ValueError("cannot release more machines than are on loan")
-        self.on_loan += borrowed - released
-        if borrowed != released:
-            self.rounds_held = 0
-        self.history.append(
-            {
-                "decision": decision.reason,
-                "borrowed": borrowed,
-                "released": released,
-                "on_loan": self.on_loan,
-            }
-        )
 
 
 def settle_fleet(

@@ -15,7 +15,10 @@ migration, settle the vacancy-return contract, and package metrics.
 
 from __future__ import annotations
 
+from typing import get_args
+
 from repro import obs
+from repro._validation import check_in
 from repro.algorithms import Rebalancer, SRA, SRAConfig
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.cluster.exchange import ReturnPolicy
@@ -64,6 +67,7 @@ class ResourceExchangeRebalancer:
             raise ValueError(f"exchange_machines must be >= 0, got {exchange_machines}")
         if required_returns is not None and required_returns < 0:
             raise ValueError(f"required_returns must be >= 0, got {required_returns}")
+        check_in("return_policy", return_policy, get_args(ReturnPolicy))
         self.algorithm = algorithm or SRA(SRAConfig())
         self.exchange_machines = exchange_machines
         self.required_returns = (

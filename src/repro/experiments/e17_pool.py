@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.algorithms import AlnsConfig, SRA, SRAConfig
 from repro.experiments.common import scenario_instance
 from repro.experiments.harness import register
-from repro.pool import MachinePool, rebalance_with_pool
+from repro.pool import MachinePool, exchange_episode
 from repro.workloads import make_exchange_machines
 
 
@@ -41,18 +41,18 @@ def run(fast: bool = True) -> list[dict]:
             },
             seed=seed0 + c,
         )
-        rebalance_with_pool(
-            pool,
+        exchange_episode(
             state,
             SRA(SRAConfig(alns=AlnsConfig(iterations=iterations, seed=1))),
-            budget=2,
+            pool.lend(2),
+            pool=pool,
             label=f"cluster-{c}",
         )
         ep = pool.history[-1]
         rows.append(
             {
                 "episode": c,
-                "cluster": ep.cluster_label,
+                "cluster": ep.label,
                 "lent": ep.lent,
                 "returned": ep.returned,
                 "exchanged": ep.exchanged,

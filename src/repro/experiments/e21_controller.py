@@ -2,20 +2,20 @@
 
 Study A (drift controllers, simulated execution): demand-drift scenarios
 evolved by :class:`PopularityDrift` on the event runtime, four
-controllers compared — ``never`` / ``threshold`` / ``always`` (cold
-full-solve episodes) and ``incremental`` (EWMA drift detector gating
-warm-started, move-budgeted SRA rounds with cooldown).  Reported per
+controllers compared — ``never`` / ``threshold`` / ``always``
+(full-solve episodes) and ``incremental`` (EWMA drift detector gating
+move-budgeted SRA rounds with cooldown).  Reported per
 run: the time integral of peak utilization over the horizon (the
 balance actually delivered *while serving*, lower is better) and the
 total bytes migrated (the price paid).  Claim: the incremental
 controller matches or beats the threshold policy's utilization integral
-at a strictly lower byte cost — many small warm rounds track drift more
-cheaply than few cold full solves.
+at a strictly lower byte cost — many small budgeted rounds track drift more
+cheaply than few full solves.
 
 Study B (exchange-pool sizing, instant execution): the incremental
 controller draws loaner machines from a finite
-:class:`~repro.pool.MachinePool` under a
-:class:`~repro.cluster.exchange.PoolSizingPolicy` (borrow on overload,
+:class:`~repro.pool.MachinePool` under its
+:class:`~repro.pool.PoolSizingPolicy` (borrow on overload,
 hold, release when quiet) versus the fixed borrow-per-episode baseline.
 Reported: ``machine_rounds`` — the standing loan integrated over control
 rounds — against the balance held.
@@ -26,12 +26,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.algorithms import SRA, AlnsConfig, MigrationBudget, SRAConfig
-from repro.cluster import PoolSizingPolicy
 from repro.experiments.common import scenario_instance
 from repro.experiments.harness import register
 from repro.migration import BandwidthModel
 from repro.online import PopularityDrift
-from repro.pool import MachinePool
+from repro.pool import MachinePool, PoolSizingPolicy
 from repro.runtime import (
     ClusterHandle,
     DriftDetectorConfig,
@@ -192,9 +191,13 @@ def _run_pool_policy(
         )
     )
     pool: MachinePool | None = None
-    manager = None
     if policy == "pool-sized":
-        pool = MachinePool(make_exchange_machines(state, pool_size))
+        pool = MachinePool(
+            make_exchange_machines(state, pool_size),
+            sizing=PoolSizingPolicy(
+                borrow_above=0.85, release_below=0.72, min_hold_rounds=4
+            ),
+        )
         ctrl: RebalanceController = IncrementalRebalanceController(
             handle,
             SRA(SRAConfig(alns=AlnsConfig(iterations=iterations, seed=1))),
@@ -202,14 +205,10 @@ def _run_pool_policy(
                 hot_threshold=0.85, slope_threshold=0.002
             ),
             pool=pool,
-            pool_policy=PoolSizingPolicy(
-                borrow_above=0.85, release_below=0.72, min_hold_rounds=4
-            ),
             execution="instant",
             check_interval=_CHECK_INTERVAL,
             horizon=horizon,
         )
-        manager = ctrl.pool_manager
     else:  # fixed-budget: borrow 2, return 2, every firing episode
         ctrl = RebalanceController(
             handle,
@@ -227,10 +226,10 @@ def _run_pool_policy(
     rt.run()
 
     feasible = sum(1 for e in ctrl.episodes if e["feasible"])
-    if manager is not None:
-        machine_rounds = manager.machine_rounds
-        machines_borrowed = sum(h["borrowed"] for h in manager.history)
-        on_loan_end = manager.on_loan
+    if pool is not None:
+        machine_rounds = pool.machine_rounds
+        machines_borrowed = sum(ep.lent for ep in pool.history if ep.feasible)
+        on_loan_end = pool.on_loan
     else:
         # A fixed-budget loan spans exactly its episode's control round.
         machine_rounds = 2 * feasible

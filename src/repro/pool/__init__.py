@@ -1,5 +1,17 @@
-"""Shared exchange-machine pool: lend, rebalance, settle."""
+"""Shared exchange-machine pool: lend, run one exchange episode, settle."""
 
-from repro.pool.manager import MachinePool, PoolEpisode, rebalance_with_pool
+from repro.pool.manager import (
+    MachinePool,
+    PoolDecision,
+    PoolEpisode,
+    PoolSizingPolicy,
+    exchange_episode,
+)
 
-__all__ = ["MachinePool", "PoolEpisode", "rebalance_with_pool"]
+__all__ = [
+    "MachinePool",
+    "PoolDecision",
+    "PoolEpisode",
+    "PoolSizingPolicy",
+    "exchange_episode",
+]

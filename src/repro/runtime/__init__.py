@@ -27,7 +27,7 @@ Layers
 :mod:`repro.runtime.controller`
     :class:`EwmaDriftDetector` and :class:`IncrementalRebalanceController`
     — continuous rebalancing: drift/hotspot detection over the obs
-    metrics stream gating warm-started, budget-bounded SRA rounds.
+    metrics stream gating budget-bounded SRA rounds.
 :mod:`repro.runtime.profile`
     :func:`synthetic_profile` — snapshot-derived work matrices for
     engine-free runs.

@@ -13,15 +13,16 @@ This module grows that into a closed control loop:
 
 :class:`IncrementalRebalanceController`
     A :class:`RebalanceController` whose policy is the detector and
-    whose episodes are *incremental*: the SRA solve is warm-started
-    from the live serving placement and bounded by the rebalancer's
+    whose episodes are *incremental*: the SRA solve starts from the live
+    serving placement and is bounded by the rebalancer's
     ``migration_budget``, so each round trims the hotspot with a capped
     amount of churn while serving continues (simulated execution runs
     the wave schedule on the shared clock).  With ``execution="instant"``
-    it can additionally size the exchange pool: a
-    :class:`~repro.cluster.exchange.PoolSizingPolicy` decides how many
-    vacant machines to borrow/return per round, with hold-time
-    hysteresis, replacing the fixed borrow-everything episode.
+    it can additionally draw loaners from a :class:`~repro.pool.MachinePool`
+    whose :class:`~repro.pool.PoolSizingPolicy` decides how many vacant
+    machines to borrow/return per round, with hold-time hysteresis,
+    replacing the fixed borrow-everything episode.  Each instant round is
+    one :func:`~repro.pool.exchange_episode`.
 
 Every check publishes ``controller.ewma_peak`` / ``controller.slope``
 gauges and (tracer on) a ``controller.observe`` event, so the detector
@@ -31,25 +32,15 @@ state is auditable from the obs stream it feeds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro._validation import check_fraction, check_positive
-from repro.cluster import (
-    ClusterState,
-    ExchangeLedger,
-    ExchangePoolManager,
-    PoolDecision,
-    PoolSizingPolicy,
-)
+from repro.pool import MachinePool
 from repro.runtime.kernel import Runtime
 from repro.runtime.processes import ClusterHandle, EpisodeOutcome, RebalanceController
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.machine import Machine
-    from repro.pool import MachinePool
 
 __all__ = [
     "DriftDetectorConfig",
@@ -155,24 +146,22 @@ class EwmaDriftDetector:
 
 
 class IncrementalRebalanceController(RebalanceController):
-    """Detector-gated, warm-started, budget-bounded rebalancing rounds.
+    """Detector-gated, budget-bounded rebalancing rounds.
 
     A drop-in :class:`RebalanceController` with ``policy="incremental"``:
 
     * the trigger verdict comes from an :class:`EwmaDriftDetector` fed
       at every check (the always/threshold verdicts are replaced);
-    * episodes call ``rebalancer.rebalance(grown, ledger,
-      warm_start=...)`` seeded from the live serving placement
-      (``location`` when simulated, the current assignment otherwise),
-      so the rebalancer must accept the warm-start keyword —
-      :class:`repro.algorithms.SRA` does.  Bound the per-round churn by
-      configuring that SRA with a ``migration_budget``;
+    * episodes solve from the live serving placement, which equals the
+      assignment whenever the controller is idle, so any
+      :class:`~repro.algorithms.Rebalancer` works.  Bound the per-round
+      churn by configuring an SRA with a ``migration_budget``;
     * with ``execution="instant"`` and a ``pool``, episode borrowing is
-      sized by a :class:`~repro.cluster.exchange.PoolSizingPolicy`
-      through an :class:`~repro.cluster.exchange.ExchangePoolManager`:
-      loans persist across rounds (``required_returns=0``) and are
-      released — possibly as drained in-service machines — once the
-      pressure subsides.
+      sized by the pool's :class:`~repro.pool.PoolSizingPolicy`: loans
+      persist across rounds (``required_returns=0``) and are released —
+      possibly as drained in-service machines — once the pressure
+      subsides.  The pool ticks its hold clock once per control check,
+      before the in-flight and cooldown guards.
 
     The in-flight guard and ``cooldown`` hysteresis of the base class
     apply unchanged, so incremental rounds cannot thrash either.
@@ -185,8 +174,7 @@ class IncrementalRebalanceController(RebalanceController):
         *,
         detector: Optional[EwmaDriftDetector] = None,
         detector_config: Optional[DriftDetectorConfig] = None,
-        pool: "Optional[MachinePool]" = None,
-        pool_policy: Optional[PoolSizingPolicy] = None,
+        pool: Optional[MachinePool] = None,
         **kwargs: Any,
     ) -> None:
         if detector is not None and detector_config is not None:
@@ -202,18 +190,15 @@ class IncrementalRebalanceController(RebalanceController):
                 "cannot grow mid-run under simulated execution"
             )
         self.pool = pool
-        self.pool_manager = (
-            ExchangePoolManager(pool_policy) if pool is not None else None
-        )
-        self._lent: List["Machine"] = []
-        self._decision: Optional[PoolDecision] = None
 
     # ----------------------------------------------------------------- policy
     def maybe_rebalance(self, rt: Runtime) -> EpisodeOutcome:
-        """Observe the detector, publish its state, then gate as usual."""
+        """Observe the detector, tick the pool, publish, then gate as usual."""
         self.detector.observe(
             rt.now, self.handle.state.machine_peak_utilization_view()
         )
+        if self.pool is not None:
+            self.pool.tick()
         o = obs.current()
         o.metrics.gauge("controller.ewma_peak").set(self.detector.ewma_peak)
         o.metrics.gauge("controller.slope").set(self.detector.slope)
@@ -228,64 +213,12 @@ class IncrementalRebalanceController(RebalanceController):
         return super().maybe_rebalance(rt)
 
     def _policy_fires(self, peak: float) -> bool:
-        fire = self.detector.should_trigger()
-        if self.pool is not None and self.pool_manager is not None:
-            # The pool policy is a second trigger: a round must also run
-            # when the loan should grow (overload) or shrink (release) —
-            # releases in particular happen when the detector is quiet.
-            self._decision = self.pool_manager.check(
-                peak=peak, available=self.pool.size
-            )
-            fire = fire or self._decision.borrow > 0 or self._decision.release > 0
-            if not fire:
-                self._decision = None  # round not taken; don't reuse it later
-        return fire
-
-    # ---------------------------------------------------------------- episode
-    def _open_episode(self, current: ClusterState) -> tuple[ClusterState, ExchangeLedger]:
-        if self.pool is None or self.pool_manager is None:
-            return super()._open_episode(current)
-        if self._decision is None:
-            # Direct rebalance_now call (no gated check preceded it).
-            self._decision = self.pool_manager.check(
-                peak=current.peak_utilization(), available=self.pool.size
-            )
-        decision = self._decision
-        self._lent = self.pool.lend(decision.borrow) if decision.borrow else []
-        # Borrowed machines become ordinary fleet members until the
-        # policy releases them: nothing is owed at this settlement.
-        # A release round borrows nothing and owes `release` vacancies,
-        # which settle_fleet hands back to the pool via _on_settled.
-        return ExchangeLedger.borrow(
-            current, self._lent, required_returns=decision.release
-        )
-
-    def _solve(self, grown: ClusterState, ledger: ExchangeLedger) -> Any:
-        if self.location is not None and self.execution == "simulated":
-            warm = np.asarray(self.location, dtype=np.int64).copy()
-        else:
-            warm = grown.assignment
-        return self.rebalancer.rebalance(grown, ledger, warm_start=warm)
-
-    def _on_infeasible(self, ledger: ExchangeLedger) -> None:
-        if self.pool is None or self.pool_manager is None:
-            return
-        # The loan never joined the fleet: hand it straight back.
-        if self._lent:
-            self.pool.accept(self._lent)
-        assert self._decision is not None
-        self.pool_manager.note(self._decision, borrowed=0, released=0)
-        self._lent = []
-        self._decision = None
-
-    def _on_settled(self, settlement: Any, returned: List[Any]) -> None:
-        if self.pool is None or self.pool_manager is None:
-            return
-        if returned:
-            self.pool.accept(returned)
-        assert self._decision is not None
-        self.pool_manager.note(
-            self._decision, borrowed=len(self._lent), released=len(returned)
-        )
-        self._lent = []
-        self._decision = None
+        if self.detector.should_trigger():
+            return True
+        # The pool policy is a second trigger: a round must also run
+        # when the loan should grow (overload) or shrink (release) —
+        # releases in particular happen when the detector is quiet.
+        if self.pool is None:
+            return False
+        decision = self.pool.decide(peak)
+        return decision.borrow > 0 or decision.release > 0

@@ -3,10 +3,11 @@
 :class:`DriftProcess` applies a drift model at epoch boundaries on the
 shared clock.  :class:`RebalanceController` watches the cluster's peak
 utilization and, per policy, runs an SRA episode — either
-*instantaneously* (the legacy ``OnlineSimulator`` contract, preserved
-bit-for-bit by the facade) or *simulated*, where the resulting plan is
-handed to a :class:`~repro.runtime.migration.MigrationExecutor` and
-executed wave-by-wave while queries keep arriving.
+*instantaneously* through :func:`repro.pool.exchange_episode` (the
+legacy ``OnlineSimulator`` contract, preserved bit-for-bit by the
+facade) or *simulated*, where the resulting plan is handed to a
+:class:`~repro.runtime.migration.MigrationExecutor` and executed
+wave-by-wave while queries keep arriving.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import numpy as np
 
 from repro import obs
 from repro._validation import check_in, check_non_negative, check_positive
-from repro.cluster import ClusterState, ExchangeLedger, settle_fleet
+from repro.cluster import ClusterState, ExchangeLedger
 from repro.migration.costmodel import BandwidthModel
+from repro.pool import MachinePool, exchange_episode
 from repro.runtime.kernel import Runtime
 from repro.runtime.machines import ServingFleet
 from repro.runtime.migration import MigrationExecutor
@@ -128,7 +130,9 @@ class RebalanceController:
     exchange_budget:
         Machines borrowed per instantaneous episode (returned at its
         settlement).  Simulated execution requires a budget of 0: the
-        serving fleet cannot grow mid-run (yet).
+        serving fleet cannot grow mid-run (yet).  An instantaneous
+        episode runs through :func:`repro.pool.exchange_episode`, which
+        settles the fleet or, on an infeasible solve, leaves it as is.
     execution:
         ``"instant"`` applies the settled state at the decision instant
         (the legacy epoch-loop semantics); ``"simulated"`` executes the
@@ -149,6 +153,13 @@ class RebalanceController:
         executing, nor immediately after it lands while the fleet is
         still absorbing the moves.
     """
+
+    #: Loaner source of instantaneous episodes.  ``None`` borrows
+    #: ``exchange_budget`` fresh machines per episode; a pool-sized
+    #: controller (:class:`~repro.runtime.IncrementalRebalanceController`)
+    #: sets its :class:`~repro.pool.MachinePool` and borrows what the
+    #: pool's sizing policy decides.
+    pool: Optional[MachinePool] = None
 
     def __init__(
         self,
@@ -254,26 +265,36 @@ class RebalanceController:
         return self.rebalance_now(rt, peak_before=peak)
 
     # ---------------------------------------------------------------- episode
-    def _open_episode(self, current: ClusterState) -> tuple[ClusterState, ExchangeLedger]:
-        """Borrow for one episode (subclass hook: pool-sized loans)."""
-        return ExchangeLedger.borrow(
-            current, make_exchange_machines(current, self.exchange_budget)
-        )
-
-    def _solve(self, grown: ClusterState, ledger: ExchangeLedger) -> Any:
-        """Run the rebalancer (subclass hook: warm-started solves)."""
-        return self.rebalancer.rebalance(grown, ledger)
-
-    def _on_infeasible(self, ledger: ExchangeLedger) -> None:
-        """Subclass hook: undo episode borrowing after an infeasible solve."""
-
-    def _on_settled(self, settlement: Any, returned: List[Any]) -> None:
-        """Subclass hook: route instantly-settled returns (e.g. to a pool)."""
-
     def rebalance_now(self, rt: Runtime, *, peak_before: float) -> EpisodeOutcome:
         current = self.handle.state
-        grown, ledger = self._open_episode(current)
-        result = self._solve(grown, ledger)
+        if self.execution == "instant":
+            pool = self.pool
+            if pool is None:
+                settled, result = exchange_episode(
+                    current,
+                    self.rebalancer,
+                    make_exchange_machines(current, self.exchange_budget),
+                )
+            else:
+                # A standing loan: borrowed machines join the fleet with
+                # nothing owed on them; a release round owes `release`
+                # vacancies back to the pool.
+                decision = pool.decide(peak_before)
+                settled, result = exchange_episode(
+                    current,
+                    self.rebalancer,
+                    pool.lend(decision.borrow),
+                    pool=pool,
+                    required_returns=decision.release,
+                    label=decision.reason,
+                )
+            if result.feasible:
+                self.handle.state = settled
+        else:
+            grown, ledger = ExchangeLedger.borrow(
+                current, make_exchange_machines(current, self.exchange_budget)
+            )
+            result = self.rebalancer.rebalance(grown, ledger)
         record: Dict[str, Any] = {
             "time": rt.now,
             "peak_before": peak_before,
@@ -294,14 +315,8 @@ class RebalanceController:
                 feasible=bool(result.feasible),
             )
         if not result.feasible:
-            self._on_infeasible(ledger)
             return EpisodeOutcome(attempted=True, feasible=False)
         if self.execution == "instant":
-            final = grown.copy()
-            final.apply_assignment(result.target_assignment)
-            settled, settlement, returned = settle_fleet(final, ledger)
-            self.handle.state = settled
-            self._on_settled(settlement, returned)
             moved_bytes = (
                 result.plan.schedule.total_bytes() if result.plan else 0.0
             )

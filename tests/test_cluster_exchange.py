@@ -50,6 +50,11 @@ class TestBorrow:
         with pytest.raises(ValueError, match="required_returns"):
             ExchangeLedger.borrow(base_state(), borrowable(1), required_returns=-1)
 
+    @pytest.mark.parametrize("policy", ["Count", "bogus", ""])
+    def test_unknown_return_policy_rejected(self, policy):
+        with pytest.raises(ValueError, match="policy"):
+            ExchangeLedger.borrow(base_state(), borrowable(1), policy=policy)
+
     def test_borrowed_capacity(self):
         _, ledger = ExchangeLedger.borrow(base_state(), borrowable(2, cap=7.0))
         np.testing.assert_allclose(ledger.borrowed_capacity(), 14.0)

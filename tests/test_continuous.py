@@ -15,6 +15,8 @@ The load-bearing contracts of the incremental controller stack:
   hysteresis window, and releases when quiet.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,18 +26,15 @@ from repro.algorithms import (
     AlnsConfig,
     BudgetLocalityBias,
     MigrationBudget,
+    NoopRebalancer,
     SRA,
     SRAConfig,
     random_removal,
 )
 from repro.algorithms.objective import Objective
-from repro.cluster import (
-    ExchangeLedger,
-    ExchangePoolManager,
-    PoolSizingPolicy,
-)
+from repro.cluster import ExchangeLedger
 from repro.online import PopularityDrift
-from repro.pool import MachinePool
+from repro.pool import MachinePool, PoolSizingPolicy
 from repro.runtime import (
     ClusterHandle,
     DriftDetectorConfig,
@@ -327,24 +326,6 @@ class TestPoolSizingPolicy:
         assert p.decide(peak=0.85, on_loan=1, available=5, rounds_held=9).release == 0
 
 
-class TestExchangePoolManager:
-    def test_machine_rounds_integrate_standing_loan(self):
-        mgr = ExchangePoolManager(PoolSizingPolicy(borrow_above=0.9, min_hold_rounds=1))
-        d = mgr.check(peak=1.0, available=4)
-        assert d.borrow > 0
-        mgr.note(d, borrowed=2, released=0)
-        mgr.check(peak=0.85, available=2)
-        mgr.check(peak=0.85, available=2)
-        assert mgr.on_loan == 2
-        assert mgr.machine_rounds == 4  # 2 loaned machines held over 2 checks
-
-    def test_note_rejects_over_release(self):
-        mgr = ExchangePoolManager()
-        d = mgr.check(peak=0.5, available=0)
-        with pytest.raises(ValueError):
-            mgr.note(d, borrowed=0, released=1)
-
-
 # --------------------------------------------------------------------------
 # Controller behaviour on the event runtime
 
@@ -366,6 +347,37 @@ def _simulated_controller(state, handle, *, cls=RebalanceController, **kwargs):
         location=location,
         **kwargs,
     )
+
+
+def _pool_sized_run(state, **kwargs):
+    """A drifting cluster whose incremental controller sizes a 4-machine
+    pool loan, checked every 15 s for 480 s (not yet run)."""
+    handle = ClusterHandle(state)
+    pool = MachinePool(
+        make_exchange_machines(state, 4),
+        sizing=PoolSizingPolicy(borrow_above=0.85, release_below=0.75),
+    )
+    rt = Runtime()
+    rt.add(
+        DriftProcess(
+            handle,
+            PopularityDrift(drift=0.3, target_utilization=0.75, seed=9),
+            epochs=8,
+            epoch_length=60.0,
+        )
+    )
+    ctrl = IncrementalRebalanceController(
+        handle,
+        quick_sra(iterations=200),
+        detector_config=DriftDetectorConfig(hot_threshold=0.85),
+        pool=pool,
+        execution="instant",
+        check_interval=15.0,
+        horizon=480.0,
+        **kwargs,
+    )
+    rt.add(ctrl)
+    return rt, handle, ctrl, pool
 
 
 class TestCooldown:
@@ -494,38 +506,57 @@ class TestIncrementalController:
 
     def test_pool_borrow_hold_release_cycle(self):
         state = _drift_instance()
-        handle = ClusterHandle(state)
-        pool = MachinePool(make_exchange_machines(state, 4))
-        rt = Runtime()
-        rt.add(
-            DriftProcess(
-                handle,
-                PopularityDrift(drift=0.3, target_utilization=0.75, seed=9),
-                epochs=8,
-                epoch_length=60.0,
-            )
-        )
-        ctrl = IncrementalRebalanceController(
-            handle,
-            quick_sra(iterations=200),
-            detector_config=DriftDetectorConfig(hot_threshold=0.85),
-            pool=pool,
-            pool_policy=PoolSizingPolicy(borrow_above=0.85, release_below=0.75),
-            execution="instant",
-            check_interval=15.0,
-            horizon=480.0,
-        )
-        rt.add(ctrl)
+        rt, handle, ctrl, pool = _pool_sized_run(state)
         rt.run()
-        mgr = ctrl.pool_manager
-        assert mgr is not None
-        borrowed = sum(h["borrowed"] for h in mgr.history)
-        released = sum(h["released"] for h in mgr.history)
+        borrowed = sum(ep.lent for ep in pool.history if ep.feasible)
+        released = sum(ep.returned for ep in pool.history if ep.feasible)
         assert borrowed > 0, "pool was never tapped under drift pressure"
         assert released > 0, "loan was never released on a quiet cluster"
-        assert mgr.on_loan == borrowed - released
-        assert pool.size + mgr.on_loan == 4
-        assert handle.state.num_machines == state.num_machines + mgr.on_loan
+        assert pool.on_loan == borrowed - released
+        assert pool.size + pool.on_loan == 4
+        assert handle.state.num_machines == state.num_machines + pool.on_loan
+
+    def test_pool_ticks_every_control_check(self):
+        # Cooldown suppresses most checks; the loan still ages and is
+        # still charged in machine_rounds on every one of them.
+        rt, handle, ctrl, pool = _pool_sized_run(_drift_instance(), cooldown=45.0)
+        loans = []
+        check = ctrl.maybe_rebalance
+
+        def counted(rt):
+            loans.append(pool.on_loan)
+            return check(rt)
+
+        ctrl.maybe_rebalance = counted
+        rt.run()
+        assert len(loans) == 32
+        assert len(ctrl.episodes) < len(loans), "cooldown never suppressed a check"
+        assert sum(loans) > 0
+        assert pool.machine_rounds == sum(loans)
+
+    def test_infeasible_round_hands_loan_back(self):
+        class Infeasible(NoopRebalancer):
+            def rebalance(self, state, ledger=None):
+                return replace(super().rebalance(state, ledger), feasible=False)
+
+        state = _drift_instance(hotspot_shift=0.5)
+        handle = ClusterHandle(state)
+        pool = MachinePool(
+            make_exchange_machines(state, 4),
+            sizing=PoolSizingPolicy(borrow_above=0.5, release_below=0.4),
+        )
+        caps_before = pool.total_capacity()
+        ctrl = IncrementalRebalanceController(
+            handle, Infeasible(), pool=pool, execution="instant"
+        )
+        outcome = ctrl.maybe_rebalance(Runtime())
+        assert outcome.attempted and not outcome.feasible
+        assert pool.size == 4 and pool.on_loan == 0
+        np.testing.assert_array_equal(pool.total_capacity(), caps_before)
+        assert handle.state is state
+        assert len(pool.history) == 1
+        row = pool.history[0]
+        assert not row.feasible and row.lent == row.returned > 0
 
     def test_pool_requires_instant_execution(self):
         state = _drift_instance()

@@ -84,6 +84,10 @@ class TestFacade:
         with pytest.raises(ValueError, match="required_returns"):
             ResourceExchangeRebalancer(required_returns=-1)
 
+    def test_unknown_return_policy_rejected(self, state):
+        with pytest.raises(ValueError, match="return_policy"):
+            ResourceExchangeRebalancer(exchange_machines=1, return_policy="Count")
+
     def test_migration_summary_consistent(self, state):
         report = ResourceExchangeRebalancer(quick_sra()).run(state)
         changed = int(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.algorithms import AlnsConfig, NoopRebalancer, SRA, SRAConfig
 from repro.cluster import Machine
-from repro.pool import MachinePool, rebalance_with_pool
+from repro.pool import MachinePool, PoolSizingPolicy, exchange_episode
 from repro.workloads import SyntheticConfig, generate, make_exchange_machines
 
 
@@ -24,6 +24,11 @@ def tight_state(seed=0):
 
 def quick_sra(iterations=300, seed=1):
     return SRA(SRAConfig(alns=AlnsConfig(iterations=iterations, seed=seed)))
+
+
+def run_episode(pool, state, rebalancer, *, budget, **kwargs):
+    """Lend *budget* machines from *pool* and run one exchange episode."""
+    return exchange_episode(state, rebalancer, pool.lend(budget), pool=pool, **kwargs)
 
 
 class TestMachinePool:
@@ -62,7 +67,7 @@ class TestRebalanceWithPool:
     def test_pool_size_conserved_on_success(self):
         state = tight_state()
         pool = MachinePool(make_exchange_machines(state, 4))
-        slim, result = rebalance_with_pool(pool, state, quick_sra(), budget=2)
+        slim, result = run_episode(pool, state, quick_sra(), budget=2)
         assert result.feasible
         assert pool.size == 4
         assert slim.num_machines == state.num_machines
@@ -73,7 +78,7 @@ class TestRebalanceWithPool:
         before = {id(m) for m in make_exchange_machines(state, 4)}
         pool = MachinePool(make_exchange_machines(state, 4))
         initial_caps = sorted(float(m.capacity.sum()) for m in pool.inventory())
-        rebalance_with_pool(pool, state, quick_sra(600), budget=2)
+        run_episode(pool, state, quick_sra(600), budget=2)
         episode = pool.history[-1]
         if episode.exchanged > 0:
             # Returned machines came from the cluster: composition changed.
@@ -83,27 +88,42 @@ class TestRebalanceWithPool:
             assert episode.returned == 2
 
     def test_infeasible_episode_restores_pool(self):
-        # A rebalancer that proposes nothing cannot satisfy R=budget>0
-        # vacancies on a fully packed cluster -> infeasible episode.
+        # Owing one vacancy more than the loan on a fully packed cluster
+        # cannot be met by a rebalancer that proposes nothing.
+        state = tight_state()
+        assert state.vacant_machines().size == 0
+        pool = MachinePool(make_exchange_machines(state, 2))
+        caps_before = pool.total_capacity()
+        assignment = state.assignment.copy()
+
+        slim, result = run_episode(
+            pool, state, NoopRebalancer(), budget=2, required_returns=3
+        )
+        assert not result.feasible
+        assert pool.size == 2
+        np.testing.assert_array_equal(pool.total_capacity(), caps_before)
+        assert pool.on_loan == 0
+        np.testing.assert_array_equal(state.assignment, assignment)
+        assert slim.num_machines == state.num_machines
+        np.testing.assert_array_equal(slim.assignment, assignment)
+        assert len(pool.history) == 1
+        row = pool.history[0]
+        assert not row.feasible
+        assert row.lent == row.returned == 2 and row.exchanged == 0
+
+    def test_return_policy_validated(self):
         state = tight_state()
         pool = MachinePool(make_exchange_machines(state, 2))
-
-        class Stubborn(NoopRebalancer):
-            pass
-
-        slim, result = rebalance_with_pool(pool, state, Stubborn(), budget=2)
-        # Noop keeps borrowed machines vacant: contract satisfiable, so it
-        # is actually feasible — returned machines are the lent ones.
-        assert pool.size == 2
-        np.testing.assert_array_equal(slim.assignment, state.assignment)
+        with pytest.raises(ValueError, match="policy"):
+            run_episode(pool, state, NoopRebalancer(), budget=2, policy="bogus")
 
     def test_history_recorded(self):
         state = tight_state()
         pool = MachinePool(make_exchange_machines(state, 2))
-        rebalance_with_pool(pool, state, quick_sra(), budget=1, label="prod-7")
+        run_episode(pool, state, quick_sra(), budget=1, label="prod-7")
         assert len(pool.history) == 1
         ep = pool.history[0]
-        assert ep.cluster_label == "prod-7"
+        assert ep.label == "prod-7"
         assert ep.lent == 1
         assert ep.pool_size_after == 2
 
@@ -111,9 +131,39 @@ class TestRebalanceWithPool:
         pool = MachinePool(make_exchange_machines(tight_state(), 3))
         for seed in (0, 1, 2):
             state = tight_state(seed)
-            slim, result = rebalance_with_pool(
+            slim, result = run_episode(
                 pool, state, quick_sra(seed=seed), budget=2, label=f"c{seed}"
             )
             assert pool.size == 3  # conserved after every episode
         assert len(pool.history) == 3
         assert all(ep.feasible for ep in pool.history)
+
+
+class TestPoolClock:
+    def test_machine_rounds_integrate_standing_loan(self):
+        state = tight_state()
+        pool = MachinePool(
+            make_exchange_machines(state, 4),
+            sizing=PoolSizingPolicy(borrow_above=0.9, min_hold_rounds=1),
+        )
+        pool.tick()
+        d = pool.decide(1.0)
+        assert d.borrow > 0
+        run_episode(pool, state, NoopRebalancer(), budget=2, required_returns=0)
+        assert pool.rounds_held == 0  # the loan changed
+        pool.tick()
+        pool.tick()
+        assert pool.on_loan == 2
+        assert pool.machine_rounds == 4  # 2 loaned machines held over 2 checks
+        assert pool.rounds_held == 2
+
+    def test_on_loan_counts_lent_minus_returned(self):
+        state = tight_state()
+        pool = MachinePool(make_exchange_machines(state, 3))
+        grown, _ = run_episode(
+            pool, state, NoopRebalancer(), budget=3, required_returns=0
+        )
+        assert pool.on_loan == 3 and pool.size == 0
+        # A release round: nothing lent, one vacancy owed back.
+        exchange_episode(grown, NoopRebalancer(), [], pool=pool, required_returns=1)
+        assert pool.on_loan == 2 and pool.size == 1
