@@ -3,8 +3,9 @@
 
 Times the operations the delta-evaluated ALNS loop leans on: single
 mutations inside/outside a transaction, begin/commit/rollback in both
-journal modes, vectorized bulk unassignment, and the lazy peak-cache
-refresh.  Run directly; prints one line per primitive.
+journal modes (forced by moving ``_SNAPSHOT_ELEMENT_LIMIT``, the size
+crossover ``begin()`` reads), vectorized bulk unassignment, and the lazy
+peak-cache refresh.  Run directly; prints one line per primitive.
 """
 
 from __future__ import annotations
@@ -17,7 +18,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 import numpy as np  # noqa: E402
 
+import repro.cluster.state as state_module  # noqa: E402
 from repro.workloads import scaling_suite  # noqa: E402
+
+#: ``_SNAPSHOT_ELEMENT_LIMIT`` values forcing each transaction mode.
+MODE_LIMITS = {"snapshot": 2**62, "journal": -1}
+
+
+def begin_in(state, mode: str) -> None:
+    """Open a transaction in *mode* regardless of the state's size."""
+    default = state_module._SNAPSHOT_ELEMENT_LIMIT
+    state_module._SNAPSHOT_ELEMENT_LIMIT = MODE_LIMITS[mode]
+    try:
+        state.begin()
+    finally:
+        state_module._SNAPSHOT_ELEMENT_LIMIT = default
 
 
 def bench(label: str, func, n: int = 2000) -> None:
@@ -45,7 +60,7 @@ def main() -> None:
 
         def txn_noop(mode):
             def run():
-                state.begin(mode=mode)
+                begin_in(state, mode)
                 state.rollback()
 
             return run
@@ -55,7 +70,7 @@ def main() -> None:
 
         def txn_moves(mode):
             def run():
-                state.begin(mode=mode)
+                begin_in(state, mode)
                 state.move(shard, machines[0])
                 state.move(shard, machines[1])
                 state.rollback()

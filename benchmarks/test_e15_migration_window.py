@@ -1,11 +1,10 @@
 """E15 — latency through the migration window (extension).
 
-Shape claims: migration derates serving while it runs; the final
-placement improves the tail substantially; the move-frugal λ produces
-fewer moves and a shorter window than the balance-greedy λ.  The
-time-resolved rows add: queries arriving inside the migration window
-see a worse p99 than queries outside it, and the per-wave rows tile
-the window.
+Shape claims: queries arriving inside the migration window see a worse
+p99 than queries outside it, and the per-wave rows tile the window; the
+final placement improves the steady-state tail substantially; the
+move-frugal λ produces fewer moves, a shorter window and a better window
+tail than the balance-greedy λ.
 """
 
 from collections import defaultdict
@@ -17,19 +16,18 @@ def test_e15_migration_window(benchmark, save_table):
     rows = benchmark.pedantic(
         REGISTRY["e15"], kwargs={"fast": not is_full_run()}, rounds=1, iterations=1
     )
-    save_table("e15", rows, "E15 — serving latency before/during/after migration")
+    save_table("e15", rows, "E15 — serving latency around a migration (steady + timeline)")
 
-    static = [r for r in rows if r["mode"] == "static"]
+    steady = [r for r in rows if r["mode"] == "steady"]
     timeline = [r for r in rows if r["mode"] == "timeline"]
-    assert len(static) + len(timeline) == len(rows)
+    assert len(steady) + len(timeline) == len(rows)
 
     by_variant = defaultdict(dict)
-    for r in static:
+    for r in steady:
         by_variant[r["variant"]][r["phase"]] = r
     assert len(by_variant) == 2
     for variant, phases in by_variant.items():
-        assert set(phases) == {"before", "during", "after"}
-        assert phases["during"]["p99_ms"] >= phases["before"]["p99_ms"] - 1e-6, variant
+        assert set(phases) == {"before", "after"}
         assert phases["after"]["p99_ms"] < phases["before"]["p99_ms"], variant
         assert phases["before"]["window_s"] > 0
 
@@ -52,3 +50,8 @@ def test_e15_migration_window(benchmark, save_table):
         ), variant
         # The event-resolved claim: the migration window hurts the tail.
         assert phases["window"]["p99_ms"] > phases["outside"]["p99_ms"], variant
+    # The frugal λ softens the window penalty.
+    assert (
+        tl_by_variant["move-frugal λ=0.30"]["window"]["p99_ms"]
+        < tl_by_variant["balance-greedy λ=0.002"]["window"]["p99_ms"]
+    )

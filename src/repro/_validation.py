@@ -7,12 +7,14 @@ surface at the API boundary rather than deep inside vectorized kernels.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = [
     "check_positive",
+    "check_int",
     "check_non_negative",
     "check_fraction",
     "check_in",
@@ -25,6 +27,15 @@ def check_positive(name: str, value: float) -> float:
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
+
+
+def check_int(name: str, value: Any) -> int:
+    """Return *value* as an ``int`` if it is an integer (numpy integers
+    included, via ``operator.index``), else raise ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_non_negative(name: str, value: float) -> float:

@@ -21,7 +21,6 @@ from repro.algorithms.lns import AlnsConfig, AlnsEngine, AlnsOutcome
 from repro.algorithms.objective import Objective, ObjectiveWeights
 from repro.algorithms.repair import (
     DEFAULT_REPAIR_OPS,
-    Regret2Insertion,
     greedy_best_fit,
     regret2_insertion,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "exchange_swap_removal",
     "DEFAULT_DESTROY_OPS",
     "greedy_best_fit",
-    "Regret2Insertion",
     "regret2_insertion",
     "DEFAULT_REPAIR_OPS",
 ]

@@ -1,11 +1,14 @@
 """Generic adaptive large neighborhood search (ALNS) engine.
 
 Ropke & Pisinger-style ALNS: at each iteration a (destroy, repair) pair
-is drawn by roulette wheel over adaptive weights, applied to a copy-free
-working state, and the candidate is accepted by a simulated-annealing
+is drawn by roulette wheel over adaptive weights, applied to the
+incumbent inside a ``ClusterState`` transaction, and the candidate is
+accepted (commit) or rejected (bitwise rollback) by a simulated-annealing
 criterion.  Operator weights are refreshed every ``segment_length``
 iterations from the scores the operators earned (new global best >
-improvement > accepted).
+improvement > accepted).  The copy-based loop this replaced is kept as
+a test oracle (``tests/oracles/copy_engine.py``); the parity tests pin
+the two to one trajectory per seed.
 
 The engine is algorithm-agnostic: SRA supplies the operators, objective
 and the *best filter* (the hook that enforces migration schedulability
@@ -18,12 +21,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro._validation import check_fraction, check_positive
+from repro._validation import check_fraction, check_int, check_positive
 from repro.cluster import ClusterState
 from repro.algorithms.destroy import DestroyOperator
 from repro.algorithms.repair import RepairOperator
@@ -57,10 +60,6 @@ class IncumbentChannel(Protocol):
         """A strictly better foreign incumbent, or None."""
         ...
 
-#: Either operator protocol — ``AlnsEngine._bind`` preserves the kind.
-_OpT = TypeVar("_OpT", DestroyOperator, RepairOperator)
-
-
 @dataclass(frozen=True)
 class AlnsConfig:
     """ALNS hyper-parameters.
@@ -88,13 +87,6 @@ class AlnsConfig:
         current / being accepted.
     seed:
         RNG seed.
-    n_workers:
-        Worker processes available to the surrounding restart/portfolio
-        layer (``repro.parallel``).  The ALNS inner loop itself is
-        inherently sequential (simulated annealing over one trajectory);
-        this knob sizes the pool that restart fan-outs
-        (``SRAConfig.restarts``, CLI ``--restarts/--workers``) schedule
-        onto.  1 (the default) is today's serial path.
     """
 
     iterations: int = 2500
@@ -114,40 +106,24 @@ class AlnsConfig:
     score_improve: float = 4.0
     score_accept: float = 1.0
     seed: int = 0
-    n_workers: int = 1
     #: Record the incumbent objective after every iteration.  Disable on
     #: long runs where only the final outcome matters.
     collect_history: bool = True
-    #: Run destroy/repair inside a ClusterState transaction and roll back
-    #: rejected candidates, instead of copying the whole state every
-    #: iteration.  Same trajectory either way (the transaction restores
-    #: rejected states bitwise); False keeps the copy-based loop as a
-    #: reference implementation.
-    delta_evaluation: bool = True
-    #: Largest machine count for which regret-2 re-partitions the full
-    #: active score rows after every insertion; above it the pruned
-    #: top-list path runs.  Both paths yield bitwise-identical
-    #: trajectories (see repro.algorithms.repair), so this is purely a
-    #: performance crossover.  Operators exposing a ``bind`` hook
-    #: (``Regret2Insertion``) receive this config at engine construction.
-    regret2_exact_max: int = 128
 
     def __post_init__(self) -> None:
-        check_positive("iterations", self.iterations)
+        check_positive("iterations", check_int("iterations", self.iterations))
         if self.time_limit is not None:
             check_positive("time_limit", self.time_limit)
         check_fraction("removal_fraction_min", self.removal_fraction_min)
         check_fraction("removal_fraction_max", self.removal_fraction_max)
         if self.removal_fraction_min > self.removal_fraction_max:
             raise ValueError("removal_fraction_min must be <= removal_fraction_max")
-        check_positive("removal_cap", self.removal_cap)
+        check_positive("removal_cap", check_int("removal_cap", self.removal_cap))
         check_positive("start_temperature_ratio", self.start_temperature_ratio)
         if not 0.0 < self.cooling <= 1.0:
             raise ValueError(f"cooling must be in (0, 1], got {self.cooling}")
-        check_positive("segment_length", self.segment_length)
+        check_positive("segment_length", check_int("segment_length", self.segment_length))
         check_fraction("reaction", self.reaction)
-        check_positive("n_workers", self.n_workers)
-        check_positive("regret2_exact_max", self.regret2_exact_max)
 
 
 @dataclass
@@ -183,18 +159,8 @@ class AlnsEngine:
         if not destroy_ops or not repair_ops:
             raise ValueError("need at least one destroy and one repair operator")
         self.config = config
-        # Operators exposing a ``bind(config)`` hook are resolved against
-        # this engine's config (e.g. Regret2Insertion picks up
-        # regret2_exact_max); plain callables pass through untouched.
-        self.destroy_ops = [self._bind(op) for op in destroy_ops]
-        self.repair_ops = [self._bind(op) for op in repair_ops]
-
-    def _bind(self, op: _OpT) -> _OpT:
-        bind = getattr(op, "bind", None)
-        if bind is None:
-            return op
-        bound: _OpT = bind(self.config)
-        return bound
+        self.destroy_ops = list(destroy_ops)
+        self.repair_ops = list(repair_ops)
 
     def run(
         self,
@@ -261,7 +227,6 @@ class AlnsEngine:
         vetoed = 0
         started = time.perf_counter()  # repro: allow-wall-clock (runtime reporting)
         it = 0
-        use_delta = cfg.delta_evaluation
 
         published = 0
         adopted = 0
@@ -279,7 +244,7 @@ class AlnsEngine:
                     cfg, rng, current, objective, best_filter,
                     best_assignment, best_obj, cur_obj, temperature,
                     q_min, q_max, d_weights, r_weights, d_scores, r_scores,
-                    d_uses, r_uses, history, started, use_delta,
+                    d_uses, r_uses, history, started,
                     tracer, trace_on, exchange,
                 )
             finally:
@@ -341,7 +306,6 @@ class AlnsEngine:
         r_uses: np.ndarray,
         history: list[float],
         started: float,
-        use_delta: bool,
         tracer: obs.Tracer,
         trace_on: bool,
         exchange: IncumbentChannel | None = None,
@@ -379,58 +343,51 @@ class AlnsEngine:
             r_uses[ri] += 1
 
             q = int(rng.integers(q_min, q_max + 1))
-            if use_delta:
-                # Mutate the incumbent inside a transaction; a rejected
-                # candidate is rolled back bitwise instead of being a
-                # throwaway copy of the whole state.
-                candidate = current
-                candidate.begin()
-                try:
-                    removed = self.destroy_ops[di](candidate, rng, q)
-                    self.repair_ops[ri](candidate, rng, removed)
-                    cand_obj = float(objective(candidate))
-                except BaseException:
-                    candidate.rollback()
-                    raise
-            else:
-                candidate = current.copy()
+            # Mutate the incumbent inside a transaction; a rejected
+            # candidate is rolled back bitwise instead of being a
+            # throwaway copy of the whole state.  Until the accept
+            # decision, any exception (operator, objective, best filter)
+            # rolls the candidate back before propagating.
+            candidate = current
+            candidate.begin()
+            try:
                 removed = self.destroy_ops[di](candidate, rng, q)
                 self.repair_ops[ri](candidate, rng, removed)
                 cand_obj = float(objective(candidate))
 
-            score = 0.0
-            new_best = False
-            was_vetoed = False
-            if cand_obj < best_obj - 1e-12:
-                if best_filter is None or best_filter(candidate):
-                    best_assignment = candidate.assignment
-                    best_obj = cand_obj
-                    score = cfg.score_best
-                    new_best = True
-                    if exchange is not None:
-                        # Snapshot now: a rejected candidate's mask is
-                        # rolled back, but the recorded best keeps the
-                        # designee set it was feasible under.
-                        best_blocked = candidate.blocked_mask.copy()
-                else:
-                    vetoed += 1
-                    was_vetoed = True
-            if score == 0.0 and cand_obj < cur_obj - 1e-12:
-                score = cfg.score_improve
+                score = 0.0
+                new_best = False
+                was_vetoed = False
+                if cand_obj < best_obj - 1e-12:
+                    if best_filter is None or best_filter(candidate):
+                        best_assignment = candidate.assignment
+                        best_obj = cand_obj
+                        score = cfg.score_best
+                        new_best = True
+                        if exchange is not None:
+                            # Snapshot now: a rejected candidate's mask is
+                            # rolled back, but the recorded best keeps the
+                            # designee set it was feasible under.
+                            best_blocked = candidate.blocked_mask.copy()
+                    else:
+                        vetoed += 1
+                        was_vetoed = True
+                if score == 0.0 and cand_obj < cur_obj - 1e-12:
+                    score = cfg.score_improve
 
-            accept = cand_obj <= cur_obj or rng.random() < math.exp(
-                -(cand_obj - cur_obj) / max(temperature, 1e-12)
-            )
+                accept = cand_obj <= cur_obj or rng.random() < math.exp(
+                    -(cand_obj - cur_obj) / max(temperature, 1e-12)
+                )
+            except BaseException:
+                candidate.rollback()
+                raise
             if accept:
-                if use_delta:
-                    current.commit()
-                else:
-                    current = candidate
+                current.commit()
                 cur_obj = cand_obj
                 accepted += 1
                 if score == 0.0:
                     score = cfg.score_accept
-            elif use_delta:
+            else:
                 current.rollback()
             d_scores[di] += score
             r_scores[ri] += score

@@ -146,8 +146,8 @@ class IncrementalObjective:
     O(k·d + m + n) instead of O(m·d + n + replica groups) of Python-level
     work.  Every term is computed with element-wise arithmetic identical
     to :meth:`Objective.components`, so the two agree **bitwise** — the
-    delta-evaluated search walks the exact trajectory the copy-based
-    search walked.
+    delta-evaluated search walks the exact trajectory of the copy-based
+    reference loop (``tests/oracles/copy_engine.py``).
 
     Parameters
     ----------

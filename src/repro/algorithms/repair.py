@@ -11,11 +11,9 @@ replica sibling of the shard being scored.
 
 * :func:`greedy_best_fit` — insert largest-demand first, each on its
   best-scoring machine.
-* :data:`regret2_insertion` — classic regret-2: repeatedly insert the
+* :func:`regret2_insertion` — classic regret-2: repeatedly insert the
   shard whose best option beats its second-best by the most (the shard
-  that will suffer most if postponed).  An instance of
-  :class:`Regret2Insertion`, whose size gate is configurable via
-  ``AlnsConfig.regret2_exact_max``.
+  that will suffer most if postponed).
 
 Implementation notes (this is the hottest code in the library — see the
 "Delta evaluation contract" section of docs/ARCHITECTURE.md):
@@ -43,7 +41,7 @@ Implementation notes (this is the hottest code in the library — see the
   repair batch (``inf`` strike marks are re-applied from an explicit
   per-machine ledger) — the invariant the pruned path rests on.
 * Regret-2 re-ranks the pending shards after every insertion.  While
-  ``m <= regret2_exact_max`` this is one partition over the full active
+  ``m <= _EXACT_REGRET_MAX`` this is one partition over the full active
   rows (:func:`_regret2_exact`); above it, :func:`_regret2_pruned`
   maintains per-row lazy top-``_TOP_T`` candidate lists plus an
   incrementally-updated regret key and only re-partitions rows whose
@@ -53,25 +51,20 @@ Implementation notes (this is the hottest code in the library — see the
   identical trajectories** to the exact path — the gate is a pure
   performance crossover, not a behaviour switch.
 * Greedy and regret-2 (both paths) match the copy-based reference engine
-  bitwise, pinned by the fixed-seed engine tests, the hypothesis parity
-  property in tests/test_kernel_parity.py, and
-  ``tools/bench_alns.py --check``.
+  (``tests/oracles/copy_engine.py``) bitwise, pinned by the fixed-seed
+  engine tests and the parity properties in tests/test_kernel_parity.py.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.cluster import ClusterState
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (lns imports us)
-    from repro.algorithms.lns import AlnsConfig
-
 __all__ = [
     "RepairOperator",
-    "Regret2Insertion",
     "greedy_best_fit",
     "regret2_insertion",
     "DEFAULT_REPAIR_OPS",
@@ -80,10 +73,9 @@ __all__ = [
 #: Score penalty for a placement that overflows capacity.
 _OVERFLOW_PENALTY = 1e3
 
-#: Default largest machine count for which regret-2 re-partitions the
-#: full active score rows after every insertion; above it the pruned
-#: top-list path runs (same trajectories, better asymptotics).  The
-#: engine overrides this with ``AlnsConfig.regret2_exact_max``.
+#: Largest machine count for which regret-2 re-partitions the full
+#: active score rows after every insertion; above it the pruned top-list
+#: path runs (same trajectories, better asymptotics).
 _EXACT_REGRET_MAX = 128
 
 #: Per-row candidate-list width of the pruned regret-2 path.  Two would
@@ -446,56 +438,22 @@ def _regret2_pruned(state: ClusterState, removed: Sequence[int]) -> None:
             key[upd] = sub[keep, 1] - sub[keep, 0] + tie[upd]
 
 
-class Regret2Insertion:
-    """Regret-2 repair operator with a configurable exact-path size gate.
+def regret2_insertion(
+    state: ClusterState, rng: np.random.Generator, removed: Sequence[int]
+) -> None:
+    """Regret-2 insertion: place the shard with the largest regret first.
 
-    Below/at ``exact_max`` machines the full-row re-partition path runs
-    (:func:`_regret2_exact`); above it the pruned top-list path
-    (:func:`_regret2_pruned`).  The two produce bitwise-identical
-    trajectories, so the gate is purely a performance crossover.
-
-    ``exact_max=None`` (the default module-level :data:`regret2_insertion`
-    instance) defers to ``AlnsConfig.regret2_exact_max`` via the
-    engine's :meth:`bind` protocol, falling back to the module default
-    when used standalone.
+    Runs :func:`_regret2_exact` up to ``_EXACT_REGRET_MAX`` machines and
+    :func:`_regret2_pruned` above; the two produce bitwise-identical
+    placements, so the size gate is purely a performance crossover.
     """
+    if not removed:
+        return
+    if state.num_machines > _EXACT_REGRET_MAX:
+        _regret2_pruned(state, list(removed))
+    else:
+        _regret2_exact(state, list(removed))
 
-    # Class-level so every bound instance keeps the historical operator
-    # name — adaptive-weight keys and reports stay stable.
-    __name__ = "regret2_insertion"
-
-    def __init__(self, exact_max: int | None = None) -> None:
-        if exact_max is not None and exact_max < 1:
-            raise ValueError(f"regret-2 exact_max must be >= 1, got {exact_max}")
-        self.exact_max = exact_max
-
-    def bind(self, config: "AlnsConfig") -> "Regret2Insertion":
-        """Engine hook: resolve the size gate from the ALNS config.
-
-        An explicitly constructed gate wins over the config so tests and
-        power users can pin a path regardless of engine settings.
-        """
-        if self.exact_max is not None:
-            return self
-        return Regret2Insertion(config.regret2_exact_max)
-
-    def __call__(
-        self,
-        state: ClusterState,
-        rng: np.random.Generator,
-        removed: Sequence[int],
-    ) -> None:
-        if not removed:
-            return
-        gate = self.exact_max if self.exact_max is not None else _EXACT_REGRET_MAX
-        if state.num_machines > gate:
-            _regret2_pruned(state, list(removed))
-        else:
-            _regret2_exact(state, list(removed))
-
-
-#: Regret-2 insertion: place the shard with the largest regret first.
-regret2_insertion: Regret2Insertion = Regret2Insertion()
 
 #: Default operator portfolio of SRA.
 DEFAULT_REPAIR_OPS: tuple[RepairOperator, ...] = (greedy_best_fit, regret2_insertion)

@@ -99,7 +99,7 @@ class SRA(Rebalancer):
                     "seeds each restart from the published instance state"
                 )
             # Best-of-K independent restarts, fanned across the worker
-            # pool sized by alns.n_workers (see repro.parallel).
+            # pool sized by n_workers (see repro.parallel).
             from repro.parallel import run_sra_restarts
 
             report = run_sra_restarts(
@@ -107,7 +107,7 @@ class SRA(Rebalancer):
                 ledger,
                 config=cfg,
                 restarts=cfg.restarts,
-                n_workers=cfg.alns.n_workers,
+                n_workers=cfg.n_workers,
                 cooperative=cfg.cooperative,
                 exchange_period=cfg.exchange_period,
             )
@@ -200,7 +200,7 @@ class SRA(Rebalancer):
         ):
             outcome = engine.run(
                 work,
-                IncrementalObjective(objective, cross_check=cfg.debug_cross_check),
+                IncrementalObjective(objective),
                 best_filter=best_filter,
                 initial_is_valid_best=initial_valid,
                 exchange=self.exchange,

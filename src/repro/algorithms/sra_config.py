@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro._validation import check_int, check_positive
 from repro.algorithms.budget import MigrationBudget
 from repro.algorithms.lns import AlnsConfig
 from repro.algorithms.objective import ObjectiveWeights
@@ -39,7 +40,8 @@ class SRAConfig:
         respects blocked machines and is only kept when the polished
         state still passes the feasibility coupling.
     polish_steps:
-        Step budget of the polish phase.
+        Step budget of the polish phase (>= 1; ``polish=False`` turns
+        the phase off).
     restarts:
         Independent search restarts (best-of-K).  When > 1 the search is
         fanned out by ``repro.parallel.run_sra_restarts``: restart ``k``
@@ -60,12 +62,9 @@ class SRAConfig:
     seed:
         Convenience override for ``alns.seed``.
     n_workers:
-        Convenience override for ``alns.n_workers`` — the worker-pool
-        size restarts are scheduled onto (1 = serial, today's path).
-    debug_cross_check:
-        Re-derive every delta-evaluated objective from scratch and raise
-        on any mismatch (see the "Delta evaluation contract" section of
-        docs/ARCHITECTURE.md).  Slow; for tests and operator development.
+        Worker processes the restart fan-out is scheduled onto (CLI
+        ``--workers``; 1 = serial).  The ALNS loop itself is sequential,
+        so this only matters when ``restarts > 1``.
     migration_budget:
         Per-round churn allowance for incremental (continuous) episodes:
         caps the shards moved and/or bytes migrated relative to the
@@ -89,21 +88,17 @@ class SRAConfig:
     cooperative: bool = False
     exchange_period: int = 50
     seed: int | None = None
-    n_workers: int | None = None
-    debug_cross_check: bool = False
+    n_workers: int = 1
     migration_budget: MigrationBudget | None = None
 
     def __post_init__(self) -> None:
-        if self.max_hops_per_shard < 1:
+        if check_int("max_hops_per_shard", self.max_hops_per_shard) < 1:
             raise ValueError("max_hops_per_shard must be >= 1")
-        if self.restarts < 1:
+        check_positive("polish_steps", check_int("polish_steps", self.polish_steps))
+        if check_int("restarts", self.restarts) < 1:
             raise ValueError("restarts must be >= 1")
-        if self.exchange_period < 1:
+        if check_int("exchange_period", self.exchange_period) < 1:
             raise ValueError("exchange_period must be >= 1")
-        overrides = {}
+        check_positive("n_workers", check_int("n_workers", self.n_workers))
         if self.seed is not None:
-            overrides["seed"] = self.seed
-        if self.n_workers is not None:
-            overrides["n_workers"] = self.n_workers
-        if overrides:
-            object.__setattr__(self, "alns", replace(self.alns, **overrides))
+            object.__setattr__(self, "alns", replace(self.alns, seed=self.seed))

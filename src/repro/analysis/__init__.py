@@ -1,4 +1,4 @@
-"""repro.analysis — AST invariant linter and typing ratchet.
+"""repro.analysis — AST invariant linter.
 
 Zero-dependency static analysis for the invariants this reproduction's
 credibility rests on (docs/ARCHITECTURE.md, "Static analysis &
@@ -18,8 +18,7 @@ invariants"):
   wall-clock discipline, ClusterState mutation discipline (through
   mirror aliases too), span context-manager usage, unordered float
   folds, shared-memory lock discipline, transaction balance over all
-  paths;
-* a mypy strictness ratchet (:mod:`repro.analysis.typing_ratchet`).
+  paths.
 
 Entry points: ``repro lint`` and ``python -m repro.analysis``.
 """

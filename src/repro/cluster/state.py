@@ -52,7 +52,7 @@ __all__ = ["ClusterState", "UNASSIGNED"]
 #: (only ever observed transiently, inside destroy/repair cycles).
 UNASSIGNED: int = -1
 
-#: ``begin(mode="auto")`` picks the array-snapshot journal while
+#: :meth:`ClusterState.begin` picks the array-snapshot journal while
 #: ``n + m·d`` is at most this many elements, and the per-operation
 #: journal above it.  Snapshotting is a handful of ``memcpy`` calls and
 #: beats per-op recording until the arrays are large; the per-op journal
@@ -367,18 +367,15 @@ class ClusterState:
         return self._inv_cap_t
 
     # --------------------------------------------------------- transactions
-    def begin(self, mode: str = "auto") -> None:
+    def begin(self) -> None:
         """Open a transaction; every mutation until :meth:`commit` /
         :meth:`rollback` is undoable.
 
-        Parameters
-        ----------
-        mode:
-            ``"snapshot"`` copies the mutable arrays up front (O(n + m·d)
-            memcpy — fastest for small/medium clusters), ``"journal"``
-            records old values per touched shard/machine (O(moves·d) —
-            wins on large clusters where the arrays dwarf the move set),
-            ``"auto"`` picks by size.
+        Up to ``_SNAPSHOT_ELEMENT_LIMIT`` elements (``n + m·d``) the
+        frame copies the mutable arrays up front (memcpy — fastest for
+        small/medium clusters); above it, it records old values per
+        touched shard/machine (O(moves·d) — wins on large clusters where
+        the arrays dwarf the move set).
 
         Transactions do not nest, and :meth:`apply_assignment`,
         :meth:`set_offline`, and :meth:`copy` are forbidden while one is
@@ -386,17 +383,10 @@ class ClusterState:
         """
         if self._frame is not None:
             raise RuntimeError("transaction already open (nested begin())")
-        if mode == "auto":
-            snapshot = (
-                self.num_shards + self.num_machines * self.dims
-                <= _SNAPSHOT_ELEMENT_LIMIT
-            )
-        elif mode == "snapshot":
-            snapshot = True
-        elif mode == "journal":
-            snapshot = False
-        else:
-            raise ValueError(f"unknown journal mode {mode!r}")
+        snapshot = (
+            self.num_shards + self.num_machines * self.dims
+            <= _SNAPSHOT_ELEMENT_LIMIT
+        )
         self._frame = _Frame(self, snapshot)
 
     @property

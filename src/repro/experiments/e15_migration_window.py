@@ -3,17 +3,18 @@
 The move penalty λ of the objective exists because migrating is not
 free: during the window, transferring machines serve slower.  This
 experiment runs SRA at two λ settings (balance-greedy vs move-frugal)
-on the same engine-derived cluster and reports the three-phase latency
-(before / during / after) plus the window length.
+on the same engine-derived cluster and reports serving latency around
+the migration plus the window length.
 
-Claims: during-migration tail latency is worse than before; the final
-placement is much better; a larger λ shortens the window and softens the
-during-phase penalty at a small cost in final balance.
+Claims: queries arriving during the migration window see a worse tail
+than those outside it; the final placement is much better in steady
+state; a larger λ gives fewer moves, shortens the window and softens the
+window's tail at a small cost in final balance.
 
-Two views of the same question:
+Rows per variant:
 
-* ``mode="static"`` — the original three-phase runs with the window
-  derating averaged over the makespan;
+* ``mode="steady"`` — steady-state serving without a migration,
+  ``before`` on the initial placement and ``after`` on the final one;
 * ``mode="timeline"`` — one continuous run on the event runtime with the
   migration kicked off a quarter of the way in: per-wave latency rows
   (queries arriving while that wave's transfers are in flight) plus
@@ -34,7 +35,7 @@ from repro.simulate import (
     ServingConfig,
     WorkProfile,
     simulate_migration_timeline,
-    simulate_migration_window,
+    simulate_serving,
 )
 from repro.workloads import make_exchange_machines
 
@@ -88,24 +89,23 @@ def run(fast: bool = True, *, placement_seed: int = 7) -> list[dict]:
             )
         )
         result = sra.rebalance(grown, ledger)
-        report = simulate_migration_window(
-            grown,
-            result.target_assignment,
-            result.plan,
-            profile,
-            serving,
-            bandwidth=net,
-            transfer_overhead=0.3,
-            shard_to_engine_shard=list(range(num_shards)),
-        )
-        for phase_row in report.rows():
+        final = grown.copy()
+        final.apply_assignment(result.target_assignment)
+        makespan = net.cost(result.plan.schedule, grown.num_machines).makespan_seconds
+        for phase, placement in (("before", grown), ("after", final)):
+            rep = simulate_serving(placement, profile, list(range(num_shards)), serving)
             rows.append(
                 {
                     "variant": label,
-                    "mode": "static",
-                    **phase_row,
+                    "mode": "steady",
+                    "phase": phase,
+                    "p50_ms": 1e3 * rep.latency.p50,
+                    "p95_ms": 1e3 * rep.latency.p95,
+                    "p99_ms": 1e3 * rep.latency.p99,
+                    "mean_ms": 1e3 * rep.latency.mean,
+                    "peak_busy": rep.peak_busy_fraction,
                     "moves": result.num_moves,
-                    "window_s": report.makespan_seconds,
+                    "window_s": makespan,
                 }
             )
         timeline = simulate_migration_timeline(

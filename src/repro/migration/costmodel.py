@@ -54,7 +54,8 @@ class BandwidthModel:
         wave's duration is the fleet maximum of these (the wave is a
         barrier on its busiest NIC), so per-machine busy seconds never
         exceed the wave duration — the accounting ``cost`` and the
-        serving-derating models share.
+        wave executor's NIC derating
+        (:class:`repro.runtime.migration.MigrationExecutor`) share.
         """
         out_bytes = np.zeros(num_machines)
         in_bytes = np.zeros(num_machines)
@@ -62,13 +63,6 @@ class BandwidthModel:
             out_bytes[mv.src] += mv.bytes
             in_bytes[mv.dst] += mv.bytes
         return np.maximum(out_bytes, in_bytes) / self.bandwidth
-
-    def machine_busy_seconds(self, schedule: Schedule, num_machines: int) -> np.ndarray:
-        """(m,) total NIC-busy seconds per machine across all waves."""
-        seconds = np.zeros(num_machines)
-        for wave in schedule.waves:
-            seconds += self.machine_wave_seconds(wave, num_machines)
-        return seconds
 
     def wave_duration(self, wave, num_machines: int) -> float:
         """Duration of one wave: busiest NIC's transfer time."""

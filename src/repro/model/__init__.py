@@ -1,6 +1,5 @@
-"""The paper's linearly constrained IP model and exact solvers."""
+"""The paper's linearly constrained IP model and its exact solver."""
 
-from repro.model.branch_and_bound import BranchAndBoundSolver
 from repro.model.formulation import BuiltModel, ModelConfig, build_model
 from repro.model.solver import MilpResult, MilpSolver, lp_relaxation_bound
 
@@ -9,7 +8,6 @@ __all__ = [
     "BuiltModel",
     "build_model",
     "MilpSolver",
-    "BranchAndBoundSolver",
     "MilpResult",
     "lp_relaxation_bound",
 ]

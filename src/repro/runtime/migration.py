@@ -5,8 +5,8 @@ run concurrently; this module decides *when*.  Each wave occupies a
 simulated interval whose length comes from the
 :class:`~repro.migration.costmodel.BandwidthModel` (busiest endpoint
 NIC); while a machine's NIC is actively transferring it loses
-``transfer_overhead`` of its serving speed (the time-resolved version of
-the static average derating in :mod:`repro.simulate.migration_load`),
+``transfer_overhead`` of its serving speed (the only model of serving
+during a migration; :mod:`repro.simulate.migration_load` drives it),
 and every move's shard demand is held on **both** endpoints — the
 paper's transient resource constraint — from wave start until the wave
 completes, at which point sources release, the shard's serving location

@@ -1,7 +1,9 @@
-"""A self-contained branch-and-bound solver for the reassignment IP.
+"""Test oracle: a self-contained branch-and-bound solver for the
+reassignment IP.
 
-``scipy.optimize.milp`` (HiGHS) is the production backend; this module
-provides an independent, pure-Python branch-and-bound over the same
+``scipy.optimize.milp`` (HiGHS, :class:`repro.model.MilpSolver`) is the
+library's exact backend; this module provides an independent,
+pure-Python branch-and-bound over the same
 :class:`~repro.model.formulation.BuiltModel` matrices:
 
 * LP relaxations via ``scipy.optimize.linprog`` (HiGHS-LP) give node
@@ -11,11 +13,10 @@ provides an independent, pure-Python branch-and-bound over the same
 * every LP solution is also rounded into a candidate assignment and
   repaired to feasibility when possible, tightening the incumbent.
 
-It exists for two reasons: as a fallback exact backend with zero
-dependencies beyond LP, and as an executable specification of the model
-(the tests cross-check it against HiGHS on small instances — two
-independent solvers agreeing is strong evidence the matrices mean what
-DESIGN.md says they mean).
+It is an executable specification of the model: tests/test_branch_and_bound.py
+cross-checks it against HiGHS on small instances — two independent
+solvers agreeing is strong evidence the matrices mean what DESIGN.md
+says they mean.
 """
 
 from __future__ import annotations

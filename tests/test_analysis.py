@@ -1,4 +1,4 @@
-"""Tests for the repro.analysis invariant linter and typing ratchet.
+"""Tests for the repro.analysis invariant linter and the strict typing tier.
 
 Each rule gets fixture-driven positives *and* negatives (the negatives
 are what keep the linter honest — a rule that fires on the blessed
@@ -7,11 +7,9 @@ suppression grammar, the CLI front end and a self-check that the
 repository at HEAD lints clean.
 """
 
-import importlib.util
 import json
+import tomllib
 from pathlib import Path
-
-import pytest
 
 from repro.analysis import (
     Finding,
@@ -20,7 +18,6 @@ from repro.analysis import (
     lint_paths,
     lint_project,
 )
-from repro.analysis import typing_ratchet
 from repro.analysis.cli import main as lint_main
 from repro.analysis.context import ModuleContext
 
@@ -769,155 +766,46 @@ class TestLintCli:
         assert capsys.readouterr().out == "lint: ok (7 rule(s))\n"
 
 
-MYPY_OUTPUT = """\
-src/repro/obs/tracer.py:10: error: Missing return statement  [return]
-src/repro/obs/tracer.py:20: error: Incompatible types  [assignment]
-src/repro/cluster/state.py:5: error: Bad thing  [misc]
-src/repro/cli.py:7: error: Other thing  [misc]
-src/repro/obs/tracer.py:11: note: this is a note, not an error
-Found 4 errors in 3 files (checked 50 source files)
-"""
+#: The strict mypy tier: every flag of ``strict = true`` that a
+#: per-module override accepts (mypy rejects ``strict`` itself there).
+STRICT_FLAGS = (
+    "disallow_untyped_defs",
+    "disallow_incomplete_defs",
+    "disallow_untyped_decorators",
+    "check_untyped_defs",
+    "warn_return_any",
+    "no_implicit_reexport",
+)
 
-STRICT_PYPROJECT = """\
-[tool.mypy]
-python_version = "3.11"
+#: Modules promoted to the strict tier; a promotion is never undone.
+STRICT_MODULES = (
+    "repro.algorithms.budget",
+    "repro.algorithms.destroy",
+    "repro.algorithms.lns",
+    "repro.algorithms.sra",
+    "repro.algorithms.sra_config",
+    "repro.analysis",
+    "repro.metrics",
+    "repro.obs",
+    "repro.parallel",
+    "repro.runtime",
+)
 
-[[tool.mypy.overrides]]
-module = "repro.obs.*"
-disallow_untyped_defs = true
 
-[[tool.mypy.overrides]]
-module = "repro.lenient.*"
-check_untyped_defs = true
-"""
-
-
-class TestTypingRatchet:
-    def test_package_of(self):
-        assert typing_ratchet.package_of("src/repro/obs/tracer.py") == "repro.obs"
-        assert typing_ratchet.package_of("src/repro/cli.py") == "repro"
-        assert typing_ratchet.package_of("src/repro/analysis/rules.py") == "repro.analysis"
-
-    def test_parse_mypy_output(self):
-        counts = typing_ratchet.parse_mypy_output(MYPY_OUTPUT)
-        assert counts == {"repro.obs": 2, "repro.cluster": 1, "repro": 1}
-
-    def test_parse_ignores_non_error_lines(self):
-        assert typing_ratchet.parse_mypy_output("Success: no issues found\n") == {}
-
-    def test_strict_packages_from_pyproject(self):
-        strict = typing_ratchet.strict_packages_from_pyproject(STRICT_PYPROJECT)
-        # Only the override carrying the strict flag counts.
-        assert strict == frozenset({"repro.obs"})
-
-    def test_evaluate_ok(self):
-        failures = typing_ratchet.evaluate(
-            {"repro.cluster": 2},
-            {"total_errors": 2, "strict_packages": ["repro.obs"]},
-            frozenset({"repro.obs"}),
-        )
-        assert failures == []
-
-    def test_evaluate_strict_regression_fails(self):
-        failures = typing_ratchet.evaluate(
-            {"repro.obs": 1},
-            {"total_errors": 5, "strict_packages": ["repro.obs"]},
-            frozenset({"repro.obs"}),
-        )
-        assert any("repro.obs regressed" in f for f in failures)
-
-    def test_evaluate_demotion_fails(self):
-        failures = typing_ratchet.evaluate(
-            {},
-            {"total_errors": 0, "strict_packages": ["repro.obs"]},
-            frozenset(),
-        )
-        assert any("demoted" in f for f in failures)
-
-    def test_evaluate_total_growth_fails(self):
-        failures = typing_ratchet.evaluate(
-            {"repro.cluster": 3},
-            {"total_errors": 2, "strict_packages": []},
-            frozenset(),
-        )
-        assert any("grew" in f for f in failures)
-
-    def test_main_with_saved_output(self, tmp_path, capsys):
-        (tmp_path / "pyproject.toml").write_text(STRICT_PYPROJECT)
-        out = tmp_path / "mypy.txt"
-        out.write_text("")
-        baseline = tmp_path / "typing-baseline.json"
-        assert typing_ratchet.main([
-            "--root", str(tmp_path), "--mypy-output", str(out),
-            "--baseline", str(baseline), "--update-baseline",
-        ]) == 0
-        doc = json.loads(baseline.read_text())
-        assert doc["total_errors"] == 0
-        assert doc["strict_packages"] == ["repro.obs"]
-        capsys.readouterr()
-        assert typing_ratchet.main([
-            "--root", str(tmp_path), "--mypy-output", str(out),
-            "--baseline", str(baseline),
-        ]) == 0
-
-    def test_main_fails_on_regression(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(STRICT_PYPROJECT)
-        clean = tmp_path / "clean.txt"
-        clean.write_text("")
-        baseline = tmp_path / "typing-baseline.json"
-        typing_ratchet.main([
-            "--root", str(tmp_path), "--mypy-output", str(clean),
-            "--baseline", str(baseline), "--update-baseline",
-        ])
-        regressed = tmp_path / "bad.txt"
-        regressed.write_text("src/repro/obs/tracer.py:1: error: boom  [misc]\n")
-        assert typing_ratchet.main([
-            "--root", str(tmp_path), "--mypy-output", str(regressed),
-            "--baseline", str(baseline),
-        ]) == 1
-
-    def test_main_fails_on_demotion(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(STRICT_PYPROJECT)
-        clean = tmp_path / "clean.txt"
-        clean.write_text("")
-        baseline = tmp_path / "typing-baseline.json"
-        typing_ratchet.main([
-            "--root", str(tmp_path), "--mypy-output", str(clean),
-            "--baseline", str(baseline), "--update-baseline",
-        ])
-        # Demote repro.obs by dropping its strict override.
-        (tmp_path / "pyproject.toml").write_text("[tool.mypy]\n")
-        assert typing_ratchet.main([
-            "--root", str(tmp_path), "--mypy-output", str(clean),
-            "--baseline", str(baseline),
-        ]) == 1
-
-    def test_missing_baseline_exits_2(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(STRICT_PYPROJECT)
-        out = tmp_path / "mypy.txt"
-        out.write_text("")
-        assert typing_ratchet.main([
-            "--root", str(tmp_path), "--mypy-output", str(out),
-            "--baseline", str(tmp_path / "absent.json"),
-        ]) == 2
-
-    @pytest.mark.skipif(
-        importlib.util.find_spec("mypy") is not None,
-        reason="mypy installed; the skip path is unreachable",
-    )
-    def test_missing_mypy_skips(self, tmp_path):
-        (tmp_path / "pyproject.toml").write_text(STRICT_PYPROJECT)
-        assert typing_ratchet.main(["--root", str(tmp_path)]) == 0
-        assert typing_ratchet.main(
-            ["--root", str(tmp_path), "--require-mypy"]
-        ) == 2
-
-    def test_repo_strict_promotions_are_baselined(self):
-        """pyproject's strict tier and the committed baseline agree."""
-        strict = typing_ratchet.strict_packages_from_pyproject(
-            (REPO_ROOT / "pyproject.toml").read_text()
-        )
-        assert {"repro.obs", "repro.metrics", "repro.analysis"} <= strict
-        doc = json.loads((REPO_ROOT / "typing-baseline.json").read_text())
-        assert sorted(strict) == doc["strict_packages"]
-        assert doc["total_errors"] == 0
+class TestStrictTyping:
+    def test_strict_modules_set_every_flag(self):
+        """pyproject.toml keeps every strict flag on for every promoted
+        module (``mypy src/repro`` exiting 0 in CI then proves them
+        error-free)."""
+        with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+            overrides = tomllib.load(fh)["tool"]["mypy"]["overrides"]
+        flags: dict[str, set[str]] = {}
+        for block in overrides:
+            patterns = block["module"]
+            for pattern in [patterns] if isinstance(patterns, str) else patterns:
+                module = pattern.removesuffix(".*")
+                flags.setdefault(module, set()).update(
+                    flag for flag in STRICT_FLAGS if block.get(flag) is True
+                )
+        for module in STRICT_MODULES:
+            assert flags.get(module) == set(STRICT_FLAGS), module

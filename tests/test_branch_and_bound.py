@@ -1,4 +1,4 @@
-"""Tests for the pure-Python branch-and-bound solver.
+"""Tests for the pure-Python branch-and-bound oracle.
 
 The decisive check: on every instance both exact backends (HiGHS MILP
 and this B&B) report the same optimal objective — two independent
@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterState, Machine, Shard
-from repro.model import BranchAndBoundSolver, MilpSolver, ModelConfig
+from repro.model import MilpSolver, ModelConfig
 from repro.workloads import SyntheticConfig, generate
+from tests.oracles.branch_and_bound import BranchAndBoundSolver
 
 
 def solve_both(state, config):

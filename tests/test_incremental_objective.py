@@ -5,7 +5,8 @@ produces the exact float the from-scratch evaluator produces — same IEEE
 operations in the same order.  These tests compare every term with
 ``==`` (not approx) across feasible, overloaded, vacancy-short and
 replica-conflicted states, and pin that the delta-evaluated engine walks
-the same trajectory as the legacy copy-based engine.
+the same trajectory as the copy-based reference loop
+(``tests/oracles/copy_engine.py``).
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.algorithms.objective import IncrementalObjective, Objective
 from repro.algorithms.repair import DEFAULT_REPAIR_OPS
 from repro.workloads.replicated import ReplicatedConfig, generate_replicated
 from repro.workloads.synthetic import SyntheticConfig, generate
+from tests.oracles.copy_engine import run_copy_engine
 
 
 def synthetic_state(seed=0, m=8, spm=5, util=0.8):
@@ -124,20 +126,12 @@ class TestDeltaEngineTrajectory:
     @pytest.mark.parametrize("replicated", [False, True])
     def test_delta_engine_matches_legacy(self, replicated):
         state = replicated_state(seed=3) if replicated else synthetic_state(seed=4, m=10, spm=6)
-        outcomes = {}
-        for label, delta, incremental in (
-            ("delta", True, True),
-            ("legacy", False, False),
-        ):
-            base = Objective(state.assignment, state.sizes)
-            obj = IncrementalObjective(base) if incremental else base
-            engine = AlnsEngine(
-                AlnsConfig(iterations=120, seed=1, delta_evaluation=delta),
-                DEFAULT_DESTROY_OPS,
-                DEFAULT_REPAIR_OPS,
-            )
-            outcomes[label] = engine.run(state.copy(), obj)
-        d, leg = outcomes["delta"], outcomes["legacy"]
+        cfg = AlnsConfig(iterations=120, seed=1)
+        base = Objective(state.assignment, state.sizes)
+        d = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS).run(
+            state.copy(), IncrementalObjective(base)
+        )
+        leg = run_copy_engine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS, state, base)
         assert repr(d.best_objective) == repr(leg.best_objective)
         assert d.accepted == leg.accepted
         assert d.history == leg.history

@@ -6,13 +6,14 @@ evaluation contract" in docs/ARCHITECTURE.md):
 * The delta-evaluated engine — SoA score kernel, journal transactions,
   incremental objective with ``cross_check`` asserting every term
   against a from-scratch recompute — walks the exact trajectory of the
-  copy-based reference engine.
+  copy-based reference loop (``tests/oracles/copy_engine.py``).
 * The pruned regret-2 path produces bitwise-identical placements to the
   exact full-repartition path on arbitrary instances, so the
-  ``regret2_exact_max`` gate is a pure performance crossover.
+  ``_EXACT_REGRET_MAX`` gate is a pure performance crossover.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,8 @@ from repro.algorithms.repair import (
     _regret2_exact,
     _regret2_pruned,
 )
-from repro.workloads import SyntheticConfig, generate
+from repro.workloads import SyntheticConfig, generate, scaling_suite
+from tests.oracles.copy_engine import run_copy_engine
 
 
 @given(seed=st.integers(min_value=0, max_value=500), m=st.integers(min_value=8, max_value=50))
@@ -37,14 +39,31 @@ def test_property_delta_engine_bitwise_equals_copy_engine(seed, m):
     against a full recompute — the strongest form of the contract.
     """
     state = generate(SyntheticConfig(num_machines=m, shards_per_machine=4, seed=seed))
-    outs = []
-    for delta in (True, False):
-        cfg = AlnsConfig(iterations=60, seed=seed, delta_evaluation=delta)
-        engine = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS)
-        base = Objective(state.assignment, state.sizes)
-        objective = IncrementalObjective(base, cross_check=True) if delta else base
-        outs.append(engine.run(state.copy(), objective))
-    d, c = outs
+    cfg = AlnsConfig(iterations=60, seed=seed)
+    base = Objective(state.assignment, state.sizes)
+    d = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS).run(
+        state.copy(), IncrementalObjective(base, cross_check=True)
+    )
+    c = run_copy_engine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS, state, base)
+    assert repr(d.best_objective) == repr(c.best_objective)
+    assert d.accepted == c.accepted
+    assert d.history == c.history
+    np.testing.assert_array_equal(d.best_assignment, c.best_assignment)
+
+
+@pytest.mark.parametrize(
+    "m,iterations", [(20, 400), (50, 300)], ids=["scale-m20-n120", "scale-m50-n300"]
+)
+def test_engine_equals_copy_oracle_on_scale_instances(m, iterations):
+    """Longer runs on the E6 scaling instances: enough iterations for
+    several weight segments and many accepted/rejected candidates."""
+    ((_, state),) = list(scaling_suite(sizes=((m, 6),)))
+    cfg = AlnsConfig(iterations=iterations, seed=1)
+    base = Objective(state.assignment, state.sizes)
+    d = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS).run(
+        state.copy(), IncrementalObjective(base)
+    )
+    c = run_copy_engine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS, state, base)
     assert repr(d.best_objective) == repr(c.best_objective)
     assert d.accepted == c.accepted
     assert d.history == c.history

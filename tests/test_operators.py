@@ -9,7 +9,6 @@ from repro.algorithms import (
     AlnsConfig,
     AlnsEngine,
     Objective,
-    Regret2Insertion,
     greedy_best_fit,
     random_removal,
     regret2_insertion,
@@ -18,7 +17,7 @@ from repro.algorithms import (
     worst_machine_removal,
 )
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
-from repro.algorithms.repair import DEFAULT_REPAIR_OPS
+from repro.algorithms.repair import _regret2_exact, _regret2_pruned
 from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads import SyntheticConfig, generate
 
@@ -135,14 +134,20 @@ class TestRepairOperators:
         assert work.peak_utilization() <= state.peak_utilization() + 1e-9
 
 
+def regret2_on(path):
+    """A regret-2 repair operator pinned to one path of the size gate."""
+
+    def regret2_insertion(state, rng, removed):
+        if removed:
+            path(state, list(removed))
+
+    return regret2_insertion
+
+
 class TestRegret2Gate:
     """The exact/pruned size gate is a pure performance crossover: both
     paths must produce bitwise-identical placements (and therefore
     bitwise-identical engine trajectories)."""
-
-    def test_invalid_exact_max_rejected(self):
-        with pytest.raises(ValueError, match="exact_max"):
-            Regret2Insertion(0)
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_pruned_matches_exact_operator_level(self, seed):
@@ -152,10 +157,8 @@ class TestRegret2Gate:
         exact_state, pruned_state = state.copy(), state.copy()
         removed = random_removal(exact_state, np.random.default_rng(seed), 25)
         pruned_state.unassign_many(removed)
-        # exact_max=1 forces the pruned path at every size; a huge gate
-        # forces the exact path.
-        Regret2Insertion(exact_max=10**9)(exact_state, rng(), removed)
-        Regret2Insertion(exact_max=1)(pruned_state, rng(), removed)
+        _regret2_exact(exact_state, removed)
+        _regret2_pruned(pruned_state, removed)
         np.testing.assert_array_equal(
             exact_state.assignment, pruned_state.assignment
         )
@@ -172,8 +175,8 @@ class TestRegret2Gate:
         state.unassign_many(removed)
         state.block_machine(7)
         exact_state, pruned_state = state.copy(), state.copy()
-        Regret2Insertion(exact_max=10**9)(exact_state, rng(), removed)
-        Regret2Insertion(exact_max=1)(pruned_state, rng(), removed)
+        _regret2_exact(exact_state, removed)
+        _regret2_pruned(pruned_state, removed)
         np.testing.assert_array_equal(
             exact_state.assignment, pruned_state.assignment
         )
@@ -183,9 +186,10 @@ class TestRegret2Gate:
             SyntheticConfig(num_machines=30, shards_per_machine=5, seed=2)
         )
         results = []
-        for gate in (1, 10**9):
-            cfg = AlnsConfig(iterations=120, seed=7, regret2_exact_max=gate)
-            engine = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS)
+        for path in (_regret2_pruned, _regret2_exact):
+            cfg = AlnsConfig(iterations=120, seed=7)
+            repair_ops = (greedy_best_fit, regret2_on(path))
+            engine = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, repair_ops)
             obj = Objective(state.assignment, state.sizes)
             results.append(engine.run(state.copy(), obj))
         pruned, exact = results
@@ -193,16 +197,6 @@ class TestRegret2Gate:
         assert pruned.accepted == exact.accepted
         assert pruned.history == exact.history
         np.testing.assert_array_equal(pruned.best_assignment, exact.best_assignment)
-
-    def test_bind_resolves_gate_from_config(self):
-        bound = regret2_insertion.bind(AlnsConfig(regret2_exact_max=7))
-        assert bound.exact_max == 7
-        assert bound is not regret2_insertion  # default instance untouched
-        assert regret2_insertion.exact_max is None
-
-    def test_explicit_gate_wins_over_config(self):
-        op = Regret2Insertion(exact_max=3)
-        assert op.bind(AlnsConfig(regret2_exact_max=500)) is op
 
 
 @given(seed=st.integers(min_value=0, max_value=100), q=st.integers(min_value=1, max_value=20))

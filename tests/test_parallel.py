@@ -235,15 +235,25 @@ class TestRestartDeterminism:
         assert via_sra.peak_after == direct.best.peak_after
         assert via_sra.iterations == direct.best.iterations
 
-    def test_n_workers_override_flows_to_alns(self):
-        config = SRAConfig(n_workers=4)
-        assert config.alns.n_workers == 4
+    def test_n_workers_reaches_restart_fanout(self, monkeypatch):
+        import repro.parallel
+
+        seen = {}
+
+        def fake_restarts(state, ledger, **kwargs):
+            seen.update(kwargs)
+            raise RuntimeError("stop after the call")
+
+        monkeypatch.setattr(repro.parallel, "run_sra_restarts", fake_restarts)
+        with pytest.raises(RuntimeError, match="stop after"):
+            SRA(SRAConfig(restarts=2, n_workers=4)).rebalance(_small_state())
+        assert seen["n_workers"] == 4
 
     def test_validation(self):
         with pytest.raises(ValueError, match="restarts"):
             SRAConfig(restarts=0)
         with pytest.raises(ValueError, match="n_workers"):
-            AlnsConfig(n_workers=0)
+            SRAConfig(n_workers=0)
         with pytest.raises(ValueError, match="restarts"):
             run_sra_restarts(_small_state(), config=SRAConfig(), restarts=0)
 

@@ -33,7 +33,6 @@ from repro.runtime import (
 from repro.simulate import (
     ServingConfig,
     WorkProfile,
-    migration_background_load,
     simulate_migration_timeline,
     simulate_serving,
 )
@@ -519,33 +518,9 @@ class TestPerWaveAccounting:
         plan = StagingPlanner().plan(state, target)
         assert plan.feasible
         model = BandwidthModel(bandwidth=100.0)
-        busy = model.machine_busy_seconds(plan.schedule, 3)
+        busy = sum(model.machine_wave_seconds(wave, 3) for wave in plan.schedule.waves)
         # Machine 1: max(1000 out, 1000 in)/100 = 10s, not 20s.
         assert busy[1] == pytest.approx(10.0)
-        load = migration_background_load(
-            plan, 3, bandwidth=model, transfer_overhead=0.3
-        )
-        makespan = model.cost(plan.schedule, 3).makespan_seconds
-        for m in (0, 1, 2):
-            assert load[m] == pytest.approx(0.3 * min(busy[m] / makespan, 1.0))
-
-    def test_e15_style_fixture_fractions_pinned(self):
-        """Regression pin for the single-sender fixture the window sim uses."""
-        machines = Machine.homogeneous(3, {"cpu": 4.0, "ram": 100.0, "disk": 100.0})
-        shards = [
-            Shard(id=j, demand=np.array([1.0, 10.0, 10.0]), size_bytes=1000.0)
-            for j in range(4)
-        ]
-        state = ClusterState(machines, shards, [0, 0, 0, 1])
-        plan = StagingPlanner().plan(state, np.array([0, 1, 2, 1]))
-        load = migration_background_load(
-            plan, 3, bandwidth=BandwidthModel(bandwidth=100.0), transfer_overhead=0.3
-        )
-        # One wave: machine 0 sends 2000B (busy 20s = makespan), machines
-        # 1 and 2 each receive 1000B (busy 10s).
-        assert load[0] == pytest.approx(0.3)
-        assert load[1] == pytest.approx(0.15)
-        assert load[2] == pytest.approx(0.15)
 
 
 class TestBackgroundLoadRevalidation:

@@ -42,12 +42,46 @@ class TestAlnsConfig:
             {"cooling": 1.5},
             {"segment_length": 0},
             {"reaction": 1.5},
-            {"regret2_exact_max": 0},
+            {"removal_cap": 0},
+            {"iterations": 60.5},
+            {"removal_cap": 2.5},
+            {"segment_length": 2.5},
+            {"iterations": "60"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AlnsConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = AlnsConfig(iterations=np.int64(60), removal_cap=np.int32(5), segment_length=np.int64(10))
+        assert cfg.iterations == 60
+
+
+class TestSRAConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_hops_per_shard": 0},
+            {"max_hops_per_shard": 1.5},
+            {"polish_steps": 0},
+            {"polish_steps": -5},
+            {"polish_steps": 2.5},
+            {"restarts": 0},
+            {"restarts": 2.5},
+            {"exchange_period": 0},
+            {"exchange_period": 50.0},
+            {"n_workers": 0},
+            {"n_workers": 1.5},
+        ],
+    )
+    def test_invalid_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SRAConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SRAConfig(polish_steps=np.int64(5), restarts=np.int64(2), n_workers=np.int32(2))
+        assert cfg.polish_steps == 5
 
 
 class TestAlnsEngine:

@@ -12,11 +12,14 @@ relies on (docs/ARCHITECTURE.md, "Delta evaluation contract"):
 * real destroy/repair operator pairs ride transactions cleanly.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cluster.state as state_module
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS, exchange_swap_removal
 from repro.algorithms.repair import DEFAULT_REPAIR_OPS
 from repro.cluster import ClusterState, Machine, Shard
@@ -24,6 +27,16 @@ from repro.workloads.replicated import ReplicatedConfig, generate_replicated
 from repro.workloads.synthetic import SyntheticConfig, generate
 
 MODES = ("snapshot", "journal")
+#: ``_SNAPSHOT_ELEMENT_LIMIT`` values forcing each mode: ``begin()``
+#: snapshots while ``n + m·d`` is at most the limit.
+MODE_LIMITS = {"snapshot": 2**62, "journal": -1}
+
+
+def begin(state: ClusterState, mode: str) -> None:
+    """Open a transaction in *mode* by moving the size crossover."""
+    with mock.patch.object(state_module, "_SNAPSHOT_ELEMENT_LIMIT", MODE_LIMITS[mode]):
+        state.begin()
+    assert state._frame.snapshot == (mode == "snapshot")
 
 
 def synthetic_state(seed=0, m=8, spm=5):
@@ -97,7 +110,7 @@ class TestTransactionBasics:
         before = observables(state)
         shard = int(np.flatnonzero(state.assignment_view() >= 0)[0])
         other = (state.machine_of(shard) + 1) % state.num_machines
-        state.begin(mode=mode)
+        begin(state, mode)
         state.move(shard, other)
         state.unassign(shard + 1)
         state.assign_shard(shard + 1, other)
@@ -110,7 +123,7 @@ class TestTransactionBasics:
         state = synthetic_state()
         shard = int(np.flatnonzero(state.assignment_view() >= 0)[0])
         other = (state.machine_of(shard) + 1) % state.num_machines
-        state.begin(mode=mode)
+        begin(state, mode)
         state.move(shard, other)
         state.commit()
         assert state.machine_of(shard) == other
@@ -147,7 +160,7 @@ class TestTransactionBasics:
     def test_blocking_rolls_back(self, mode):
         state = synthetic_state()
         before = observables(state)
-        state.begin(mode=mode)
+        begin(state, mode)
         state.unassign_many([int(j) for j in state.machine_shards(0)])
         state.block_machine(0)
         state.unassign_many([int(j) for j in state.machine_shards(1)])
@@ -167,7 +180,7 @@ class TestOperatorTransactions:
             before = observables(state)
             destroy = DEFAULT_DESTROY_OPS[round_idx % len(DEFAULT_DESTROY_OPS)]
             repair = DEFAULT_REPAIR_OPS[round_idx % len(DEFAULT_REPAIR_OPS)]
-            state.begin(mode=mode)
+            begin(state, mode)
             removed = destroy(state, rng, int(rng.integers(1, 8)))
             repair(state, rng, removed)
             if round_idx % 3 == 0:
@@ -186,7 +199,7 @@ class TestOperatorTransactions:
         state.block_machine(2)
         before = observables(state)
         rng = np.random.default_rng(3)
-        state.begin(mode=mode)
+        begin(state, mode)
         removed = exchange_swap_removal(state, rng, 4)
         DEFAULT_REPAIR_OPS[0](state, rng, removed)
         state.rollback()
@@ -207,7 +220,7 @@ class TestJournalProperties:
         state = ClusterState(machines, shards, [j % 4 for j in range(10)])
         rng = np.random.default_rng(seed)
         before = observables(state)
-        state.begin(mode=mode)
+        begin(state, mode)
         for code in ops:
             j = int(rng.integers(state.num_shards))
             i = int(rng.integers(state.num_machines))
@@ -238,7 +251,7 @@ class TestJournalProperties:
     def test_committed_caches_match_rebuild(self, seed, mode):
         state = replicated_state(seed=seed % 5)
         rng = np.random.default_rng(seed)
-        state.begin(mode=mode)
+        begin(state, mode)
         for _ in range(15):
             j = int(rng.integers(state.num_shards))
             i = int(rng.integers(state.num_machines))

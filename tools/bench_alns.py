@@ -19,11 +19,6 @@ Modes
     budgets and fail (exit 1) if any size's iterations/sec falls below
     ``(1 - tolerance)`` × the committed baseline (default tolerance 0.30,
     override with ``--tolerance`` or ``BENCH_ALNS_TOLERANCE``).
-``--check``
-    Hardware-independent exactness gate: run the delta-evaluated engine
-    and the legacy copy-based engine on small instances and fail unless
-    best objective, acceptance count and history agree exactly.
-
 ``--parallel``
     Restart fan-out scaling: run K SRA restarts through
     ``repro.parallel.run_sra_restarts`` (persistent shared-memory pool)
@@ -74,8 +69,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-
-import numpy as np  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS  # noqa: E402
@@ -137,14 +130,13 @@ SCALE_SMOKE_SIZES: dict[tuple[int, int], int] = {
 SEED = 1
 
 
-def _engine(iterations: int, *, delta: bool = True, **kw) -> AlnsEngine:
-    cfg = AlnsConfig(iterations=iterations, seed=SEED, delta_evaluation=delta, **kw)
+def _engine(iterations: int, **kw) -> AlnsEngine:
+    cfg = AlnsConfig(iterations=iterations, seed=SEED, **kw)
     return AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS)
 
 
-def _objective(state, *, incremental: bool = True):
-    base = Objective(state.assignment, state.sizes)
-    return IncrementalObjective(base) if incremental else base
+def _objective(state):
+    return IncrementalObjective(Objective(state.assignment, state.sizes))
 
 
 def _peak_rss_mb() -> float:
@@ -160,12 +152,6 @@ class _TimedOp:
         self._acc = acc
         self._key = key
         self.__name__ = op.__name__
-
-    def bind(self, config):
-        bind = getattr(self._op, "bind", None)
-        if bind is None:
-            return self
-        return _TimedOp(bind(config), self._acc, self._key)
 
     def __call__(self, *args, **kwargs):
         t0 = time.perf_counter()
@@ -204,9 +190,8 @@ def _measure_phases(m: int, spm: int, iterations: int) -> dict[str, float]:
     """
     ((_, state),) = list(scaling_suite(sizes=((m, spm),)))
     acc = {"destroy": 0.0, "repair": 0.0, "objective": 0.0, "journal": 0.0}
-    cfg = AlnsConfig(iterations=iterations, seed=SEED, delta_evaluation=True)
     engine = AlnsEngine(
-        cfg,
+        AlnsConfig(iterations=iterations, seed=SEED),
         tuple(_TimedOp(op, acc, "destroy") for op in DEFAULT_DESTROY_OPS),
         tuple(_TimedOp(op, acc, "repair") for op in DEFAULT_REPAIR_OPS),
     )
@@ -521,46 +506,11 @@ def cmd_scale_smoke(max_seconds: float) -> int:
     return 0
 
 
-def cmd_check() -> int:
-    """Delta-evaluated engine must match the copy-based reference exactly."""
-    failures = []
-    for (m, spm), iterations in ((20, 6), 400), ((50, 6), 300):
-        ((name, state),) = list(scaling_suite(sizes=((m, spm),)))
-        runs = {}
-        for label, delta, incremental in (
-            ("delta", True, True),
-            ("legacy", False, False),
-        ):
-            out = _engine(iterations, delta=delta).run(
-                state.copy(), _objective(state, incremental=incremental)
-            )
-            runs[label] = out
-        d, leg = runs["delta"], runs["legacy"]
-        if (
-            repr(d.best_objective) != repr(leg.best_objective)
-            or d.accepted != leg.accepted
-            or d.history != leg.history
-            or not np.array_equal(d.best_assignment, leg.best_assignment)
-        ):
-            failures.append(
-                f"{name}: delta {d.best_objective!r}/{d.accepted} != "
-                f"legacy {leg.best_objective!r}/{leg.accepted}"
-            )
-        else:
-            print(f"{name}: delta == legacy (best={d.best_objective!r})")
-    if failures:
-        print("\n".join(["", "EXACTNESS FAILURES:"] + failures), file=sys.stderr)
-        return 1
-    print("check ok: delta evaluation reproduces the copy-based engine exactly")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--update", action="store_true", help="rewrite BENCH_alns.json")
     mode.add_argument("--smoke", action="store_true", help="CI regression gate")
-    mode.add_argument("--check", action="store_true", help="delta-vs-legacy exactness")
     mode.add_argument(
         "--parallel",
         action="store_true",
@@ -612,8 +562,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_update(args.budget)
         if args.smoke:
             return cmd_smoke(args.tolerance)
-        if args.check:
-            return cmd_check()
         if args.parallel:
             return cmd_parallel()
         if args.update_parallel:

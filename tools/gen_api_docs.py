@@ -14,12 +14,17 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
 import repro
 
 OUT = Path(__file__).resolve().parent.parent / "docs" / "API.md"
+
+#: The address in a default object's repr (``<... object at 0x7f...>``)
+#: changes from run to run; the generated file must not.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
 def first_paragraph(doc: str | None) -> str:
@@ -46,7 +51,7 @@ def public_members(module):
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(…)"
 
