@@ -99,17 +99,22 @@ def finalize_result(
     started_at: float,
     iterations: int = 0,
     history: list[float] | None = None,
+    plan: PlanResult | None = None,
 ) -> RebalanceResult:
     """Shared epilogue: plan the migration, settle the ledger, time it.
 
     Used by every concrete rebalancer so feasibility is judged by one code
-    path.
+    path.  *plan*, when given, is ``planner.plan(state, target)`` made
+    earlier (SRA's best filter plans every incumbent it accepts) and is
+    used instead of planning the same target again.
     """
     tracer = obs.current().tracer
     final = state.copy()
     final.apply_assignment(target)
     with tracer.span("migration.plan", algorithm=algorithm) as plan_span:
-        plan = planner.plan(state, target)
+        plan_span.set("reused", plan is not None)
+        if plan is None:
+            plan = planner.plan(state, target)
         plan_span.set("feasible", plan.feasible)
         plan_span.set("direct_feasible", plan.direct_feasible)
         plan_span.set("staged_shards", len(plan.staged_shards))

@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from repro._validation import check_int
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.migration import StagingPlanner
 from repro.algorithms.base import RebalanceResult, Rebalancer, finalize_result
@@ -33,6 +34,9 @@ __all__ = [
     "LocalSearchRebalancer",
     "RandomRestartRebalancer",
 ]
+
+#: Tied destinations whose sums of squared peaks are computed per block.
+_TIE_BLOCK = 64
 
 
 class NoopRebalancer(Rebalancer):
@@ -153,8 +157,10 @@ class LocalSearchRebalancer(Rebalancer):
         seed: int = 0,
         neighborhood_sample: int = 64,
     ) -> None:
+        max_steps = check_int("max_steps", max_steps)
         if max_steps <= 0:
             raise ValueError(f"max_steps must be > 0, got {max_steps}")
+        neighborhood_sample = check_int("neighborhood_sample", neighborhood_sample)
         if neighborhood_sample <= 0:
             raise ValueError("neighborhood_sample must be > 0")
         self.max_steps = max_steps
@@ -195,7 +201,7 @@ class LocalSearchRebalancer(Rebalancer):
         also usable as SRA's polish phase without breaking the
         designated-return contract.
         """
-        budget = self.max_steps if max_steps is None else max_steps
+        budget = self.max_steps if max_steps is None else check_int("max_steps", max_steps)
         steps = 0
         improved = True
         while improved and steps < budget:
@@ -222,23 +228,75 @@ class LocalSearchRebalancer(Rebalancer):
         sample = members
         if sample.size > self.neighborhood_sample:
             sample = rng.choice(members, size=self.neighborhood_sample, replace=False)
-        headroom = work.capacity - work.loads
+        # Scored over the (d, m) mirrors: one contiguous row per dimension.
+        loads_t, cap_t = work.loads_by_dim(), work.capacity_by_dim()
+        head_t = cap_t - loads_t
+        closed = work.blocked_mask.copy()
+        closed[hottest] = True
+        # After a move off the hottest machine, the new max is the largest
+        # of the source's new peak, the destination's new peak and every
+        # other machine's peak.  The destination's old peak is no larger
+        # than its new one (demands are non-negative), so "every other
+        # machine" may include it: one max over all but the hottest.
+        others = machine_peak.copy()
+        others[hottest] = -np.inf
+        rest = others.max()
         for j in sample:
             extra = work.demand[j]
-            fits = np.all(headroom >= extra - 1e-12, axis=1)
-            fits[hottest] = False
-            fits[work.blocked_mask] = False
+            fits = ~closed
+            for k in range(extra.size):
+                fits &= head_t[k] >= extra[k] - 1e-12
             peers = work.replica_peer_machines(int(j))
             if peers.size:
                 fits[peers] = False
-            for i in np.flatnonzero(fits):
-                new_peak = machine_peak.copy()
-                new_peak[hottest] = ((work.loads[hottest] - extra) / work.capacity[hottest]).max()
-                new_peak[i] = ((work.loads[i] + extra) / work.capacity[i]).max()
-                if self._score(new_peak) < current:
-                    work.move(int(j), int(i))
-                    return True
+            dests = np.flatnonzero(fits)
+            if dests.size == 0:
+                continue
+            src_peak = ((work.loads[hottest] - extra) / work.capacity[hottest]).max()
+            grown = (loads_t[0] + extra[0]) / cap_t[0]
+            for k in range(1, extra.size):
+                np.maximum(grown, (loads_t[k] + extra[k]) / cap_t[k], out=grown)
+            dst_peak = grown[dests]
+            new_max = np.maximum(max(rest, src_peak), dst_peak)
+            i = self._first_improving(
+                machine_peak, current, hottest, src_peak, dests, dst_peak, new_max
+            )
+            if i >= 0:
+                work.move(int(j), i)
+                return True
         return False
+
+    @staticmethod
+    def _first_improving(
+        machine_peak: np.ndarray,
+        current: tuple[float, float],
+        hottest: int,
+        src_peak: float,
+        dests: np.ndarray,
+        dst_peak: np.ndarray,
+        new_max: np.ndarray,
+    ) -> int:
+        """Lowest destination whose move improves :meth:`_score`, or -1.
+
+        A destination improves when its ``new_max`` is below the current
+        max, or ties it with a smaller sum of squared peaks.  The sums are
+        computed only for ties ahead of the first strict improvement, as
+        ``np.sum`` over each tied destination's full peak vector (rows of
+        one block, which sum exactly as the 1-D vector does).
+        """
+        cur_max, cur_sq = current
+        strict = np.flatnonzero(new_max < cur_max)
+        stop = int(strict[0]) if strict.size else dests.size
+        ties = np.flatnonzero(new_max[:stop] == cur_max)
+        for at in range(0, ties.size, _TIE_BLOCK):
+            chunk = ties[at : at + _TIE_BLOCK]
+            block = np.tile(machine_peak, (chunk.size, 1))
+            block[:, hottest] = src_peak
+            block[np.arange(chunk.size), dests[chunk]] = dst_peak[chunk]
+            better = np.flatnonzero(np.sum(block**2, axis=1) < cur_sq)
+            if better.size:
+                return int(dests[chunk[better[0]]])
+        return int(dests[stop]) if strict.size else -1
 
     def _try_swap(self, work: ClusterState, rng: np.random.Generator) -> bool:
         machine_peak = work.machine_peak_utilization()

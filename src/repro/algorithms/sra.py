@@ -25,7 +25,7 @@ import numpy as np
 from repro import obs
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.algorithms.baselines import LocalSearchRebalancer
-from repro.migration import StagingPlanner, diff_moves
+from repro.migration import PlanResult, StagingPlanner, diff_moves
 from repro.algorithms.base import RebalanceResult, Rebalancer, finalize_result
 from repro.algorithms.budget import MigrationBudget
 from repro.algorithms.destroy import (
@@ -135,7 +135,13 @@ class SRA(Rebalancer):
                 int(np.count_nonzero(moved)), float(sizes[moved].sum())
             )
 
+        # The plan of the last candidate the filter passed, keyed by its
+        # assignment: finalize_result reuses it when that candidate is
+        # the returned target.
+        vetted: tuple[np.ndarray, PlanResult] | None = None
+
         def best_filter(candidate: ClusterState) -> bool:
+            nonlocal vetted
             if budget is not None and not within_budget(candidate):
                 return False
             if not cfg.feasibility_coupling:
@@ -144,10 +150,8 @@ class SRA(Rebalancer):
                 return False
             if ledger is not None and not ledger.is_satisfiable(candidate):
                 return False
-            moves = diff_moves(state, candidate.assignment_view())
-            if not moves:
-                return True
-            plan = planner.plan(state, candidate.assignment)
+            assignment = candidate.assignment
+            plan = planner.plan(state, assignment, moves=diff_moves(state, assignment))
             if not plan.feasible:
                 return False
             # The authoritative byte cap: what the executor would actually
@@ -158,6 +162,7 @@ class SRA(Rebalancer):
                 and plan.schedule.total_bytes() > budget.max_bytes
             ):
                 return False
+            vetted = (assignment, plan)
             return True
 
         # Pin R designated-return machines (blocked = kept empty) so every
@@ -226,6 +231,11 @@ class SRA(Rebalancer):
             target,
             ledger=ledger,
             planner=planner,
+            plan=(
+                vetted[1]
+                if vetted is not None and np.array_equal(vetted[0], target)
+                else None
+            ),
             started_at=started,
             iterations=outcome.iterations,
             history=outcome.history,

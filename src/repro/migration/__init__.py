@@ -1,7 +1,7 @@
 """Migration planning under transient resource constraints."""
 
 from repro.migration.costmodel import BandwidthModel, MigrationCost
-from repro.migration.moves import Move, diff_moves
+from repro.migration.moves import Move, MoveTable, diff_moves
 from repro.migration.scheduler import Schedule, WaveScheduler
 from repro.migration.staging import (
     PlanResult,
@@ -12,6 +12,7 @@ from repro.migration.staging import (
 
 __all__ = [
     "Move",
+    "MoveTable",
     "diff_moves",
     "Schedule",
     "WaveScheduler",

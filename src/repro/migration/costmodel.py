@@ -15,11 +15,13 @@ must be complete and verified before the source is dropped).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._validation import check_positive
+from repro.migration.moves import Move
 from repro.migration.scheduler import Schedule
 
 __all__ = ["BandwidthModel", "MigrationCost"]
@@ -46,7 +48,7 @@ class BandwidthModel:
     def __post_init__(self) -> None:
         check_positive("bandwidth", self.bandwidth)
 
-    def machine_wave_seconds(self, wave, num_machines: int) -> np.ndarray:
+    def machine_wave_seconds(self, wave: Iterable[Move], num_machines: int) -> np.ndarray:
         """(m,) seconds each machine's NIC is busy during one wave.
 
         Full duplex: a machine sending and receiving concurrently is busy
@@ -62,9 +64,9 @@ class BandwidthModel:
         for mv in wave:
             out_bytes[mv.src] += mv.bytes
             in_bytes[mv.dst] += mv.bytes
-        return np.maximum(out_bytes, in_bytes) / self.bandwidth
+        return np.asarray(np.maximum(out_bytes, in_bytes) / self.bandwidth)
 
-    def wave_duration(self, wave, num_machines: int) -> float:
+    def wave_duration(self, wave: Iterable[Move], num_machines: int) -> float:
         """Duration of one wave: busiest NIC's transfer time."""
         return float(
             self.machine_wave_seconds(wave, num_machines).max(initial=0.0)

@@ -12,12 +12,14 @@ measured by experiment E7.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
 
 from repro import obs
+from repro._validation import check_int
 from repro.cluster import ClusterState
 from repro.migration.moves import Move, diff_moves
 from repro.migration.scheduler import ATOL, Schedule, WavePacker
@@ -25,7 +27,7 @@ from repro.migration.scheduler import ATOL, Schedule, WavePacker
 __all__ = ["dependency_graph", "deadlock_cycles", "StagingPlanner", "PlanResult"]
 
 
-def dependency_graph(state: ClusterState, moves: list[Move]) -> nx.DiGraph:
+def dependency_graph(state: ClusterState, moves: Iterable[Move]) -> nx.DiGraph:
     """Space-dependency digraph over machines.
 
     Edge ``s -> t`` means some move wants to push demand from ``s`` into
@@ -42,7 +44,7 @@ def dependency_graph(state: ClusterState, moves: list[Move]) -> nx.DiGraph:
     return g
 
 
-def deadlock_cycles(state: ClusterState, moves: list[Move]) -> list[list[int]]:
+def deadlock_cycles(state: ClusterState, moves: Iterable[Move]) -> list[list[int]]:
     """Machine cycles currently blocking progress (may be empty)."""
     g = dependency_graph(state, moves)
     return [list(c) for c in nx.simple_cycles(g)]
@@ -90,12 +92,19 @@ class StagingPlanner:
     """
 
     def __init__(self, *, max_hops_per_shard: int = 2) -> None:
+        max_hops_per_shard = check_int("max_hops_per_shard", max_hops_per_shard)
         if max_hops_per_shard < 1:
             raise ValueError("max_hops_per_shard must be >= 1")
         self.max_hops_per_shard = max_hops_per_shard
 
     # ------------------------------------------------------------------ API
-    def plan(self, state: ClusterState, target_assignment: np.ndarray) -> PlanResult:
+    def plan(
+        self,
+        state: ClusterState,
+        target_assignment: np.ndarray,
+        *,
+        moves: Sequence[Move] | None = None,
+    ) -> PlanResult:
         """Produce a feasible schedule from *state* to *target_assignment*.
 
         Waves are packed directly until no move can start.  At each such
@@ -106,14 +115,18 @@ class StagingPlanner:
         stranded move can be staged (hop budget spent or no host fits),
         the result is the direct schedule, stranded at its first deadlock.
         The input state is never mutated.
+
+        *moves* is ``diff_moves(state, target_assignment)`` when the caller
+        has already diffed the target; it is computed here otherwise.
         """
-        moves = diff_moves(state, target_assignment)
+        if moves is None:
+            moves = diff_moves(state, target_assignment)
         packer = WavePacker(state, moves)
         if packer.pack():
             return self._publish(packer.to_schedule(), direct_feasible=True)
 
         direct_waves = len(packer.waves)
-        direct_stranded = list(packer.pending)
+        direct_stranded = packer.pending
         hops_used: dict[int, int] = {}
         while self._stage_one(packer, hops_used):
             if packer.pack():
@@ -153,35 +166,37 @@ class StagingPlanner:
         Splices the two hops into ``packer.pending`` in the move's place.
         Returns False when no stranded move has hops left and a host.
         """
+        table = packer.table
         pending = packer.pending
-        for k, mv in enumerate(pending):
-            if packer.location[mv.shard_id] != mv.src:
+        shards = table.shard[pending]
+        ready = np.flatnonzero(packer.location[shards] == table.src[pending])
+        for k in ready.tolist():
+            row = int(pending[k])
+            shard = int(table.shard[row])
+            if hops_used.get(shard, 0) >= self.max_hops_per_shard:
                 continue
-            if hops_used.get(mv.shard_id, 0) >= self.max_hops_per_shard:
-                continue
-            host = self._staging_host(packer, mv)
+            host = self._staging_host(packer, row)
             if host is None:
                 continue
-            pending[k : k + 1] = [
-                Move(mv.shard_id, mv.src, host, mv.bytes, hop_of=mv.src),
-                Move(mv.shard_id, host, mv.dst, mv.bytes, hop_of=mv.src),
-            ]
-            hops_used[mv.shard_id] = hops_used.get(mv.shard_id, 0) + 1
+            packer.table = table.with_hops(row, host)
+            hops = np.arange(len(table), len(table) + 2)
+            packer.pending = np.concatenate((pending[:k], hops, pending[k + 1 :]))
+            hops_used[shard] = hops_used.get(shard, 0) + 1
             tracer = obs.current().tracer
             if tracer.enabled:
                 tracer.event(
                     "migration.staging_hop",
-                    shard=int(mv.shard_id),
+                    shard=shard,
                     via=int(host),
-                    src=int(mv.src),
-                    dst=int(mv.dst),
+                    src=int(table.src[row]),
+                    dst=int(table.dst[row]),
                 )
             return True
         return False
 
     @staticmethod
-    def _staging_host(packer: WavePacker, mv: Move) -> int | None:
-        """Best machine able to temporarily hold *mv*'s shard, or None.
+    def _staging_host(packer: WavePacker, row: int) -> int | None:
+        """Best machine able to temporarily hold move *row*'s shard, or None.
 
         Borrowed (exchange) machines are preferred, then the most slack.
         Offline (failed) machines and machines hosting a sibling replica
@@ -190,12 +205,14 @@ class StagingPlanner:
         the migration completes).
         """
         state = packer.state
+        table = packer.table
+        shard = int(table.shard[row])
         headroom = state.capacity - packer.loads
-        fits = np.all(headroom >= state.demand[mv.shard_id] - 1e-12, axis=1)
-        fits[mv.src] = False
-        fits[mv.dst] = False
+        fits = np.all(headroom >= state.demand[shard] - 1e-12, axis=1)
+        fits[table.src[row]] = False
+        fits[table.dst[row]] = False
         fits[state.offline_mask] = False
-        sibling_hosts = packer.location[state.replica_peers(mv.shard_id)]
+        sibling_hosts = packer.location[state.replica_peers(shard)]
         fits[sibling_hosts[(sibling_hosts >= 0) & (sibling_hosts < fits.size)]] = False
         candidates = np.flatnonzero(fits)
         if candidates.size == 0:

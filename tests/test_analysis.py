@@ -786,6 +786,7 @@ STRICT_MODULES = (
     "repro.algorithms.sra_config",
     "repro.analysis",
     "repro.metrics",
+    "repro.migration",
     "repro.obs",
     "repro.parallel",
     "repro.runtime",

@@ -103,6 +103,26 @@ class TestLocalSearch:
         with pytest.raises(ValueError, match="neighborhood_sample"):
             LocalSearchRebalancer(neighborhood_sample=0)
 
+    @pytest.mark.parametrize("value", [2.5, "3", None])
+    def test_non_integer_params_rejected(self, value):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            LocalSearchRebalancer(max_steps=value)
+        with pytest.raises(ValueError, match="neighborhood_sample must be an integer"):
+            LocalSearchRebalancer(neighborhood_sample=value)
+
+    @pytest.mark.parametrize("value", [2.5, "3"])
+    def test_non_integer_step_budget_rejected(self, value):
+        work = imbalanced_state()
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            LocalSearchRebalancer().improve_in_place(
+                work, np.random.default_rng(0), max_steps=value
+            )
+
+    def test_numpy_integer_params_accepted(self):
+        ls = LocalSearchRebalancer(max_steps=np.int64(3), neighborhood_sample=np.int32(4))
+        assert (ls.max_steps, ls.neighborhood_sample) == (3, 4)
+        assert type(ls.max_steps) is int
+
 
 class TestRandomRestart:
     def test_never_worse_than_initial(self):

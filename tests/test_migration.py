@@ -15,6 +15,7 @@ from repro.cluster import ClusterState, Machine, Shard
 from repro.migration import (
     BandwidthModel,
     Move,
+    MoveTable,
     StagingPlanner,
     WaveScheduler,
     deadlock_cycles,
@@ -228,6 +229,9 @@ class TestStagingPlanner:
     def test_invalid_hop_limit(self):
         with pytest.raises(ValueError, match="max_hops"):
             StagingPlanner(max_hops_per_shard=0)
+        for value in (1.5, "2", None):
+            with pytest.raises(ValueError, match="max_hops_per_shard must be an integer"):
+                StagingPlanner(max_hops_per_shard=value)
 
     def test_each_wave_traced_once(self):
         # A small shard moves off m0 in wave 0; only then does the m0/m1
@@ -308,3 +312,37 @@ def test_property_planner_schedules_are_safe(seed):
     if plan.feasible:
         final = execute_schedule(state, plan.schedule)
         np.testing.assert_array_equal(final.assignment, target)
+
+
+class TestMoveTable:
+    def test_diff_is_a_table_equal_to_its_moves(self):
+        machines = Machine.homogeneous(3, 10.0)
+        shards = [Shard(id=j, demand=np.ones(3), size_bytes=10.0 * (j + 1)) for j in range(3)]
+        state = ClusterState(machines, shards, [0, 1, 2])
+        table = diff_moves(state, np.array([1, 1, 0]))
+        assert isinstance(table, MoveTable)
+        assert table == [Move(0, 0, 1, 10.0), Move(2, 2, 0, 30.0)]
+        assert len(table) == 2 and table[1] == Move(2, 2, 0, 30.0)
+        assert MoveTable.of(list(table)) == table
+
+    def test_with_hops_appends_and_keeps_rows(self):
+        table = MoveTable.of([Move(4, 0, 1, 5.0), Move(7, 2, 3, 6.0)])
+        staged = table.with_hops(0, 2)
+        assert staged[:2] == list(table)
+        assert staged[2:] == [Move(4, 0, 2, 5.0, hop_of=0), Move(4, 2, 1, 5.0, hop_of=0)]
+        assert len(table) == 2  # the input table is untouched
+
+    def test_schedule_counts_without_building_moves(self):
+        state = generate(SyntheticConfig(num_machines=6, shards_per_machine=5, seed=3))
+        target = np.roll(state.assignment, 1)
+        moves = diff_moves(state, target)
+        from_table = WaveScheduler().schedule(state, moves)
+        from_list = WaveScheduler().schedule(state, list(moves))
+        counts = (from_table.num_waves, from_table.num_moves, from_table.feasible)
+        # Counts and bytes come from the table; reading waves builds the moves.
+        assert from_table.total_bytes() == from_list.total_bytes()
+        assert counts == (from_list.num_waves, from_list.num_moves, from_list.feasible)
+        assert from_table == from_list
+        assert from_table.total_bytes() == float(
+            sum(mv.bytes for mv in from_table.all_moves())
+        )

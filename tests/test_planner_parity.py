@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterState, ExchangeLedger
-from repro.migration import Move, Schedule, StagingPlanner, diff_moves
+from repro.migration import Move, Schedule, StagingPlanner, WaveScheduler, diff_moves
+from repro.migration.scheduler import WavePacker
 from repro.workloads import (
     ReplicatedConfig,
     SyntheticConfig,
@@ -289,3 +290,100 @@ def test_parity_replicated_instances(seed, borrowed, max_hops, kind):
     )
     target = _permuted_target(state, rng, kind)
     assert_plan_matches_reference(_with_exchange(state, borrowed), target, max_hops)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    borrowed=st.integers(0, 2),
+    max_hops=st.sampled_from([3, 4, 6]),
+    kind=permutations,
+)
+@settings(max_examples=40, deadline=None)
+def test_parity_deep_hop_limits(seed, borrowed, max_hops, kind):
+    """Deep hop budgets let the planner stage one shard several times."""
+    rng = np.random.default_rng(seed)
+    state = generate(
+        SyntheticConfig(
+            num_machines=5,
+            shards_per_machine=5,
+            target_utilization=0.92,
+            placement_skew=0.6,
+            seed=seed,
+        )
+    )
+    target = _permuted_target(state, rng, kind)
+    assert_plan_matches_reference(_with_exchange(state, borrowed), target, max_hops)
+
+
+@given(seed=st.integers(0, 10_000), extra=st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_scheduler_parity_with_repeated_shards(seed, extra):
+    """Caller-built move lists may start one shard twice; only the first
+    move that fits starts, as in the reference loop."""
+    rng = np.random.default_rng(seed)
+    state = generate(
+        SyntheticConfig(
+            num_machines=6,
+            shards_per_machine=4,
+            target_utilization=0.8,
+            placement_skew=0.5,
+            seed=seed,
+        )
+    )
+    moves = list(diff_moves(state, _permuted_target(state, rng, "shards")))
+    for j in rng.choice(state.num_shards, size=extra, replace=False):
+        src = state.machine_of(int(j))
+        dst = int((src + 1 + rng.integers(state.num_machines - 1)) % state.num_machines)
+        moves.insert(int(rng.integers(len(moves) + 1)), Move(int(j), src, dst, float(state.sizes[j])))
+    got = WaveScheduler().schedule(state, moves)
+    ref = _reference_schedule(state, moves)
+    assert [_moves(w) for w in got.waves] == [_moves(w) for w in ref.waves]
+    assert _moves(got.stranded) == _moves(ref.stranded)
+    assert got.peak_transient_utilization == ref.peak_transient_utilization
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    borrowed=st.integers(0, 2),
+    max_hops=hops,
+    kind=permutations,
+)
+@settings(max_examples=25, deadline=None)
+def test_parity_wide_waves(seed, borrowed, max_hops, kind):
+    """Fleets of 40 machines: waves start dozens of moves, several per
+    destination, so the packer decides them round by round."""
+    rng = np.random.default_rng(seed)
+    state = generate(
+        SyntheticConfig(
+            num_machines=40,
+            shards_per_machine=6,
+            target_utilization=0.55,
+            placement_skew=0.3,
+            seed=seed,
+        )
+    )
+    target = _permuted_target(state, rng, kind)
+    assert_plan_matches_reference(_with_exchange(state, borrowed), target, max_hops)
+
+
+@given(seed=st.integers(0, 10_000), share=st.floats(0.1, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_wave_by_rank_equals_in_order(seed, share):
+    """The two wave kernels agree on every set of ready moves."""
+    rng = np.random.default_rng(seed)
+    state = generate(
+        SyntheticConfig(
+            num_machines=12,
+            shards_per_machine=6,
+            target_utilization=0.7,
+            placement_skew=0.5,
+            seed=seed,
+        )
+    )
+    target = _permuted_target(state, rng, "shards")
+    packer = WavePacker(state, diff_moves(state, target))
+    ready = np.flatnonzero(rng.random(packer.pending.size) < share)
+    started, in_flight = packer._wave_by_rank(ready)
+    ref_started, ref_in_flight = packer._wave_in_order(ready)
+    np.testing.assert_array_equal(started, ref_started)
+    assert np.array_equal(in_flight, ref_in_flight)
