@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro._validation import check_int
+from repro._validation import check_int, check_positive
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.migration import StagingPlanner
 from repro.algorithms.base import RebalanceResult, Rebalancer, finalize_result
@@ -384,9 +384,8 @@ class RandomRestartRebalancer(Rebalancer):
     name = "random-restart"
 
     def __init__(self, *, restarts: int = 8, seed: int = 0) -> None:
-        if restarts <= 0:
-            raise ValueError(f"restarts must be > 0, got {restarts}")
-        self.restarts = restarts
+        self.restarts = check_int("restarts", restarts)
+        check_positive("restarts", self.restarts)
         self.seed = seed
 
     def rebalance(

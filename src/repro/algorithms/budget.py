@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._validation import check_int
+
 __all__ = ["MigrationBudget"]
 
 
@@ -54,7 +56,7 @@ class MigrationBudget:
     max_bytes: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_moves is not None and self.max_moves < 0:
+        if self.max_moves is not None and check_int("max_moves", self.max_moves) < 0:
             raise ValueError(f"max_moves must be >= 0, got {self.max_moves}")
         if self.max_bytes is not None and self.max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {self.max_bytes}")

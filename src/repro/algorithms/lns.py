@@ -230,6 +230,17 @@ class AlnsEngine:
 
         published = 0
         adopted = 0
+        # Blocked mask travelling with the incumbent best (cooperative
+        # mode only; never touched in blind mode so that path stays
+        # bitwise-identical to the hook-free engine).
+        best_blocked: np.ndarray | None = None
+        if exchange is not None and best_assignment is not None:
+            best_blocked = current.blocked_mask.copy()
+
+        # RNG consumption is identical with tracing on or off (the
+        # trajectory bitwise-identity contract of docs/ARCHITECTURE.md).
+        # The finally records the counters reached even when an operator,
+        # the objective or the best filter raises.
         with tracer.span(
             "alns.run",
             iterations=cfg.iterations,
@@ -237,16 +248,135 @@ class AlnsEngine:
             initial_objective=cur_obj,
         ) as run_span:
             try:
-                (
-                    it, accepted, vetoed, best_assignment, best_obj, cur_obj,
-                    published, adopted,
-                ) = self._search(
-                    cfg, rng, current, objective, best_filter,
-                    best_assignment, best_obj, cur_obj, temperature,
-                    q_min, q_max, d_weights, r_weights, d_scores, r_scores,
-                    d_uses, r_uses, history, started,
-                    tracer, trace_on, exchange,
-                )
+                for it in range(1, cfg.iterations + 1):
+                    if (
+                        cfg.time_limit is not None
+                        # repro: allow-wall-clock (real-time search budget)
+                        and time.perf_counter() - started > cfg.time_limit
+                    ):
+                        break
+                    di = _roulette(rng, d_weights)
+                    ri = _roulette(rng, r_weights)
+                    d_uses[di] += 1
+                    r_uses[ri] += 1
+
+                    q = int(rng.integers(q_min, q_max + 1))
+                    # Mutate the incumbent inside a transaction; a rejected
+                    # candidate is rolled back bitwise instead of being a
+                    # throwaway copy of the whole state.  Until the accept
+                    # decision, any exception (operator, objective, best
+                    # filter) rolls the candidate back before propagating.
+                    candidate = current
+                    candidate.begin()
+                    try:
+                        removed = self.destroy_ops[di](candidate, rng, q)
+                        self.repair_ops[ri](candidate, rng, removed)
+                        cand_obj = float(objective(candidate))
+
+                        score = 0.0
+                        new_best = False
+                        was_vetoed = False
+                        if cand_obj < best_obj - 1e-12:
+                            if best_filter is None or best_filter(candidate):
+                                best_assignment = candidate.assignment
+                                best_obj = cand_obj
+                                score = cfg.score_best
+                                new_best = True
+                                if exchange is not None:
+                                    # Snapshot now: a rejected candidate's
+                                    # mask is rolled back, but the recorded
+                                    # best keeps the designee set it was
+                                    # feasible under.
+                                    best_blocked = candidate.blocked_mask.copy()
+                            else:
+                                vetoed += 1
+                                was_vetoed = True
+                        if score == 0.0 and cand_obj < cur_obj - 1e-12:
+                            score = cfg.score_improve
+
+                        accept = cand_obj <= cur_obj or rng.random() < math.exp(
+                            -(cand_obj - cur_obj) / max(temperature, 1e-12)
+                        )
+                    except BaseException:
+                        candidate.rollback()
+                        raise
+                    if accept:
+                        current.commit()
+                        cur_obj = cand_obj
+                        accepted += 1
+                        if score == 0.0:
+                            score = cfg.score_accept
+                    else:
+                        current.rollback()
+                    d_scores[di] += score
+                    r_scores[ri] += score
+
+                    if trace_on:
+                        tracer.event(
+                            "alns.iter",
+                            it=it,
+                            destroy=self.destroy_ops[di].__name__,
+                            repair=self.repair_ops[ri].__name__,
+                            q=q,
+                            objective=cand_obj,
+                            current=cur_obj,
+                            accepted=accept,
+                            new_best=new_best,
+                            vetoed=was_vetoed,
+                        )
+
+                    temperature *= cfg.cooling
+                    if cfg.collect_history:
+                        history.append(cur_obj)
+
+                    if it % cfg.segment_length == 0:
+                        d_weights = _update_weights(d_weights, d_scores, d_uses, cfg.reaction)
+                        r_weights = _update_weights(r_weights, r_scores, r_uses, cfg.reaction)
+                        d_scores[:] = 0
+                        r_scores[:] = 0
+                        d_uses[:] = 0
+                        r_uses[:] = 0
+                        if trace_on:
+                            tracer.event(
+                                "alns.weights",
+                                it=it,
+                                destroy={
+                                    op.__name__: float(w)
+                                    for op, w in zip(self.destroy_ops, d_weights, strict=True)
+                                },
+                                repair={
+                                    op.__name__: float(w)
+                                    for op, w in zip(self.repair_ops, r_weights, strict=True)
+                                },
+                            )
+
+                    if exchange is not None and it % exchange.period == 0:
+                        if (
+                            best_assignment is not None
+                            and best_blocked is not None
+                            and exchange.offer(best_obj, best_assignment, best_blocked)
+                        ):
+                            published += 1
+                            if trace_on:
+                                tracer.event(
+                                    "alns.exchange.publish", it=it, objective=best_obj
+                                )
+                        foreign = exchange.take(best_obj)
+                        if foreign is not None:
+                            adopt_obj, adopt_assign, adopt_blocked = foreign
+                            _adopt(current, adopt_assign, adopt_blocked)
+                            cur_obj = float(objective(current))
+                            best_assignment = adopt_assign
+                            best_obj = cur_obj
+                            best_blocked = adopt_blocked
+                            adopted += 1
+                            if trace_on:
+                                tracer.event(
+                                    "alns.exchange.adopt",
+                                    it=it,
+                                    objective=cur_obj,
+                                    offered=adopt_obj,
+                                )
             finally:
                 run_span.set("iterations_run", it)
                 run_span.set("accepted", accepted)
@@ -271,7 +401,10 @@ class AlnsEngine:
             for op, w in zip(self.destroy_ops, d_weights, strict=True)
         }
         weights.update(
-            {f"repair:{op.__name__}": float(w) for op, w in zip(self.repair_ops, r_weights, strict=True)}
+            {
+                f"repair:{op.__name__}": float(w)
+                for op, w in zip(self.repair_ops, r_weights, strict=True)
+            }
         )
         return AlnsOutcome(
             best_assignment=best_assignment,
@@ -285,193 +418,22 @@ class AlnsEngine:
             exchange_adopted=adopted,
         )
 
-    def _search(
-        self,
-        cfg: AlnsConfig,
-        rng: np.random.Generator,
-        current: ClusterState,
-        objective: Callable[[ClusterState], float],
-        best_filter: Callable[[ClusterState], bool] | None,
-        best_assignment: np.ndarray | None,
-        best_obj: float,
-        cur_obj: float,
-        temperature: float,
-        q_min: int,
-        q_max: int,
-        d_weights: np.ndarray,
-        r_weights: np.ndarray,
-        d_scores: np.ndarray,
-        r_scores: np.ndarray,
-        d_uses: np.ndarray,
-        r_uses: np.ndarray,
-        history: list[float],
-        started: float,
-        tracer: obs.Tracer,
-        trace_on: bool,
-        exchange: IncumbentChannel | None = None,
-    ) -> tuple[int, int, int, np.ndarray | None, float, float, int, int]:
-        """The inner loop of :meth:`run` (split out so the run span wraps it).
 
-        Mutates the weight/score arrays and *history* in place; RNG
-        consumption is identical with tracing on or off (the trajectory
-        bitwise-identity contract of docs/ARCHITECTURE.md).  With
-        *exchange* set, incumbents additionally carry the blocked-mask
-        snapshot they were recorded under — the exchange-swap operator
-        re-designates return machines during search, so an adopted
-        assignment is only consistent together with its publisher's
-        blocked set.
-        """
-        accepted = 0
-        vetoed = 0
-        it = 0
-        published = 0
-        adopted = 0
-        # Blocked mask travelling with the incumbent best (cooperative
-        # mode only; never touched in blind mode so that path stays
-        # bitwise-identical to the hook-free engine).
-        best_blocked: np.ndarray | None = None
-        if exchange is not None and best_assignment is not None:
-            best_blocked = current.blocked_mask.copy()
+def _adopt(state: ClusterState, assignment: np.ndarray, blocked: np.ndarray) -> None:
+    """Reset *state* to a foreign incumbent and its designated-return set.
 
-        for it in range(1, cfg.iterations + 1):
-            # repro: allow-wall-clock (real-time search budget)
-            if cfg.time_limit is not None and time.perf_counter() - started > cfg.time_limit:
-                break
-            di = _roulette(rng, d_weights)
-            ri = _roulette(rng, r_weights)
-            d_uses[di] += 1
-            r_uses[ri] += 1
-
-            q = int(rng.integers(q_min, q_max + 1))
-            # Mutate the incumbent inside a transaction; a rejected
-            # candidate is rolled back bitwise instead of being a
-            # throwaway copy of the whole state.  Until the accept
-            # decision, any exception (operator, objective, best filter)
-            # rolls the candidate back before propagating.
-            candidate = current
-            candidate.begin()
-            try:
-                removed = self.destroy_ops[di](candidate, rng, q)
-                self.repair_ops[ri](candidate, rng, removed)
-                cand_obj = float(objective(candidate))
-
-                score = 0.0
-                new_best = False
-                was_vetoed = False
-                if cand_obj < best_obj - 1e-12:
-                    if best_filter is None or best_filter(candidate):
-                        best_assignment = candidate.assignment
-                        best_obj = cand_obj
-                        score = cfg.score_best
-                        new_best = True
-                        if exchange is not None:
-                            # Snapshot now: a rejected candidate's mask is
-                            # rolled back, but the recorded best keeps the
-                            # designee set it was feasible under.
-                            best_blocked = candidate.blocked_mask.copy()
-                    else:
-                        vetoed += 1
-                        was_vetoed = True
-                if score == 0.0 and cand_obj < cur_obj - 1e-12:
-                    score = cfg.score_improve
-
-                accept = cand_obj <= cur_obj or rng.random() < math.exp(
-                    -(cand_obj - cur_obj) / max(temperature, 1e-12)
-                )
-            except BaseException:
-                candidate.rollback()
-                raise
-            if accept:
-                current.commit()
-                cur_obj = cand_obj
-                accepted += 1
-                if score == 0.0:
-                    score = cfg.score_accept
-            else:
-                current.rollback()
-            d_scores[di] += score
-            r_scores[ri] += score
-
-            if trace_on:
-                tracer.event(
-                    "alns.iter",
-                    it=it,
-                    destroy=self.destroy_ops[di].__name__,
-                    repair=self.repair_ops[ri].__name__,
-                    q=q,
-                    objective=cand_obj,
-                    current=cur_obj,
-                    accepted=accept,
-                    new_best=new_best,
-                    vetoed=was_vetoed,
-                )
-
-            temperature *= cfg.cooling
-            if cfg.collect_history:
-                history.append(cur_obj)
-
-            if it % cfg.segment_length == 0:
-                # In-place so the caller's view of the weights stays live.
-                d_weights[:] = _update_weights(d_weights, d_scores, d_uses, cfg.reaction)
-                r_weights[:] = _update_weights(r_weights, r_scores, r_uses, cfg.reaction)
-                d_scores[:] = 0
-                r_scores[:] = 0
-                d_uses[:] = 0
-                r_uses[:] = 0
-                if trace_on:
-                    tracer.event(
-                        "alns.weights",
-                        it=it,
-                        destroy={
-                            op.__name__: float(w)
-                            for op, w in zip(self.destroy_ops, d_weights, strict=True)
-                        },
-                        repair={
-                            op.__name__: float(w)
-                            for op, w in zip(self.repair_ops, r_weights, strict=True)
-                        },
-                    )
-
-            if exchange is not None and it % exchange.period == 0:
-                if (
-                    best_assignment is not None
-                    and best_blocked is not None
-                    and exchange.offer(best_obj, best_assignment, best_blocked)
-                ):
-                    published += 1
-                    if trace_on:
-                        tracer.event(
-                            "alns.exchange.publish", it=it, objective=best_obj
-                        )
-                foreign = exchange.take(best_obj)
-                if foreign is not None:
-                    adopt_obj, adopt_assign, adopt_blocked = foreign
-                    # Reconcile the designated-return (blocked) set before
-                    # swapping assignments: locally blocked machines may
-                    # host shards under the foreign assignment, and the
-                    # foreign designees are vacant under it by the
-                    # publisher's invariant.
-                    local_blocked = current.blocked_mask
-                    for mach in np.flatnonzero(local_blocked & ~adopt_blocked).tolist():
-                        current.unblock_machine(int(mach))
-                    to_block = np.flatnonzero(adopt_blocked & ~local_blocked)
-                    current.apply_assignment(adopt_assign)
-                    for mach in to_block.tolist():
-                        current.block_machine(int(mach))
-                    cur_obj = float(objective(current))
-                    best_assignment = adopt_assign
-                    best_obj = cur_obj
-                    best_blocked = adopt_blocked
-                    adopted += 1
-                    if trace_on:
-                        tracer.event(
-                            "alns.exchange.adopt",
-                            it=it,
-                            objective=cur_obj,
-                            offered=adopt_obj,
-                        )
-
-        return it, accepted, vetoed, best_assignment, best_obj, cur_obj, published, adopted
+    Locally blocked machines may host shards under the foreign
+    assignment, so they are unblocked before it is applied; the foreign
+    designees are vacant under it by the publisher's invariant, so they
+    are blocked after.
+    """
+    local_blocked = state.blocked_mask
+    for mach in np.flatnonzero(local_blocked & ~blocked).tolist():
+        state.unblock_machine(int(mach))
+    to_block = np.flatnonzero(blocked & ~local_blocked)
+    state.apply_assignment(assignment)
+    for mach in to_block.tolist():
+        state.block_machine(int(mach))
 
 
 def _roulette(rng: np.random.Generator, weights: np.ndarray) -> int:

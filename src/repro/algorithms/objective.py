@@ -26,7 +26,7 @@ import numpy as np
 from repro._validation import check_non_negative
 from repro.cluster import ClusterState
 
-__all__ = ["ObjectiveWeights", "Objective", "IncrementalObjective"]
+__all__ = ["ObjectiveWeights", "Objective"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class Objective:
     weights:
         Term weights.
 
-    The instance is immutable and cheap to call: one vectorized pass over
-    the ``(m, d)`` load matrix per evaluation.
+    The instance is immutable and cheap to call: it reads the state's
+    incremental caches rather than rescanning the ``(m, d)`` load matrix.
     """
 
     def __init__(
@@ -90,21 +90,39 @@ class Objective:
         return self.components(state)["value"]
 
     def components(self, state: ClusterState) -> dict[str, float]:
-        """All objective terms, for reporting and tests."""
+        """All objective terms, for reporting and tests.
+
+        Peak, smoothing, vacancy and replica terms read the state's
+        incremental caches (see the "Delta evaluation contract" in
+        docs/ARCHITECTURE.md), so an evaluation after ``k`` moves costs
+        O(k·d + m + n) instead of a full O(m·d) pass.  The cached values
+        are bitwise those of a from-scratch recompute; the test oracle
+        ``tests/oracles/objective.py`` pins this.
+        """
         w = self.weights
-        util = state.loads / state.capacity  # capacities are > 0
-        machine_peak = util.max(axis=1)
-        peak = float(machine_peak.max())
+        # Block-max peak: bitwise-equal to the full-scan max (float max
+        # is exact) but only rescans blocks containing touched machines.
+        peak = state.peak_utilization()
+        machine_peak = state.machine_peak_utilization_view()
         smooth = float(np.mean(machine_peak**2))
 
         assign = state.assignment_view()
         moved = float(self.sizes[assign != self.a0].sum()) / self._total_bytes
 
-        over = np.maximum(util - 1.0, 0.0)
-        overload = float(over.sum())
+        # Zero-overload is the common case; detect it from the peak the
+        # state already maintains.  peak <= 1.0 means every fl(util)
+        # <= 1.0, so the full relu-sum is exactly 0.0; peak > 1.0 means
+        # some entry exceeds 1.0 and the sum is computed in full.  (A
+        # load marginally above capacity whose fl(util) rounds to 1.0
+        # contributes relu = 0.0 either way, so this gate is bitwise
+        # equivalent to comparing loads against capacity.)
+        if peak > 1.0:
+            util = state.loads / state.capacity  # capacities are > 0
+            overload = float(np.maximum(util - 1.0, 0.0).sum())
+        else:
+            overload = 0.0
 
-        vacant = state.num_vacant_in_service
-        shortfall = max(0, self.required_returns - vacant)
+        shortfall = max(0, self.required_returns - state.num_vacant_in_service)
         conflicts = state.replica_conflict_count if state.replica_groups else 0
 
         value = (
@@ -134,113 +152,3 @@ class Objective:
         if state.replica_groups and state.has_replica_conflicts():
             return False
         return state.num_vacant_in_service >= self.required_returns
-
-
-class IncrementalObjective:
-    """Cache-backed evaluator producing *exactly* :class:`Objective`'s value.
-
-    :class:`ClusterState` maintains per-machine peaks, vacancy, and
-    replica-conflict counters as move deltas (see the "Delta evaluation
-    contract" in docs/ARCHITECTURE.md); this wrapper reads those caches
-    instead of recomputing them, so an evaluation after ``k`` moves costs
-    O(k·d + m + n) instead of O(m·d + n + replica groups) of Python-level
-    work.  Every term is computed with element-wise arithmetic identical
-    to :meth:`Objective.components`, so the two agree **bitwise** — the
-    delta-evaluated search walks the exact trajectory of the copy-based
-    reference loop (``tests/oracles/copy_engine.py``).
-
-    Parameters
-    ----------
-    base:
-        The reference :class:`Objective` (supplies ``a0``, sizes, weights,
-        required returns — and the from-scratch recompute).
-    cross_check:
-        Debug flag: recompute every term via ``base.components`` on each
-        evaluation and raise ``AssertionError`` on any mismatch.  Slow;
-        meant for tests and for validating custom operators.
-    """
-
-    def __init__(self, base: Objective, *, cross_check: bool = False) -> None:
-        self.base = base
-        self.cross_check = bool(cross_check)
-
-    # Pass-throughs so the wrapper is a drop-in for Objective.
-    @property
-    def a0(self) -> np.ndarray:
-        return self.base.a0
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.base.sizes
-
-    @property
-    def required_returns(self) -> int:
-        return self.base.required_returns
-
-    @property
-    def weights(self) -> ObjectiveWeights:
-        return self.base.weights
-
-    def __call__(self, state: ClusterState) -> float:
-        return self.components(state)["value"]
-
-    def components(self, state: ClusterState) -> dict[str, float]:
-        """All objective terms, bitwise-equal to ``base.components``."""
-        base = self.base
-        w = base.weights
-        # Block-max peak: bitwise-equal to machine_peak.max() (float max
-        # is exact) but only rescans blocks containing touched machines.
-        peak = state.peak_utilization()
-        machine_peak = state.machine_peak_utilization_view()
-        smooth = float(np.mean(machine_peak**2))
-
-        assign = state.assignment_view()
-        moved = float(base.sizes[assign != base.a0].sum()) / base._total_bytes
-
-        # Zero-overload is the common case; detect it from the peak the
-        # state already maintains.  peak <= 1.0 means every fl(util)
-        # <= 1.0, so the full relu-sum is exactly 0.0; peak > 1.0 means
-        # some entry exceeds 1.0 and the sum is computed in full.  (A
-        # load marginally above capacity whose fl(util) rounds to 1.0
-        # contributes relu = 0.0 either way, so this gate is bitwise
-        # equivalent to comparing loads against capacity.)
-        if peak > 1.0:
-            util = state.loads / state.capacity
-            overload = float(np.maximum(util - 1.0, 0.0).sum())
-        else:
-            overload = 0.0
-
-        shortfall = max(0, base.required_returns - state.num_vacant_in_service)
-        conflicts = state.replica_conflict_count if state.replica_groups else 0
-
-        value = (
-            peak
-            + w.smooth_weight * smooth
-            + w.move_penalty * moved
-            + w.overload_penalty * overload
-            + w.vacancy_penalty * shortfall
-            + w.replica_penalty * conflicts
-        )
-        out = {
-            "value": value,
-            "peak": peak,
-            "smooth": smooth,
-            "moved_fraction": moved,
-            "overload": overload,
-            "vacancy_shortfall": float(shortfall),
-            "replica_conflicts": float(conflicts),
-        }
-        if self.cross_check:
-            ref = base.components(state)
-            for key, got in out.items():
-                if got != ref[key]:
-                    raise AssertionError(
-                        f"IncrementalObjective diverged from Objective on "
-                        f"{key!r}: delta={got!r} full={ref[key]!r}"
-                    )
-        return out
-
-    def is_feasible(self, state: ClusterState, *, atol: float = 1e-9) -> bool:
-        """Hard feasibility, identical to ``base.is_feasible`` (which now
-        also reads the incremental caches)."""
-        return self.base.is_feasible(state, atol=atol)

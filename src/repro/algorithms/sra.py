@@ -37,7 +37,7 @@ from repro.algorithms.destroy import (
     worst_machine_removal,
 )
 from repro.algorithms.lns import AlnsEngine, IncumbentChannel
-from repro.algorithms.objective import IncrementalObjective, Objective
+from repro.algorithms.objective import Objective
 from repro.algorithms.repair import DEFAULT_REPAIR_OPS, RepairOperator
 from repro.algorithms.sra_config import SRAConfig
 
@@ -165,10 +165,6 @@ class SRA(Rebalancer):
             vetted = (assignment, plan)
             return True
 
-        # Pin R designated-return machines (blocked = kept empty) so every
-        # intermediate state satisfies the exchange contract structurally;
-        # the exchange_swap_removal operator searches over which machines
-        # those are.  Prefer borrowed machines as the initial designees.
         work = state.copy()
         if warm_start is not None:
             warm = np.asarray(warm_start, dtype=np.int64)
@@ -178,20 +174,7 @@ class SRA(Rebalancer):
                     f"got {warm.shape}"
                 )
             work.apply_assignment(warm)
-        if required > 0:
-            vacant = list(work.vacant_machines())
-            if len(vacant) < required:
-                # Continuous release rounds (borrow nothing, owe R) start
-                # from a fully occupied fleet where no machine can be
-                # blocked and exchange_swap_removal has no designee to
-                # swap — the contract would be structurally unreachable.
-                # Drain the cheapest machines so the search starts live.
-                _drain_machines(work, required - len(vacant))
-                vacant = list(work.vacant_machines())
-            preferred = [m for m in (ledger.borrowed_ids if ledger else ()) if m in vacant]
-            rest = [m for m in vacant if m not in set(preferred)]
-            for mid in (preferred + rest)[:required]:
-                work.block_machine(int(mid))
+        _block_designees(work, ledger, required)
 
         engine = AlnsEngine(
             cfg.alns, self._destroy_ops(budget, reference, sizes), self._repair_ops()
@@ -205,7 +188,7 @@ class SRA(Rebalancer):
         ):
             outcome = engine.run(
                 work,
-                IncrementalObjective(objective),
+                objective,
                 best_filter=best_filter,
                 initial_is_valid_best=initial_valid,
                 exchange=self.exchange,
@@ -262,14 +245,7 @@ class SRA(Rebalancer):
         """
         polished = state.copy()
         polished.apply_assignment(best)
-        if required > 0:
-            vacant = list(polished.vacant_machines())
-            preferred = [
-                m for m in (ledger.borrowed_ids if ledger else ()) if m in vacant
-            ]
-            rest = [m for m in vacant if m not in set(preferred)]
-            for mid in (preferred + rest)[:required]:
-                polished.block_machine(int(mid))
+        _block_designees(polished, ledger, required)
         ls = LocalSearchRebalancer(seed=self.config.alns.seed)
         ls.improve_in_place(
             polished,
@@ -301,6 +277,31 @@ class SRA(Rebalancer):
 
     def _repair_ops(self) -> tuple[RepairOperator, ...]:
         return DEFAULT_REPAIR_OPS
+
+
+def _block_designees(
+    work: ClusterState, ledger: ExchangeLedger | None, required: int
+) -> None:
+    """Block *required* vacant machines of *work* as designated returns.
+
+    Blocked machines are kept empty, so every state the search or the
+    polish visits satisfies the exchange contract structurally; the
+    exchange_swap_removal operator searches over which machines those
+    are.  Borrowed machines are preferred, then the lowest ids.  A start
+    with fewer than *required* vacancies (a continuous release round:
+    borrow nothing, owe R) is drained first.  The polish starts from an
+    incumbent the best filter passed, which already has R vacancies.
+    """
+    if required <= 0:
+        return
+    vacant = list(work.vacant_machines())
+    if len(vacant) < required:
+        _drain_machines(work, required - len(vacant))
+        vacant = list(work.vacant_machines())
+    preferred = [m for m in (ledger.borrowed_ids if ledger else ()) if m in vacant]
+    rest = [m for m in vacant if m not in set(preferred)]
+    for mid in (preferred + rest)[:required]:
+        work.block_machine(int(mid))
 
 
 def _drain_machines(work: ClusterState, count: int) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import get_args
 
 from repro import obs
-from repro._validation import check_in
+from repro._validation import check_in, check_int, check_non_negative
 from repro.algorithms import Rebalancer, SRA, SRAConfig
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.cluster.exchange import ReturnPolicy
@@ -63,10 +63,9 @@ class ResourceExchangeRebalancer:
         exchange_capacity_scale: float = 1.0,
         bandwidth: BandwidthModel | None = None,
     ) -> None:
-        if exchange_machines < 0:
-            raise ValueError(f"exchange_machines must be >= 0, got {exchange_machines}")
-        if required_returns is not None and required_returns < 0:
-            raise ValueError(f"required_returns must be >= 0, got {required_returns}")
+        check_non_negative("exchange_machines", check_int("exchange_machines", exchange_machines))
+        if required_returns is not None:
+            check_non_negative("required_returns", check_int("required_returns", required_returns))
         check_in("return_policy", return_policy, get_args(ReturnPolicy))
         self.algorithm = algorithm or SRA(SRAConfig())
         self.exchange_machines = exchange_machines

@@ -34,9 +34,6 @@ ATOL = 1e-9
 #: (measured on a 2-vCPU Xeon at 5 to 1,400 ready moves per wave).
 _MOVES_PER_ROUND = 4
 
-#: The (empty) table behind a schedule built from lists of moves.
-_NO_MOVES = MoveTable.of([])
-
 
 def _has_repeats(values: np.ndarray) -> bool:
     ordered = np.sort(values)
@@ -44,87 +41,65 @@ def _has_repeats(values: np.ndarray) -> bool:
 
 
 class Schedule:
-    """Result of wave scheduling.
+    """Result of wave scheduling: rows of a :class:`MoveTable`.
 
     Attributes
     ----------
-    waves:
-        Ordered list of concurrent move batches.
-    stranded:
-        Moves that could not be scheduled (empty iff ``feasible``).
+    table:
+        The moves the schedule draws on.
+    wave_rows:
+        Ordered concurrent batches, each the table rows of one wave.
+    stranded_rows:
+        Table rows of the moves that could not be scheduled (empty iff
+        ``feasible``).
     peak_transient_utilization:
         Highest machine utilization observed at any point during the
         migration, in-flight copies included.
 
-    A schedule the planner returns is backed by its :class:`MoveTable`:
-    ``waves`` and ``stranded`` build their :class:`Move` objects on first
-    read, and the counts and :meth:`total_bytes` never build them.
+    ``waves``, ``stranded`` and :meth:`all_moves` are read-only views
+    that build their :class:`Move` objects on first read; the counts and
+    :meth:`total_bytes` never build them.
     """
 
     def __init__(
         self,
-        waves: list[list[Move]] | None = None,
-        stranded: list[Move] | None = None,
-        peak_transient_utilization: float = 0.0,
-    ) -> None:
-        self._waves: list[list[Move]] | None = [] if waves is None else waves
-        self._stranded: list[Move] | None = [] if stranded is None else stranded
-        self.peak_transient_utilization = peak_transient_utilization
-        self._table = _NO_MOVES
-        self._wave_rows: list[np.ndarray] = []
-        self._stranded_rows = np.empty(0, dtype=np.int64)
-
-    @classmethod
-    def from_table(
-        cls,
         table: MoveTable,
         wave_rows: list[np.ndarray],
         stranded_rows: np.ndarray,
         peak_transient_utilization: float,
-    ) -> Schedule:
-        """The schedule whose waves and stranded moves are rows of *table*."""
-        schedule = cls(peak_transient_utilization=peak_transient_utilization)
-        schedule._table = table
-        schedule._wave_rows = wave_rows
-        schedule._stranded_rows = stranded_rows
-        schedule._waves = schedule._stranded = None
-        return schedule
+    ) -> None:
+        self.table = table
+        self.wave_rows = wave_rows
+        self.stranded_rows = stranded_rows
+        self.peak_transient_utilization = peak_transient_utilization
+        self._waves: list[list[Move]] | None = None
+        self._stranded: list[Move] | None = None
 
     @property
     def waves(self) -> list[list[Move]]:
+        """Ordered list of concurrent move batches."""
         if self._waves is None:
-            self._waves = [self._table.moves(rows) for rows in self._wave_rows]
+            self._waves = [self.table.moves(rows) for rows in self.wave_rows]
         return self._waves
-
-    @waves.setter
-    def waves(self, waves: list[list[Move]]) -> None:
-        self._waves = waves
 
     @property
     def stranded(self) -> list[Move]:
+        """Moves that could not be scheduled."""
         if self._stranded is None:
-            self._stranded = self._table.moves(self._stranded_rows)
+            self._stranded = self.table.moves(self.stranded_rows)
         return self._stranded
-
-    @stranded.setter
-    def stranded(self, stranded: list[Move]) -> None:
-        self._stranded = stranded
 
     @property
     def feasible(self) -> bool:
-        if self._stranded is None:
-            return self._stranded_rows.size == 0
-        return not self._stranded
+        return self.stranded_rows.size == 0
 
     @property
     def num_waves(self) -> int:
-        return len(self._wave_rows if self._waves is None else self._waves)
+        return len(self.wave_rows)
 
     @property
     def num_moves(self) -> int:
-        if self._waves is None:
-            return sum(rows.size for rows in self._wave_rows)
-        return sum(len(w) for w in self._waves)
+        return sum(rows.size for rows in self.wave_rows)
 
     def all_moves(self) -> list[Move]:
         """Scheduled moves in execution order."""
@@ -132,11 +107,9 @@ class Schedule:
 
     def total_bytes(self) -> float:
         """Bytes copied by the scheduled moves (staging hops included)."""
-        if self._waves is None:
-            if not self._wave_rows:
-                return 0.0
-            return self._table.total_bytes(np.concatenate(self._wave_rows))
-        return float(sum(mv.bytes for mv in self.all_moves()))
+        if not self.wave_rows:
+            return 0.0
+        return self.table.total_bytes(np.concatenate(self.wave_rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schedule):
@@ -328,7 +301,7 @@ class WavePacker:
         a ``migration.wave`` event, so call this once per result.
         """
         n = len(self.waves) if num_waves is None else num_waves
-        schedule = Schedule.from_table(
+        schedule = Schedule(
             self.table,
             self.waves[:n],
             np.empty(0, dtype=np.int64) if stranded is None else stranded,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from repro._validation import check_non_negative, check_positive
+from repro._validation import check_int, check_non_negative, check_positive
 from repro.algorithms import Rebalancer
 from repro.cluster import ClusterState
 from repro.online.drift import PopularityDrift
@@ -76,7 +76,7 @@ class OnlineSimulator:
         if self.policy not in ("always", "threshold", "never"):
             raise ValueError(f"unknown policy {self.policy!r}")
         check_positive("threshold", self.threshold)
-        check_non_negative("exchange_budget", self.exchange_budget)
+        check_non_negative("exchange_budget", check_int("exchange_budget", self.exchange_budget))
 
     def run(self, state: ClusterState, epochs: int) -> list[EpochReport]:
         """Simulate *epochs* drift/rebalance cycles starting from *state*.
@@ -90,7 +90,7 @@ class OnlineSimulator:
         :class:`~repro.runtime.processes.RebalanceController` with
         ``execution="simulated"`` directly for wave-resolved episodes.
         """
-        check_positive("epochs", epochs)
+        check_positive("epochs", check_int("epochs", epochs))
         handle = ClusterHandle(state)
         controller = RebalanceController(
             handle,

@@ -37,7 +37,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro._validation import check_fraction, check_positive
+from repro._validation import check_fraction, check_int, check_positive
 from repro.pool import MachinePool
 from repro.runtime.kernel import Runtime
 from repro.runtime.processes import ClusterHandle, EpisodeOutcome, RebalanceController
@@ -83,9 +83,9 @@ class DriftDetectorConfig:
             raise ValueError("ewma_alpha must be > 0 (0 would never observe)")
         check_positive("hot_threshold", self.hot_threshold)
         check_positive("slope_threshold", self.slope_threshold)
-        if self.slope_window < 2:
+        if check_int("slope_window", self.slope_window) < 2:
             raise ValueError(f"slope_window must be >= 2, got {self.slope_window}")
-        if self.warmup_checks < 1:
+        if check_int("warmup_checks", self.warmup_checks) < 1:
             raise ValueError(f"warmup_checks must be >= 1, got {self.warmup_checks}")
 
 

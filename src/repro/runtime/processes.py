@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro._validation import check_in, check_non_negative, check_positive
+from repro._validation import check_in, check_int, check_non_negative, check_positive
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.migration.costmodel import BandwidthModel
 from repro.pool import MachinePool, exchange_episode
@@ -63,7 +63,7 @@ class DriftProcess:
         epoch_length: float = 1.0,
         start_at: float = 0.0,
     ) -> None:
-        check_positive("epochs", epochs)
+        check_positive("epochs", check_int("epochs", epochs))
         check_positive("epoch_length", epoch_length)
         check_non_negative("start_at", start_at)
         self.handle = handle
@@ -182,7 +182,7 @@ class RebalanceController:
         check_in("policy", policy, ("always", "threshold", "never"))
         check_in("execution", execution, ("instant", "simulated"))
         check_positive("threshold", threshold)
-        check_non_negative("exchange_budget", exchange_budget)
+        check_non_negative("exchange_budget", check_int("exchange_budget", exchange_budget))
         check_non_negative("cooldown", cooldown)
         if execution == "simulated":
             if fleet is None or location is None:

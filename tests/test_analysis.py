@@ -782,6 +782,7 @@ STRICT_MODULES = (
     "repro.algorithms.budget",
     "repro.algorithms.destroy",
     "repro.algorithms.lns",
+    "repro.algorithms.objective",
     "repro.algorithms.sra",
     "repro.algorithms.sra_config",
     "repro.analysis",

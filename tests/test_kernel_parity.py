@@ -4,9 +4,10 @@ Two contracts pin the vectorized repair kernel (see the "Delta
 evaluation contract" in docs/ARCHITECTURE.md):
 
 * The delta-evaluated engine — SoA score kernel, journal transactions,
-  incremental objective with ``cross_check`` asserting every term
-  against a from-scratch recompute — walks the exact trajectory of the
-  copy-based reference loop (``tests/oracles/copy_engine.py``).
+  cache-backed objective (``CheckedObjective`` asserting every term
+  against the from-scratch oracle) — walks the exact trajectory of the
+  copy-based reference loop (``tests/oracles/copy_engine.py``), which
+  scores with the oracle alone.
 * The pruned regret-2 path produces bitwise-identical placements to the
   exact full-repartition path on arbitrary instances, so the
   ``_EXACT_REGRET_MAX`` gate is a pure performance crossover.
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import AlnsConfig, AlnsEngine, Objective
-from repro.algorithms.objective import IncrementalObjective
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
 from repro.algorithms.repair import (
     DEFAULT_REPAIR_OPS,
@@ -27,6 +27,7 @@ from repro.algorithms.repair import (
 )
 from repro.workloads import SyntheticConfig, generate, scaling_suite
 from tests.oracles.copy_engine import run_copy_engine
+from tests.oracles.objective import CheckedObjective, ReferenceObjective
 
 
 @given(seed=st.integers(min_value=0, max_value=500), m=st.integers(min_value=8, max_value=50))
@@ -34,17 +35,19 @@ from tests.oracles.copy_engine import run_copy_engine
 def test_property_delta_engine_bitwise_equals_copy_engine(seed, m):
     """SoA-kernel trajectories are bitwise those of the copy-based engine.
 
-    The delta run uses ``cross_check=True``, so every objective
+    The delta run scores with ``CheckedObjective``, so every objective
     evaluation along the trajectory is additionally asserted term-by-term
     against a full recompute — the strongest form of the contract.
     """
     state = generate(SyntheticConfig(num_machines=m, shards_per_machine=4, seed=seed))
     cfg = AlnsConfig(iterations=60, seed=seed)
-    base = Objective(state.assignment, state.sizes)
     d = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS).run(
-        state.copy(), IncrementalObjective(base, cross_check=True)
+        state.copy(), CheckedObjective(state.assignment, state.sizes)
     )
-    c = run_copy_engine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS, state, base)
+    c = run_copy_engine(
+        cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS, state,
+        ReferenceObjective(state.assignment, state.sizes),
+    )
     assert repr(d.best_objective) == repr(c.best_objective)
     assert d.accepted == c.accepted
     assert d.history == c.history
@@ -59,11 +62,13 @@ def test_engine_equals_copy_oracle_on_scale_instances(m, iterations):
     several weight segments and many accepted/rejected candidates."""
     ((_, state),) = list(scaling_suite(sizes=((m, 6),)))
     cfg = AlnsConfig(iterations=iterations, seed=1)
-    base = Objective(state.assignment, state.sizes)
     d = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS).run(
-        state.copy(), IncrementalObjective(base)
+        state.copy(), Objective(state.assignment, state.sizes)
     )
-    c = run_copy_engine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS, state, base)
+    c = run_copy_engine(
+        cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS, state,
+        ReferenceObjective(state.assignment, state.sizes),
+    )
     assert repr(d.best_objective) == repr(c.best_objective)
     assert d.accepted == c.accepted
     assert d.history == c.history

@@ -311,3 +311,32 @@ def test_report_artifact_savers(tmp_path):
     report_on.save_metrics_json(tmp_path / "m.json")
     assert read_jsonl(tmp_path / "t.jsonl") == report_on.trace
     assert json.loads((tmp_path / "m.json").read_text()) == report_on.metrics
+
+
+def test_alns_run_span_records_progress_when_an_operator_raises():
+    """The alns.run span keeps the counters reached before an operator raised."""
+    from repro.algorithms.destroy import random_removal
+    from repro.algorithms.lns import AlnsEngine
+    from repro.algorithms.repair import DEFAULT_REPAIR_OPS
+
+    state = generate(SyntheticConfig(num_machines=6, shards_per_machine=4, seed=0))
+    calls = 0
+
+    def flaky_removal(state, rng, q):
+        nonlocal calls
+        calls += 1
+        if calls == 4:
+            raise RuntimeError("operator failed")
+        return random_removal(state, rng, q)
+
+    engine = AlnsEngine(AlnsConfig(iterations=10, seed=0), [flaky_removal], DEFAULT_REPAIR_OPS)
+    with obs.observed() as o:
+        with pytest.raises(RuntimeError, match="operator failed"):
+            # A flat objective accepts every candidate.
+            engine.run(state, lambda candidate: 1.0)
+    (span,) = [
+        r for r in o.tracer.records() if r.get("kind") == "span" and r["name"] == "alns.run"
+    ]
+    assert span["attrs"]["iterations_run"] == 4
+    assert span["attrs"]["accepted"] == 3
+    assert span["attrs"]["rejected_by_filter"] == 0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterState, ExchangeLedger
-from repro.migration import Move, Schedule, StagingPlanner, WaveScheduler, diff_moves
+from repro.migration import Move, MoveTable, Schedule, StagingPlanner, WaveScheduler, diff_moves
 from repro.migration.scheduler import WavePacker
 from repro.workloads import (
     ReplicatedConfig,
@@ -32,6 +32,19 @@ ATOL = 1e-9
 # Reference implementation (direct schedule + replaying staging loop).
 # ---------------------------------------------------------------------------
 
+def _schedule(waves: list[list[Move]], stranded: list[Move], peak: float) -> Schedule:
+    """The schedule of *waves* and *stranded*, as rows of one table."""
+    table = MoveTable.of([mv for wave in waves for mv in wave] + stranded)
+    bounds = np.cumsum([0] + [len(wave) for wave in waves]).tolist()
+    rows = np.arange(len(table))
+    return Schedule(
+        table,
+        [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:], strict=True)],
+        rows[bounds[-1]:],
+        peak,
+    )
+
+
 def _replica_blocked(state, location, shard_id, dst):
     peers = state.replica_peers(shard_id)
     return bool(peers.size and np.any(location[peers] == dst))
@@ -44,7 +57,8 @@ def _reference_schedule(state: ClusterState, moves: list[Move]) -> Schedule:
     location = state.assignment.copy()
     pending = list(moves)
     pending.sort(key=lambda mv: -mv.bytes)
-    schedule = Schedule()
+    waves: list[list[Move]] = []
+    stranded: list[Move] = []
     peak = float(np.max(loads / capacity)) if loads.size else 0.0
     has_replicas = bool(state.replica_groups)
     while pending:
@@ -64,18 +78,17 @@ def _reference_schedule(state: ClusterState, moves: list[Move]) -> Schedule:
                 wave.append(mv)
                 started.add(mv.shard_id)
         if not wave:
-            schedule.stranded = pending
+            stranded = pending
             break
         peak = max(peak, float(np.max((loads + in_flight) / capacity)))
         for mv in wave:
             loads[mv.src] -= demand[mv.shard_id]
             loads[mv.dst] += demand[mv.shard_id]
             location[mv.shard_id] = mv.dst
-        schedule.waves.append(wave)
+        waves.append(wave)
         done = {id(mv) for mv in wave}
         pending = [mv for mv in pending if id(mv) not in done]
-    schedule.peak_transient_utilization = peak
-    return schedule
+    return _schedule(waves, stranded, peak)
 
 
 def _reference_staging_host(mv, loads, capacity, extra, exchange_mask, blocked, sibling_hosts):
@@ -102,7 +115,7 @@ def _reference_stage(state, moves, max_hops):
     location = state.assignment.copy()
     hops_used: dict[int, int] = {}
     staged_shards: set[int] = set()
-    schedule = Schedule()
+    waves: list[list[Move]] = []
     peak = float(np.max(loads / capacity))
     pending: list[Move] = sorted(moves, key=lambda mv: -mv.bytes)
     guard = 0
@@ -132,7 +145,7 @@ def _reference_stage(state, moves, max_hops):
                 location[mv.shard_id] = mv.dst
             done = {id(mv) for mv in wave}
             pending = [mv for mv in pending if id(mv) not in done]
-            schedule.waves.append(wave)
+            waves.append(wave)
             continue
         for k, mv in enumerate(pending):
             if location[mv.shard_id] != mv.src:
@@ -154,8 +167,7 @@ def _reference_stage(state, moves, max_hops):
             break
         if not progressed:
             return None, staged_shards
-    schedule.peak_transient_utilization = peak
-    return schedule, staged_shards
+    return _schedule(waves, [], peak), staged_shards
 
 
 def reference_plan(state, target, max_hops):

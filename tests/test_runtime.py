@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.algorithms import AlnsConfig, SRA, SRAConfig
 from repro.cluster import ClusterState, ExchangeLedger, Machine, Shard, settle_fleet
-from repro.migration import BandwidthModel, StagingPlanner
+from repro.migration import BandwidthModel, Schedule, StagingPlanner
 from repro.online import OnlineSimulator, PopularityDrift
 from repro.runtime import (
     FCFSMachine,
@@ -311,6 +311,16 @@ def _executor_fixture():
     return state, target, plan
 
 
+def _first_move_stranded(schedule):
+    """*schedule* with its first move also reported stranded (infeasible)."""
+    return Schedule(
+        schedule.table,
+        schedule.wave_rows,
+        schedule.wave_rows[0][:1],
+        schedule.peak_transient_utilization,
+    )
+
+
 class TestMigrationExecutor:
     def test_conserves_bytes_and_lands_target(self):
         state, target, plan = _executor_fixture()
@@ -397,9 +407,7 @@ class TestMigrationExecutor:
     def test_infeasible_schedule_rejected(self):
         state, target, plan = _executor_fixture()
         # A schedule whose feasible flag is cleared must be refused.
-        bad = plan.schedule.__class__(
-            waves=plan.schedule.waves, stranded=[plan.schedule.all_moves()[0]]
-        )
+        bad = _first_move_stranded(plan.schedule)
         with pytest.raises(ValueError, match="infeasible"):
             MigrationExecutor(
                 schedule=bad,
@@ -479,9 +487,7 @@ class TestTimeline:
         profile = WorkProfile(np.full((4, 4), 2000.0))
         cfg = ServingConfig(arrival_rate=5.0, duration=2.0, seed=1)
         infeasible = plan.__class__(
-            schedule=plan.schedule.__class__(
-                waves=plan.schedule.waves, stranded=[plan.schedule.all_moves()[0]]
-            ),
+            schedule=_first_move_stranded(plan.schedule),
             staged_shards=plan.staged_shards,
             direct_feasible=plan.direct_feasible,
         )

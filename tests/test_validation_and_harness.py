@@ -10,8 +10,14 @@ from repro._validation import (
     check_non_negative,
     check_positive,
 )
+from repro.algorithms import MigrationBudget, SRA
+from repro.algorithms.baselines import RandomRestartRebalancer
+from repro.core import ResourceExchangeRebalancer
 from repro.experiments import REGISTRY
 from repro.experiments.harness import format_table, is_full_run, register
+from repro.online import OnlineSimulator, PopularityDrift
+from repro.runtime import ClusterHandle, DriftDetectorConfig, DriftProcess, RebalanceController
+from repro.workloads import SyntheticConfig, generate
 
 
 class TestValidationHelpers:
@@ -48,6 +54,57 @@ class TestValidationHelpers:
             as_demand_array("d", [-1.0])
         with pytest.raises(ValueError, match="dimensions"):
             as_demand_array("d", [1.0, 2.0], dims=3)
+
+
+def _tiny_state():
+    return generate(SyntheticConfig(num_machines=4, shards_per_machine=3, seed=0))
+
+
+class TestIntegerCounts:
+    """Counts are integers at every entry point, rejected when fractional."""
+
+    @pytest.mark.parametrize(
+        "name,build",
+        [
+            ("exchange_machines", lambda: ResourceExchangeRebalancer(exchange_machines=2.5)),
+            ("required_returns", lambda: ResourceExchangeRebalancer(
+                exchange_machines=2, required_returns=2.5)),
+            ("restarts", lambda: RandomRestartRebalancer(restarts=2.5)),
+            ("epochs", lambda: DriftProcess(
+                ClusterHandle(_tiny_state()), PopularityDrift(), epochs=2.5)),
+            ("epochs", lambda: OnlineSimulator(SRA(), PopularityDrift()).run(_tiny_state(), 2.5)),
+            ("exchange_budget", lambda: RebalanceController(
+                ClusterHandle(_tiny_state()), SRA(), exchange_budget=1.5)),
+            ("exchange_budget", lambda: OnlineSimulator(
+                SRA(), PopularityDrift(), exchange_budget=1.5)),
+            ("slope_window", lambda: DriftDetectorConfig(slope_window=2.5)),
+            ("warmup_checks", lambda: DriftDetectorConfig(warmup_checks=1.5)),
+            ("max_moves", lambda: MigrationBudget(max_moves=2.5)),
+        ],
+        ids=[
+            "episode-exchange_machines",
+            "episode-required_returns",
+            "random_restart-restarts",
+            "drift_process-epochs",
+            "online_run-epochs",
+            "controller-exchange_budget",
+            "online-exchange_budget",
+            "detector-slope_window",
+            "detector-warmup_checks",
+            "budget-max_moves",
+        ],
+    )
+    def test_fractional_count_rejected(self, name, build):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build()
+
+    def test_integer_counts_still_accepted(self):
+        assert ResourceExchangeRebalancer(exchange_machines=np.int64(2)).required_returns == 2
+        assert RandomRestartRebalancer(restarts=np.int64(3)).restarts == 3
+        assert MigrationBudget(max_moves=4).max_moves == 4
+        assert DriftDetectorConfig(slope_window=3, warmup_checks=1).slope_window == 3
+        with pytest.raises(ValueError, match="exchange_machines must be >= 0"):
+            ResourceExchangeRebalancer(exchange_machines=-1)
 
 
 class TestHarness:

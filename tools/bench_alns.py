@@ -73,7 +73,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import obs  # noqa: E402
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS  # noqa: E402
 from repro.algorithms.lns import AlnsConfig, AlnsEngine  # noqa: E402
-from repro.algorithms.objective import IncrementalObjective, Objective  # noqa: E402
+from repro.algorithms.objective import Objective  # noqa: E402
 from repro.algorithms.repair import DEFAULT_REPAIR_OPS  # noqa: E402
 from repro.workloads import scaling_suite  # noqa: E402
 
@@ -136,7 +136,7 @@ def _engine(iterations: int, **kw) -> AlnsEngine:
 
 
 def _objective(state):
-    return IncrementalObjective(Objective(state.assignment, state.sizes))
+    return Objective(state.assignment, state.sizes)
 
 
 def _peak_rss_mb() -> float:
