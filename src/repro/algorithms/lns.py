@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,34 +31,8 @@ from repro.cluster import ClusterState
 from repro.algorithms.destroy import DestroyOperator
 from repro.algorithms.repair import RepairOperator
 
-__all__ = ["AlnsConfig", "AlnsOutcome", "AlnsEngine", "IncumbentChannel"]
+__all__ = ["AlnsConfig", "AlnsOutcome", "AlnsEngine"]
 
-
-class IncumbentChannel(Protocol):
-    """Duck type of a cooperative incumbent-exchange endpoint.
-
-    Implemented by :class:`repro.parallel.shm.IncumbentExchange`; the
-    engine depends only on this protocol so the algorithms layer stays
-    independent of the parallel machinery.  Every ``period`` iterations
-    the engine offers its incumbent best and adopts a strictly better
-    foreign one.  The channel owner guarantees published incumbents
-    passed the same best filter the adopter would apply (all portfolio
-    members run one episode's filter), so adoption skips re-filtering.
-    """
-
-    period: int
-
-    def offer(
-        self, objective: float, assignment: np.ndarray, blocked: np.ndarray
-    ) -> bool:
-        """Publish; True when the slot was taken over."""
-        ...
-
-    def take(
-        self, objective: float
-    ) -> tuple[float, np.ndarray, np.ndarray] | None:
-        """A strictly better foreign incumbent, or None."""
-        ...
 
 @dataclass(frozen=True)
 class AlnsConfig:
@@ -141,10 +115,6 @@ class AlnsOutcome:
     operator_weights: dict[str, float]
     accepted: int
     rejected_by_filter: int
-    #: Cooperative-mode traffic (zero in blind mode): incumbents this
-    #: run published to / adopted from the exchange channel.
-    exchange_published: int = 0
-    exchange_adopted: int = 0
 
 
 class AlnsEngine:
@@ -169,7 +139,6 @@ class AlnsEngine:
         *,
         best_filter: Callable[[ClusterState], bool] | None = None,
         initial_is_valid_best: bool = True,
-        exchange: IncumbentChannel | None = None,
     ) -> AlnsOutcome:
         """Search from *state* (not mutated).
 
@@ -185,16 +154,6 @@ class AlnsEngine:
         initial_is_valid_best:
             Whether the starting assignment is an acceptable answer
             (False when e.g. the vacancy contract is not yet satisfied).
-        exchange:
-            Optional cooperative incumbent channel.  When given, every
-            ``exchange.period`` iterations the engine publishes its
-            incumbent best and adopts a strictly better foreign one
-            (resetting the current state to it).  ``None`` (blind mode)
-            leaves the trajectory bitwise-identical to an engine without
-            the hook.  Adoption makes the trajectory depend on the
-            *timing* of other portfolio members, so cooperative runs
-            are only reproducible run-to-run in the serial portfolio;
-            exchange events are traced for auditing.
         """
         cfg = self.config
         tracer = obs.current().tracer
@@ -227,15 +186,6 @@ class AlnsEngine:
         vetoed = 0
         started = time.perf_counter()  # repro: allow-wall-clock (runtime reporting)
         it = 0
-
-        published = 0
-        adopted = 0
-        # Blocked mask travelling with the incumbent best (cooperative
-        # mode only; never touched in blind mode so that path stays
-        # bitwise-identical to the hook-free engine).
-        best_blocked: np.ndarray | None = None
-        if exchange is not None and best_assignment is not None:
-            best_blocked = current.blocked_mask.copy()
 
         # RNG consumption is identical with tracing on or off (the
         # trajectory bitwise-identity contract of docs/ARCHITECTURE.md).
@@ -282,12 +232,6 @@ class AlnsEngine:
                                 best_obj = cand_obj
                                 score = cfg.score_best
                                 new_best = True
-                                if exchange is not None:
-                                    # Snapshot now: a rejected candidate's
-                                    # mask is rolled back, but the recorded
-                                    # best keeps the designee set it was
-                                    # feasible under.
-                                    best_blocked = candidate.blocked_mask.copy()
                             else:
                                 vetoed += 1
                                 was_vetoed = True
@@ -349,50 +293,16 @@ class AlnsEngine:
                                     for op, w in zip(self.repair_ops, r_weights, strict=True)
                                 },
                             )
-
-                    if exchange is not None and it % exchange.period == 0:
-                        if (
-                            best_assignment is not None
-                            and best_blocked is not None
-                            and exchange.offer(best_obj, best_assignment, best_blocked)
-                        ):
-                            published += 1
-                            if trace_on:
-                                tracer.event(
-                                    "alns.exchange.publish", it=it, objective=best_obj
-                                )
-                        foreign = exchange.take(best_obj)
-                        if foreign is not None:
-                            adopt_obj, adopt_assign, adopt_blocked = foreign
-                            _adopt(current, adopt_assign, adopt_blocked)
-                            cur_obj = float(objective(current))
-                            best_assignment = adopt_assign
-                            best_obj = cur_obj
-                            best_blocked = adopt_blocked
-                            adopted += 1
-                            if trace_on:
-                                tracer.event(
-                                    "alns.exchange.adopt",
-                                    it=it,
-                                    objective=cur_obj,
-                                    offered=adopt_obj,
-                                )
             finally:
                 run_span.set("iterations_run", it)
                 run_span.set("accepted", accepted)
                 run_span.set("rejected_by_filter", vetoed)
                 if math.isfinite(best_obj):
                     run_span.set("best_objective", best_obj)
-                if exchange is not None:
-                    run_span.set("exchange_published", published)
-                    run_span.set("exchange_adopted", adopted)
 
         metrics.counter("alns.iterations").inc(it)
         metrics.counter("alns.accepted").inc(accepted)
         metrics.counter("alns.rejected_by_filter").inc(vetoed)
-        if exchange is not None:
-            metrics.counter("alns.exchange.published").inc(published)
-            metrics.counter("alns.exchange.adopted").inc(adopted)
         if math.isfinite(best_obj):
             metrics.gauge("alns.best_objective").set(best_obj)
 
@@ -414,26 +324,7 @@ class AlnsEngine:
             operator_weights=weights,
             accepted=accepted,
             rejected_by_filter=vetoed,
-            exchange_published=published,
-            exchange_adopted=adopted,
         )
-
-
-def _adopt(state: ClusterState, assignment: np.ndarray, blocked: np.ndarray) -> None:
-    """Reset *state* to a foreign incumbent and its designated-return set.
-
-    Locally blocked machines may host shards under the foreign
-    assignment, so they are unblocked before it is applied; the foreign
-    designees are vacant under it by the publisher's invariant, so they
-    are blocked after.
-    """
-    local_blocked = state.blocked_mask
-    for mach in np.flatnonzero(local_blocked & ~blocked).tolist():
-        state.unblock_machine(int(mach))
-    to_block = np.flatnonzero(blocked & ~local_blocked)
-    state.apply_assignment(assignment)
-    for mach in to_block.tolist():
-        state.block_machine(int(mach))
 
 
 def _roulette(rng: np.random.Generator, weights: np.ndarray) -> int:

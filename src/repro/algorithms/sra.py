@@ -36,7 +36,7 @@ from repro.algorithms.destroy import (
     shaw_removal,
     worst_machine_removal,
 )
-from repro.algorithms.lns import AlnsEngine, IncumbentChannel
+from repro.algorithms.lns import AlnsEngine
 from repro.algorithms.objective import Objective
 from repro.algorithms.repair import DEFAULT_REPAIR_OPS, RepairOperator
 from repro.algorithms.sra_config import SRAConfig
@@ -58,17 +58,8 @@ class SRA(Rebalancer):
 
     name = "sra"
 
-    def __init__(
-        self,
-        config: SRAConfig | None = None,
-        *,
-        exchange: "IncumbentChannel | None" = None,
-    ) -> None:
+    def __init__(self, config: SRAConfig | None = None) -> None:
         self.config = config or SRAConfig()
-        #: Cooperative incumbent channel handed through to the engine
-        #: (installed by ``run_sra_restarts`` on portfolio members; None
-        #: for the ordinary blind search).
-        self.exchange = exchange
 
     # ------------------------------------------------------------------ API
     def rebalance(
@@ -108,8 +99,6 @@ class SRA(Rebalancer):
                 config=cfg,
                 restarts=cfg.restarts,
                 n_workers=cfg.n_workers,
-                cooperative=cfg.cooperative,
-                exchange_period=cfg.exchange_period,
             )
             return report.best
         started = time.perf_counter()  # repro: allow-wall-clock (runtime reporting)
@@ -191,7 +180,6 @@ class SRA(Rebalancer):
                 objective,
                 best_filter=best_filter,
                 initial_is_valid_best=initial_valid,
-                exchange=self.exchange,
             )
 
         target = (

@@ -48,17 +48,6 @@ class SRAConfig:
         runs with seed ``spawn_seeds(alns.seed, K)[k]`` and the best
         feasible result wins.  The restart set is a pure function of the
         master seed, so results are identical for any worker count.
-    cooperative:
-        Portfolio mode for the restart fan-out: when True, restarts
-        periodically publish/adopt incumbents through a shared
-        best-solution slot instead of searching blind (see
-        ``repro.parallel.shm``).  Opt-in because adoption couples the
-        trajectories to worker *timing*: results are no longer
-        bitwise-reproducible across runs or worker counts (exchange
-        events are recorded via obs for auditing).  Ignored when
-        ``restarts == 1``.
-    exchange_period:
-        Iterations between incumbent-exchange polls in cooperative mode.
     seed:
         Convenience override for ``alns.seed``.
     n_workers:
@@ -85,8 +74,6 @@ class SRAConfig:
     polish: bool = True
     polish_steps: int = 3000
     restarts: int = 1
-    cooperative: bool = False
-    exchange_period: int = 50
     seed: int | None = None
     n_workers: int = 1
     migration_budget: MigrationBudget | None = None
@@ -97,8 +84,6 @@ class SRAConfig:
         check_positive("polish_steps", check_int("polish_steps", self.polish_steps))
         if check_int("restarts", self.restarts) < 1:
             raise ValueError("restarts must be >= 1")
-        if check_int("exchange_period", self.exchange_period) < 1:
-            raise ValueError("exchange_period must be >= 1")
         check_positive("n_workers", check_int("n_workers", self.n_workers))
         if self.seed is not None:
             object.__setattr__(self, "alns", replace(self.alns, seed=self.seed))

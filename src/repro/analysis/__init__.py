@@ -13,12 +13,11 @@ invariants"):
   and call graph (:mod:`repro.analysis.callgraph`), per-function CFGs
   with exception edges (:mod:`repro.analysis.cfg`) and a
   forward-dataflow framework (:mod:`repro.analysis.dataflow`);
-* the rule pack REP001–REP007 (:mod:`repro.analysis.rules`), one rule
+* the rule pack REP001–REP005 and REP007 (:mod:`repro.analysis.rules`), one rule
   per invariant: seeded RNG construction (through helper calls too),
   wall-clock discipline, ClusterState mutation discipline (through
   mirror aliases too), span context-manager usage, unordered float
-  folds, shared-memory lock discipline, transaction balance over all
-  paths.
+  folds, transaction balance over all paths.
 
 Entry points: ``repro lint`` and ``python -m repro.analysis``.
 """

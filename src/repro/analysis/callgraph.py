@@ -25,7 +25,7 @@ calls through containers or callbacks, monkey-patching, and
 the graph are therefore best-effort detectors, not verifiers.  The
 unique-method fallback refuses ubiquitous method names (``copy``,
 ``run``, ``close``…) so numpy/stdlib receivers cannot generate junk
-edges that would poison the lock-discipline fixpoint.
+edges that would poison the cross-module rules.
 
 Everything is built from modules **sorted by repo-relative path**, so
 the graph — and every finding derived from it — is byte-identical

@@ -1,6 +1,6 @@
 """``repro lint`` / ``python -m repro.analysis`` — the lint front end.
 
-Runs the registered rule pack REP001–REP007 over the target paths
+Runs the registered rule pack REP001–REP005, REP007 over the target paths
 (default: ``src/repro``) in one pass and prints every finding; any
 finding makes the exit code 1.  A line-scoped
 ``# repro: allow-<slug>`` comment is the only way to silence one.
@@ -152,8 +152,8 @@ def run(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="AST invariant linter for determinism, RNG, lock and "
-        "transaction discipline (rules REP001-REP007)",
+        description="AST invariant linter for determinism, RNG and "
+        "transaction discipline (rules REP001-REP005, REP007)",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

@@ -1,4 +1,4 @@
-"""The shipped rule pack: REP001–REP007, one rule per invariant.
+"""The shipped rule pack: REP001–REP005 and REP007, one rule per invariant.
 
 Each rule encodes an invariant of this reproduction that no
 off-the-shelf linter knows about (docs/ARCHITECTURE.md, "Static
@@ -31,12 +31,6 @@ graph, or per-function CFGs with a forward dataflow pass
   ``frozenset`` iteration in ``algorithms/`` / ``metrics/``.  Float
   addition is not associative, so set iteration order changes results
   between runs/processes even with identical seeds.
-* **REP006** ``shm-lock`` — writes to the shared-memory incumbent slot
-  (``_SlotView`` / ``IncumbentSlot`` arrays, the version counter)
-  outside a ``with <lock>:`` region, including writes buried in helpers
-  that are only ever called under the lock (the call-graph fixpoint
-  blesses those), and worker-side re-enabling of read-only attached
-  views (``view.flags.writeable = True``).
 * **REP007** ``txn-balance`` — a ``state.begin()`` with a path (normal
   *or* exception edge) to function exit on which neither ``commit()``
   nor ``rollback()`` definitely ran.  A leaked journal silently
@@ -64,7 +58,6 @@ __all__ = [
     "StateMutationRule",
     "SpanContextRule",
     "UnorderedFoldRule",
-    "ShmLockDisciplineRule",
     "TransactionBalanceRule",
 ]
 
@@ -1002,196 +995,6 @@ class UnorderedFoldRule(Rule):
                         f"{target}() over set iteration is order-"
                         "nondeterministic — iterate sorted(...) instead",
                     )
-
-
-# --------------------------------------------------------------------------
-# REP006 — shm lock discipline
-# --------------------------------------------------------------------------
-
-#: Classes whose arrays share one multiprocessing lock.
-_SLOT_CLASS_NAMES = frozenset({"_SlotView", "IncumbentSlot"})
-#: The shared ndarrays inside a slot (writes must hold the lock).
-_SLOT_ARRAY_ATTRS = frozenset({"version", "objective", "assign", "blocked"})
-
-
-def _is_lock_expr(mod: ModuleContext, expr: ast.expr) -> bool:
-    """True when *expr* looks like acquiring a lock: a Name/Attribute
-    chain (or a call on one) whose dotted text mentions ``lock``."""
-    target = expr.func if isinstance(expr, ast.Call) else expr
-    resolved = mod.resolve(target)
-    return resolved is not None and "lock" in resolved.lower()
-
-
-def _inside_with_lock(mod: ModuleContext, node: ast.AST) -> bool:
-    """True when *node* sits lexically inside ``with <lock-like>:``."""
-    cur: ast.AST | None = node
-    while cur is not None:
-        cur = mod.parent(cur)
-        if isinstance(cur, (ast.With, ast.AsyncWith)) and any(
-            _is_lock_expr(mod, item.context_expr) for item in cur.items
-        ):
-            return True
-    return False
-
-
-class _SlotTaint(_TaintTest):
-    def __call__(
-        self,
-        project: Project,
-        mod: ModuleContext,
-        caller: FunctionInfo | None,
-        arg: ast.expr,
-        tainted_params: set[tuple[str, str]],
-    ) -> bool:
-        if (
-            isinstance(arg, ast.Name)
-            and caller is not None
-            and (caller.qualname, arg.id) in tainted_params
-        ):
-            return True
-        env = project.env_of(caller) if caller is not None else {}
-        cls = project.class_of_expr(
-            mod, arg, env, caller.cls if caller is not None else None
-        )
-        return cls is not None and cls.rpartition(".")[2] in _SLOT_CLASS_NAMES
-
-
-@register
-class ShmLockDisciplineRule(Rule):
-    """Writes to shared incumbent-slot memory must hold the slot lock.
-
-    Contract
-    --------
-    Every store into a ``_SlotView`` / ``IncumbentSlot`` shared array
-    (``.assign``, ``.objective``, ``.blocked``) or its ``.version``
-    counter happens lexically inside ``with <lock>:``, or inside a
-    helper whose *every* transitive call site holds the lock.  Attached
-    read-only state views are never re-enabled for writing
-    (``view.flags.writeable = True``) outside ``parallel/shm.py``.
-
-    Rationale
-    ---------
-    The incumbent exchange publishes (objective, assignment) pairs via a
-    seqlock-style version counter; an unlocked write can interleave with
-    a reader and hand a worker a torn incumbent, which silently degrades
-    the cooperative search (indistinguishable from a worse algorithm).
-
-    Suppression
-    -----------
-    ``# repro: allow-shm-lock`` on the write's line, with a justification
-    comment — e.g. pre-publication initialisation in ``__init__`` before
-    any other process can hold a reference.
-    """
-
-    rule_id = "REP006"
-    slug = "shm-lock"
-    description = (
-        "write to shared incumbent-slot memory (slot arrays, version "
-        "counter) outside a lock region; see `repro lint --explain REP006`"
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        slot_params = _propagate_params(project, _SlotTaint())
-        locked = self._always_locked(project)
-        taint = _SlotTaint()
-        for info in project.functions.values():
-            mod = project.modules[info.module_rel]
-            fn_locked = info.qualname in locked
-            for node in _walk_shallow(info.node):
-                for target in _assign_targets(node):
-                    write = self._slot_write(
-                        project, mod, info, target, slot_params, taint
-                    )
-                    if write is None:
-                        continue
-                    if fn_locked or _inside_with_lock(mod, node):
-                        continue
-                    yield self.finding(
-                        mod,
-                        target,
-                        f"write to shared slot array .{write} outside a "
-                        "`with lock:` region — a torn write hands readers "
-                        "a corrupt incumbent",
-                    )
-                # Worker-side unlocking of read-only attached views.
-                if (
-                    isinstance(node, ast.Assign)
-                    and mod.rel != "src/repro/parallel/shm.py"
-                ):
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and target.attr == "writeable"
-                            and isinstance(target.value, ast.Attribute)
-                            and target.value.attr == "flags"
-                        ):
-                            yield self.finding(
-                                mod,
-                                target,
-                                "re-enabling writes on an attached "
-                                "read-only view — workers must treat "
-                                "attached state as immutable",
-                            )
-
-    def _slot_write(
-        self,
-        project: Project,
-        mod: ModuleContext,
-        info: FunctionInfo,
-        target: ast.expr,
-        slot_params: set[tuple[str, str]],
-        taint: _SlotTaint,
-    ) -> str | None:
-        """The slot-array attr being written through *target*, or None."""
-        # slot.assign[...] = x   /   slot.version[...] += 1
-        if isinstance(target, ast.Subscript):
-            value = target.value
-            if (
-                isinstance(value, ast.Attribute)
-                and value.attr in _SLOT_ARRAY_ATTRS
-                and taint(project, mod, info, value.value, slot_params)
-            ):
-                return value.attr
-            return None
-        # slot.objective = x  (rebinding the view attribute itself) —
-        # except through `self`: a slot class constructing/rebinding its
-        # own views is definitionally pre-publication.
-        if (
-            isinstance(target, ast.Attribute)
-            and target.attr in _SLOT_ARRAY_ATTRS
-            and not (
-                isinstance(target.value, ast.Name) and target.value.id == "self"
-            )
-            and taint(project, mod, info, target.value, slot_params)
-        ):
-            return target.attr
-        return None
-
-    def _always_locked(self, project: Project) -> set[str]:
-        """Greatest fixpoint of "every transitive call site holds the
-        lock".  Start from everything, strip functions with no call
-        sites or any unlocked site; what survives is provably only ever
-        entered under the lock.  (Mutually-recursive helpers with no
-        outside caller survive vacuously — dead code, no findings.)"""
-        locked = set(project.functions)
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(locked):
-                sites = project.graph.callers_of(qualname)
-                ok = bool(sites)
-                for site in sites:
-                    mod = project.modules[site.module_rel]
-                    if _inside_with_lock(mod, site.node):
-                        continue
-                    if site.caller in locked:
-                        continue
-                    ok = False
-                    break
-                if not ok:
-                    locked.discard(qualname)
-                    changed = True
-        return locked
 
 
 # --------------------------------------------------------------------------

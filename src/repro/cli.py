@@ -28,10 +28,10 @@
   scenario×algorithm grid through the parallel driver, writing per-cell
   row tables plus an ``index.json`` (the CI scenario-matrix jobs are
   thin wrappers over this subcommand);
-* ``lint``       — run the AST invariant linter (rules REP001–REP007:
-  seeded RNG construction, wall-clock discipline, ClusterState
-  mutation discipline, span usage, unordered float folds, shared-memory
-  lock discipline, transaction balance); any finding exits 1 — see
+* ``lint``       — run the AST invariant linter (rules REP001–REP005,
+  REP007: seeded RNG construction, wall-clock discipline, ClusterState
+  mutation discipline, span usage, unordered float folds, transaction
+  balance); any finding exits 1 — see
   docs/ARCHITECTURE.md, "Static analysis & invariants".  Also
   available as ``python -m repro.analysis``.
 
@@ -122,12 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         reb.add_argument("--workers", type=int, default=1, metavar="N",
                          help="worker processes the restarts are fanned "
                               "across (1 = serial; results are identical for "
-                              "any worker count unless --cooperative)")
-        reb.add_argument("--cooperative", action="store_true",
-                         help="let restarts exchange incumbents through a "
-                              "shared best-solution slot (portfolio search; "
-                              "pooled results become timing-dependent, serial "
-                              "stays deterministic)")
+                              "any worker count)")
         reb.add_argument("--out", default=None,
                          help="write the rebalanced snapshot here")
         _add_obs_arguments(reb)
@@ -211,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the AST invariant linter (rules REP001-REP007); any "
+        help="run the AST invariant linter (rules REP001-REP005, REP007); any "
              "finding exits 1",
     )
     from repro.analysis.cli import add_arguments as _add_lint_arguments
@@ -386,7 +381,6 @@ def _make_algorithm(args: argparse.Namespace):
                 alns=AlnsConfig(iterations=args.iterations, seed=args.seed),
                 restarts=args.restarts,
                 n_workers=args.workers,
-                cooperative=args.cooperative,
             )
         )
     if args.algorithm == "local-search":
@@ -720,13 +714,14 @@ def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
             specs, algorithms, iterations=args.iterations, n_workers=args.workers
         )
     from repro.experiments import print_table
+    from repro.parallel import save_tables
 
     for cell in cells:
-        print_table(cell.rows, title=f"matrix cell {cell.cell}")
+        print_table(cell.rows, title=f"matrix cell {cell.key}")
         if not cell.ok:
-            print(f"cell {cell.cell} FAILED: {cell.error}", file=sys.stderr)
+            print(f"cell {cell.key} FAILED: {cell.error}", file=sys.stderr)
     if args.out_dir:
-        scenarios.save_matrix(cells, args.out_dir)
+        save_tables(cells, args.out_dir, title="matrix cell")
         print(f"\nwrote {len(cells)} cells -> {args.out_dir}")
     ok = all(cell.ok for cell in cells)
 
@@ -739,11 +734,11 @@ def _cmd_scenarios_matrix(args: argparse.Namespace) -> int:
             first.rows, sort_keys=True
         ):
             print(
-                f"determinism violation: rerun of cell {first.cell} diverged",
+                f"determinism violation: rerun of cell {first.key} diverged",
                 file=sys.stderr,
             )
             return 1
-        print(f"determinism verified: cell {first.cell} rerun is identical")
+        print(f"determinism verified: cell {first.key} rerun is identical")
     return 0 if ok else 1
 
 

@@ -9,13 +9,11 @@ Public surface:
   and ``repro.obs`` merge;
 * :mod:`~repro.parallel.shm` — shared-memory instance publication
   (:func:`~repro.parallel.shm.publish_state` /
-  :func:`~repro.parallel.shm.attach_state`) and the cooperative
-  incumbent slot (:class:`~repro.parallel.shm.IncumbentSlot`);
+  :func:`~repro.parallel.shm.attach_state`);
 * :func:`~repro.parallel.restarts.run_sra_restarts` — the one best-of-K
   SRA runner, fanned out over the worker pool with the instance in
-  shared memory, blind or cooperative (what ``SRAConfig.restarts`` /
-  CLI ``--restarts`` and the scenario matrix's ``portfolio`` axis
-  drive);
+  shared memory (what ``SRAConfig.restarts`` / CLI ``--restarts`` and
+  the scenario matrix's ``portfolio`` axis drive);
 * :func:`~repro.parallel.driver.run_experiments` /
   :func:`~repro.parallel.driver.save_tables` — parallel E1–E20
   experiment driver (what ``repro.cli experiment --all --workers N``
@@ -35,18 +33,10 @@ from repro.parallel.driver import (
 from repro.parallel.restarts import RestartReport, run_sra_restarts
 from repro.parallel.runner import ParallelRunner, TaskResult, TaskSpec
 from repro.parallel.seeds import spawn_seed, spawn_seeds
-from repro.parallel.shm import (
-    IncumbentExchange,
-    IncumbentSlot,
-    SharedState,
-    attach_state,
-    publish_state,
-)
+from repro.parallel.shm import SharedState, attach_state, publish_state
 
 __all__ = [
     "ExperimentResult",
-    "IncumbentExchange",
-    "IncumbentSlot",
     "ParallelRunner",
     "RestartReport",
     "SharedState",

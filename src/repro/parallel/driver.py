@@ -36,6 +36,15 @@ class ExperimentResult:
     error: str | None
     duration_s: float
 
+    def index_entry(self) -> dict[str, Any]:
+        """This result's entry in the ``index.json`` manifest."""
+        return {
+            "ok": self.ok,
+            "rows": len(self.rows),
+            "duration_s": self.duration_s,
+            "error": self.error,
+        }
+
 
 def _experiment_task(key: str, fast: bool) -> list[dict[str, Any]]:
     # Imported in the worker so a fresh process builds its own registry.
@@ -96,27 +105,28 @@ def run_experiments(
     ]
 
 
-def save_tables(results: Sequence[ExperimentResult], out_dir: str | Path) -> Path:
-    """Write per-experiment tables (``.txt`` + ``.json``) and a manifest."""
+def save_tables(
+    results: Sequence[ExperimentResult], out_dir: str | Path, *, title: str = "experiment"
+) -> Path:
+    """Write one ``<key>.json`` + ``<key>.txt`` row table per result and an
+    ``index.json`` manifest of their :meth:`ExperimentResult.index_entry`.
+
+    The ``.txt`` tables are headed ``<title> <key>``.  The scenario matrix
+    writes its cells through this too (see ``repro.scenarios.matrix``).
+    """
     from repro.experiments import format_table
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index: dict[str, Any] = {}
     for res in results:
-        index[res.key] = {
-            "ok": res.ok,
-            "rows": len(res.rows),
-            "duration_s": res.duration_s,
-            "error": res.error,
-        }
         (out / f"{res.key}.json").write_text(
             json.dumps(res.rows, indent=2, default=str) + "\n", encoding="utf-8"
         )
         (out / f"{res.key}.txt").write_text(
-            format_table(res.rows, title=f"experiment {res.key}") + "\n",
+            format_table(res.rows, title=f"{title} {res.key}") + "\n",
             encoding="utf-8",
         )
+    index = {res.key: res.index_entry() for res in results}
     (out / "index.json").write_text(
         json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

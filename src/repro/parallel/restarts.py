@@ -1,4 +1,4 @@
-"""Parallel SRA restarts: shared-memory pool, blind or cooperative.
+"""Parallel SRA restarts over a shared-memory worker pool.
 
 This is the library's one best-of-K runner: ``SRA(SRAConfig(restarts=K,
 n_workers=N))`` calls it.  LNS restarts share nothing, so K restarts
@@ -19,38 +19,18 @@ thousands of machine/shard dataclasses.  This is what turned the pool
 from a slowdown (BENCH_alns.json historically recorded 0.70x at 2
 workers on m50) into a speedup on instances large enough to amortize
 the worker spawn.
-
-``cooperative=True`` upgrades blind best-of-K to a portfolio: restarts
-periodically publish/adopt incumbents through a shared best-solution
-slot (:class:`repro.parallel.shm.IncumbentSlot`), in the spirit of
-token-based portfolio load balancing (Comte, PAPERS.md).  Cooperative
-results depend on worker *timing* and are therefore not reproducible
-across runs or worker counts — exchange events are recorded via
-``repro.obs`` (``alns.exchange.*``) for auditing.  The serial
-cooperative portfolio (``n_workers=1``) runs restarts sequentially
-against an in-process slot and *is* deterministic: restart ``k`` warm
-starts from the best of restarts ``0..k-1``.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
+from repro._validation import check_int, check_positive
 from repro.parallel.runner import ParallelRunner, TaskResult, TaskSpec
 from repro.parallel.seeds import spawn_seeds
-from repro.parallel.shm import (
-    AttachedState,
-    IncumbentExchange,
-    IncumbentHandle,
-    IncumbentSlot,
-    StateHandle,
-    attach_incumbent,
-    attach_state,
-    local_incumbent_exchange,
-    publish_state,
-)
+from repro.parallel.shm import AttachedState, StateHandle, attach_state, publish_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sra imports us)
     from repro.algorithms.base import RebalanceResult
@@ -80,43 +60,29 @@ class RestartReport:
         return sum(1 for r in self.results if not r.ok)
 
 
-# Worker-process globals, installed once per worker by ``_init_worker``
-# (the pool initializer).  Tasks consult them instead of carrying
-# the state / exchange through pickled task args.
+# Worker-process global, installed once per worker by ``_init_worker``
+# (the pool initializer).  Tasks consult it instead of carrying the
+# state through pickled task args.
 _WORKER_STATE: AttachedState | None = None
-_WORKER_EXCHANGE: IncumbentExchange | None = None
 
 
-def _init_worker(
-    state_handle: StateHandle,
-    slot_handle: IncumbentHandle | None,
-    lock: Any,
-    period: int,
-) -> None:
-    """Pool initializer: attach shared segments once.
+def _init_worker(state_handle: StateHandle) -> None:
+    """Pool initializer: attach the shared instance once.
 
-    Runs in the worker process at spawn.  The lock arrives through
-    ``Process`` creation (``multiprocessing`` primitives cannot cross
-    task pipes).  Attach-only: the parent owns both segments' unlink.
+    Runs in the worker process at spawn.  Attach-only: the parent owns
+    the segment's unlink.
     """
-    global _WORKER_STATE, _WORKER_EXCHANGE
+    global _WORKER_STATE
     _WORKER_STATE = attach_state(state_handle)
-    _WORKER_EXCHANGE = (
-        attach_incumbent(slot_handle, lock, period) if slot_handle is not None else None
-    )
 
 
 def _run_one(
-    config: "SRAConfig",
-    state: "ClusterState",
-    ledger: "ExchangeLedger | None",
-    exchange: IncumbentExchange | None = None,
+    config: "SRAConfig", state: "ClusterState", ledger: "ExchangeLedger | None"
 ) -> "RebalanceResult":
-    """One restart; a cooperative restart gets its own exchange client."""
+    """One restart."""
     from repro.algorithms.sra import SRA
 
-    client = None if exchange is None else exchange.clone()
-    return SRA(config, exchange=client).rebalance(state, ledger)
+    return SRA(config).rebalance(state, ledger)
 
 
 def _run_one_shared(config: "SRAConfig", ledger: "ExchangeLedger | None") -> "RebalanceResult":
@@ -124,7 +90,7 @@ def _run_one_shared(config: "SRAConfig", ledger: "ExchangeLedger | None") -> "Re
     attached = _WORKER_STATE
     if attached is None:
         raise RuntimeError("shared-state task ran in a worker without _init_worker")
-    return _run_one(config, attached.state, ledger, _WORKER_EXCHANGE)
+    return _run_one(config, attached.state, ledger)
 
 
 def run_sra_restarts(
@@ -135,56 +101,33 @@ def run_sra_restarts(
     restarts: int,
     n_workers: int = 1,
     timeout_s: float | None = None,
-    cooperative: bool = False,
-    exchange_period: int = 50,
 ) -> RestartReport:
     """Run *restarts* SRA searches; return the best result.
 
-    Each restart gets its spawned seed and ``restarts=1, n_workers=1,
-    cooperative=False`` (so a restart never recursively fans out).
-    With ``n_workers > 1`` the fan-out runs on a worker pool that reads
-    *state* from shared memory; blind-mode results stay
-    bitwise-identical to the serial path.  ``cooperative`` switches
-    blind best-of-K to portfolio search with incumbent exchange every
-    *exchange_period* iterations (see module docstring for the
-    determinism caveat).  Raises ``RuntimeError`` when every restart
-    failed.
+    Each restart gets its spawned seed and ``restarts=1, n_workers=1``
+    (so a restart never recursively fans out).  With ``n_workers > 1``
+    the fan-out runs on a worker pool that reads *state* from shared
+    memory; results stay bitwise-identical to the serial path.  Raises
+    ``RuntimeError`` when every restart failed.
     """
-    if restarts < 1:
+    if check_int("restarts", restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    check_positive("n_workers", check_int("n_workers", n_workers))
     seeds = spawn_seeds(config.alns.seed, restarts)
-    configs = [
-        replace(config, seed=seed, restarts=1, n_workers=1, cooperative=False)
-        for seed in seeds
-    ]
+    configs = [replace(config, seed=seed, restarts=1, n_workers=1) for seed in seeds]
     with ExitStack() as owned:
         if n_workers == 1:
-            exchange = (
-                local_incumbent_exchange(state.num_shards, state.num_machines, exchange_period)
-                if cooperative
-                else None
-            )
             runner = ParallelRunner(1, timeout_s=timeout_s)
-            fn, args = _run_one, (state, ledger, exchange)
+            fn, args = _run_one, (state, ledger)
         else:
-            # The parent owns both segments: the stack closes and unlinks
-            # them after the runner has shut its workers down.
+            # The parent owns the segment: the stack closes and unlinks
+            # it after the runner has shut its workers down.
             shared = owned.enter_context(publish_state(state))
-            slot = (
-                owned.enter_context(IncumbentSlot(state.num_shards, state.num_machines))
-                if cooperative
-                else None
-            )
             runner = ParallelRunner(
                 n_workers,
                 timeout_s=timeout_s,
                 initializer=_init_worker,
-                initargs=(
-                    shared.handle,
-                    None if slot is None else slot.handle,
-                    None if slot is None else slot.lock,
-                    exchange_period,
-                ),
+                initargs=(shared.handle,),
             )
             fn, args = _run_one_shared, (ledger,)
         specs = [

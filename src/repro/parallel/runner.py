@@ -55,7 +55,7 @@ from types import TracebackType
 from typing import Any, Callable, Mapping, Sequence
 
 from repro import obs
-from repro._validation import check_positive
+from repro._validation import check_int, check_positive
 
 __all__ = ["TaskSpec", "TaskResult", "ParallelRunner"]
 
@@ -239,10 +239,10 @@ class ParallelRunner:
         initializer: Callable[..., None] | None = None,
         initargs: tuple[Any, ...] = (),
     ) -> None:
-        check_positive("n_workers", n_workers)
+        self.n_workers = check_int("n_workers", n_workers)
+        check_positive("n_workers", self.n_workers)
         if timeout_s is not None:
             check_positive("timeout_s", timeout_s)
-        self.n_workers = int(n_workers)
         self.timeout_s = timeout_s
         self._initializer = initializer
         self._initargs = tuple(initargs)

@@ -171,12 +171,6 @@ class FCFSMachine:
             task = pending.popleft()
             task.query.complete(task.finish)
 
-    @property
-    def queue_depth(self) -> int:
-        """Tasks enqueued but not yet finalized (includes completed-but-
-        unretired tasks between events)."""
-        return len(self._pending)
-
 
 class ServingFleet:
     """The machines of one cluster, indexed by machine id."""
@@ -206,8 +200,3 @@ class ServingFleet:
     def busy_time(self) -> np.ndarray:
         """(m,) seconds each machine spent serving."""
         return np.array([m.busy_time for m in self.machines], dtype=np.float64)
-
-    def busy_fraction(self, window: float) -> np.ndarray:
-        """(m,) busy fraction over a *window* of seconds."""
-        check_positive("window", window)
-        return self.busy_time() / window

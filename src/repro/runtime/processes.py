@@ -12,6 +12,7 @@ wave-by-wave while queries keep arriving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -192,10 +193,13 @@ class RebalanceController:
                     "simulated execution cannot borrow machines mid-run; "
                     "grow the fleet before serving starts instead"
                 )
-        if check_interval is not None:
-            check_positive("check_interval", check_interval)
-            if horizon is None:
-                raise ValueError("check_interval requires a horizon")
+        if trigger_at is not None and not (math.isfinite(trigger_at) and trigger_at >= 0):
+            raise ValueError(f"trigger_at must be finite and >= 0, got {trigger_at!r}")
+        for name, value in (("check_interval", check_interval), ("horizon", horizon)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if check_interval is not None and horizon is None:
+            raise ValueError("check_interval requires a horizon")
         self.handle = handle
         self.rebalancer = rebalancer
         self.policy = policy

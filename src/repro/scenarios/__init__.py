@@ -17,7 +17,6 @@ from repro.scenarios.matrix import (
     cell_id,
     run_cell,
     run_matrix,
-    save_matrix,
     smoke_specs,
 )
 from repro.scenarios.registry import (
@@ -50,6 +49,5 @@ __all__ = [
     "cell_id",
     "run_cell",
     "run_matrix",
-    "save_matrix",
     "smoke_specs",
 ]

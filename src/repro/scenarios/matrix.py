@@ -13,19 +13,19 @@ the ``index.json`` manifest's ``duration_s``, which is the one field a
 rerun may legitimately change.  That is what lets CI rerun a cell and
 require bitwise-identical rows (the determinism gate in ci.yml).
 
-``save_matrix`` writes one ``<cell>.json`` + ``<cell>.txt`` row table
-per cell plus an ``index.json`` manifest keyed by cell id
-(``<scenario>-<spec_hash>__<algorithm>``) — the same artifact layout the
-experiment driver uses, so CI uploads both identically.
+A :class:`MatrixCell` is an experiment result keyed by cell id
+(``<scenario>-<spec_hash>__<algorithm>``), so the experiment driver's
+``repro.parallel.save_tables`` writes the matrix too: one
+``<cell>.json`` + ``<cell>.txt`` row table per cell plus an
+``index.json`` manifest, the artifact layout CI uploads for both.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.parallel.driver import ExperimentResult
 from repro.parallel.runner import ParallelRunner, TaskSpec
 from repro.scenarios.registry import generate_instance, resolve
 from repro.scenarios.spec import ScenarioSpec
@@ -36,7 +36,6 @@ __all__ = [
     "cell_id",
     "run_matrix",
     "run_cell",
-    "save_matrix",
     "smoke_specs",
 ]
 
@@ -82,18 +81,23 @@ ALGORITHMS: dict[str, Callable[[int, int], Any]] = {
 
 
 @dataclass
-class MatrixCell:
-    """One (scenario spec, algorithm) cell's outcome."""
+class MatrixCell(ExperimentResult):
+    """One (scenario spec, algorithm) cell's outcome; ``key`` is its
+    :func:`cell_id`."""
 
-    cell: str
     scenario: str
     algorithm: str
     spec: ScenarioSpec
     spec_hash: str
-    rows: list[dict[str, Any]]
-    ok: bool
-    error: str | None
-    duration_s: float
+
+    def index_entry(self) -> dict[str, Any]:
+        return {
+            "scenario": self.scenario,
+            "algorithm": self.algorithm,
+            "spec": self.spec.to_dict(),
+            "spec_hash": self.spec_hash,
+            **super().index_entry(),
+        }
 
 
 def cell_id(spec: ScenarioSpec, algorithm: str) -> str:
@@ -176,7 +180,7 @@ def run_matrix(
         _, _, digest = resolve(spec)
         out.append(
             MatrixCell(
-                cell=key,
+                key=key,
                 scenario=spec.scenario,
                 algorithm=algorithm,
                 spec=spec,
@@ -187,37 +191,6 @@ def run_matrix(
                 duration_s=res.duration_s,
             )
         )
-    return out
-
-
-def save_matrix(cells: Sequence[MatrixCell], out_dir: str | Path) -> Path:
-    """Write per-cell row tables (``.json`` + ``.txt``) and ``index.json``."""
-    from repro.experiments import format_table
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index: dict[str, Any] = {}
-    for cell in cells:
-        index[cell.cell] = {
-            "scenario": cell.scenario,
-            "algorithm": cell.algorithm,
-            "spec": cell.spec.to_dict(),
-            "spec_hash": cell.spec_hash,
-            "ok": cell.ok,
-            "rows": len(cell.rows),
-            "duration_s": cell.duration_s,
-            "error": cell.error,
-        }
-        (out / f"{cell.cell}.json").write_text(
-            json.dumps(cell.rows, indent=2, default=str) + "\n", encoding="utf-8"
-        )
-        (out / f"{cell.cell}.txt").write_text(
-            format_table(cell.rows, title=f"matrix cell {cell.cell}") + "\n",
-            encoding="utf-8",
-        )
-    (out / "index.json").write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     return out
 
 

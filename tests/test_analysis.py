@@ -37,8 +37,7 @@ def lint(source, rel=ALGO, rules=None):
 class TestRegistry:
     def test_pack_is_registered(self):
         assert [r.rule_id for r in all_rules()] == [
-            "REP001", "REP002", "REP003", "REP004", "REP005",
-            "REP006", "REP007",
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP007",
         ]
 
     def test_get_rule_is_case_insensitive(self):
@@ -253,101 +252,6 @@ class TestRep005UnorderedFold:
     def test_out_of_scope_clean(self):
         src = "t = 0.0\nfor x in {1.0, 2.0}:\n    t += x\n"
         assert lint(src, rel="src/repro/cluster/state.py") == []
-
-
-SHM_FIXTURE = """\
-class _SlotView:
-    def __init__(self, buf, n, m):
-        self.version = buf
-        self.objective = buf
-        self.assign = buf
-        self.blocked = buf
-"""
-
-WORKER_UNLOCKED = """\
-from repro.parallel.shm import _SlotView
-
-def publish(view, objective):
-    view.objective[0] = objective
-    view.version[0] += 1
-
-def refresh(buf, objective):
-    view = _SlotView(buf, 4, 2)
-    publish(view, objective)
-"""
-
-
-class TestRep006ShmLock:
-    """The lock-discipline rule needs the call graph: the write and the
-    ``with lock:`` (or its absence) live in different functions."""
-
-    def test_unlocked_cross_function_write_flagged(self):
-        findings = lint_project({
-            "src/repro/parallel/shm.py": SHM_FIXTURE,
-            "src/repro/parallel/worker.py": WORKER_UNLOCKED,
-        })
-        assert rule_ids(findings) == ["REP006", "REP006"]
-        assert [f.line for f in findings] == [4, 5]
-        assert all(f.file == "src/repro/parallel/worker.py" for f in findings)
-
-    def test_old_per_module_engine_cannot_see_it(self):
-        # The same worker module linted alone is clean: the taint that
-        # makes the write dangerous arrives through the call graph.
-        assert lint_project({"src/repro/parallel/worker.py": WORKER_UNLOCKED}) == []
-
-    def test_helper_called_only_under_lock_is_blessed(self):
-        src = (
-            "from repro.parallel.shm import _SlotView\n"
-            "\n"
-            "def publish(view, objective):\n"
-            "    view.objective[0] = objective\n"
-            "\n"
-            "def offer(buf, lock, objective):\n"
-            "    view = _SlotView(buf, 4, 2)\n"
-            "    with lock:\n"
-            "        publish(view, objective)\n"
-        )
-        assert lint_project({
-            "src/repro/parallel/shm.py": SHM_FIXTURE,
-            "src/repro/parallel/worker.py": src,
-        }) == []
-
-    def test_lexical_with_lock_is_clean(self):
-        src = (
-            "from repro.parallel.shm import _SlotView\n"
-            "\n"
-            "def offer(buf, lock, objective):\n"
-            "    view = _SlotView(buf, 4, 2)\n"
-            "    with lock:\n"
-            "        view.objective[0] = objective\n"
-        )
-        assert lint_project({
-            "src/repro/parallel/shm.py": SHM_FIXTURE,
-            "src/repro/parallel/worker.py": src,
-        }) == []
-
-    def test_writeable_reenable_flagged_outside_shm(self):
-        src = "def attach(view):\n    view.flags.writeable = True\n"
-        findings = lint_project({"src/repro/parallel/worker.py": src})
-        assert rule_ids(findings) == ["REP006"]
-        assert "read-only" in findings[0].message
-
-    def test_writeable_allowed_inside_shm_itself(self):
-        src = "def attach(view):\n    view.flags.writeable = True\n"
-        assert lint_project({"src/repro/parallel/shm.py": src}) == []
-
-    def test_suppression_applies(self):
-        src = (
-            "from repro.parallel.shm import _SlotView\n"
-            "\n"
-            "def init(buf):\n"
-            "    view = _SlotView(buf, 4, 2)\n"
-            "    view.version[0] = 0  # repro: allow-shm-lock (pre-publication)\n"
-        )
-        assert lint_project({
-            "src/repro/parallel/shm.py": SHM_FIXTURE,
-            "src/repro/parallel/worker.py": src,
-        }) == []
 
 
 TXN_REL = "src/repro/algorithms/txn_fixture.py"
@@ -763,7 +667,7 @@ class TestLintCli:
         """Self-check: the repository satisfies its own invariants, with
         no finding at all — there is no grandfathered debt."""
         assert lint_main(["--root", str(REPO_ROOT)]) == 0
-        assert capsys.readouterr().out == "lint: ok (7 rule(s))\n"
+        assert capsys.readouterr().out == "lint: ok (6 rule(s))\n"
 
 
 #: The strict mypy tier: every flag of ``strict = true`` that a

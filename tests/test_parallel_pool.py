@@ -1,10 +1,10 @@
 """Correctness sweep for the shared-memory restart pool.
 
 Covers the winner-aliasing regression, the serial/pool exception
-contract, worker reuse/crash/timeout semantics, the shared-memory lifecycle (attach/detach/unlink with no
-leaked ``/dev/shm`` segments on any exit path), cooperative incumbent
-exchange, and the hypothesis-pinned property that blind-mode pool
-results stay bitwise-identical to serial with shm enabled.
+contract, worker reuse/crash/timeout semantics, the shared-memory
+lifecycle (attach/detach/unlink with no leaked ``/dev/shm`` segments on
+any exit path), and the hypothesis-pinned property that pool results
+stay bitwise-identical to serial with shm enabled.
 """
 
 import os
@@ -20,13 +20,8 @@ from hypothesis import strategies as st
 import repro
 from repro import obs
 from repro.algorithms import AlnsConfig, SRA, SRAConfig
-from repro.algorithms.lns import AlnsEngine
-from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
-from repro.algorithms.repair import DEFAULT_REPAIR_OPS
-from repro.algorithms.objective import Objective
 from repro.cluster import ClusterState
 from repro.parallel import (
-    IncumbentSlot,
     ParallelRunner,
     TaskSpec,
     attach_state,
@@ -34,7 +29,6 @@ from repro.parallel import (
     run_sra_restarts,
 )
 from repro.parallel.restarts import _init_worker
-from repro.parallel.shm import local_incumbent_exchange
 from repro.workloads import SyntheticConfig, generate
 
 
@@ -357,7 +351,7 @@ class TestSharedStateLifecycle:
             with ParallelRunner(
                 2,
                 initializer=_init_worker,
-                initargs=(shared.handle, None, None, 50),
+                initargs=(shared.handle,),
             ) as runner:
                 rows = runner.run([TaskSpec(fn=_hard_exit, name="die"),
                                    TaskSpec(fn=_pid, name="ok")])
@@ -377,134 +371,6 @@ class TestSharedStateLifecycle:
                 state, config=config, restarts=2, n_workers=2, timeout_s=0.4
             )
         assert _shm_names() == before
-
-    @needs_dev_shm
-    def test_no_leak_cooperative(self):
-        before = _shm_names()
-        state = _small_state()
-        config = SRAConfig(alns=AlnsConfig(iterations=30, seed=2))
-        run_sra_restarts(
-            state, config=config, restarts=2, n_workers=2,
-            cooperative=True, exchange_period=10,
-        )
-        assert _shm_names() == before
-
-
-# ------------------------------------------------------------- cooperative
-class _PlantedExchange:
-    """Fake incumbent channel: hands out one planted incumbent, records
-    offers.  Lets the adoption path run deterministically in-process."""
-
-    def __init__(self, planted, period=10):
-        self.period = period
-        self._planted = planted
-        self.offers = []
-
-    def offer(self, objective, assignment, blocked):
-        self.offers.append(float(objective))
-        return False
-
-    def take(self, objective):
-        if self._planted is not None and self._planted[0] < objective - 1e-12:
-            planted, self._planted = self._planted, None
-            return planted
-        return None
-
-
-class TestCooperativeExchange:
-    def test_engine_adopts_planted_incumbent(self):
-        state = _small_state()
-        objective = Objective(state.assignment, state.sizes)
-        engine = AlnsEngine(
-            AlnsConfig(iterations=400, seed=11), DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS
-        )
-        strong = engine.run(state, objective)
-        weak_engine = AlnsEngine(
-            AlnsConfig(iterations=40, seed=12), DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS
-        )
-        planted = (
-            strong.best_objective,
-            strong.best_assignment,
-            np.zeros(state.num_machines, dtype=bool),
-        )
-        exchange = _PlantedExchange(planted, period=10)
-        outcome = weak_engine.run(state, objective, exchange=exchange)
-        assert outcome.exchange_adopted == 1
-        assert outcome.best_objective <= strong.best_objective + 1e-12
-        assert exchange.offers, "engine never offered its incumbent"
-
-    def test_blind_mode_unchanged_by_hook_presence(self):
-        state = _small_state()
-        objective = Objective(state.assignment, state.sizes)
-        cfg = AlnsConfig(iterations=60, seed=4)
-        a = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS).run(
-            state, objective
-        )
-        b = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS).run(
-            state, objective, exchange=None
-        )
-        assert a.best_objective == b.best_objective
-        np.testing.assert_array_equal(a.best_assignment, b.best_assignment)
-        assert a.exchange_published == a.exchange_adopted == 0
-
-    def test_serial_portfolio_is_deterministic_and_publishes(self):
-        state = _small_state()
-        config = SRAConfig(alns=AlnsConfig(iterations=60, seed=9))
-        with obs.observed() as bundle:
-            first = run_sra_restarts(
-                state, config=config, restarts=3, n_workers=1,
-                cooperative=True, exchange_period=10,
-            )
-        second = run_sra_restarts(
-            state, config=config, restarts=3, n_workers=1,
-            cooperative=True, exchange_period=10,
-        )
-        np.testing.assert_array_equal(
-            first.best.target_assignment, second.best.target_assignment
-        )
-        assert first.best.peak_after == second.best.peak_after
-        counters = bundle.metrics.to_dict()["counters"]
-        assert counters.get("alns.exchange.published", 0) >= 1
-
-    def test_pool_portfolio_returns_feasible_result(self):
-        state = _small_state()
-        config = SRAConfig(alns=AlnsConfig(iterations=40, seed=9))
-        with obs.observed() as bundle:
-            report = run_sra_restarts(
-                state, config=config, restarts=3, n_workers=2,
-                cooperative=True, exchange_period=10,
-            )
-        assert report.best.feasible
-        assert report.num_failed == 0
-        counters = bundle.metrics.to_dict()["counters"]
-        assert counters.get("alns.exchange.published", 0) >= 1
-
-    def test_local_exchange_cursor_isolated_per_clone(self):
-        ex = local_incumbent_exchange(4, 2, period=5)
-        assign = np.zeros(4, dtype=np.int64)
-        blocked = np.zeros(2, dtype=bool)
-        assert ex.offer(5.0, assign, blocked)
-        # The publishing client must not re-adopt its own incumbent...
-        assert ex.take(5.0) is None
-        # ...but a fresh clone (a new restart) adopts it.
-        got = ex.clone().take(9.0)
-        assert got is not None and got[0] == 5.0
-        # Worse incumbents never displace the slot.
-        assert not ex.offer(6.0, assign, blocked)
-
-    def test_incumbent_slot_snapshot(self):
-        slot = IncumbentSlot(4, 2)
-        try:
-            assert slot.snapshot() is None
-        finally:
-            slot.close()
-            slot.unlink()
-
-    def test_cooperative_config_wiring(self):
-        cfg = SRAConfig(cooperative=True, exchange_period=25, restarts=2)
-        assert cfg.cooperative and cfg.exchange_period == 25
-        with pytest.raises(ValueError, match="exchange_period"):
-            SRAConfig(exchange_period=0)
 
 
 # ------------------------------------------------------- bitwise determinism

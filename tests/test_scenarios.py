@@ -22,10 +22,10 @@ from repro.scenarios import (
     resolve_params,
     run_cell,
     run_matrix,
-    save_matrix,
     smoke_specs,
     spec_hash,
 )
+from repro.parallel import save_tables
 
 REQUIRED_FAMILIES = {
     "zipf-popularity",
@@ -273,17 +273,17 @@ class TestMatrix:
             ScenarioSpec("failure-storm", TINY["failure-storm"], seed=0),
         ]
         cells = run_matrix(specs, ["greedy", "noop"], iterations=10)
-        assert [c.cell for c in cells] == [
+        assert [c.key for c in cells] == [
             cell_id(s, a) for s in specs for a in ("greedy", "noop")
         ]
         assert all(c.ok for c in cells)
-        out = save_matrix(cells, tmp_path / "mat")
+        out = save_tables(cells, tmp_path / "mat", title="matrix cell")
         index = json.loads((out / "index.json").read_text())
-        assert set(index) == {c.cell for c in cells}
+        assert set(index) == {c.key for c in cells}
         for cell in cells:
-            assert (out / f"{cell.cell}.json").exists()
-            assert (out / f"{cell.cell}.txt").exists()
-            assert index[cell.cell]["spec_hash"] == cell.spec_hash
+            assert (out / f"{cell.key}.json").exists()
+            assert (out / f"{cell.key}.txt").exists()
+            assert index[cell.key]["spec_hash"] == cell.spec_hash
 
     def test_matrix_rejects_unknown_algorithm_before_running(self):
         specs = [ScenarioSpec("zipf-popularity", TINY["zipf-popularity"], seed=0)]

@@ -69,8 +69,8 @@ class TestSRAConfig:
             {"polish_steps": 2.5},
             {"restarts": 0},
             {"restarts": 2.5},
-            {"exchange_period": 0},
-            {"exchange_period": 50.0},
+            {"restarts": 2.0},
+            {"n_workers": 2.0},
             {"n_workers": 0},
             {"n_workers": 1.5},
         ],

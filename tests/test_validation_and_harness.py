@@ -10,12 +10,13 @@ from repro._validation import (
     check_non_negative,
     check_positive,
 )
-from repro.algorithms import MigrationBudget, SRA
+from repro.algorithms import MigrationBudget, SRA, SRAConfig
 from repro.algorithms.baselines import RandomRestartRebalancer
 from repro.core import ResourceExchangeRebalancer
 from repro.experiments import REGISTRY
 from repro.experiments.harness import format_table, is_full_run, register
 from repro.online import OnlineSimulator, PopularityDrift
+from repro.parallel import ParallelRunner, run_sra_restarts
 from repro.runtime import ClusterHandle, DriftDetectorConfig, DriftProcess, RebalanceController
 from repro.workloads import SyntheticConfig, generate
 
@@ -80,6 +81,11 @@ class TestIntegerCounts:
             ("slope_window", lambda: DriftDetectorConfig(slope_window=2.5)),
             ("warmup_checks", lambda: DriftDetectorConfig(warmup_checks=1.5)),
             ("max_moves", lambda: MigrationBudget(max_moves=2.5)),
+            ("n_workers", lambda: ParallelRunner(1.5)),
+            ("restarts", lambda: run_sra_restarts(
+                _tiny_state(), config=SRAConfig(), restarts=2.0)),
+            ("n_workers", lambda: run_sra_restarts(
+                _tiny_state(), config=SRAConfig(), restarts=2, n_workers=1.5)),
         ],
         ids=[
             "episode-exchange_machines",
@@ -92,6 +98,9 @@ class TestIntegerCounts:
             "detector-slope_window",
             "detector-warmup_checks",
             "budget-max_moves",
+            "runner-n_workers",
+            "sra_restarts-restarts",
+            "sra_restarts-n_workers",
         ],
     )
     def test_fractional_count_rejected(self, name, build):
@@ -105,6 +114,42 @@ class TestIntegerCounts:
         assert DriftDetectorConfig(slope_window=3, warmup_checks=1).slope_window == 3
         with pytest.raises(ValueError, match="exchange_machines must be >= 0"):
             ResourceExchangeRebalancer(exchange_machines=-1)
+
+
+class TestControllerTimes:
+    """Controller check times are validated at construction, naming the
+    argument, instead of failing later at ``Runtime.add`` or silently
+    stopping the periodic checks."""
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"check_interval": 1.0, "horizon": float("nan")}, "horizon must be finite"),
+            ({"check_interval": 1.0, "horizon": float("inf")}, "horizon must be finite"),
+            ({"check_interval": 1.0, "horizon": 0.0}, "horizon must be finite and > 0"),
+            ({"check_interval": float("inf"), "horizon": 10.0}, "check_interval must be finite"),
+            ({"trigger_at": -1.0}, "trigger_at must be finite and >= 0"),
+            ({"trigger_at": float("nan")}, "trigger_at must be finite"),
+        ],
+        ids=[
+            "horizon-nan",
+            "horizon-inf",
+            "horizon-zero",
+            "check_interval-inf",
+            "trigger_at-negative",
+            "trigger_at-nan",
+        ],
+    )
+    def test_bad_time_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RebalanceController(ClusterHandle(_tiny_state()), SRA(), **kwargs)
+
+    def test_valid_times_accepted(self):
+        ctrl = RebalanceController(
+            ClusterHandle(_tiny_state()), SRA(),
+            check_interval=1.0, horizon=5.0, trigger_at=0.0,
+        )
+        assert (ctrl.check_interval, ctrl.horizon, ctrl.trigger_at) == (1.0, 5.0, 0.0)
 
 
 class TestHarness:

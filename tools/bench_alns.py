@@ -22,9 +22,8 @@ Modes
 ``--parallel``
     Restart fan-out scaling: run K SRA restarts through
     ``repro.parallel.run_sra_restarts`` (persistent shared-memory pool)
-    at 1, 2 and 4 workers in both *blind* and *cooperative* mode, print
-    wall-clock / speedup / pool overhead, and verify the blind best
-    objective is identical at every worker count.  Speedups are
+    at 1, 2 and 4 workers, print wall-clock / speedup / pool overhead,
+    and verify the best objective is identical at every worker count.  Speedups are
     hardware-bound by the runner's core count, so they are never gated.
 
 ``--update-parallel``
@@ -285,7 +284,6 @@ PARALLEL_SIZES: dict[tuple[int, int], int] = {(400, 6): 300}
 PARALLEL_UPDATE_SIZES: dict[tuple[int, int], int] = {(400, 6): 300, (2000, 6): 150}
 PARALLEL_RESTARTS = 4
 PARALLEL_WORKERS = (1, 2, 4)
-PARALLEL_EXCHANGE_PERIOD = 50
 
 #: Honest-measurement caveat recorded next to the parallel section.
 PARALLEL_NOTE = (
@@ -296,20 +294,16 @@ PARALLEL_NOTE = (
     "serial_wall/workers) across baselines instead, and compare "
     "speedups only between baselines recorded on the same hardware.  "
     "Blind rows are asserted bitwise-identical to serial at every "
-    "worker count; cooperative rows are timing-dependent by design "
-    "(published/adopted counters come from the merged "
-    "alns.exchange.* metrics)."
+    "worker count."
 )
 
 
 def measure_parallel(sizes: dict[tuple[int, int], int] | None = None) -> dict:
     """Wall-clock of K-restart fan-outs at increasing worker counts.
 
-    Measures both modes per instance: *blind* best-of-K (best objective
-    asserted identical at every worker count — the repro.parallel
-    determinism contract) and *cooperative* portfolio search (incumbent
-    exchange through the shared slot; exchange counters recorded from
-    the merged obs metrics).
+    Measures blind best-of-K per instance, with the best objective
+    asserted identical at every worker count (the repro.parallel
+    determinism contract).
     """
     from repro.algorithms.sra_config import SRAConfig
     from repro.parallel import run_sra_restarts
@@ -328,59 +322,35 @@ def measure_parallel(sizes: dict[tuple[int, int], int] | None = None) -> dict:
         entry: dict = {
             "restarts": PARALLEL_RESTARTS,
             "iterations_per_restart": iterations,
-            "exchange_period": PARALLEL_EXCHANGE_PERIOD,
             "blind": {},
-            "cooperative": {},
         }
         serial_wall = None
         blind_best = None
-        for mode, cooperative in (("blind", False), ("cooperative", True)):
-            for workers in PARALLEL_WORKERS:
-                registry = obs.MetricsRegistry()
-                previous = obs.activate(obs.Obs(obs.NULL_TRACER, registry))
-                try:
-                    t0 = time.perf_counter()
-                    report = run_sra_restarts(
-                        state,
-                        config=config,
-                        restarts=PARALLEL_RESTARTS,
-                        n_workers=workers,
-                        cooperative=cooperative,
-                        exchange_period=PARALLEL_EXCHANGE_PERIOD,
-                    )
-                    wall = time.perf_counter() - t0
-                finally:
-                    obs.deactivate(previous)
-                best = report.best.peak_after
-                if mode == "blind":
-                    if workers == PARALLEL_WORKERS[0]:
-                        serial_wall = wall
-                        blind_best = best
-                    elif best != blind_best:
-                        raise AssertionError(
-                            f"parallel determinism violated: workers={workers} "
-                            f"best {best!r} != serial best {blind_best!r}"
-                        )
-                row = {
-                    "wall_s": wall,
-                    "speedup_vs_serial": serial_wall / wall,
-                    "pool_overhead_s": wall - serial_wall / workers,
-                    "best_peak_after": best,
-                }
-                if cooperative:
-                    counters = registry.to_dict()["counters"]
-                    row["published"] = counters.get("alns.exchange.published", 0)
-                    row["adopted"] = counters.get("alns.exchange.adopted", 0)
-                entry[mode][f"workers={workers}"] = row
-                extra = (
-                    f"  pub={row['published']:g} adopt={row['adopted']:g}"
-                    if cooperative
-                    else ""
+        for workers in PARALLEL_WORKERS:
+            t0 = time.perf_counter()
+            report = run_sra_restarts(
+                state, config=config, restarts=PARALLEL_RESTARTS, n_workers=workers
+            )
+            wall = time.perf_counter() - t0
+            best = report.best.peak_after
+            if serial_wall is None:
+                serial_wall = wall
+                blind_best = best
+            elif best != blind_best:
+                raise AssertionError(
+                    f"parallel determinism violated: workers={workers} "
+                    f"best {best!r} != serial best {blind_best!r}"
                 )
-                print(
-                    f"{name} {mode:11s} workers={workers}: {wall:6.2f}s  "
-                    f"{serial_wall / wall:4.2f}x  best={best:.6f}{extra}"
-                )
+            entry["blind"][f"workers={workers}"] = {
+                "wall_s": wall,
+                "speedup_vs_serial": serial_wall / wall,
+                "pool_overhead_s": wall - serial_wall / workers,
+                "best_peak_after": best,
+            }
+            print(
+                f"{name} blind workers={workers}: {wall:6.2f}s  "
+                f"{serial_wall / wall:4.2f}x  best={best:.6f}"
+            )
         section[name] = entry
     return section
 
@@ -514,8 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument(
         "--parallel",
         action="store_true",
-        help="restart fan-out scaling at 1/2/4 workers, blind + cooperative "
-        "(informational)",
+        help="restart fan-out scaling at 1/2/4 workers (informational)",
     )
     mode.add_argument(
         "--update-parallel",
