@@ -12,8 +12,10 @@ Layers
 :mod:`repro.runtime.kernel`
     ``SimClock`` + ``EventQueue`` + the :class:`Process` protocol.
 :mod:`repro.runtime.machines`
-    Piecewise-constant-speed FCFS serving machines (analytic between
-    speed changes; bit-for-bit the legacy loop at constant speed).
+    :class:`ServingFleet` — piecewise-constant-speed FCFS machines held
+    as arrays, fed one query's fan-out at a time in rank rounds
+    (:class:`FanOut`); analytic between speed changes and bit-for-bit
+    the legacy per-task loop at constant speed.
 :mod:`repro.runtime.serving`
     :class:`QueryArrivalProcess` — replays arrival traces against the
     fleet through the live shard→machine map, optionally routing each
@@ -43,7 +45,7 @@ from repro.runtime.controller import (
     IncrementalRebalanceController,
 )
 from repro.runtime.kernel import EventQueue, Process, Runtime, SimClock
-from repro.runtime.machines import FCFSMachine, QueryRecord, ServingFleet
+from repro.runtime.machines import FanOut, ServingFleet
 from repro.runtime.migration import MigrationExecutor
 from repro.runtime.processes import (
     ClusterHandle,
@@ -59,8 +61,7 @@ __all__ = [
     "EventQueue",
     "Process",
     "Runtime",
-    "QueryRecord",
-    "FCFSMachine",
+    "FanOut",
     "ServingFleet",
     "QueryArrivalProcess",
     "ReplicaRouter",

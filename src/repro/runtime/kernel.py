@@ -124,12 +124,19 @@ class Runtime:
     def run(self, until: float | None = None) -> float:
         """Process events in time order; returns the final clock value.
 
-        With *until*, events scheduled strictly after it are left on the
-        queue and the clock is advanced to *until* exactly (useful for
-        bounded horizons with self-rescheduling processes).
+        With *until* (finite, >= now), events scheduled strictly after it
+        are left on the queue and the clock is advanced to *until* exactly
+        (useful for bounded horizons with self-rescheduling processes).
+
+        With tracing on, the ``runtime.run`` span also records
+        ``events_by_process``: events handled per process, named by the
+        class whose method the callback is.  The counts sum to ``events``.
         """
+        if until is not None and not self.clock.now <= until < math.inf:
+            raise ValueError(f"until must be finite and >= now={self.clock.now}, got {until}")
         tracer = obs.current().tracer
         with tracer.span("runtime.run", until=until) as span:
+            per_process: dict[str, int] | None = {} if tracer.enabled else None
             processed = 0
             while len(self.events):
                 next_time = self.events.peek_time()
@@ -139,8 +146,23 @@ class Runtime:
                 self.clock.now = time
                 fn(self)
                 processed += 1
+                if per_process is not None:
+                    name = _process_name(fn)
+                    per_process[name] = per_process.get(name, 0) + 1
             if until is not None and until > self.clock.now:
                 self.clock.now = until
             span.set("events", processed)
+            if per_process is not None:
+                span.set("events_by_process", per_process)
             span.set("end_time", self.clock.now)
         return self.clock.now
+
+
+def _process_name(fn: Callback) -> str:
+    """The class owning callback *fn* (a bound method, possibly in a
+    ``functools.partial``), else the callback's own qualified name."""
+    fn = getattr(fn, "func", fn)
+    owner = getattr(fn, "__self__", None)
+    if owner is not None:
+        return type(owner).__name__
+    return str(getattr(fn, "__qualname__", type(fn).__name__))

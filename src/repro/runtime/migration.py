@@ -15,6 +15,7 @@ flips to the destination, and the next wave begins.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro._validation import check_fraction, check_non_negative
 from repro.migration.costmodel import BandwidthModel
 from repro.migration.scheduler import Schedule
 from repro.runtime.kernel import Runtime
-from repro.runtime.machines import FCFSMachine, ServingFleet
+from repro.runtime.machines import ServingFleet
 
 __all__ = ["MigrationExecutor"]
 
@@ -129,12 +130,11 @@ class MigrationExecutor:
         if peak > self.peak_transient_utilization:
             self.peak_transient_utilization = peak
         if self.fleet is not None and duration > 0:
-            for m in np.flatnonzero(busy > 0):
-                machine = self.fleet.machines[int(m)]
-                machine.set_derate(now, self.transfer_overhead)
+            for m in np.flatnonzero(busy > 0).tolist():
+                self.fleet.set_derate(now, m, self.transfer_overhead)
                 if busy[m] < duration:
                     # NIC drains before the wave barrier: restore early.
-                    rt.at(now + float(busy[m]), _restore(machine))
+                    rt.at(now + float(busy[m]), partial(self._restore, m))
         self.wave_intervals.append((now, now + duration))
         o = obs.current()
         if o.tracer.enabled:
@@ -159,8 +159,8 @@ class MigrationExecutor:
             self.bytes_transferred += mv.bytes
         if self.fleet is not None:
             for mv in wave:
-                self.fleet.machines[mv.src].clear_derate(rt.now)
-                self.fleet.machines[mv.dst].clear_derate(rt.now)
+                self.fleet.clear_derate(rt.now, mv.src)
+                self.fleet.clear_derate(rt.now, mv.dst)
         o = obs.current()
         if o.tracer.enabled:
             o.tracer.event(
@@ -171,6 +171,11 @@ class MigrationExecutor:
             self._start_wave(rt)
         else:
             self._finish(rt)
+
+    def _restore(self, machine: int, rt: Runtime) -> None:
+        """Early NIC-drain restore of *machine*."""
+        assert self.fleet is not None
+        self.fleet.clear_derate(rt.now, machine)
 
     def _finish(self, rt: Runtime) -> None:
         self.done = True
@@ -191,11 +196,3 @@ class MigrationExecutor:
         if self.on_complete is not None:
             self.on_complete(rt)
 
-
-def _restore(machine: FCFSMachine) -> Callable[[Runtime], None]:
-    """Bind an early NIC-drain restore callback to *machine*."""
-
-    def _cb(rt: Runtime) -> None:
-        machine.clear_derate(rt.now)
-
-    return _cb

@@ -20,12 +20,14 @@ p99 problem, which is experiment E8's subject.
 Since the :mod:`repro.runtime` refactor this module is a **facade**: the
 queueing itself runs on the shared event-heap kernel
 (:class:`~repro.runtime.machines.ServingFleet` fed by a
-:class:`~repro.runtime.serving.QueryArrivalProcess`).  At constant
-machine speeds the fleet performs the identical float operations in the
-identical order as the original single-pass loop, so ``simulate_serving``
-is bit-for-bit its historical self (``tests/test_runtime.py`` pins
-this); what the runtime adds is everything the old loop could not do —
-speeds that change mid-run while a migration wave saturates a NIC.
+:class:`~repro.runtime.serving.QueryArrivalProcess`).  The fleet holds
+its machines as arrays and serves each query's fan-out in numpy rounds
+by rank within a machine; at constant machine speeds every machine
+still performs the identical float operations in the identical order as
+the original single-pass loop, so ``simulate_serving`` is bit-for-bit
+its historical self (``tests/test_runtime.py`` pins this); what the
+runtime adds is everything the old loop could not do — speeds that
+change mid-run while a migration wave saturates a NIC.
 """
 
 from __future__ import annotations
@@ -230,11 +232,8 @@ def _serving_process(
         num_arrivals = rng.poisson(cfg.arrival_rate * cfg.duration)
         times = np.sort(rng.uniform(0.0, cfg.duration, size=num_arrivals))
     else:
+        # QueryArrivalProcess rejects non-finite and negative times.
         times = np.sort(np.asarray(arrival_times, dtype=np.float64))
-        if not np.all(np.isfinite(times)):
-            raise ValueError("arrival_times must be finite")
-        if times.size and times[0] < 0:
-            raise ValueError("arrival_times must be non-negative")
     query_rows = rng.integers(0, profile.num_queries, size=times.size)
     return QueryArrivalProcess(
         ServingFleet(speed),

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from repro._validation import check_in
 from repro.cluster import ClusterState, Machine, Shard
 from repro.runtime import (
+    FanOut,
     QueryArrivalProcess,
-    QueryRecord,
     ReplicaRouter,
     Runtime,
     ServingFleet,
@@ -277,7 +277,8 @@ class _Relocate:
     def _fire(self, rt):
         self.busy_at_move = self.fleet.busy_time()
         self.location[:] = self.hosts
-        self.fleet[self.hosts[0]].enqueue(rt.now, 100.0, QueryRecord(rt.now))
+        query = self.fleet.new_query(rt.now)
+        self.fleet.submit(rt.now, query, FanOut([self.hosts[0]], [0]), np.array([100.0]))
 
 
 def test_least_loaded_router_follows_relocated_replicas():

@@ -24,8 +24,9 @@ from repro.cluster import ClusterState, ExchangeLedger, Machine, Shard, settle_f
 from repro.migration import BandwidthModel, Schedule, StagingPlanner
 from repro.online import OnlineSimulator, PopularityDrift
 from repro.runtime import (
-    FCFSMachine,
+    FanOut,
     MigrationExecutor,
+    QueryArrivalProcess,
     Runtime,
     ServingFleet,
     synthetic_profile,
@@ -38,6 +39,7 @@ from repro.simulate import (
 )
 from repro.simulate.des import _effective_speeds
 from repro.workloads import SyntheticConfig, generate, make_exchange_machines
+from tests.oracles.fcfs import FCFSMachine, QueryRecord
 
 
 # ---------------------------------------------------------------------- kernel
@@ -79,6 +81,33 @@ class TestKernel:
         rt.run()
         assert seen == [1, 10]
 
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), 0.5])
+    def test_run_until_must_be_finite_and_not_past(self, until):
+        rt = Runtime()
+        seen = []
+        rt.at(1.0, lambda r: seen.append(1))
+        rt.run(until=1.0)
+        with pytest.raises(ValueError, match="until"):
+            rt.run(until=until)
+        assert rt.now == 1.0
+
+    def test_events_by_process_sum_to_events(self):
+        state, target, plan = _executor_fixture()
+        profile = WorkProfile(np.full((4, 4), 2000.0))
+        cfg = ServingConfig(
+            arrival_rate=30.0, duration=20.0, postings_per_cpu_second=1e4, seed=3
+        )
+        with obs.observed() as o:
+            report = simulate_migration_timeline(
+                state, target, plan, profile, cfg,
+                bandwidth=BandwidthModel(bandwidth=100.0), migration_start=5.0,
+            )
+        (span,) = [s for s in obs.iter_spans(o.tracer.records()) if s["name"] == "runtime.run"]
+        counts = span["attrs"]["events_by_process"]
+        assert sum(counts.values()) == span["attrs"]["events"]
+        assert counts["QueryArrivalProcess"] == report.serving.queries_completed
+        assert counts["MigrationExecutor"] >= 2 * report.waves_executed
+
     def test_callbacks_can_chain(self):
         rt = Runtime()
         seen = []
@@ -95,43 +124,120 @@ class TestKernel:
 # -------------------------------------------------------------- FCFS machines
 
 
+def _enqueue(fleet, now, hosts, work):
+    """Submit one new query arriving at *now*: task i runs work[i] on
+    machine hosts[i].  Returns the query id."""
+    query = fleet.new_query(now)
+    fleet.submit(now, query, FanOut(hosts, np.arange(len(work))), np.asarray(work, float))
+    return query
+
+
 class TestFCFSMachine:
     def test_speed_change_conserves_work(self):
         # 10 units of work at speed 1; halve the speed halfway through.
-        m = FCFSMachine(1.0)
-        from repro.runtime.machines import QueryRecord
-
-        q = QueryRecord(0.0)
-        m.enqueue(0.0, 10.0, q)
-        m.set_speed(5.0, 0.5)
-        m.flush()
+        fleet = ServingFleet(np.array([1.0]))
+        q = _enqueue(fleet, 0.0, [0], [10.0])
+        fleet.set_speed(5.0, 0, 0.5)
+        fleet.flush()
         # 5 units done by t=5, remaining 5 at speed 0.5 -> finishes at 15.
-        assert q.finish_max == pytest.approx(15.0)
-        assert m.busy_time == pytest.approx(15.0)
+        assert fleet.finish_times([q])[0] == pytest.approx(15.0)
+        assert fleet.busy_time()[0] == pytest.approx(15.0)
 
     def test_queued_tasks_rechain_after_speed_change(self):
-        from repro.runtime.machines import QueryRecord
-
-        m = FCFSMachine(2.0)
-        q1, q2 = QueryRecord(0.0), QueryRecord(0.0)
-        m.enqueue(0.0, 4.0, q1)  # serves [0, 2)
-        m.enqueue(0.0, 4.0, q2)  # serves [2, 4)
-        m.set_speed(1.0, 1.0)  # q1 has 2 units left -> finishes t=3
-        m.flush()
-        assert q1.finish_max == pytest.approx(3.0)
-        assert q2.finish_max == pytest.approx(7.0)
+        fleet = ServingFleet(np.array([2.0]))
+        q1 = _enqueue(fleet, 0.0, [0], [4.0])  # serves [0, 2)
+        q2 = _enqueue(fleet, 0.0, [0], [4.0])  # serves [2, 4)
+        fleet.set_speed(1.0, 0, 1.0)  # q1 has 2 units left -> finishes t=3
+        fleet.flush()
+        assert fleet.finish_times([q1])[0] == pytest.approx(3.0)
+        assert fleet.finish_times([q2])[0] == pytest.approx(7.0)
 
     def test_derate_restores_exactly(self):
-        m = FCFSMachine(3.0)
-        m.set_derate(0.0, 0.3)
-        assert m.speed == pytest.approx(2.1)
-        m.clear_derate(1.0)
-        assert m.speed == 3.0  # exact: restored from base_speed, not inverted
+        fleet = ServingFleet(np.array([3.0]))
+        fleet.set_derate(0.0, 0, 0.3)
+        assert fleet.speed[0] == pytest.approx(2.1)
+        fleet.clear_derate(1.0, 0)
+        assert fleet.speed[0] == 3.0  # exact: restored from base_speed, not inverted
 
     def test_derate_fraction_validated(self):
-        m = FCFSMachine(1.0)
+        fleet = ServingFleet(np.array([1.0]))
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            m.set_derate(0.0, 1.0)
+            fleet.set_derate(0.0, 0, 1.0)
+
+
+_FLEET_EVENT = st.one_of(
+    # A query: (machine, work) tasks in enqueue order, one in eight zero work.
+    st.tuples(
+        st.just("query"),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.01, 3.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    ),
+    st.tuples(st.just("derate"), st.integers(0, 3), st.sampled_from([0.0, 0.3, 0.5])),
+    st.tuples(st.just("clear"), st.integers(0, 3)),
+    # None: set the current speed again (a no-op).
+    st.tuples(st.just("speed"), st.integers(0, 3), st.sampled_from([None, 0.5, 1.7, 4.0])),
+)
+
+
+@given(
+    # Round speeds, works and gaps make a speed change land exactly on a
+    # task's finish, where the task must count as done.
+    speeds=st.lists(
+        st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.5, 4.0)), min_size=4, max_size=4
+    ),
+    events=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), _FLEET_EVENT),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_fleet_matches_fcfs_oracle(speeds, events):
+    """The array fleet and the per-task oracle agree bitwise: per-query
+    finishes, busy times and ``free_at`` after every event, under bursts
+    of arrivals at one instant, zero-work tasks, and speed changes that
+    land mid-service, between tasks or on an idle machine."""
+    fleet = ServingFleet(np.array(speeds))
+    oracle = [FCFSMachine(s) for s in speeds]
+    records, queries = [], []
+    now = 0.0
+    for gap, (kind, *args) in events:
+        now += gap
+        if kind == "query":
+            (tasks,) = args
+            record = QueryRecord(now)
+            for m, w in tasks:
+                if w > 0:
+                    oracle[m].enqueue(now, w, record)
+            records.append(record)
+            queries.append(_enqueue(fleet, now, [m for m, _ in tasks], [w for _, w in tasks]))
+        elif kind == "derate":
+            m, fraction = args
+            oracle[m].set_derate(now, fraction)
+            fleet.set_derate(now, m, fraction)
+        elif kind == "clear":
+            (m,) = args
+            oracle[m].clear_derate(now)
+            fleet.clear_derate(now, m)
+        else:
+            m, speed = args
+            speed = oracle[m].speed if speed is None else speed
+            oracle[m].set_speed(now, speed)
+            fleet.set_speed(now, m, speed)
+        assert fleet.free_at.tobytes() == np.array([o.free_at for o in oracle]).tobytes()
+        assert fleet.speed.tobytes() == np.array([o.speed for o in oracle]).tobytes()
+    for machine in oracle:
+        machine.flush()
+    fleet.flush()
+    expected = np.array([r.finish_max for r in records])
+    assert fleet.finish_times(queries).tobytes() == expected.tobytes()
+    assert fleet.busy_time().tobytes() == np.array([o.busy_time for o in oracle]).tobytes()
 
 
 # --------------------------------------------- bitwise serving equivalence
@@ -401,8 +507,7 @@ class TestMigrationExecutor:
         rt = Runtime()
         rt.add(executor)
         rt.run()
-        for machine in fleet:
-            assert machine.speed == machine.base_speed
+        assert np.array_equal(fleet.speed, fleet.base_speed)
 
     def test_infeasible_schedule_rejected(self):
         state, target, plan = _executor_fixture()
@@ -419,6 +524,86 @@ class TestMigrationExecutor:
 
 
 # ------------------------------------------------- timeline window reporting
+
+
+class TestServingInputs:
+    """``ServingFleet`` and ``QueryArrivalProcess`` reject bad inputs at
+    construction, naming the argument, instead of serving them."""
+
+    @staticmethod
+    def _process(**overrides):
+        args = dict(
+            location=np.array([0, 1]),
+            work=np.ones((2, 2)),
+            mapping=np.array([0, 1]),
+            arrival_times=np.array([0.1, 0.2]),
+            query_rows=np.array([0, 1]),
+        )
+        args.update(overrides)
+        return QueryArrivalProcess(
+            ServingFleet(np.ones(2)),
+            args["location"],
+            args["work"],
+            args["mapping"],
+            args["arrival_times"],
+            args["query_rows"],
+        )
+
+    @pytest.mark.parametrize(
+        "overrides,name",
+        [
+            ({"query_rows": np.array([0, -1])}, "query_rows"),
+            ({"query_rows": np.array([0, 2])}, "query_rows"),
+            ({"location": np.array([0, -1])}, "location"),
+            ({"location": np.array([0, 2])}, "location"),
+            ({"location": np.array([0.0, 1.0])}, "location"),
+            ({"mapping": np.array([0, 2])}, "mapping"),
+            ({"work": np.array([[1.0, np.nan], [1.0, 1.0]])}, "work"),
+            ({"work": np.array([[1.0, -1.0], [1.0, 1.0]])}, "work"),
+            ({"arrival_times": np.array([0.5, 0.2])}, "arrival_times"),
+            ({"arrival_times": np.array([-0.1, 0.2])}, "arrival_times"),
+            ({"arrival_times": np.array([0.1, np.inf])}, "arrival_times"),
+        ],
+        ids=[
+            "negative-row", "row-past-end", "negative-location", "location-past-end",
+            "float-location", "mapping-past-end", "nan-work", "negative-work",
+            "unsorted-times", "negative-time", "inf-time",
+        ],
+    )
+    def test_bad_input_rejected(self, overrides, name):
+        with pytest.raises(ValueError, match=name):
+            self._process(**overrides)
+
+    def test_valid_input_accepted(self):
+        assert self._process().queries_completed == 0
+
+    @pytest.mark.parametrize("speed", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="speed"):
+            ServingFleet(np.array([1.0, speed]))
+        fleet = ServingFleet(np.ones(2))
+        with pytest.raises(ValueError, match="speed"):
+            fleet.set_speed(0.0, 1, speed)
+
+
+def test_timeline_latencies_bitwise_with_tracer_on_and_off():
+    state, target, plan = _executor_fixture()
+    profile = WorkProfile(np.full((4, 4), 2000.0))
+    cfg = ServingConfig(
+        arrival_rate=30.0, duration=20.0, postings_per_cpu_second=1e4, seed=3
+    )
+
+    def run():
+        return simulate_migration_timeline(
+            state, target, plan, profile, cfg,
+            bandwidth=BandwidthModel(bandwidth=100.0), migration_start=5.0,
+        ).serving
+
+    off = run()
+    with obs.observed():
+        on = run()
+    assert on.raw_latencies.tobytes() == off.raw_latencies.tobytes()
+    assert on.machine_busy_fraction.tobytes() == off.machine_busy_fraction.tobytes()
 
 
 class TestTimeline:
