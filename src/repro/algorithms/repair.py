@@ -39,18 +39,15 @@ Implementation notes (this is the hottest code in the library — see the
   what a from-scratch rebuild would produce.  Because insertions only
   ever add load, refreshed columns are monotone non-decreasing over a
   repair batch (``inf`` strike marks are re-applied from an explicit
-  per-machine ledger) — the invariant the pruned path rests on.
-* Regret-2 re-ranks the pending shards after every insertion.  While
-  ``m <= _EXACT_REGRET_MAX`` this is one partition over the full active
-  rows (:func:`_regret2_exact`); above it, :func:`_regret2_pruned`
-  maintains per-row lazy top-``_TOP_T`` candidate lists plus an
-  incrementally-updated regret key and only re-partitions rows whose
-  lists were invalidated.  Column monotonicity makes the lists sound (a
-  machine outside a row's list can never drop below the list's
-  rescan-time threshold), so the pruned path produces **bitwise
-  identical trajectories** to the exact path — the gate is a pure
-  performance crossover, not a behaviour switch.
-* Greedy and regret-2 (both paths) match the copy-based reference engine
+  per-machine ledger).
+* Regret-2 re-ranks the pending shards after every insertion from dense
+  per-row top-``_TOP_T`` candidate lists, re-listing a row from the
+  full matrix only when its list can no longer prove it holds the row's
+  two smallest scores.  Column monotonicity makes the lists sound, so
+  the placements are **bitwise** those of a full re-partition of every
+  active row (the oracle ``tests/oracles/regret2.py``), at every
+  machine count.
+* Greedy and regret-2 match the copy-based reference engine
   (``tests/oracles/copy_engine.py``) bitwise, pinned by the fixed-seed
   engine tests and the parity properties in tests/test_kernel_parity.py.
 """
@@ -73,15 +70,10 @@ __all__ = [
 #: Score penalty for a placement that overflows capacity.
 _OVERFLOW_PENALTY = 1e3
 
-#: Largest machine count for which regret-2 re-partitions the full
-#: active score rows after every insertion; above it the pruned top-list
-#: path runs (same trajectories, better asymptotics).
-_EXACT_REGRET_MAX = 128
-
-#: Per-row candidate-list width of the pruned regret-2 path.  Two would
-#: suffice for correctness; the slack keeps lists valid across many
-#: insertions before a row needs re-partitioning (well-balanced fleets
-#: have densely packed scores, so narrow lists thrash).
+#: Per-row candidate-list width of regret-2.  Two would suffice for
+#: correctness; the slack keeps lists valid across many insertions
+#: before a row needs re-listing (well-balanced fleets have densely
+#: packed scores, so narrow lists thrash).
 _TOP_T = 32
 
 
@@ -112,7 +104,7 @@ class _ScoreKernel:
     """
 
     def __init__(
-        self, state: ClusterState, removed: Sequence[int], *, build: bool = True
+        self, state: ClusterState, removed: Sequence[int] | np.ndarray, *, build: bool = True
     ) -> None:
         self.state = state
         self.shards = np.asarray(removed, dtype=np.int64)
@@ -305,7 +297,8 @@ def greedy_best_fit(
     """
     if not removed:
         return
-    order = sorted(removed, key=lambda j: -float(state.demand[j].sum()))
+    shards = np.asarray(removed, dtype=np.int64)
+    order = shards[np.argsort(-state.demand[shards].sum(axis=1), kind="stable")]
     kern = _ScoreKernel(state, order, build=False)
     for row in range(kern.q):
         row_scores = kern.row_scores(row)
@@ -317,142 +310,75 @@ def greedy_best_fit(
         kern.insert(row, machine)
 
 
-def _regret2_exact(state: ClusterState, removed: Sequence[int]) -> None:
-    """Regret-2 with re-ranking after every insertion (small m).
+def regret2_insertion(
+    state: ClusterState, rng: np.random.Generator, removed: Sequence[int]
+) -> None:
+    """Regret-2 insertion: place the shard with the largest regret first.
 
-    Regrets are recomputed each step with one partition over the active
-    rows of the maintained score matrix — at small m the whole active
-    submatrix is a few KB, so this costs less than any bookkeeping that
-    would avoid it.
+    Each row keeps a dense top-``T`` candidate list (``top_idx``,
+    ``top_val``, ``T = min(_TOP_T, m)``) and its rescan-time threshold
+    ``tau``.  Soundness: every column is monotone non-decreasing over
+    the batch (insertions only add load; ``inf`` marks stick), so a
+    machine outside a row's list, which scored at least ``tau``, never
+    drops below ``tau``.  List values are kept exactly current, so while
+    a row's second-smallest listed value is ``<= tau`` its two listed
+    minima are the row's two minima and its regret is exact.  Active
+    rows that lose that proof are re-listed from the full score row.
+
+    Each step refreshes the one changed column into every list that
+    holds it, takes the two smallest values of all lists with one
+    partition, and recomputes the selection key (regret + demand
+    tie-break) of the active rows; inserted rows sit at ``-inf``.  A
+    first-index ``argmax`` then picks the row that the full
+    re-partition of every active row would pick, so placements are
+    bitwise those of the exact reference (``tests/oracles/regret2.py``).
     """
-    kern = _ScoreKernel(state, removed)
-    scores = kern.scores
-    demand_mass = kern.demand.sum(axis=1)
-    active = np.arange(kern.q)
-    for _ in range(kern.q):
-        if kern.m == 1:
-            reg = np.full(active.size, np.inf)
-        else:
-            part = np.partition(scores[active], 1, axis=1)
-            reg = part[:, 1] - part[:, 0]
-        # Tie-break regret by demand so big shards go early.
-        key = reg + 1e-9 * demand_mass[active]
-        row = int(active[np.argmax(key)])
-        machine = kern.best_machine(row)
-        group = kern.insert(row, machine)
-        active = active[active != row]
-        if active.size == 0:
-            break
-        kern.refresh_column(machine)
-        if group >= 0:
-            for sibling in kern.group_rows.get(group, ()):
-                if sibling != row:
-                    kern.strike(sibling, machine)
-
-
-def _regret2_pruned(state: ClusterState, removed: Sequence[int]) -> None:
-    """Regret-2 with lazy per-row top-``_TOP_T`` candidate lists (large m).
-
-    Produces **bitwise-identical trajectories** to :func:`_regret2_exact`
-    while only re-partitioning rows whose candidate lists were
-    invalidated.  Soundness: every column is monotone non-decreasing
-    over the batch (insertions only add load; ``inf`` marks stick), so a
-    machine outside a row's list — which scored at least the list's
-    rescan-time threshold ``tau`` — can never drop below ``tau``.  The
-    maintained list values are kept exactly current, so whenever the
-    list's second-smallest value is ``<= tau`` the global two smallest
-    row values are exactly the list's two smallest, and the regret is
-    exact.  Otherwise the row is re-partitioned over the full matrix
-    (the same operation the exact path performs every step).
-
-    The selection key (regret + demand tie-break) is itself maintained
-    incrementally: only rows whose lists were touched by the changed
-    column get their key recomputed; inserted rows drop to ``-inf``.  A
-    full first-index ``argmax`` over that array selects the same row the
-    exact path's argmax over the ascending active subset selects.
-    """
-    kern = _ScoreKernel(state, removed)
+    if not removed:
+        return
+    kern = _ScoreKernel(state, list(removed))
     scores = kern.scores
     tie = 1e-9 * kern.demand.sum(axis=1)
     q, m = kern.q, kern.m
     T = min(_TOP_T, m)
-    # pos[r, i] = 1 + position of machine i in row r's candidate list,
-    # 0 when absent — an inverted index so the per-step "which lists
-    # track the changed column" query is one strided column read instead
-    # of a (q, T) comparison scan.
-    pos = np.zeros((q, m), dtype=np.int16)
-    col_nums = np.arange(1, T + 1, dtype=np.int16)
-    top_val = np.empty((q, T))
-    tau = np.empty(q)
-
-    def _scan(rows_idx: np.ndarray) -> None:
-        """(Re)build the candidate lists of *rows_idx* from the matrix."""
-        sub_scores = scores[rows_idx]
-        if T < m:
-            idx = np.argpartition(sub_scores, T - 1, axis=1)[:, :T]
-        else:
-            idx = np.broadcast_to(np.arange(m), sub_scores.shape).copy()
-        val = np.take_along_axis(sub_scores, idx, axis=1)
-        top_val[rows_idx] = val
-        tau[rows_idx] = val.max(axis=1)
-        pos[rows_idx] = 0
-        flat = rows_idx[:, None] * m + idx
-        pos.ravel()[flat.ravel()] = np.tile(col_nums, rows_idx.size)
-
-    _scan(np.arange(q))
-    pair = np.partition(top_val, 1, axis=1)
-    key = pair[:, 1] - pair[:, 0] + tie
+    top_idx = np.ascontiguousarray(np.argpartition(scores, T - 1, axis=1)[:, :T])
+    top_val = np.take_along_axis(scores, top_idx, axis=1)
+    # tau = inf marks a row that is never re-listed: its list spans the
+    # whole row (always exact), or the row is inserted (never read again).
+    tau = top_val.max(axis=1) if T < m else np.full(q, np.inf)
     active = np.ones(q, dtype=bool)
-    remaining = q
-    for _ in range(q):
+    key = np.full(q, np.inf)  # m == 1: every regret is inf
+    hit = np.empty((q, T), dtype=bool)
+    pair = np.empty((q, T))
+    for remaining in range(q, 0, -1):
+        if m > 1:
+            np.copyto(pair, top_val)
+            pair.partition(1, axis=1)
+            bad = (pair[:, 1] > tau).nonzero()[0]
+            if bad.size:
+                sub = scores[bad]
+                idx = np.argpartition(sub, T - 1, axis=1)[:, :T]
+                val = np.take_along_axis(sub, idx, axis=1)
+                top_idx[bad] = idx
+                top_val[bad] = val
+                tau[bad] = val.max(axis=1)
+                pair[bad] = np.partition(val, 1, axis=1)
+            np.subtract(pair[:, 1], pair[:, 0], out=key, where=active)
+            np.add(key, tie, out=key, where=active)
         row = int(key.argmax())
         machine = kern.best_machine(row)
         group = kern.insert(row, machine)
         active[row] = False
         key[row] = -np.inf
-        remaining -= 1
-        if remaining == 0:
+        tau[row] = np.inf
+        if remaining == 1:
             break
         kern.refresh_column(machine)
         if group >= 0:
             for sibling in kern.group_rows.get(group, ()):
                 if active[sibling]:
                     kern.strike(sibling, machine)
-        # Propagate the one changed column into the lists that track it,
-        # re-partition rows whose lists can no longer prove they hold
-        # the two smallest values, and refresh the touched keys.
-        pcol = pos[:, machine]
-        hit_rows = np.flatnonzero(pcol)
-        if hit_rows.size:
-            hit_cols = pcol[hit_rows].astype(np.intp) - 1
-            top_val[hit_rows, hit_cols] = scores[hit_rows, machine]
-            sub = top_val[hit_rows]
-            sub.partition(1, axis=1)
-            bad = hit_rows[sub[:, 1] > tau[hit_rows]]
-            if bad.size:
-                _scan(bad)
-                sub = top_val[hit_rows]
-                sub.partition(1, axis=1)
-            keep = active[hit_rows]
-            upd = hit_rows[keep]
-            key[upd] = sub[keep, 1] - sub[keep, 0] + tie[upd]
-
-
-def regret2_insertion(
-    state: ClusterState, rng: np.random.Generator, removed: Sequence[int]
-) -> None:
-    """Regret-2 insertion: place the shard with the largest regret first.
-
-    Runs :func:`_regret2_exact` up to ``_EXACT_REGRET_MAX`` machines and
-    :func:`_regret2_pruned` above; the two produce bitwise-identical
-    placements, so the size gate is purely a performance crossover.
-    """
-    if not removed:
-        return
-    if state.num_machines > _EXACT_REGRET_MAX:
-        _regret2_pruned(state, list(removed))
-    else:
-        _regret2_exact(state, list(removed))
+        np.equal(top_idx, machine, out=hit)
+        np.copyto(top_val, scores[:, machine, None], where=hit)
 
 
 #: Default operator portfolio of SRA.

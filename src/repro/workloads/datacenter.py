@@ -162,12 +162,16 @@ def generate_datacenter(cfg: DatacenterConfig) -> ClusterState:
     # Scale both demand epochs so the *new* epoch hits target utilization
     # per dimension, capping any single shard at 30% of the smallest
     # machine so the snapshot stays packable (water-filling preserves the
-    # target total despite the cap).
+    # target total despite the cap).  A top-heavy fleet can need more
+    # than that cap allows on average; its cap is then twice the mean.
     min_cap = capacity.min(axis=0)
     total_cap = capacity.sum(axis=0)
+    n = cfg.num_shards
     for k in range(old.shape[1]):
         target = cfg.target_utilization * total_cap[k]
         shard_cap = 0.3 * min_cap[k]
+        if target > shard_cap * n + 1e-9:
+            shard_cap = 2.0 * target / n
         new[:, k] = waterfill_scale(new[:, k], target, shard_cap)
         old[:, k] = waterfill_scale(old[:, k], target, shard_cap)
 

@@ -8,9 +8,9 @@ evaluation contract" in docs/ARCHITECTURE.md):
   against the from-scratch oracle) — walks the exact trajectory of the
   copy-based reference loop (``tests/oracles/copy_engine.py``), which
   scores with the oracle alone.
-* The pruned regret-2 path produces bitwise-identical placements to the
-  exact full-repartition path on arbitrary instances, so the
-  ``_EXACT_REGRET_MAX`` gate is a pure performance crossover.
+* Regret-2 on per-row top-``T`` candidate lists produces bitwise the
+  placements of the full-repartition oracle (``tests/oracles/regret2.py``)
+  on arbitrary instances, at machine counts below, at and above ``T``.
 """
 
 import numpy as np
@@ -20,14 +20,12 @@ from hypothesis import strategies as st
 
 from repro.algorithms import AlnsConfig, AlnsEngine, Objective
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
-from repro.algorithms.repair import (
-    DEFAULT_REPAIR_OPS,
-    _regret2_exact,
-    _regret2_pruned,
-)
+from repro.algorithms.repair import _TOP_T, DEFAULT_REPAIR_OPS, regret2_insertion
+from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads import SyntheticConfig, generate, scaling_suite
 from tests.oracles.copy_engine import run_copy_engine
 from tests.oracles.objective import CheckedObjective, ReferenceObjective
+from tests.oracles.regret2 import regret2_exact
 
 
 @given(seed=st.integers(min_value=0, max_value=500), m=st.integers(min_value=8, max_value=50))
@@ -75,26 +73,57 @@ def test_engine_equals_copy_oracle_on_scale_instances(m, iterations):
     np.testing.assert_array_equal(d.best_assignment, c.best_assignment)
 
 
+def assert_regret2_matches_oracle(state, removed):
+    """Repair *removed* with both paths on copies of *state*; placements
+    must be bitwise equal and both end states must validate."""
+    exact_state, list_state = state.copy(), state.copy()
+    regret2_exact(exact_state, removed)
+    regret2_insertion(list_state, np.random.default_rng(0), removed)
+    np.testing.assert_array_equal(exact_state.assignment, list_state.assignment)
+    # Both end states satisfy every cache invariant (SoA mirror,
+    # segmented block-max, peaks, counts, replica hosts).
+    exact_state.validate()
+    list_state.validate()
+
+
 @given(
     seed=st.integers(min_value=0, max_value=1000),
-    m=st.integers(min_value=10, max_value=60),
-    q=st.integers(min_value=2, max_value=30),
+    m=st.integers(min_value=1, max_value=160),
+    q=st.integers(min_value=2, max_value=100),
 )
 @settings(max_examples=25, deadline=None)
 def test_property_pruned_regret_bitwise_equals_exact(seed, m, q):
-    """Pruned top-list regret-2 == exact full-repartition regret-2."""
+    """Top-list regret-2 == exact full-repartition regret-2, for m on
+    both sides of ``_TOP_T`` and batches long enough to exhaust lists."""
     state = generate(SyntheticConfig(num_machines=m, shards_per_machine=4, seed=seed))
     rng = np.random.default_rng(seed)
     assigned = np.flatnonzero(state.assignment_view() >= 0)
     take = min(q, assigned.size)
     removed = rng.choice(assigned, size=take, replace=False).tolist()
-    exact_state, pruned_state = state.copy(), state.copy()
-    exact_state.unassign_many(removed)
-    pruned_state.unassign_many(removed)
-    _regret2_exact(exact_state, removed)
-    _regret2_pruned(pruned_state, removed)
-    np.testing.assert_array_equal(exact_state.assignment, pruned_state.assignment)
-    # Both end states satisfy every cache invariant (SoA mirror,
-    # segmented block-max, peaks, counts, replica hosts).
-    exact_state.validate()
-    pruned_state.validate()
+    state.unassign_many(removed)
+    assert_regret2_matches_oracle(state, removed)
+
+
+@pytest.mark.parametrize(
+    "m,q", [(40, 30), (1, 3), (_TOP_T, 20)], ids=["homogeneous", "m1", "m-equals-T"]
+)
+def test_regret2_matches_oracle_on_homogeneous_fleet(m, q):
+    """Identical machines and shards: every score ties, so placements
+    rest on the first-index tie-breaks alone."""
+    n = 4 * m
+    shards = [Shard(id=j, demand=np.full(3, 1.0)) for j in range(n)]
+    state = ClusterState(Machine.homogeneous(m, 10.0), shards, [j % m for j in range(n)])
+    removed = list(range(q))
+    state.unassign_many(removed)
+    assert_regret2_matches_oracle(state, removed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_regret2_matches_oracle_after_lists_are_exhausted(seed):
+    """More insertions than a list holds: rows must be re-listed from
+    the full score row once their lists can no longer prove their two
+    minima."""
+    state = generate(SyntheticConfig(num_machines=48, shards_per_machine=5, seed=seed))
+    removed = np.random.default_rng(seed).choice(state.num_shards, 150, replace=False)
+    state.unassign_many(removed.tolist())
+    assert_regret2_matches_oracle(state, removed.tolist())

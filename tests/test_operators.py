@@ -17,9 +17,9 @@ from repro.algorithms import (
     worst_machine_removal,
 )
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
-from repro.algorithms.repair import _regret2_exact, _regret2_pruned
 from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads import SyntheticConfig, generate
+from tests.oracles.regret2 import regret2_exact, regret2_oracle
 
 
 def rng():
@@ -133,21 +133,28 @@ class TestRepairOperators:
         greedy_best_fit(work, rng(), removed)
         assert work.peak_utilization() <= state.peak_utilization() + 1e-9
 
-
-def regret2_on(path):
-    """A regret-2 repair operator pinned to one path of the size gate."""
-
-    def regret2_insertion(state, rng, removed):
-        if removed:
-            path(state, list(removed))
-
-    return regret2_insertion
+    def test_greedy_keeps_removal_order_among_equal_sums(self):
+        # Shards 0-3 all sum to 6; shard 4 sums to 9 and goes first.
+        # Equal sums keep the order they were removed in, so the batch
+        # is the same as inserting one shard at a time in that order.
+        demands = [[1, 2, 3], [3, 2, 1], [2, 2, 2], [3, 3, 0], [3, 3, 3]]
+        machines = Machine.homogeneous(3, 10.0)
+        shards = [Shard(id=j, demand=np.array(d, float)) for j, d in enumerate(demands)]
+        state = ClusterState(machines, shards, [0, 1, 2, 0, 1])
+        removed = [2, 0, 4, 3, 1]
+        state.unassign_many(removed)
+        batch, serial = state.copy(), state.copy()
+        greedy_best_fit(batch, rng(), removed)
+        for j in [4, 2, 0, 3, 1]:
+            greedy_best_fit(serial, rng(), [j])
+        np.testing.assert_array_equal(batch.assignment, serial.assignment)
+        assert batch.assignment.tolist() == [2, 2, 1, 1, 0]
 
 
 class TestRegret2Gate:
-    """The exact/pruned size gate is a pure performance crossover: both
-    paths must produce bitwise-identical placements (and therefore
-    bitwise-identical engine trajectories)."""
+    """Regret-2 on top-``T`` candidate lists must produce placements
+    (and therefore engine trajectories) bitwise equal to the
+    full-repartition oracle."""
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_pruned_matches_exact_operator_level(self, seed):
@@ -157,8 +164,8 @@ class TestRegret2Gate:
         exact_state, pruned_state = state.copy(), state.copy()
         removed = random_removal(exact_state, np.random.default_rng(seed), 25)
         pruned_state.unassign_many(removed)
-        _regret2_exact(exact_state, removed)
-        _regret2_pruned(pruned_state, removed)
+        regret2_exact(exact_state, removed)
+        regret2_insertion(pruned_state, rng(), removed)
         np.testing.assert_array_equal(
             exact_state.assignment, pruned_state.assignment
         )
@@ -175,8 +182,8 @@ class TestRegret2Gate:
         state.unassign_many(removed)
         state.block_machine(7)
         exact_state, pruned_state = state.copy(), state.copy()
-        _regret2_exact(exact_state, removed)
-        _regret2_pruned(pruned_state, removed)
+        regret2_exact(exact_state, removed)
+        regret2_insertion(pruned_state, rng(), removed)
         np.testing.assert_array_equal(
             exact_state.assignment, pruned_state.assignment
         )
@@ -186,9 +193,9 @@ class TestRegret2Gate:
             SyntheticConfig(num_machines=30, shards_per_machine=5, seed=2)
         )
         results = []
-        for path in (_regret2_pruned, _regret2_exact):
+        for regret2 in (regret2_insertion, regret2_oracle):
             cfg = AlnsConfig(iterations=120, seed=7)
-            repair_ops = (greedy_best_fit, regret2_on(path))
+            repair_ops = (greedy_best_fit, regret2)
             engine = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, repair_ops)
             obj = Objective(state.assignment, state.sizes)
             results.append(engine.run(state.copy(), obj))

@@ -35,8 +35,8 @@ Modes
 
 ``--scale-smoke``
     Fleet-scale CI row: run the ``SCALE_SMOKE_SIZES`` instance(s)
-    (m2000 — large enough to exercise the pruned regret-2 / SoA-kernel
-    path the small smoke sizes never reach).  Throughput is printed and
+    (m2000 — regret-2 candidate lists and SoA kernels at fleet size,
+    which the small smoke sizes do not stress).  Throughput is printed and
     compared against the committed baseline but **informational only**;
     the run fails solely when it exceeds ``--max-seconds`` (hang /
     order-of-magnitude-regression guard).
@@ -119,8 +119,8 @@ SMOKE_SIZES: dict[tuple[int, int], int] = {
     (50, 6): 500,
     (400, 6): 150,
 }
-#: Fleet-scale row exercised by --scale-smoke: the pruned regret-2 /
-#: SoA-kernel path that the small smoke sizes never reach.  Throughput
+#: Fleet-scale row exercised by --scale-smoke: regret-2 candidate lists
+#: and SoA kernels at a size the small smoke sizes do not stress.  Throughput
 #: is informational on PRs (hardware varies); only the wall-clock cap
 #: gates, catching hangs and pathological slowdowns.
 SCALE_SMOKE_SIZES: dict[tuple[int, int], int] = {
@@ -401,7 +401,7 @@ def cmd_update(budget: float) -> int:
                 "dominates; recorded as best-of-2 per full row, best-of-3 "
                 "per smoke row); the CI smoke gate compares against this "
                 "file with a wide tolerance and the scale rows "
-                "(scale-m2000/scale-m10000, pruned regret-2 path) are "
+                "(scale-m2000/scale-m10000, top-list regret-2 path) are "
                 "informational on PRs.  peak_rss_mb is the process "
                 "high-water mark after the row ran (monotone across "
                 "rows); phases are wall-clock fractions from a separate "
@@ -448,7 +448,7 @@ def cmd_smoke(tolerance: float) -> int:
 
 
 def cmd_scale_smoke(max_seconds: float) -> int:
-    """Fleet-scale smoke: exercise the pruned regret-2 path end to end.
+    """Fleet-scale smoke: exercise the top-list regret-2 path end to end.
 
     Throughput is printed (and compared against the committed baseline
     when the scale row exists) but never gated — PR runners vary too
@@ -494,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument(
         "--scale-smoke",
         action="store_true",
-        help="fleet-scale row (pruned regret-2 path), wall-clock capped",
+        help="fleet-scale row (top-list regret-2 path), wall-clock capped",
     )
     parser.add_argument(
         "--budget", type=float, default=2.0, help="anytime budget in seconds"
