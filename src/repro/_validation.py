@@ -7,6 +7,7 @@ surface at the API boundary rather than deep inside vectorized kernels.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Any, Sequence
 
@@ -72,6 +73,16 @@ def as_demand_array(name: str, values: Any, dims: int | None = None) -> np.ndarr
         If given, the required length of the resulting vector.
     """
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    # Fast proof for the common case: ``0.0 <= v < inf`` is False for NaN
+    # and for either infinity, so one pass over Python floats settles
+    # every check below; only inputs that fail it pay for the numpy
+    # checks, which pick the error message.
+    if (
+        arr.ndim == 1
+        and (dims is None or arr.shape[0] == dims)
+        and all(0.0 <= v < math.inf for v in arr.tolist())
+    ):
+        return arr
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if np.any(~np.isfinite(arr)):

@@ -51,7 +51,7 @@ class Shard:
         if self.id < 0:
             raise ValueError(f"shard id must be >= 0, got {self.id}")
         dem = as_demand_array("demand", self.demand, self.schema.dims)
-        if not np.any(dem > 0):
+        if not any(dem.tolist()):
             raise ValueError(f"shard demand must be non-zero, got {dem}")
         object.__setattr__(self, "demand", dem)
         if self.size_bytes < 0:

@@ -300,7 +300,7 @@ def _build_multi_tenant(params: Mapping[str, Any], seed: int) -> ClusterState:
         weight_conc = max(1e-3, 10.0 * (1.0 - skew))
         weights = place_rng.dirichlet(np.full(m, weight_conc))
         assign = place_rng.choice(m, size=n, p=weights)
-        assign = _repair_feasibility(assign, demands, capacity, place_rng)
+        assign = _repair_feasibility(assign, demands, capacity)
     return ClusterState(machines, shards, assign)
 
 

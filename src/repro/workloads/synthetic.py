@@ -182,21 +182,34 @@ def _skewed_placement(
     return rng.choice(m, size=cfg.num_shards, p=weights)
 
 
+def _peak_after(loads_t: np.ndarray, cap_t: np.ndarray, dem: np.ndarray) -> np.ndarray:
+    """Per-machine peak utilization after adding *dem*, shape (m,).
+
+    *loads_t* and *cap_t* are (d, m) column layouts, so each dimension is
+    one contiguous pass: the elementwise ``(loads + dem) / capacity`` and
+    its max over d, without a strided reduction.
+    """
+    peak = (loads_t[0] + dem[0]) / cap_t[0]
+    for k in range(1, dem.shape[0]):
+        np.maximum(peak, (loads_t[k] + dem[k]) / cap_t[k], out=peak)
+    return peak
+
+
 def _lpt_placement(demands: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     """Longest-processing-time greedy minimizing post-insert peak utilization."""
     n = demands.shape[0]
-    loads = np.zeros_like(capacity)
+    cap_t = np.ascontiguousarray(capacity.T)
+    loads_t = np.zeros_like(cap_t)
     assign = np.empty(n, dtype=np.int64)
     for j in np.argsort(-demands.sum(axis=1)):
-        util_after = ((loads + demands[j]) / capacity).max(axis=1)
-        i = int(np.argmin(util_after))
+        i = int(np.argmin(_peak_after(loads_t, cap_t, demands[j])))
         assign[j] = i
-        loads[i] += demands[j]
+        loads_t[:, i] += demands[j]
     return assign
 
 
 def _repair_feasibility(
-    assign: np.ndarray, demands: np.ndarray, capacity: np.ndarray, rng: np.random.Generator
+    assign: np.ndarray, demands: np.ndarray, capacity: np.ndarray
 ) -> np.ndarray:
     """Drain overloaded machines one move at a time.
 
@@ -206,31 +219,49 @@ def _repair_feasibility(
     target always stays within capacity), so the loop terminates.  If a
     machine gets stuck with no relocatable shard, falls back to a fully
     balanced LPT placement — preserving feasibility over placement skew.
+
+    Loads and headroom live in a (d, m) column layout next to ``worst``,
+    each machine's peak load/capacity ratio when it is overloaded and
+    ``-inf`` when it is not.  A move refreshes these for its two machines
+    only, with the elementwise arithmetic of a full rescan, so the
+    first-index ``argmax`` over ``worst`` and ``argmin`` over the masked
+    post-insert peaks pick the same machines as indexing into ascending
+    lists of the overloaded and fitting machines.
     """
     assign = assign.copy()
     loads = np.zeros_like(capacity)
     np.add.at(loads, assign, demands)
+    cap_t = np.ascontiguousarray(capacity.T)
+    loads_t = np.ascontiguousarray(loads.T)
+    headroom_t = cap_t - loads_t
+    limit_t = cap_t + 1e-9
+    worst = np.where(
+        np.any(loads_t > limit_t, axis=0), (loads_t / cap_t).max(axis=0), -np.inf
+    )
+    size = demands.sum(axis=1)
 
     for _ in range(4 * demands.shape[0]):
-        over = np.flatnonzero(np.any(loads > capacity + 1e-9, axis=1))
-        if over.size == 0:
+        i = int(np.argmax(worst))
+        if worst[i] == -np.inf:
             return assign
-        # Vectorized most-overloaded pick (bitwise the same arithmetic as
-        # a per-machine Python fold — this runs once per move, and fleet
-        # instances need tens of thousands of moves).
-        i = over[np.argmax((loads[over] / capacity[over]).max(axis=1))]
         members = np.flatnonzero(assign == i)
         moved = False
-        for j in members[np.argsort(-demands[members].sum(axis=1))]:
-            headroom = capacity - loads
-            fit = np.flatnonzero(np.all(headroom >= demands[j] - 1e-12, axis=1))
-            fit = fit[fit != i]
-            if fit.size == 0:
+        for j in members[np.argsort(-size[members])]:
+            dem = demands[j]
+            # Machine i never fits: it is over capacity by more than 1e-9.
+            fit = headroom_t[0] >= dem[0] - 1e-12
+            for k in range(1, dem.shape[0]):
+                fit &= headroom_t[k] >= dem[k] - 1e-12
+            if not fit.any():
                 continue
-            util_after = ((loads[fit] + demands[j]) / capacity[fit]).max(axis=1)
-            target = fit[np.argmin(util_after)]
-            loads[i] -= demands[j]
-            loads[target] += demands[j]
+            target = int(np.argmin(np.where(fit, _peak_after(loads_t, cap_t, dem), np.inf)))
+            loads_t[:, i] -= dem
+            loads_t[:, target] += dem
+            for c in (i, target):
+                load = loads_t[:, c]
+                headroom_t[:, c] = cap_t[:, c] - load
+                over = (load > limit_t[:, c]).any()
+                worst[c] = (load / cap_t[:, c]).max() if over else -np.inf
             assign[j] = target
             moved = True
             break
@@ -261,7 +292,7 @@ def generate(cfg: SyntheticConfig) -> ClusterState:
     assign = _skewed_placement(cfg, demands, rng)
     capacity = np.stack([mach.capacity for mach in machines])
     if cfg.feasible_start:
-        assign = _repair_feasibility(assign, demands, capacity, rng)
+        assign = _repair_feasibility(assign, demands, capacity)
         loads = np.zeros_like(capacity)
         np.add.at(loads, assign, demands)
         if np.any(loads > capacity + 1e-9):

@@ -12,6 +12,7 @@ from repro._validation import (
 )
 from repro.algorithms import MigrationBudget, SRA, SRAConfig
 from repro.algorithms.baselines import RandomRestartRebalancer
+from repro.cluster import Shard
 from repro.core import ResourceExchangeRebalancer
 from repro.experiments import REGISTRY
 from repro.experiments.harness import format_table, is_full_run, register
@@ -55,6 +56,45 @@ class TestValidationHelpers:
             as_demand_array("d", [-1.0])
         with pytest.raises(ValueError, match="dimensions"):
             as_demand_array("d", [1.0, 2.0], dims=3)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "values, array_message, shard_message",
+    [
+        ([1.0, _NAN, 2.0], "demand must be finite, got array([ 1., nan,  2.])", None),
+        ([1.0, _INF, 2.0], "demand must be finite, got array([ 1., inf,  2.])", None),
+        ([1.0, -_INF, 2.0], "demand must be finite, got array([  1., -inf,   2.])", None),
+        ([1.0, -0.5, 2.0], "demand must be non-negative, got array([ 1. , -0.5,  2. ])", None),
+        # Non-finite wins over negative and over a wrong length.
+        ([-1.0, _NAN], "demand must be finite, got array([-1., nan])", None),
+        ([[1.0, 2.0, 3.0]], "demand must be 1-D, got shape (1, 3)", None),
+        ([1.0, 2.0], "demand must have 3 dimensions, got 2", None),
+        ([0.0, 0.0, 0.0], None, "shard demand must be non-zero, got [0. 0. 0.]"),
+        ([0.0, 2.0, 0.0], None, None),
+    ],
+    ids=["nan", "pos-inf", "neg-inf", "negative", "negative-and-nan", "2-d",
+         "wrong-length", "all-zero", "partly-zero"],
+)
+def test_demand_validation_messages(values, array_message, shard_message):
+    """``as_demand_array`` and ``Shard`` reject each bad demand with the
+    message of the first failing check, in the order 1-D, finite,
+    non-negative, length; ``Shard`` adds the non-zero check."""
+    if array_message is None:
+        np.testing.assert_array_equal(as_demand_array("demand", values, 3), values)
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            as_demand_array("demand", values, 3)
+        assert str(excinfo.value) == array_message
+    message = shard_message or array_message
+    if message is None:
+        np.testing.assert_array_equal(Shard(id=0, demand=values).demand, values)
+        return
+    with pytest.raises(ValueError) as excinfo:
+        Shard(id=0, demand=values)
+    assert str(excinfo.value) == message
 
 
 def _tiny_state():

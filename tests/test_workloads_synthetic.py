@@ -1,10 +1,14 @@
 """Tests for the synthetic instance generators."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.scenarios import ScenarioSpec, generate_instance
 from repro.workloads import (
     SyntheticConfig,
     generate,
@@ -12,6 +16,8 @@ from repro.workloads import (
     generate_zipf,
     make_exchange_machines,
 )
+from repro.workloads.synthetic import _demands, _repair_feasibility, _skewed_placement
+from tests.oracles.feasibility import repair_feasibility as repair_feasibility_oracle
 
 
 class TestConfigValidation:
@@ -149,3 +155,131 @@ def test_property_generated_instances_are_valid(util, skew, seed):
     recomputed = np.zeros_like(state.loads)
     np.add.at(recomputed, state.assignment, state.demand)
     np.testing.assert_allclose(state.loads, recomputed, atol=1e-9)
+
+
+#: Capacity factors of the heterogeneous fleet, indexed by (machine +
+#: dimension) mod 3: every machine is small in one dimension and large
+#: in another.
+_HETERO_FACTORS = np.array([0.6, 1.0, 1.4])
+
+
+def _drain_inputs(m, spm, util, skew, dist, seed, hetero):
+    """The generator's pre-drain assignment, demands and a capacity matrix."""
+    cfg = SyntheticConfig(
+        num_machines=m,
+        shards_per_machine=spm,
+        target_utilization=util,
+        placement_skew=skew,
+        demand_dist=dist,
+        seed=seed,
+    )
+    rng = np.random.default_rng(cfg.seed)
+    demands = _demands(cfg, rng)
+    assign = _skewed_placement(cfg, demands, rng)
+    capacity = np.full((m, demands.shape[1]), cfg.machine_capacity)
+    if hetero:
+        idx = (np.arange(m)[:, None] + np.arange(demands.shape[1])[None, :]) % 3
+        capacity = capacity * _HETERO_FACTORS[idx]
+    return assign, demands, capacity
+
+
+@given(
+    m=st.integers(min_value=2, max_value=150),
+    spm=st.integers(min_value=2, max_value=10),
+    util=st.floats(min_value=0.4, max_value=0.92),
+    skew=st.floats(min_value=0.3, max_value=0.95),
+    dist=st.sampled_from(["uniform", "zipf"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    hetero=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+# Homogeneous fleets whose drain gets stuck and falls back to LPT.
+@example(m=25, spm=5, util=0.92, skew=0.5, dist="uniform", seed=180, hetero=False)
+@example(m=14, spm=4, util=0.9, skew=0.3, dist="zipf", seed=325, hetero=False)
+# Heterogeneous fleets: an LPT fallback, and one too tight even for LPT.
+@example(m=31, spm=3, util=0.6, skew=0.5, dist="uniform", seed=125, hetero=True)
+@example(m=11, spm=4, util=0.8, skew=0.5, dist="uniform", seed=980, hetero=True)
+def test_property_drain_bitwise_equals_full_rescan_oracle(m, spm, util, skew, dist, seed, hetero):
+    """The incremental drain returns the full-rescan oracle's assignment
+    bit for bit, or raises the same error."""
+    # A shard may demand at most 30% of a machine, so ``util`` must fit.
+    assume(util <= 0.3 * spm)
+    assign, demands, capacity = _drain_inputs(m, spm, util, skew, dist, seed, hetero)
+    try:
+        expected = repair_feasibility_oracle(assign, demands, capacity)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _repair_feasibility(assign, demands, capacity)
+        return
+    got = _repair_feasibility(assign, demands, capacity)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_drain_leaves_overloads_within_tolerance():
+    """A machine over capacity by less than 1e-9 counts as within it."""
+    demands = np.array([[0.6], [0.4 + 5e-10], [0.3]])
+    capacity = np.ones((2, 1))
+    assign = np.array([0, 0, 1])
+    expected = repair_feasibility_oracle(assign, demands, capacity)
+    np.testing.assert_array_equal(expected, assign)
+    np.testing.assert_array_equal(_repair_feasibility(assign, demands, capacity), expected)
+
+
+def test_drain_target_must_fit_even_when_another_peaks_lower():
+    """Machine 1 would end at a lower peak (1 + 2e-12) than machine 2
+    (1 + 5e-10 on its small second dimension), but it misses the 1e-12
+    fit tolerance, so the shard goes to machine 2."""
+    demands = np.array(
+        [
+            [0.6, 1e-3],  # on the overloaded machine 0; moves
+            [0.5, 0.0],  # stays on machine 0
+            [0.4 + 2e-12, 0.0],  # fills machine 1 to just below the move
+            [0.0, 0.5e-12],  # fills machine 2's small dimension
+        ]
+    )
+    capacity = np.array([[1.0, 1.0], [1.0, 1.0], [10.0, 1e-3]])
+    assign = np.array([0, 0, 1, 2])
+    expected = repair_feasibility_oracle(assign, demands, capacity)
+    np.testing.assert_array_equal(expected, [2, 0, 1, 2])
+    np.testing.assert_array_equal(_repair_feasibility(assign, demands, capacity), expected)
+
+
+def _instance_digest(state):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(state.assignment, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(state.demand, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _zipf_spec(m):
+    # The spec ``perfbench.workloads.scaling_spec(m, 6)`` builds.
+    return ScenarioSpec(
+        "zipf-popularity",
+        {
+            "num_machines": m,
+            "shards_per_machine": 6,
+            "target_utilization": 0.8,
+            "placement_skew": 0.5,
+        },
+        seed=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (_zipf_spec(1000), "4cd97348070455a65442496e98bd87b56255db9244f34133a1cd872bcc38d155"),
+        (_zipf_spec(2000), "ab4e7b7efdf8ff1538a623f5abff44043ca6959726e3d636dcb9e4001c15f38d"),
+        (
+            ScenarioSpec("multi-tenant", {"num_machines": 6, "tenants": 2, "shards_per_tenant": 8}),
+            "add9881190b478a38ff044f6ed61d649abc110f2cb4b993950d041d19bd8a01c",
+        ),
+    ],
+    ids=["zipf-m1000", "zipf-m2000", "multi-tenant-tiny"],
+)
+def test_instance_bytes_are_pinned(spec, digest):
+    """sha256 of the assignment and demand bytes, recorded before the
+    drain became incremental: instances, spec hashes and every input
+    downstream of them stay the same."""
+    assert _instance_digest(generate_instance(spec)) == digest
