@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from repro import obs
 from repro._validation import check_int, check_positive
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.migration import StagingPlanner
@@ -199,18 +200,25 @@ class LocalSearchRebalancer(Rebalancer):
 
         Blocked machines are never chosen as targets, so the descent is
         also usable as SRA's polish phase without breaking the
-        designated-return contract.
+        designated-return contract.  With tracing on, each step emits a
+        ``polish.step`` event whose ``kind`` is ``move`` or ``swap``.
         """
         budget = self.max_steps if max_steps is None else check_int("max_steps", max_steps)
+        tracer = obs.current().tracer
+        trace_on = tracer.enabled
         steps = 0
-        improved = True
-        while improved and steps < budget:
-            improved = False
-            if self._try_move(work, rng) or self._try_swap(work, rng):
-                improved = True
-                steps += 1
-                if history is not None:
-                    history.append(work.peak_utilization())
+        while steps < budget:
+            if self._try_move(work, rng):
+                kind = "move"
+            elif self._try_swap(work, rng):
+                kind = "swap"
+            else:
+                break
+            steps += 1
+            if history is not None:
+                history.append(work.peak_utilization())
+            if trace_on:
+                tracer.event("polish.step", step=steps, kind=kind)
         return steps
 
     # ------------------------------------------------------------- internal
@@ -258,45 +266,13 @@ class LocalSearchRebalancer(Rebalancer):
                 np.maximum(grown, (loads_t[k] + extra[k]) / cap_t[k], out=grown)
             dst_peak = grown[dests]
             new_max = np.maximum(max(rest, src_peak), dst_peak)
-            i = self._first_improving(
-                machine_peak, current, hottest, src_peak, dests, dst_peak, new_max
+            c = _first_improving(
+                machine_peak, current, new_max, ((hottest, src_peak), (dests, dst_peak))
             )
-            if i >= 0:
-                work.move(int(j), i)
+            if c >= 0:
+                work.move(int(j), int(dests[c]))
                 return True
         return False
-
-    @staticmethod
-    def _first_improving(
-        machine_peak: np.ndarray,
-        current: tuple[float, float],
-        hottest: int,
-        src_peak: float,
-        dests: np.ndarray,
-        dst_peak: np.ndarray,
-        new_max: np.ndarray,
-    ) -> int:
-        """Lowest destination whose move improves :meth:`_score`, or -1.
-
-        A destination improves when its ``new_max`` is below the current
-        max, or ties it with a smaller sum of squared peaks.  The sums are
-        computed only for ties ahead of the first strict improvement, as
-        ``np.sum`` over each tied destination's full peak vector (rows of
-        one block, which sum exactly as the 1-D vector does).
-        """
-        cur_max, cur_sq = current
-        strict = np.flatnonzero(new_max < cur_max)
-        stop = int(strict[0]) if strict.size else dests.size
-        ties = np.flatnonzero(new_max[:stop] == cur_max)
-        for at in range(0, ties.size, _TIE_BLOCK):
-            chunk = ties[at : at + _TIE_BLOCK]
-            block = np.tile(machine_peak, (chunk.size, 1))
-            block[:, hottest] = src_peak
-            block[np.arange(chunk.size), dests[chunk]] = dst_peak[chunk]
-            better = np.flatnonzero(np.sum(block**2, axis=1) < cur_sq)
-            if better.size:
-                return int(dests[chunk[better[0]]])
-        return int(dests[stop]) if strict.size else -1
 
     def _try_swap(self, work: ClusterState, rng: np.random.Generator) -> bool:
         machine_peak = work.machine_peak_utilization()
@@ -319,57 +295,116 @@ class LocalSearchRebalancer(Rebalancer):
                 hs = rng.choice(hs, size=self.neighborhood_sample, replace=False)
             if cs.size > self.neighborhood_sample:
                 cs = rng.choice(cs, size=self.neighborhood_sample, replace=False)
-            for j1 in hs:
-                for j2 in cs:
-                    if self._swap_if_better(
-                        work, int(j1), hottest, int(j2), i, machine_peak, current
-                    ):
-                        return True
+            pair = _first_improving_swap(work, machine_peak, current, hottest, i, hs, cs)
+            if pair >= 0:
+                a, b = divmod(pair, cs.size)
+                work.move(int(hs[a]), i)
+                work.move(int(cs[b]), hottest)
+                return True
         return False
 
-    def _swap_if_better(
-        self,
-        work: ClusterState,
-        j1: int,
-        m1: int,
-        j2: int,
-        m2: int,
-        machine_peak: np.ndarray,
-        current: tuple[float, float],
-    ) -> bool:
-        d1, d2 = work.demand[j1], work.demand[j2]
-        # Replica anti-affinity after the swap: j1 lands on m2, j2 on m1.
-        peers1 = work.replica_peers(j1)
-        if peers1.size and np.any(
-            (work.assignment_view()[peers1] == m2) & (peers1 != j2)
-        ):
-            return False
-        peers2 = work.replica_peers(j2)
-        if peers2.size and np.any(
-            (work.assignment_view()[peers2] == m1) & (peers2 != j1)
-        ):
-            return False
-        load1 = work.loads[m1] - d1 + d2
-        load2 = work.loads[m2] - d2 + d1
-        if np.any(load1 > work.capacity[m1] + 1e-12) or np.any(
-            load2 > work.capacity[m2] + 1e-12
-        ):
-            return False
-        # Executability: one order must work. Order A (j1 first): m2 must
-        # hold its load + in-flight j1; then j2 leaves, j1 lands. Order B
-        # symmetric.
-        order_a = np.all(work.loads[m2] + d1 <= work.capacity[m2] + 1e-12)
-        order_b = np.all(work.loads[m1] + d2 <= work.capacity[m1] + 1e-12)
-        if not (order_a or order_b):
-            return False
-        new_peak = machine_peak.copy()
-        new_peak[m1] = (load1 / work.capacity[m1]).max()
-        new_peak[m2] = (load2 / work.capacity[m2]).max()
-        if self._score(new_peak) < current:
-            work.move(j1, m2)
-            work.move(j2, m1)
-            return True
-        return False
+
+def _first_improving(
+    machine_peak: np.ndarray,
+    current: tuple[float, float],
+    new_max: np.ndarray,
+    edits: tuple[tuple[int | np.ndarray, float | np.ndarray], ...],
+) -> int:
+    """Index of the first candidate step that improves the score, or -1.
+
+    Candidate ``c`` sets, for each ``(cols, peaks)`` in *edits*, the peak
+    of machine ``cols[c]`` to ``peaks[c]`` (a scalar stands for the same
+    machine or peak in every candidate); ``new_max[c]`` is the resulting
+    max.  A candidate improves when its ``new_max`` is below the current
+    max, or ties it with a smaller sum of squared peaks (the order of
+    ``LocalSearchRebalancer._score``).  The sums are computed only for
+    ties ahead of the first strict improvement, as ``np.sum`` over each
+    tied candidate's full peak vector (rows of one block, which sum
+    exactly as the 1-D vector does).
+    """
+    cur_max, cur_sq = current
+    strict = np.flatnonzero(new_max < cur_max)
+    stop = int(strict[0]) if strict.size else new_max.size
+    ties = np.flatnonzero(new_max[:stop] == cur_max)
+    for at in range(0, ties.size, _TIE_BLOCK):
+        chunk = ties[at : at + _TIE_BLOCK]
+        block = np.tile(machine_peak, (chunk.size, 1))
+        rows = np.arange(chunk.size)
+        for cols, peaks in edits:
+            at_cols = cols[chunk] if isinstance(cols, np.ndarray) else cols
+            block[rows, at_cols] = peaks[chunk] if isinstance(peaks, np.ndarray) else peaks
+        better = np.flatnonzero(np.sum(block**2, axis=1) < cur_sq)
+        if better.size:
+            return int(chunk[better[0]])
+    return stop if strict.size else -1
+
+
+def _first_improving_swap(
+    work: ClusterState,
+    machine_peak: np.ndarray,
+    current: tuple[float, float],
+    m1: int,
+    m2: int,
+    hs: np.ndarray,
+    cs: np.ndarray,
+) -> int:
+    """First improving swap of a shard of *hs* (on *m1*) with one of *cs*
+    (on *m2*), as the flat index ``a * cs.size + b`` of the pair
+    ``(hs[a], cs[b])`` in row-major order, or -1.
+
+    All pairs are scored in one pass.  A pair is admissible when, after
+    the swap, no replica sibling shares a machine with either shard and
+    both machines are within capacity, and when one execution order
+    works: order A parks ``hs[a]`` on *m2* first (*m2* holds its load
+    plus the in-flight copy), order B parks ``cs[b]`` on *m1* first.
+    The new max is ``max(rest, p1, p2)``, ``rest`` being the largest
+    peak of every other machine.
+    """
+    loads, cap = work.loads, work.capacity
+    d1, d2 = work.demand[hs], work.demand[cs]  # (a, d), (b, d)
+    lim1, lim2 = cap[m1] + 1e-12, cap[m2] + 1e-12
+    load1 = (loads[m1] - d1)[:, None, :] + d2  # (a, b, d)
+    load2 = (loads[m2] - d2) + d1[:, None, :]
+    order_a = np.all(loads[m2] + d1 <= lim2, axis=1)  # (a,)
+    order_b = np.all(loads[m1] + d2 <= lim1, axis=1)  # (b,)
+    ok = order_a[:, None] | order_b
+    ok &= ~np.any(load1 > lim1, axis=2)
+    ok &= ~np.any(load2 > lim2, axis=2)
+    if work.replica_groups:
+        ok &= ~_swap_conflicts(work, m1, m2, hs, cs)
+    cand = np.flatnonzero(ok)
+    if cand.size == 0:
+        return -1
+    p1 = np.max(load1 / cap[m1], axis=2).ravel()[cand]
+    p2 = np.max(load2 / cap[m2], axis=2).ravel()[cand]
+    others = machine_peak.copy()
+    others[[m1, m2]] = -np.inf
+    new_max = np.maximum(np.maximum(others.max(), p1), p2)
+    c = _first_improving(machine_peak, current, new_max, ((m1, p1), (m2, p2)))
+    return int(cand[c]) if c >= 0 else -1
+
+
+def _swap_conflicts(
+    work: ClusterState, m1: int, m2: int, hs: np.ndarray, cs: np.ndarray
+) -> np.ndarray:
+    """(a, b) mask of swaps that would co-locate replica siblings: a
+    sibling of ``hs[a]`` other than ``cs[b]`` sits on *m2*, or a sibling
+    of ``cs[b]`` other than ``hs[a]`` sits on *m1*."""
+    assign = work.assignment_view()
+    shards = work.shards
+
+    def siblings_on(members: np.ndarray, machine: int) -> tuple[np.ndarray, np.ndarray]:
+        group = np.array([shards[int(j)].replica_of for j in members], dtype=np.int64)
+        count = np.array(
+            [np.count_nonzero(assign[work.replica_peers(int(j))] == machine) for j in members],
+            dtype=np.int64,
+        )
+        return group, count
+
+    g1, n1 = siblings_on(hs, m2)
+    g2, n2 = siblings_on(cs, m1)
+    paired = (g1[:, None] == g2) & (g1[:, None] >= 0)
+    return (n1[:, None] > paired) | (n2 > paired)
 
 
 class RandomRestartRebalancer(Rebalancer):

@@ -39,7 +39,12 @@ Implementation notes (this is the hottest code in the library — see the
   what a from-scratch rebuild would produce.  Because insertions only
   ever add load, refreshed columns are monotone non-decreasing over a
   repair batch (``inf`` strike marks are re-applied from an explicit
-  per-machine ledger).
+  per-machine ledger).  The refresh works on a (d, q) copy of the batch
+  demand and reduces over its rows, so a column is q contiguous
+  elements per dimension.
+* Regret-2 refreshes live rows only: once half the rows it holds are
+  inserted it drops them (:meth:`_ScoreKernel.keep_rows`), keeping the
+  rest in order so every first-index tie-break is unchanged.
 * Regret-2 re-ranks the pending shards after every insertion from dense
   per-row top-``_TOP_T`` candidate lists, re-listing a row from the
   full matrix only when its list can no longer prove it holds the row's
@@ -144,9 +149,8 @@ class _ScoreKernel:
             #: (replica anti-affinity at build time, strikes afterwards);
             #: :meth:`refresh_column` re-applies it after recomputing.
             self._struck: dict[int, list[int]] = {}
-            self._cwork = np.empty((q, d))  # column_scores scratch
-            self._cbuf = np.empty(q)
             self.scores = self._build_matrix()
+            self._column_layout()
         else:
             self._rwork = np.empty((d, m))  # row_scores scratch
             self._rbuf = np.empty(m)
@@ -193,6 +197,39 @@ class _ScoreKernel:
                         self._struck.setdefault(i, []).append(row)
         return scores
 
+    def _column_layout(self) -> None:
+        """(d, q) demand copy and scratch for :meth:`column_scores`, so a
+        column reduces over contiguous rows of length q."""
+        self._demand_t = np.ascontiguousarray(self.demand.T)
+        self._cwork = np.empty((self.d, self.q))
+        self._cbuf = np.empty(self.q)
+
+    def keep_rows(self, live: np.ndarray) -> None:
+        """Drop the rows where the (q,) mask *live* is False.
+
+        The kept rows keep their order, so first-index ``argmin`` /
+        ``argmax`` tie-breaks over them are unchanged.  The score matrix,
+        the demand copies, the shard ids, the strike ledger and
+        ``group_rows`` are renumbered.
+        """
+        renumber = (np.cumsum(live) - 1).tolist()
+        alive = live.tolist()
+        self.shards = self.shards[live]
+        self.demand = self.demand[live]
+        self.scores = self.scores[live]
+        self.q = self.shards.size
+        self._column_layout()
+        self._struck = {
+            i: kept
+            for i, rows in self._struck.items()
+            if (kept := [renumber[r] for r in rows if alive[r]])
+        }
+        self.group_rows = {
+            g: kept
+            for g, rows in self.group_rows.items()
+            if (kept := [renumber[r] for r in rows if alive[r]])
+        }
+
     def refresh_machine(self, machine: int) -> None:
         """Sync the scaled-utilization column after an insertion (same
         elementwise expression as the build, so the sync is bitwise)."""
@@ -202,19 +239,19 @@ class _ScoreKernel:
         """(q,) current scores of every removed shard on *machine* (no
         inf marks — callers overlay blocked/struck state).  Returns a
         reused scratch buffer; copy before the next kernel call."""
-        util_m = self.util[:, machine]  # (d,)
-        inv_m = self.inv_cap[:, machine]
-        work = self._cwork  # (q, d), matches build bitwise
-        np.multiply(self.demand, inv_m, out=work)
+        util_m = self.util[:, machine, None]  # (d, 1)
+        inv_m = self.inv_cap[:, machine, None]
+        work = self._cwork  # (d, q), matches build bitwise
+        np.multiply(self._demand_t, inv_m, out=work)
         work += util_m
-        col: np.ndarray = work.max(axis=1, out=self._cbuf)
+        col: np.ndarray = np.maximum.reduce(work, axis=0, out=self._cbuf)
         if self.thr_uniform:
             over = col > self.thr_row[machine]
             np.add(col, _OVERFLOW_PENALTY, out=col, where=over)
         else:
-            thr_m = self.thr[:, machine]
-            if np.any(util_m + self.dmax_inv[:, machine] > thr_m):
-                over = (work > thr_m).any(axis=1)
+            thr_m = self.thr[:, machine, None]
+            if np.any(util_m + self.dmax_inv[:, machine, None] > thr_m):
+                over = (work > thr_m).any(axis=0)
                 np.add(col, _OVERFLOW_PENALTY, out=col, where=over)
         return col
 
@@ -328,7 +365,8 @@ def regret2_insertion(
     Each step refreshes the one changed column into every list that
     holds it, takes the two smallest values of all lists with one
     partition, and recomputes the selection key (regret + demand
-    tie-break) of the active rows; inserted rows sit at ``-inf``.  A
+    tie-break) of the active rows; inserted rows sit at ``-inf`` until
+    half the rows held are inserted, when they are dropped.  A
     first-index ``argmax`` then picks the row that the full
     re-partition of every active row would pick, so placements are
     bitwise those of the exact reference (``tests/oracles/regret2.py``).
@@ -372,6 +410,14 @@ def regret2_insertion(
         tau[row] = np.inf
         if remaining == 1:
             break
+        if 2 * (remaining - 1) <= kern.q:
+            # Half the rows held are inserted: drop them (order kept).
+            kern.keep_rows(active)
+            scores = kern.scores
+            top_idx, top_val = top_idx[active], top_val[active]
+            tau, key, tie = tau[active], key[active], tie[active]
+            hit, pair = hit[active], pair[active]
+            active = active[active]
         kern.refresh_column(machine)
         if group >= 0:
             for sibling in kern.group_rows.get(group, ()):

@@ -292,15 +292,19 @@ def generate(cfg: SyntheticConfig) -> ClusterState:
     assign = _skewed_placement(cfg, demands, rng)
     capacity = np.stack([mach.capacity for mach in machines])
     if cfg.feasible_start:
-        assign = _repair_feasibility(assign, demands, capacity)
+        too_tight = (
+            "could not build a capacity-feasible initial placement at "
+            f"target_utilization={cfg.target_utilization}; lower it or "
+            "set feasible_start=False"
+        )
+        try:
+            assign = _repair_feasibility(assign, demands, capacity)
+        except ValueError as exc:
+            raise ValueError(too_tight) from exc
         loads = np.zeros_like(capacity)
         np.add.at(loads, assign, demands)
         if np.any(loads > capacity + 1e-9):
-            raise ValueError(
-                "could not build a capacity-feasible initial placement at "
-                f"target_utilization={cfg.target_utilization}; lower it or "
-                "set feasible_start=False"
-            )
+            raise ValueError(too_tight)
     return ClusterState(machines, shards, assign)
 
 

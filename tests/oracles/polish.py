@@ -1,11 +1,13 @@
-"""Test oracle: the per-destination polish move scan.
+"""Test oracle: the per-destination move scan and per-pair swap scan.
 
-:meth:`repro.algorithms.baselines.LocalSearchRebalancer._try_move`
-scores every fitting destination of a sampled shard in one vector pass.
-:class:`OracleLocalSearch` is the reference it must match: the same
-descent, whose move step copies the m-length peak vector per
-destination and scores it in full.  The swap step is shared.  One seed
-gives one step sequence.
+:class:`repro.algorithms.baselines.LocalSearchRebalancer` scores every
+fitting destination of a sampled shard (``_try_move``) and every pair
+of a hot and a cool machine's sampled shards (``_try_swap``) in one
+vector pass each.  :class:`OracleLocalSearch` is the reference they
+must match: the same descent, whose move step copies the m-length peak
+vector per destination and whose swap step checks and scores one pair
+at a time, both scored in full.  The random draws happen at the same
+points, so one seed gives one step sequence.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.cluster import ClusterState
 
 
 class OracleLocalSearch(LocalSearchRebalancer):
-    """``LocalSearchRebalancer`` with the copy-per-destination move scan."""
+    """``LocalSearchRebalancer`` with the copy-per-candidate scans."""
 
     def _try_move(self, work: ClusterState, rng: np.random.Generator) -> bool:
         machine_peak = work.machine_peak_utilization()
@@ -47,4 +49,77 @@ class OracleLocalSearch(LocalSearchRebalancer):
                 if self._score(new_peak) < current:
                     work.move(int(j), int(i))
                     return True
+        return False
+
+    def _try_swap(self, work: ClusterState, rng: np.random.Generator) -> bool:
+        machine_peak = work.machine_peak_utilization()
+        current = self._score(machine_peak)
+        hottest = int(np.argmax(machine_peak))
+        hot_members = work.machine_shards(hottest)
+        if hot_members.size == 0:
+            return False
+        coolest_order = np.argsort(machine_peak)
+        for i in coolest_order[: min(8, work.num_machines)]:
+            i = int(i)
+            if i == hottest:
+                continue
+            cool_members = work.machine_shards(i)
+            if cool_members.size == 0:
+                continue
+            hs = hot_members
+            cs = cool_members
+            if hs.size > self.neighborhood_sample:
+                hs = rng.choice(hs, size=self.neighborhood_sample, replace=False)
+            if cs.size > self.neighborhood_sample:
+                cs = rng.choice(cs, size=self.neighborhood_sample, replace=False)
+            for j1 in hs:
+                for j2 in cs:
+                    if self._swap_if_better(
+                        work, int(j1), hottest, int(j2), i, machine_peak, current
+                    ):
+                        return True
+        return False
+
+    def _swap_if_better(
+        self,
+        work: ClusterState,
+        j1: int,
+        m1: int,
+        j2: int,
+        m2: int,
+        machine_peak: np.ndarray,
+        current: tuple[float, float],
+    ) -> bool:
+        d1, d2 = work.demand[j1], work.demand[j2]
+        # Replica anti-affinity after the swap: j1 lands on m2, j2 on m1.
+        peers1 = work.replica_peers(j1)
+        if peers1.size and np.any(
+            (work.assignment_view()[peers1] == m2) & (peers1 != j2)
+        ):
+            return False
+        peers2 = work.replica_peers(j2)
+        if peers2.size and np.any(
+            (work.assignment_view()[peers2] == m1) & (peers2 != j1)
+        ):
+            return False
+        load1 = work.loads[m1] - d1 + d2
+        load2 = work.loads[m2] - d2 + d1
+        if np.any(load1 > work.capacity[m1] + 1e-12) or np.any(
+            load2 > work.capacity[m2] + 1e-12
+        ):
+            return False
+        # Executability: one order must work. Order A (j1 first): m2 must
+        # hold its load + in-flight j1; then j2 leaves, j1 lands. Order B
+        # symmetric.
+        order_a = np.all(work.loads[m2] + d1 <= work.capacity[m2] + 1e-12)
+        order_b = np.all(work.loads[m1] + d2 <= work.capacity[m1] + 1e-12)
+        if not (order_a or order_b):
+            return False
+        new_peak = machine_peak.copy()
+        new_peak[m1] = (load1 / work.capacity[m1]).max()
+        new_peak[m2] = (load2 / work.capacity[m2]).max()
+        if self._score(new_peak) < current:
+            work.move(j1, m2)
+            work.move(j2, m1)
+            return True
         return False

@@ -11,7 +11,12 @@ evaluation contract" in docs/ARCHITECTURE.md):
 * Regret-2 on per-row top-``T`` candidate lists produces bitwise the
   placements of the full-repartition oracle (``tests/oracles/regret2.py``)
   on arbitrary instances, at machine counts below, at and above ``T``.
+* Independently of that oracle (which shares the kernel), the score
+  rows regret-2 maintains column by column equal a fresh kernel build
+  after every insertion, also after inserted rows are dropped.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +25,8 @@ from hypothesis import strategies as st
 
 from repro.algorithms import AlnsConfig, AlnsEngine, Objective
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
-from repro.algorithms.repair import _TOP_T, DEFAULT_REPAIR_OPS, regret2_insertion
-from repro.cluster import ClusterState, Machine, Shard
+from repro.algorithms.repair import _TOP_T, DEFAULT_REPAIR_OPS, _ScoreKernel, regret2_insertion
+from repro.cluster import UNASSIGNED, ClusterState, Machine, Shard
 from repro.workloads import SyntheticConfig, generate, scaling_suite
 from tests.oracles.copy_engine import run_copy_engine
 from tests.oracles.objective import CheckedObjective, ReferenceObjective
@@ -127,3 +132,89 @@ def test_regret2_matches_oracle_after_lists_are_exhausted(seed):
     removed = np.random.default_rng(seed).choice(state.num_shards, 150, replace=False)
     state.unassign_many(removed.tolist())
     assert_regret2_matches_oracle(state, removed.tolist())
+
+
+def repair_batch(seed, m, q, *, hetero, replicas, blocked):
+    """A loaded fleet of *m* machines, five shards each, with *q* shards
+    removed in random order.
+
+    With *hetero*, capacities differ per machine and per dimension, so
+    overflow thresholds are not uniform.  With *replicas*, shards
+    ``3g, 3g + 1, 3g + 2`` are replicas of group ``g`` on distinct
+    machines, and the removed shards are the first *q*, so siblings
+    are removed together.  With *blocked*, the last machine is vacant
+    and blocked.
+    """
+    rng = np.random.default_rng(seed)
+    caps = rng.choice([60.0, 100.0, 140.0], size=(m, 3)) if hetero else np.full((m, 3), 100.0)
+    open_machines = m - 1 if blocked else m
+    n = 5 * m
+    shards = [
+        Shard(id=j, demand=rng.uniform(2.0, 30.0, size=3), replica_of=j // 3 if replicas else -1)
+        for j in range(n)
+    ]
+    machines = [Machine(id=i, capacity=caps[i]) for i in range(m)]
+    state = ClusterState(machines, shards, [j % open_machines for j in range(n)])
+    if blocked:
+        state.block_machine(m - 1)
+    removed = rng.permutation(q).tolist()
+    state.unassign_many(removed)
+    return state, removed
+
+
+def maintained_rows_per_step(state, removed):
+    """Run regret-2 on *state*; before each selection, compare the score
+    rows of the shards still pending with a fresh kernel build on the
+    current state, bit for bit.  Returns ``(held, pending_siblings)``
+    per step: the rows the kernel holds, and whether a held row has a
+    replica sibling already inserted in this batch."""
+    steps = []
+    best_machine = _ScoreKernel.best_machine
+    batch = np.asarray(removed)
+
+    def checked(kern, row):
+        assign = state.assignment_view()
+        live = assign[kern.shards] == UNASSIGNED
+        fresh = _ScoreKernel(state, kern.shards[live])
+        assert kern.scores[live].tobytes() == fresh.scores.tobytes()
+        placed = batch[assign[batch] != UNASSIGNED]
+        groups = {state.shards[int(j)].replica_of for j in placed} - {-1}
+        steps.append((kern.q, any(g in groups for g in kern.group_rows)))
+        return best_machine(kern, row)
+
+    with mock.patch.object(_ScoreKernel, "best_machine", checked):
+        regret2_insertion(state, np.random.default_rng(0), removed)
+    return steps
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=1000),
+    m=st.integers(min_value=4, max_value=60),
+    q=st.integers(min_value=2, max_value=90),
+    hetero=st.booleans(),
+    replicas=st.booleans(),
+    blocked=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_maintained_scores_equal_fresh_build(seed, m, q, hetero, replicas, blocked):
+    """Column refreshes, strikes and row drops keep every pending row
+    bitwise equal to a from-scratch ``_ScoreKernel`` build."""
+    state, removed = repair_batch(
+        seed, m, min(q, 5 * m), hetero=hetero, replicas=replicas, blocked=blocked
+    )
+    held = [size for size, _ in maintained_rows_per_step(state, removed)]
+    assert len(held) == len(removed)
+    # Rows are dropped once half of them are inserted.
+    assert held[-1] < len(removed)
+    state.validate()
+
+
+@pytest.mark.parametrize("hetero", [False, True], ids=["uniform-thr", "nonuniform-thr"])
+def test_maintained_scores_after_drops_with_pending_siblings(hetero):
+    """q = 60 of 100 shards in replica triples, one machine blocked: rows
+    are dropped while siblings of inserted shards are still pending, so
+    the strike ledger is renumbered with live entries in it."""
+    state, removed = repair_batch(7, 20, 60, hetero=hetero, replicas=True, blocked=True)
+    steps = maintained_rows_per_step(state, removed)
+    assert any(size < 60 and pending for size, pending in steps)
+    assert not state.has_replica_conflicts()

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.algorithms import AlnsConfig, SRA, SRAConfig
+from repro.algorithms.baselines import LocalSearchRebalancer
+from repro.cluster import ClusterState, Machine, Shard
 from repro.core import ResourceExchangeRebalancer
 from repro.obs import (
     Histogram,
@@ -298,6 +300,39 @@ def test_property_instrumentation_does_not_perturb_results(seed, util, exchange)
     span_names = {r["name"] for r in on.trace if r.get("kind") == "span"}
     assert {"episode", "search", "evaluate"} <= span_names
     assert on.metrics["counters"]["episode.runs"] == 1.0
+
+
+def test_polish_with_swaps_is_identical_with_tracer_on_and_off():
+    """A polish that swaps: one ``polish.step`` event per step, kinds
+    included, and the same steps, history and placement as untraced."""
+    rng = np.random.default_rng(5)
+    m = 12
+    demands, hosts = [np.full(3, 45.0)] * 4, [0, 0, 1, 1]
+    for i in range(2, m):
+        # Machines 0 and 1 tie at the 90% peak; every other machine is
+        # too full to take a 45-shard by a move, but can swap one in.
+        load = rng.uniform(46.0, 55.0, size=3)
+        first = rng.uniform(15.0, 30.0, size=3)
+        demands.extend([first, load - first])
+        hosts.extend([i, i])
+    state = ClusterState(
+        Machine.homogeneous(m, 100.0),
+        [Shard(id=j, demand=d) for j, d in enumerate(demands)],
+        hosts,
+    )
+    ls = LocalSearchRebalancer(seed=5)
+    off, off_history = state.copy(), []
+    off_steps = ls.improve_in_place(off, np.random.default_rng(5), history=off_history)
+    on, on_history = state.copy(), []
+    with obs.observed() as o:
+        on_steps = ls.improve_in_place(on, np.random.default_rng(5), history=on_history)
+    assert on_steps == off_steps > 0
+    assert on_history == off_history
+    np.testing.assert_array_equal(on.assignment, off.assignment)
+    steps = [r["attrs"] for r in o.tracer.records() if r["name"] == "polish.step"]
+    assert [s["step"] for s in steps] == list(range(1, on_steps + 1))
+    assert steps[0]["kind"] == "swap"
+    assert {s["kind"] for s in steps} <= {"move", "swap"}
 
 
 def test_report_artifact_savers(tmp_path):

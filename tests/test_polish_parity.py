@@ -1,20 +1,25 @@
-"""Bitwise parity of the polish move scan against its oracle (hypothesis).
+"""Bitwise parity of the polish move and swap scans against their oracle (hypothesis).
 
 ``LocalSearchRebalancer._try_move`` scores all fitting destinations of a
-sampled shard in one vector pass; ``tests/oracles/polish.py`` keeps the
-copy-per-destination scan.  On every generated instance both descents
-take the same steps: the assignment after each step and the step count
-are identical.  The instances force the cases the vector pass handles
-separately: two machines tied at the current peak, a shard with no
-demand in the hottest machine's bottleneck dimension, replica groups,
-blocked machines, heterogeneous capacities, and (in one fixed case)
-m >= 1000, where ``np.sum`` sums in pairwise blocks.
+sampled shard in one vector pass, and ``_try_swap`` all sampled pairs of
+the hottest and one cool machine; ``tests/oracles/polish.py`` keeps the
+copy-per-destination move scan and the per-pair swap scan.  On every
+generated instance both descents take the same steps: the assignment
+after each step and the step count are identical.  The instances force
+the cases the vector passes handle separately: two machines tied at the
+current peak, a shard with no demand in the hottest machine's
+bottleneck dimension, replica groups, blocked machines, heterogeneous
+capacities, swaps between sampled shard sets, a replica sibling on the
+cool machine, and (in one fixed case) m >= 1000, where ``np.sum`` sums
+in pairwise blocks.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.algorithms.baselines import LocalSearchRebalancer
 from repro.cluster import ClusterState, Machine, Shard
 from tests.oracles.polish import OracleLocalSearch
@@ -71,29 +76,39 @@ def build_instance(seed, m, *, hetero, replicas, blocked, tie):
     return state
 
 
-def step_sequence(cls, state, seed, max_steps):
-    """Assignments after each step of *cls*'s descent, then its step count."""
+def step_sequence(cls, state, seed, max_steps, sample=8):
+    """Assignments and ``polish.step`` kinds after each step of *cls*'s
+    descent, then its step count and final assignment in one call."""
     work = state.copy()
     rng = np.random.default_rng(seed)
-    ls = cls(seed=seed, neighborhood_sample=8)
+    ls = cls(seed=seed, neighborhood_sample=sample)
     trail = []
-    while len(trail) < max_steps and ls.improve_in_place(work, rng, max_steps=1):
-        trail.append(work.assignment)
+    with obs.observed() as o:
+        while len(trail) < max_steps and ls.improve_in_place(work, rng, max_steps=1):
+            trail.append(work.assignment)
+    kinds = [r["attrs"]["kind"] for r in o.tracer.records() if r["name"] == "polish.step"]
     whole = state.copy()
-    steps = cls(seed=seed, neighborhood_sample=8).improve_in_place(
+    steps = cls(seed=seed, neighborhood_sample=sample).improve_in_place(
         whole, np.random.default_rng(seed), max_steps=max_steps
     )
-    return trail, steps, whole.assignment
+    return trail, kinds, steps, whole.assignment
 
 
-def assert_same_steps(state, seed, max_steps=60):
-    got, got_steps, got_final = step_sequence(LocalSearchRebalancer, state, seed, max_steps)
-    ref, ref_steps, ref_final = step_sequence(OracleLocalSearch, state, seed, max_steps)
+def assert_same_steps(state, seed, max_steps=60, sample=8):
+    """Both descents take the same steps; returns the kinds taken."""
+    got, kinds, got_steps, got_final = step_sequence(
+        LocalSearchRebalancer, state, seed, max_steps, sample
+    )
+    ref, ref_kinds, ref_steps, ref_final = step_sequence(
+        OracleLocalSearch, state, seed, max_steps, sample
+    )
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
         np.testing.assert_array_equal(a, b)
+    assert kinds == ref_kinds and len(kinds) == len(got)
     assert got_steps == ref_steps == len(ref)
     np.testing.assert_array_equal(got_final, ref_final)
+    return kinds
 
 
 @given(
@@ -122,3 +137,88 @@ def test_polish_steps_match_oracle_at_scale():
     """m >= 1000: the sums of squared peaks run over pairwise-summed blocks."""
     state = build_instance(11, 1030, hetero=True, replicas=False, blocked=True, tie=True)
     assert_same_steps(state, 11, max_steps=12)
+
+
+@pytest.mark.parametrize("seed,m,sample", [(1, 6, 2), (2, 8, 2), (0, 8, 3)])
+def test_swaps_between_sampled_shard_sets(seed, m, sample):
+    """``neighborhood_sample`` below both machines' shard counts: the
+    swap scan runs over ``rng.choice`` draws of both sides, and the
+    descent takes such swaps."""
+    state = build_instance(seed, m, hetero=True, replicas=False, blocked=False, tie=False)
+    kinds = assert_same_steps(state, seed, sample=sample)
+    trail, _, _, _ = step_sequence(LocalSearchRebalancer, state, seed, 60, sample)
+    sampled_swaps = 0
+    for before, after, kind in zip([state.assignment] + trail, trail, kinds):
+        if kind == "swap":
+            counts = np.bincount(before, minlength=m)
+            pair = before[np.flatnonzero(before != after)]
+            sampled_swaps += bool(np.all(counts[pair] > sample))
+    assert sampled_swaps >= 2
+
+
+def first_step(demand, hosts, groups=None):
+    """A three-machine fleet of capacity 100 per dimension; the descent's
+    kinds against the oracle and the assignment after its first step."""
+    groups = groups or [-1] * len(demand)
+    shards = [
+        Shard(id=j, demand=np.full(3, d), replica_of=g)
+        for j, (d, g) in enumerate(zip(demand, groups))
+    ]
+    state = ClusterState(Machine.homogeneous(3, 100.0), shards, hosts)
+    kinds = assert_same_steps(state, 0)
+    LocalSearchRebalancer(seed=0).improve_in_place(state, np.random.default_rng(0), max_steps=1)
+    assert not state.has_replica_conflicts()
+    return kinds, state.assignment
+
+
+def test_swap_pairs_with_a_sibling_on_the_cool_machine():
+    """Shard 0 on the hot machine 0 has a replica sibling, shard 4, on the
+    cool machine 1, and no move improves.  Swapping shard 0 with shards 2
+    or 3 would co-locate the siblings; swapping it with shard 4 itself
+    does not, and is the first improving pair."""
+    kinds, after = first_step(
+        [45.0, 45.0, 30.0, 10.0, 10.0, 52.0], [0, 0, 1, 1, 1, 2], [0, -1, -1, -1, 0, -1]
+    )
+    assert kinds[0] == "swap"
+    np.testing.assert_array_equal(after, [1, 0, 1, 1, 0, 2])
+
+
+def test_swap_needs_an_executable_order():
+    """Swapping shards 0 (50) and 2 (45) is the first pair that would
+    improve, but neither machine can hold the other's shard in flight;
+    the descent swaps shards 1 and 3 instead."""
+    kinds, after = first_step([50.0, 40.0, 45.0, 10.0, 56.0], [0, 0, 1, 1, 2])
+    assert kinds[0] == "swap"
+    np.testing.assert_array_equal(after, [0, 1, 1, 0, 2])
+
+
+def test_tie_broken_swaps_match_oracle_at_scale():
+    """m = 1030: two machines tie at the peak and no move can keep it, so
+    every improving step is a swap scored by the sum of squared peaks
+    over pairwise-summed blocks."""
+    rng = np.random.default_rng(5)
+    m = 1030
+    demands, hosts = [np.full(3, 45.0)] * 4, [0, 0, 1, 1]
+    for i in range(2, m):
+        # Loads above 45 block every move of a 45-shard at the 90% peak;
+        # loads up to 55 still hold one in flight (swap order A).
+        load = rng.uniform(46.0, 55.0, size=3)
+        first = rng.uniform(15.0, 30.0, size=3)
+        demands.extend([first, load - first])
+        hosts.extend([i, i])
+    shards = [Shard(id=j, demand=d) for j, d in enumerate(demands)]
+    state = ClusterState(Machine.homogeneous(m, 100.0), shards, hosts)
+    kinds = assert_same_steps(state, 5, max_steps=6)
+    assert kinds and set(kinds) == {"swap"}
+
+
+def test_swap_below_a_tied_peak_must_lower_the_sum_of_squares():
+    """Machines 0 and 1 tie at the 0.9 peak.  Swapping a shard of machine
+    0 with one of machine 2 brings both below 0.9 (0.86 and 0.89), but
+    machine 1 keeps the max at 0.9 and the sum of squared peaks rises,
+    so no step improves.  Scoring the swap without the other machines'
+    peak would take it."""
+    demand = [[45.0, 5.0, 0.0]] * 4 + [[41.0, 0.0, 0.0], [5.0, 84.0, 0.0]]
+    shards = [Shard(id=j, demand=np.array(d)) for j, d in enumerate(demand)]
+    state = ClusterState(Machine.homogeneous(3, 100.0), shards, [0, 0, 1, 1, 2, 2])
+    assert assert_same_steps(state, 0) == []

@@ -81,6 +81,15 @@ class TestGenerate:
         # With extreme skew some machine overflows (that is the point).
         assert len(state.overloaded_machines()) > 0
 
+    def test_too_tight_instance_names_the_knob(self):
+        """A homogeneous fleet too full even for balanced placement: the
+        error names ``target_utilization`` and chains the drain's error."""
+        cfg = SyntheticConfig(num_machines=6, shards_per_machine=4, target_utilization=0.98)
+        with pytest.raises(ValueError, match="target_utilization=0.98") as info:
+            generate(cfg)
+        assert "feasible_start=False" in str(info.value)
+        assert "too tight" in str(info.value.__cause__)
+
     def test_balanced_start_with_zero_skew(self):
         state = generate(SyntheticConfig(placement_skew=0.0, seed=7))
         peak = state.machine_peak_utilization()
