@@ -2,16 +2,18 @@
 """Microbenchmarks for ClusterState mutation + transaction primitives.
 
 Times the operations the delta-evaluated ALNS loop leans on: single
-mutations inside/outside a transaction, begin/commit/rollback in both
-journal modes (forced by moving ``_SNAPSHOT_ELEMENT_LIMIT``, the size
-crossover ``begin()`` reads), vectorized bulk unassignment, and the lazy
-peak-cache refresh.  Run directly; prints one line per primitive.
+mutations inside/outside a transaction, ``with state.transaction():``
+blocks (the path the engine runs) in both journal modes (forced by
+moving ``_SNAPSHOT_ELEMENT_LIMIT``, the size crossover ``begin()``
+reads), vectorized bulk unassignment, and the lazy peak-cache refresh.
+Run directly; prints one line per primitive.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
@@ -25,12 +27,13 @@ from repro.workloads import scaling_suite  # noqa: E402
 MODE_LIMITS = {"snapshot": 2**62, "journal": -1}
 
 
-def begin_in(state, mode: str) -> None:
-    """Open a transaction in *mode* regardless of the state's size."""
+@contextmanager
+def forced_mode(mode: str):
+    """Transactions opened in the block use *mode* whatever the size."""
     default = state_module._SNAPSHOT_ELEMENT_LIMIT
     state_module._SNAPSHOT_ELEMENT_LIMIT = MODE_LIMITS[mode]
     try:
-        state.begin()
+        yield
     finally:
         state_module._SNAPSHOT_ELEMENT_LIMIT = default
 
@@ -58,27 +61,22 @@ def main() -> None:
 
         bench("move x2 (no transaction)", move_roundtrip)
 
-        def txn_noop(mode):
-            def run():
-                begin_in(state, mode)
-                state.rollback()
+        def txn_noop():
+            with state.transaction():
+                pass
 
-            return run
-
-        bench("begin+rollback (snapshot)", txn_noop("snapshot"))
-        bench("begin+rollback (journal)", txn_noop("journal"))
-
-        def txn_moves(mode):
-            def run():
-                begin_in(state, mode)
+        def txn_moves():
+            with state.transaction():
                 state.move(shard, machines[0])
                 state.move(shard, machines[1])
-                state.rollback()
 
-            return run
-
-        bench("begin+2 moves+rollback (snapshot)", txn_moves("snapshot"))
-        bench("begin+2 moves+rollback (journal)", txn_moves("journal"))
+        for label, func in (
+            ("transaction, rolled back", txn_noop),
+            ("transaction+2 moves, rolled back", txn_moves),
+        ):
+            for mode in MODE_LIMITS:
+                with forced_mode(mode):
+                    bench(f"{label} ({mode})", func)
 
         batch = rng.choice(
             np.flatnonzero(state.assignment_view() >= 0),
@@ -87,17 +85,15 @@ def main() -> None:
         )
 
         def bulk_unassign():
-            state.begin()
-            state.unassign_many([int(j) for j in batch])
-            state.rollback()
+            with state.transaction():
+                state.unassign_many([int(j) for j in batch])
 
-        bench("begin+unassign_many(100)+rollback", bulk_unassign, n=500)
+        bench("transaction+unassign_many(100)", bulk_unassign, n=500)
 
         def peak_refresh():
-            state.begin()
-            state.move(shard, machines[0])
-            state.machine_peak_utilization_view()
-            state.rollback()
+            with state.transaction():
+                state.move(shard, machines[0])
+                state.machine_peak_utilization_view()
 
         bench("move+peak-cache refresh (in txn)", peak_refresh)
 

@@ -211,24 +211,22 @@ class AlnsEngine:
                     r_uses[ri] += 1
 
                     q = int(rng.integers(q_min, q_max + 1))
-                    # Mutate the incumbent inside a transaction; a rejected
-                    # candidate is rolled back bitwise instead of being a
-                    # throwaway copy of the whole state.  Until the accept
-                    # decision, any exception (operator, objective, best
-                    # filter) rolls the candidate back before propagating.
-                    candidate = current
-                    candidate.begin()
-                    try:
-                        removed = self.destroy_ops[di](candidate, rng, q)
-                        self.repair_ops[ri](candidate, rng, removed)
-                        cand_obj = float(objective(candidate))
+                    # Mutate the incumbent in a transaction, not a throwaway
+                    # copy: commit() keeps an accepted candidate, and any
+                    # other exit — a rejection, or an exception from an
+                    # operator, the objective or the best filter — rolls
+                    # it back bitwise.
+                    with current.transaction():
+                        removed = self.destroy_ops[di](current, rng, q)
+                        self.repair_ops[ri](current, rng, removed)
+                        cand_obj = float(objective(current))
 
                         score = 0.0
                         new_best = False
                         was_vetoed = False
                         if cand_obj < best_obj - 1e-12:
-                            if best_filter is None or best_filter(candidate):
-                                best_assignment = candidate.assignment
+                            if best_filter is None or best_filter(current):
+                                best_assignment = current.assignment
                                 best_obj = cand_obj
                                 score = cfg.score_best
                                 new_best = True
@@ -241,17 +239,12 @@ class AlnsEngine:
                         accept = cand_obj <= cur_obj or rng.random() < math.exp(
                             -(cand_obj - cur_obj) / max(temperature, 1e-12)
                         )
-                    except BaseException:
-                        candidate.rollback()
-                        raise
-                    if accept:
-                        current.commit()
-                        cur_obj = cand_obj
-                        accepted += 1
-                        if score == 0.0:
-                            score = cfg.score_accept
-                    else:
-                        current.rollback()
+                        if accept:
+                            current.commit()
+                            cur_obj = cand_obj
+                            accepted += 1
+                            if score == 0.0:
+                                score = cfg.score_accept
                     d_scores[di] += score
                     r_scores[ri] += score
 

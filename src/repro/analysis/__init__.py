@@ -10,14 +10,13 @@ invariants"):
   ``# repro: allow-<rule>`` comment is the only way to silence a
   finding;
 * the project substrate the cross-module checks run on — symbol table
-  and call graph (:mod:`repro.analysis.callgraph`), per-function CFGs
-  with exception edges (:mod:`repro.analysis.cfg`) and a
-  forward-dataflow framework (:mod:`repro.analysis.dataflow`);
-* the rule pack REP001–REP005 and REP007 (:mod:`repro.analysis.rules`), one rule
+  and call graph (:mod:`repro.analysis.callgraph`);
+* the rule pack REP001–REP005 (:mod:`repro.analysis.rules`), one rule
   per invariant: seeded RNG construction (through helper calls too),
   wall-clock discipline, ClusterState mutation discipline (through
-  mirror aliases too), span context-manager usage, unordered float
-  folds, transaction balance over all paths.
+  mirror aliases too, and transactions only through
+  ``with state.transaction()``), span context-manager usage, unordered
+  float folds.
 
 Entry points: ``repro lint`` and ``python -m repro.analysis``.
 """

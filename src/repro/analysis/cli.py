@@ -1,6 +1,6 @@
 """``repro lint`` / ``python -m repro.analysis`` — the lint front end.
 
-Runs the registered rule pack REP001–REP005, REP007 over the target paths
+Runs the registered rule pack REP001–REP005 over the target paths
 (default: ``src/repro``) in one pass and prints every finding; any
 finding makes the exit code 1.  A line-scoped
 ``# repro: allow-<slug>`` comment is the only way to silence one.
@@ -153,7 +153,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST invariant linter for determinism, RNG and "
-        "transaction discipline (rules REP001-REP005, REP007)",
+        "transaction discipline (rules REP001-REP005)",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

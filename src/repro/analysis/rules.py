@@ -1,12 +1,11 @@
-"""The shipped rule pack: REP001–REP005 and REP007, one rule per invariant.
+"""The shipped rule pack: REP001–REP005, one rule per invariant.
 
 Each rule encodes an invariant of this reproduction that no
 off-the-shelf linter knows about (docs/ARCHITECTURE.md, "Static
 analysis & invariants", explains the why behind each).  A rule checks
 its invariant with whichever hooks it needs: the per-module AST
-(:meth:`~repro.analysis.engine.Rule.check`), the cross-module call
-graph, or per-function CFGs with a forward dataflow pass
-(:meth:`~repro.analysis.engine.Rule.check_project`):
+(:meth:`~repro.analysis.engine.Rule.check`) or the cross-module call
+graph (:meth:`~repro.analysis.engine.Rule.check_project`):
 
 * **REP001** ``rng-seed`` — RNG construction with a literal or missing
   seed, directly (``default_rng(42)``) or laundered through helper
@@ -22,8 +21,11 @@ graph, or per-function CFGs with a forward dataflow pass
 * **REP003** ``state-mutation`` — writes to ``ClusterState`` internals
   (private caches, live array views, copy-returning properties, the SoA
   mirrors) outside ``cluster/state.py``, directly or through a mirror
-  alias that crosses function boundaries.  Such writes bypass the undo
-  journal and desynchronize the delta-evaluation caches.
+  alias that crosses function boundaries, and calls to its private
+  methods there, ``begin()`` included.  Such writes bypass the undo
+  journal and desynchronize the delta-evaluation caches; transactions
+  are opened with ``with state.transaction()``, whose ``finally``
+  closes the frame on every path.
 * **REP004** ``span-context`` — ``Tracer.span(...)`` used other than as
   a ``with`` context manager.  A manually entered span leaks on any
   exception path and corrupts the trace tree.
@@ -31,10 +33,6 @@ graph, or per-function CFGs with a forward dataflow pass
   ``frozenset`` iteration in ``algorithms/`` / ``metrics/``.  Float
   addition is not associative, so set iteration order changes results
   between runs/processes even with identical seeds.
-* **REP007** ``txn-balance`` — a ``state.begin()`` with a path (normal
-  *or* exception edge) to function exit on which neither ``commit()``
-  nor ``rollback()`` definitely ran.  A leaked journal silently
-  corrupts the next search.
 
 Every rule documents its Contract / Rationale / Suppression sections in
 its class docstring — ``repro lint --explain REPnnn`` prints them.
@@ -46,9 +44,7 @@ import ast
 from typing import Iterator, TypeGuard
 
 from repro.analysis.callgraph import CallSite, FunctionInfo, Project
-from repro.analysis.cfg import CFG, _header_exprs, build_cfg
 from repro.analysis.context import ModuleContext
-from repro.analysis.dataflow import ForwardAnalysis, run_forward
 from repro.analysis.engine import Rule, register
 from repro.analysis.findings import Finding
 
@@ -58,7 +54,6 @@ __all__ = [
     "StateMutationRule",
     "SpanContextRule",
     "UnorderedFoldRule",
-    "TransactionBalanceRule",
 ]
 
 
@@ -539,8 +534,13 @@ _STATE_PRIVATE_ATTRS = frozenset(
         "_block_any_dirty",
     }
 )
+#: ClusterState methods callable only inside cluster/state.py: the cache
+#: maintenance methods, and ``begin``.  ``begin`` stays public as the
+#: primitive under ``transaction()``, but a bare ``begin()`` can leak its
+#: frame on an exception path; ``with state.transaction()`` cannot.
 _STATE_PRIVATE_METHODS = frozenset(
     {
+        "begin",
         "_rebuild_caches",
         "_journal_shard",
         "_journal_machine",
@@ -684,32 +684,41 @@ def _local_mirror_names(
 @register
 class StateMutationRule(Rule):
     """Mutation of ``ClusterState`` internals outside
-    ``cluster/state.py``, directly or through a mirror alias.
+    ``cluster/state.py``, directly or through a mirror alias, and
+    transactions opened other than with ``with state.transaction()``.
 
     Contract:
         Outside ``src/repro/cluster/state.py``, no attribute or
         subscript write to the private caches (``_loads``, ``_peak``,
         ``_loads_t``, ``_peak_block``, …), no call to the private
-        maintenance methods, and no subscript store through the
-        view-returning properties (``loads``, ``assignment``, …) or
-        ``*_view()`` accessors.  The SoA mirrors — the arrays returned
-        by ``loads_by_dim()`` / ``capacity_by_dim()`` /
-        ``inv_capacity_by_dim()`` and the ``_loads_t`` / ``_peak_block``
-        attributes — are read-only too: no subscript stores, augmented
-        assigns, ``.fill()`` or ``np.copyto`` into them, even when the
-        view arrived through helper parameters, a local alias, or was
-        stashed on ``self`` in ``__init__``.  Products and sums
-        *derived* from a mirror (``loads * inv_cap``) are fresh arrays
-        and freely writable.  Each offending write is one finding.
+        maintenance methods or to ``begin()``, and no subscript store
+        through the view-returning properties (``loads``,
+        ``assignment``, …) or ``*_view()`` accessors.  Open
+        transactions with ``with state.transaction():`` and keep the
+        candidate with ``state.commit()`` in the body.  The SoA
+        mirrors — the arrays returned by ``loads_by_dim()`` /
+        ``capacity_by_dim()`` / ``inv_capacity_by_dim()`` and the
+        ``_loads_t`` / ``_peak_block`` attributes — are read-only too:
+        no subscript stores, augmented assigns, ``.fill()`` or
+        ``np.copyto`` into them, even when the view arrived through
+        helper parameters, a local alias, or was stashed on ``self`` in
+        ``__init__``.  Products and sums *derived* from a mirror
+        (``loads * inv_cap``) are fresh arrays and freely writable.
+        Each offending write or call is one finding.
 
     Rationale:
         Every legal mutation flows through the transactional API
-        (``begin`` / ``move`` / ``assign_shard`` / ``commit`` /
-        ``rollback``) so the undo journal and the delta-evaluation
-        caches stay coherent.  A direct write bypasses both: rollback
-        silently restores stale values and incremental objectives drift
-        from the arrays.  The mirrors are zero-copy views, so a write
-        through an alias that crossed a call boundary is the same bug.
+        (``transaction`` / ``move`` / ``assign_shard`` / ``commit``) so
+        the undo journal and the delta-evaluation caches stay coherent.
+        A direct write bypasses both: rollback silently restores stale
+        values and incremental objectives drift from the arrays.  The
+        mirrors are zero-copy views, so a write through an alias that
+        crossed a call boundary is the same bug.  A bare ``begin()``
+        leaks its journal on any path that misses ``commit()`` and
+        ``rollback()``, and a later rollback then rewinds through
+        someone else's accepted moves; ``transaction()`` rolls back in
+        a ``finally``, so the frame closes on every path by
+        construction.
 
     Suppression:
         ``# repro: allow-state-mutation`` on the line.  Legitimate only
@@ -721,8 +730,8 @@ class StateMutationRule(Rule):
     slug = "state-mutation"
     description = (
         "mutation of ClusterState internals (caches, views, SoA mirrors and "
-        "their aliases) outside cluster/state.py; use the transactional API "
-        "(begin/move/assign_shard/commit/rollback)"
+        "their aliases) or a bare begin() outside cluster/state.py; use the "
+        "transactional API (with state.transaction(), move/assign_shard/commit)"
     )
 
     def applies_to(self, rel: str) -> bool:
@@ -743,8 +752,12 @@ class StateMutationRule(Rule):
                     yield self.finding(
                         mod,
                         node,
-                        f"call to ClusterState-private {func.attr}() outside "
-                        "cluster/state.py bypasses the transactional API",
+                        "bare begin() outside cluster/state.py can leak its "
+                        "transaction — open transactions with "
+                        "`with state.transaction()`"
+                        if func.attr == "begin"
+                        else f"call to ClusterState-private {func.attr}() "
+                        "outside cluster/state.py bypasses the transactional API",
                     )
 
     def _check_target(self, mod: ModuleContext, target: ast.AST) -> Iterator[Finding]:
@@ -995,283 +1008,3 @@ class UnorderedFoldRule(Rule):
                         f"{target}() over set iteration is order-"
                         "nondeterministic — iterate sorted(...) instead",
                     )
-
-
-# --------------------------------------------------------------------------
-# REP007 — transaction balance
-# --------------------------------------------------------------------------
-
-_OPEN = "open"
-_MAYBE = "maybe"
-_CLOSED = "closed"
-
-#: One must-alias group of transaction handles: the names, the lattice
-#: status, and the line of the ``begin()`` that opened it.
-_Group = tuple[frozenset[str], str, int]
-#: Whole state: a frozenset of groups (canonical — see ``_normalize``).
-_TxnState = frozenset[_Group]
-
-
-def _receiver_key(expr: ast.expr) -> str | None:
-    """Stable key of a transaction handle: ``x`` or ``self.attr``."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    ):
-        return f"self.{expr.attr}"
-    return None
-
-
-def _normalize(groups: Iterator[_Group] | list[_Group]) -> _TxnState:
-    """Canonical form: drop empty groups and closed singletons (closed
-    multi-name groups keep their alias information)."""
-    out = []
-    for names, status, line in groups:
-        if not names:
-            continue
-        if status == _CLOSED and len(names) == 1:
-            continue
-        out.append((names, status, line))
-    return frozenset(out)
-
-
-class _TxnAnalysis(ForwardAnalysis[_TxnState]):
-    """Forward must-alias transaction tracking (REP007's engine)."""
-
-    def initial(self) -> _TxnState:
-        return frozenset()
-
-    # -- helpers ----------------------------------------------------------
-    @staticmethod
-    def _group_of(state: _TxnState, key: str) -> _Group | None:
-        for group in state:
-            if key in group[0]:
-                return group
-        return None
-
-    @staticmethod
-    def _drop(state: _TxnState, key: str) -> list[_Group]:
-        out = []
-        for names, status, line in state:
-            out.append((names - {key}, status, line))
-        return out
-
-    def _set_status(self, state: _TxnState, key: str, status: str, line: int) -> _TxnState:
-        group = self._group_of(state, key)
-        if group is None:
-            if status == _OPEN:
-                return _normalize(list(state) + [(frozenset({key}), _OPEN, line)])
-            return state
-        names, _, old_line = group
-        rest = [g for g in state if g is not group]
-        keep_line = old_line if status != _OPEN else line
-        return _normalize(rest + [(names, status, keep_line)])
-
-    @staticmethod
-    def _executed_exprs(node: ast.AST) -> list[ast.AST]:
-        """What this CFG node actually evaluates: for compound-statement
-        headers only the header expression (the body is its own nodes —
-        walking the whole ``ast.If`` here would apply a begin() buried
-        in the branch body at the header, on *both* branches)."""
-        if isinstance(node, ast.stmt):
-            return _header_exprs(node)
-        return [node]
-
-    # -- transfer ---------------------------------------------------------
-    def transfer(self, node: ast.AST | None, state: _TxnState) -> _TxnState:
-        if node is None:
-            return state
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return state  # defining a nested scope executes nothing
-        # Alias tracking: `a = b` joins a into b's group.
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            tkey = _receiver_key(target)
-            if tkey is not None:
-                groups = self._drop(state, tkey)
-                vkey = (
-                    _receiver_key(node.value)
-                    if isinstance(node.value, (ast.Name, ast.Attribute))
-                    else None
-                )
-                if vkey is not None:
-                    for i, (names, status, line) in enumerate(groups):
-                        if vkey in names:
-                            groups[i] = (names | {tkey}, status, line)
-                            return _normalize(groups)
-                    # Track the alias pair even while closed, so a later
-                    # begin() through either name covers both.
-                    groups.append((frozenset({tkey, vkey}), _CLOSED, 0))
-                return _normalize(groups)
-        # begin/commit/rollback calls this node actually evaluates.
-        for expr in self._executed_exprs(node):
-            for sub in ast.walk(expr):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in ("begin", "commit", "rollback")
-                ):
-                    key = _receiver_key(sub.func.value)
-                    if key is None:
-                        continue
-                    if sub.func.attr == "begin":
-                        state = self._set_status(state, key, _OPEN, sub.lineno)
-                    else:
-                        state = self._set_status(state, key, _CLOSED, 0)
-        return state
-
-    def transfer_exception(self, node: ast.AST | None, state: _TxnState) -> _TxnState:
-        """State carried on the exception edge.  A raising ``begin()``
-        did not open anything (in-state, the framework default) — but a
-        raising ``commit()``/``rollback()`` still *consumed* the
-        bracket: the contract asked for the call to be reached, and it
-        was; whatever it raised is the caller's problem.  Without this,
-        every ``except: rollback(); raise`` handler would be flagged for
-        the path where rollback itself blows up."""
-        if node is None or isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return state
-        for expr in self._executed_exprs(node):
-            for sub in ast.walk(expr):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in ("commit", "rollback")
-                ):
-                    key = _receiver_key(sub.func.value)
-                    if key is not None:
-                        state = self._set_status(state, key, _CLOSED, 0)
-        return state
-
-    def assume(self, cond: ast.expr, branch: bool, state: _TxnState) -> _TxnState:
-        while isinstance(cond, ast.UnaryOp) and isinstance(cond.op, ast.Not):
-            cond = cond.operand
-            branch = not branch
-        if isinstance(cond, ast.Attribute) and cond.attr == "in_transaction":
-            key = _receiver_key(cond.value)
-            if key is not None:
-                group = self._group_of(state, key)
-                if group is not None:
-                    names, status, line = group
-                    rest = [g for g in state if g is not group]
-                    if not branch:
-                        return _normalize(rest + [(names, _CLOSED, line)])
-                    if status == _MAYBE:
-                        return _normalize(rest + [(names, _OPEN, line)])
-        return state
-
-    def join(self, a: _TxnState, b: _TxnState) -> _TxnState:
-        if a == b:
-            return a
-        names = {n for g in a for n in g[0]} | {n for g in b for n in g[0]}
-
-        def locate(state: _TxnState, name: str) -> tuple[object, str, int]:
-            group = self._group_of(state, name)
-            if group is None:
-                return (name, _CLOSED, 0)  # untracked == closed singleton
-            return (id(group), group[1], group[2])
-
-        clusters: dict[tuple[object, object], tuple[set[str], str, int]] = {}
-        for name in names:
-            ga, sa, la = locate(a, name)
-            gb, sb, lb = locate(b, name)
-            status = sa if sa == sb else _MAYBE
-            line = max(la, lb) if status != _CLOSED else 0
-            if status == _MAYBE and line == 0:
-                line = max(la, lb)
-            key = (ga, gb)
-            if key in clusters:
-                clusters[key][0].add(name)
-            else:
-                clusters[key] = ({name}, status, line)
-        return _normalize(
-            [(frozenset(ns), st, ln) for ns, st, ln in clusters.values()]
-        )
-
-
-@register
-class TransactionBalanceRule(Rule):
-    """Every ``begin()`` definitely reaches ``commit()`` or ``rollback()``.
-
-    Contract
-    --------
-    On every path from a ``state.begin()`` to function exit — including
-    the exception edge of every intervening call — either ``commit()``
-    or ``rollback()`` has run on that state (through any must-alias of
-    it).  Guarding cleanup with ``if state.in_transaction:`` is
-    understood.
-
-    Rationale
-    ---------
-    A leaked journal corrupts the *next* search on the same state: undo
-    entries pile up and a later ``rollback()`` rewinds through someone
-    else's accepted moves.  The bug class is the span leak's (REP004),
-    but on exception paths no test exercises.
-
-    Suppression
-    -----------
-    ``# repro: allow-txn-balance`` on the ``begin()`` line, e.g. for a
-    deliberate open-transaction handoff documented at the call site.
-
-    The analysis reports only *definite* leaks (an ``open`` lattice
-    value on an exit edge, never ``maybe``), so correlated branches —
-    ``if use_delta: begin()`` … ``if use_delta: commit()`` — do not
-    produce false positives; they join to ``maybe`` and stay silent.
-    """
-
-    rule_id = "REP007"
-    slug = "txn-balance"
-    description = (
-        "state.begin() with a path (incl. exception edges) to exit where "
-        "neither commit() nor rollback() definitely ran; see "
-        "`repro lint --explain REP007`"
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        for info in project.functions.values():
-            has_begin = any(
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "begin"
-                for sub in ast.walk(info.node)
-            )
-            if not has_begin:
-                continue
-            mod = project.modules[info.module_rel]
-            yield from self._check_function(mod, info)
-
-    def _check_function(
-        self, mod: ModuleContext, info: FunctionInfo
-    ) -> Iterator[Finding]:
-        cfg: CFG = build_cfg(info.node)
-        result = run_forward(cfg, _TxnAnalysis())
-        leaks: dict[int, str] = {}
-        for idx, edge in enumerate(cfg.edges):
-            if edge.dst not in (cfg.exit, cfg.raise_exit):
-                continue
-            state = result.edge_states.get(idx)
-            if state is None:
-                continue
-            how = "an exception path" if edge.dst == cfg.raise_exit else "a return path"
-            for names, status, line in state:
-                if status == _OPEN and line > 0:
-                    # Exception exits dominate the message when both leak.
-                    if line not in leaks or edge.dst == cfg.raise_exit:
-                        leaks[line] = how
-        for line in sorted(leaks):
-            yield Finding(
-                file=mod.rel,
-                line=line,
-                rule_id=self.rule_id,
-                message=(
-                    f"transaction opened here can leak via {leaks[line]} of "
-                    f"{info.qualname.rsplit('.', 1)[-1]}() without commit/"
-                    "rollback — wrap in try/except or try/finally"
-                ),
-            )

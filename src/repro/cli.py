@@ -28,10 +28,10 @@
   scenario×algorithm grid through the parallel driver, writing per-cell
   row tables plus an ``index.json`` (the CI scenario-matrix jobs are
   thin wrappers over this subcommand);
-* ``lint``       — run the AST invariant linter (rules REP001–REP005,
-  REP007: seeded RNG construction, wall-clock discipline, ClusterState
-  mutation discipline, span usage, unordered float folds, transaction
-  balance); any finding exits 1 — see
+* ``lint``       — run the AST invariant linter (rules REP001–REP005:
+  seeded RNG construction, wall-clock discipline, ClusterState
+  mutation and transaction discipline, span usage, unordered float
+  folds); any finding exits 1 — see
   docs/ARCHITECTURE.md, "Static analysis & invariants".  Also
   available as ``python -m repro.analysis``.
 
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the AST invariant linter (rules REP001-REP005, REP007); any "
+        help="run the AST invariant linter (rules REP001-REP005); any "
              "finding exits 1",
     )
     from repro.analysis.cli import add_arguments as _add_lint_arguments

@@ -28,17 +28,22 @@ evaluation contract" section of docs/ARCHITECTURE.md):
   memory layout");
 * ``copy()`` is a cheap structural copy (arrays copied, descriptions
   shared);
-* ``begin()``/``commit()``/``rollback()`` bracket a transaction: every
+* ``with state.transaction():`` brackets a transaction: every
   ``move``/``assign_shard``/``unassign``/``unassign_many``/
-  ``block_machine``/``unblock_machine`` inside the transaction is
-  recorded in an undo journal, and ``rollback()`` restores the state —
-  including every cache above — **bitwise** to its ``begin()`` image.
+  ``block_machine``/``unblock_machine`` inside the block is recorded in
+  an undo journal.  ``commit()`` inside the block keeps the mutations;
+  any other exit, an exception included, restores the state —
+  including every cache above — **bitwise** to its entry image.  The
+  ``begin()``/``commit()``/``rollback()`` primitives underneath stay
+  public, but code outside this module opens transactions only through
+  ``transaction()`` (lint rule REP003).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -367,9 +372,33 @@ class ClusterState:
         return self._inv_cap_t
 
     # --------------------------------------------------------- transactions
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Run the ``with`` body in a transaction; roll it back unless the
+        body commits.
+
+        The frame is a :meth:`begin` frame.  Calling :meth:`commit` in
+        the body keeps its mutations.  Any other exit — falling off the
+        end, ``return``/``break``, or an exception, which propagates —
+        rolls the state back bitwise to its entry image.  A nested
+        ``transaction()`` raises ``RuntimeError`` and leaves the outer
+        frame open, so the outer block still rolls back.
+        """
+        self.begin()
+        try:
+            yield
+        finally:
+            if self._frame is not None:
+                self.rollback()
+
     def begin(self) -> None:
         """Open a transaction; every mutation until :meth:`commit` /
         :meth:`rollback` is undoable.
+
+        The primitive under :meth:`transaction`, which is how callers
+        outside this module open one: its ``finally`` guarantees that
+        the frame is closed on every path (lint rule REP003 flags any
+        other ``.begin()`` call).
 
         Up to ``_SNAPSHOT_ELEMENT_LIMIT`` elements (``n + m·d``) the
         frame copies the mutable arrays up front (memcpy — fastest for
@@ -378,8 +407,8 @@ class ClusterState:
         the arrays dwarf the move set).
 
         Transactions do not nest, and :meth:`apply_assignment`,
-        :meth:`set_offline`, and :meth:`copy` are forbidden while one is
-        open.
+        :meth:`set_offline`, :meth:`copy` and :meth:`detach` are
+        forbidden while one is open.
         """
         if self._frame is not None:
             raise RuntimeError("transaction already open (nested begin())")

@@ -24,6 +24,7 @@ from repro.analysis.context import ModuleContext
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 ALGO = "src/repro/simulate/fixture.py"
+ALGORITHMS = "src/repro/algorithms/txn_fixture.py"
 
 
 def rule_ids(findings):
@@ -37,7 +38,7 @@ def lint(source, rel=ALGO, rules=None):
 class TestRegistry:
     def test_pack_is_registered(self):
         assert [r.rule_id for r in all_rules()] == [
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP007",
+            "REP001", "REP002", "REP003", "REP004", "REP005",
         ]
 
     def test_get_rule_is_case_insensitive(self):
@@ -182,6 +183,43 @@ class TestRep003StateMutation:
         src = "state.move(j, m)\nstate.assign_shard(j, m)\nstate.commit()\n"
         assert lint(src) == []
 
+    def test_bare_begin_in_algorithms_flagged(self):
+        src = (
+            "def risky(state):\n"
+            "    state.begin()\n"
+            "    state.move(0, 1)\n"
+            "    state.commit()\n"
+        )
+        findings = lint(src, rel=ALGORITHMS)
+        assert rule_ids(findings) == ["REP003"]
+        assert findings[0].line == 2
+        assert "with state.transaction()" in findings[0].message
+
+    def test_transaction_block_clean(self):
+        src = (
+            "def safe(state, accept):\n"
+            "    with state.transaction():\n"
+            "        state.move(0, 1)\n"
+            "        if accept:\n"
+            "            state.commit()\n"
+        )
+        assert lint(src, rel=ALGORITHMS) == []
+
+    def test_self_begin_in_state_py_clean(self):
+        src = (
+            "class ClusterState:\n"
+            "    def transaction(self):\n"
+            "        self.begin()\n"
+        )
+        assert lint(src, rel="src/repro/cluster/state.py") == []
+
+    def test_bare_begin_suppressed_on_its_line(self):
+        src = (
+            "def handoff(state):\n"
+            "    state.begin()  # repro: allow-state-mutation (caller commits)\n"
+        )
+        assert lint(src, rel=ALGORITHMS) == []
+
     def test_private_mirror_write_reported_once(self):
         # Both the direct-write and the mirror-alias check see this
         # write; it is one offending write, so one finding.
@@ -252,93 +290,6 @@ class TestRep005UnorderedFold:
     def test_out_of_scope_clean(self):
         src = "t = 0.0\nfor x in {1.0, 2.0}:\n    t += x\n"
         assert lint(src, rel="src/repro/cluster/state.py") == []
-
-
-TXN_REL = "src/repro/algorithms/txn_fixture.py"
-
-
-def lint_txn(src):
-    return lint_project({TXN_REL: src})
-
-
-class TestRep007TransactionBalance:
-    """The txn-balance rule needs the CFG: the leak is a *path*, not a
-    line, and the interesting paths are exception edges."""
-
-    def test_early_return_leak_flagged(self):
-        src = (
-            "def apply(state, moves):\n"
-            "    state.begin()\n"
-            "    for j, m in moves:\n"
-            "        if not state.move(j, m):\n"
-            "            return False\n"
-            "    state.commit()\n"
-            "    return True\n"
-        )
-        findings = lint_txn(src)
-        assert rule_ids(findings) == ["REP007"]
-        assert findings[0].line == 2
-
-    def test_exception_path_leak_flagged(self):
-        src = (
-            "def risky(state):\n"
-            "    state.begin()\n"
-            "    state.move(0, 1)\n"
-            "    state.commit()\n"
-        )
-        findings = lint_txn(src)
-        assert rule_ids(findings) == ["REP007"]
-        assert "exception path" in findings[0].message
-
-    def test_try_finally_rollback_clean(self):
-        src = (
-            "def safe(state):\n"
-            "    state.begin()\n"
-            "    try:\n"
-            "        state.move(0, 1)\n"
-            "        state.commit()\n"
-            "    finally:\n"
-            "        if state.in_transaction:\n"
-            "            state.rollback()\n"
-        )
-        assert lint_txn(src) == []
-
-    def test_except_rollback_reraise_clean(self):
-        # The canonical cleanup idiom: rollback() consumed the bracket
-        # even on the edge where rollback itself raises.
-        src = (
-            "def safe(state):\n"
-            "    state.begin()\n"
-            "    try:\n"
-            "        state.move(0, 1)\n"
-            "        state.commit()\n"
-            "    except BaseException:\n"
-            "        state.rollback()\n"
-            "        raise\n"
-        )
-        assert lint_txn(src) == []
-
-    def test_correlated_branches_stay_silent(self):
-        # if use: begin() ... if use: commit() joins to `maybe`; only
-        # *definite* leaks are reported.
-        src = (
-            "def guarded(state, use):\n"
-            "    if use:\n"
-            "        state.begin()\n"
-            "    touch(state)\n"
-            "    if use:\n"
-            "        state.commit()\n"
-        )
-        assert lint_txn(src) == []
-
-    def test_alias_commit_is_understood(self):
-        src = (
-            "def aliased(state):\n"
-            "    s = state\n"
-            "    state.begin()\n"
-            "    s.commit()\n"
-        )
-        assert lint_txn(src) == []
 
 
 RNG_HELPERS = """\
@@ -622,9 +573,10 @@ class TestLintCli:
         assert doc["findings"] and doc["findings"][0]["rule"] == "REP002"
 
     def test_explain_prints_contract(self, capsys):
-        assert lint_main(["--explain", "REP007"]) == 0
+        assert lint_main(["--explain", "REP003"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("REP007 (txn-balance)")
+        assert out.startswith("REP003 (state-mutation)")
+        assert "with state.transaction()" in out
         for section in ("Contract", "Rationale", "Suppression"):
             assert section in out
 
@@ -635,7 +587,7 @@ class TestLintCli:
             assert "Suppression" in out, rule.rule_id
 
     def test_explain_unknown_rule_exits_2(self, capsys):
-        for ref in ("REP999", "REP008", ""):
+        for ref in ("REP999", "REP008", "REP007", ""):
             assert lint_main(["--explain", ref]) == 2
             err = capsys.readouterr().err
             assert "REP001" in err  # lists the known pack
@@ -667,7 +619,7 @@ class TestLintCli:
         """Self-check: the repository satisfies its own invariants, with
         no finding at all — there is no grandfathered debt."""
         assert lint_main(["--root", str(REPO_ROOT)]) == 0
-        assert capsys.readouterr().out == "lint: ok (6 rule(s))\n"
+        assert capsys.readouterr().out == "lint: ok (5 rule(s))\n"
 
 
 #: The strict mypy tier: every flag of ``strict = true`` that a

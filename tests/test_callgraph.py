@@ -1,5 +1,5 @@
-"""Tests for the cross-module symbol table / call graph and the CFG +
-dataflow substrate under the interprocedural rule pack.
+"""Tests for the cross-module symbol table / call graph under the
+interprocedural rule pack.
 
 The call-graph tests drive :meth:`Project.from_sources` with small
 multi-module fixtures and pin down each resolution mechanism — import
@@ -17,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.callgraph import Project, module_name
-from repro.analysis.cfg import EXCEPTION, NORMAL, build_cfg
-from repro.analysis.dataflow import ForwardAnalysis, run_forward
 
 
 def project(**sources):
@@ -270,135 +268,3 @@ class TestDeterminism:
         assert dot.startswith("digraph")
         for caller, callee in edges(proj):
             assert f'"{caller}" -> "{callee}";' in dot
-
-
-def fn_cfg(src):
-    tree = ast.parse(src)
-    fn = next(
-        n for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    )
-    return build_cfg(fn)
-
-
-class TestCfg:
-    def test_if_else_branch_edges_carry_condition(self):
-        cfg = fn_cfg(
-            "def f(x):\n"
-            "    if x:\n"
-            "        a = 1\n"
-            "    else:\n"
-            "        a = 2\n"
-            "    return a\n"
-        )
-        header = next(
-            i for i, n in enumerate(cfg.nodes) if isinstance(n, ast.If)
-        )
-        branches = {
-            e.branch for e in cfg.successors(header) if e.kind == NORMAL
-        }
-        assert branches == {True, False}
-
-    def test_while_true_has_no_false_exit(self):
-        cfg = fn_cfg(
-            "def f():\n"
-            "    while True:\n"
-            "        step()\n"
-        )
-        header = next(
-            i for i, n in enumerate(cfg.nodes) if isinstance(n, ast.While)
-        )
-        assert all(e.branch is not False for e in cfg.successors(header))
-
-    def test_call_statement_has_exception_edge(self):
-        cfg = fn_cfg("def f():\n    step()\n")
-        call_node = next(
-            i for i, n in enumerate(cfg.nodes)
-            if n is not None and isinstance(n, ast.Expr)
-        )
-        kinds = {e.kind for e in cfg.successors(call_node)}
-        assert EXCEPTION in kinds
-
-    def test_pure_assignment_has_no_exception_edge(self):
-        cfg = fn_cfg("def f(x):\n    y = x\n    return y\n")
-        assert all(e.kind == NORMAL for e in cfg.edges)
-
-    def test_finally_reached_from_exception_path(self):
-        cfg = fn_cfg(
-            "def f():\n"
-            "    try:\n"
-            "        step()\n"
-            "    finally:\n"
-            "        cleanup()\n"
-        )
-        # Some path must reach raise_exit (the re-raise after finally).
-        assert any(e.dst == cfg.raise_exit for e in cfg.edges)
-
-    def test_bare_except_swallows_exception_edges(self):
-        cfg = fn_cfg(
-            "def f():\n"
-            "    try:\n"
-            "        step()\n"
-            "    except Exception:\n"
-            "        pass\n"
-            "    return 1\n"
-        )
-        assert not any(e.dst == cfg.raise_exit for e in cfg.edges)
-
-
-class _DefinedNames(ForwardAnalysis):
-    """Toy must-define analysis used to exercise the generic driver."""
-
-    def initial(self):
-        return frozenset()
-
-    def transfer(self, node, state):
-        if isinstance(node, ast.Assign):
-            return state | {
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            }
-        return state
-
-    def join(self, a, b):
-        return a & b
-
-
-class TestDataflow:
-    def test_branch_join_is_intersection(self):
-        cfg = fn_cfg(
-            "def f(x):\n"
-            "    a = 1\n"
-            "    if x:\n"
-            "        b = 2\n"
-            "    return a\n"
-        )
-        result = run_forward(cfg, _DefinedNames())
-        ret = next(
-            i for i, n in enumerate(cfg.nodes) if isinstance(n, ast.Return)
-        )
-        # `a` is defined on both branches, `b` only on one.
-        assert result.in_states[ret] == frozenset({"a"})
-
-    def test_loop_reaches_fixpoint(self):
-        cfg = fn_cfg(
-            "def f(xs):\n"
-            "    t = 0\n"
-            "    for x in xs:\n"
-            "        t = t + x\n"
-            "    return t\n"
-        )
-        result = run_forward(cfg, _DefinedNames())
-        ret = next(
-            i for i, n in enumerate(cfg.nodes) if isinstance(n, ast.Return)
-        )
-        assert "t" in result.in_states[ret]
-
-    def test_edge_states_cover_every_edge_reached(self):
-        cfg = fn_cfg("def f(x):\n    a = x\n    return a\n")
-        result = run_forward(cfg, _DefinedNames())
-        exit_edges = [
-            i for i, e in enumerate(cfg.edges) if e.dst == cfg.exit
-        ]
-        assert exit_edges
-        for idx in exit_edges:
-            assert result.edge_states.get(idx) is not None

@@ -9,9 +9,13 @@ relies on (docs/ARCHITECTURE.md, "Delta evaluation contract"):
   snapshot and journal modes;
 * commit keeps the mutation and leaves every incremental cache equal to
   a from-scratch recomputation (``validate()`` audits all of them);
+* ``with state.transaction():`` rolls back on every exit that did not
+  ``commit()``, exceptions included, and the engine's iteration leaves
+  no frame open when an operator raises;
 * real destroy/repair operator pairs ride transactions cleanly.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -21,6 +25,8 @@ from hypothesis import strategies as st
 
 import repro.cluster.state as state_module
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS, exchange_swap_removal
+from repro.algorithms.lns import AlnsConfig, AlnsEngine
+from repro.algorithms.objective import Objective
 from repro.algorithms.repair import DEFAULT_REPAIR_OPS
 from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads.replicated import ReplicatedConfig, generate_replicated
@@ -37,6 +43,17 @@ def begin(state: ClusterState, mode: str) -> None:
     with mock.patch.object(state_module, "_SNAPSHOT_ELEMENT_LIMIT", MODE_LIMITS[mode]):
         state.begin()
     assert state._frame.snapshot == (mode == "snapshot")
+
+
+@contextmanager
+def forced_mode(mode: str):
+    """Transactions opened in the block use *mode* whatever the size."""
+    with mock.patch.object(state_module, "_SNAPSHOT_ELEMENT_LIMIT", MODE_LIMITS[mode]):
+        yield
+
+
+class Boom(Exception):
+    """Raised by test bodies and operators to exercise exception exits."""
 
 
 def synthetic_state(seed=0, m=8, spm=5):
@@ -168,6 +185,121 @@ class TestTransactionBasics:
         assert_observables_equal(observables(state), before)
         assert not state.blocked_mask[0]
         state.validate()
+
+
+class TestTransactionContext:
+    """``state.transaction()``: the one way code outside cluster/state.py
+    opens a frame (lint rule REP003 flags a bare ``begin()``)."""
+
+    @staticmethod
+    def mutate(state, mode, seed=7):
+        """A destroy/repair round plus a blocked machine, in the frame."""
+        assert state._frame.snapshot == (mode == "snapshot")
+        rng = np.random.default_rng(seed)
+        removed = DEFAULT_DESTROY_OPS[0](state, rng, 6)
+        DEFAULT_REPAIR_OPS[0](state, rng, removed)
+        state.unassign_many([int(j) for j in state.machine_shards(0)])
+        state.block_machine(0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exception_propagates_and_rolls_back(self, mode):
+        state = replicated_state()
+        before = observables(state)
+        with pytest.raises(Boom), forced_mode(mode), state.transaction():
+            self.mutate(state, mode)
+            raise Boom
+        assert not state.in_transaction
+        assert_observables_equal(observables(state), before)
+        state.validate()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exit_without_commit_rolls_back(self, mode):
+        state = replicated_state()
+        before = observables(state)
+        with forced_mode(mode), state.transaction():
+            self.mutate(state, mode)
+            assert state.blocked_mask[0]
+        assert not state.in_transaction
+        assert_observables_equal(observables(state), before)
+        state.validate()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_commit_keeps_mutations(self, mode):
+        state = replicated_state()
+        with forced_mode(mode), state.transaction():
+            self.mutate(state, mode)
+            inside = observables(state)
+            state.commit()
+        assert not state.in_transaction
+        assert_observables_equal(observables(state), inside)
+        state.validate()
+        twin = replicated_state()
+        twin.apply_assignment(state.assignment)
+        twin.block_machine(0)
+        assert_observables_consistent(observables(state), observables(twin))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exception_after_commit_keeps_mutations(self, mode):
+        state = replicated_state()
+        with pytest.raises(Boom), forced_mode(mode), state.transaction():
+            self.mutate(state, mode)
+            inside = observables(state)
+            state.commit()
+            raise Boom
+        assert not state.in_transaction
+        assert_observables_equal(observables(state), inside)
+        state.validate()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nested_transaction_rejected_outer_rolls_back(self, mode):
+        state = replicated_state()
+        before = observables(state)
+        with forced_mode(mode), state.transaction():
+            self.mutate(state, mode)
+            with pytest.raises(RuntimeError, match="transaction"):
+                with state.transaction():
+                    pytest.fail("nested transaction body ran")
+            assert state.in_transaction
+        assert not state.in_transaction
+        assert_observables_equal(observables(state), before)
+        state.validate()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_engine_operator_error_leaves_no_frame(self, mode):
+        state = synthetic_state(seed=4)
+        before = observables(state)
+        fail_at = 5
+        seen = {"calls": 0}
+        destroy = DEFAULT_DESTROY_OPS[0]
+
+        def recording_destroy(incumbent, rng, q):
+            # Called right after begin(): the incumbent is its frame image.
+            seen["incumbent"] = incumbent
+            seen["image"] = observables(incumbent)
+            return destroy(incumbent, rng, q)
+
+        def failing_repair(incumbent, rng, removed):
+            seen["calls"] += 1
+            DEFAULT_REPAIR_OPS[0](incumbent, rng, removed)
+            if seen["calls"] == fail_at:
+                raise Boom
+
+        engine = AlnsEngine(
+            AlnsConfig(iterations=20, seed=3), [recording_destroy], [failing_repair]
+        )
+        with pytest.raises(Boom), forced_mode(mode):
+            engine.run(state, Objective(state.assignment, state.sizes))
+        assert seen["calls"] == fail_at
+        assert not state.in_transaction
+        assert_observables_equal(observables(state), before)
+        state.validate()
+        # The engine's own incumbent was rolled back to its iteration-k
+        # image too, not left with an open frame.
+        incumbent = seen["incumbent"]
+        assert incumbent is not state
+        assert not incumbent.in_transaction
+        assert_observables_equal(observables(incumbent), seen["image"])
+        incumbent.validate()
 
 
 class TestOperatorTransactions:

@@ -64,7 +64,9 @@ import os
 import resource
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -74,6 +76,7 @@ from repro.algorithms.destroy import DEFAULT_DESTROY_OPS  # noqa: E402
 from repro.algorithms.lns import AlnsConfig, AlnsEngine  # noqa: E402
 from repro.algorithms.objective import Objective  # noqa: E402
 from repro.algorithms.repair import DEFAULT_REPAIR_OPS  # noqa: E402
+from repro.cluster import ClusterState  # noqa: E402
 from repro.workloads import scaling_suite  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_alns.json"
@@ -194,21 +197,23 @@ def _measure_phases(m: int, spm: int, iterations: int) -> dict[str, float]:
         tuple(_TimedOp(op, acc, "destroy") for op in DEFAULT_DESTROY_OPS),
         tuple(_TimedOp(op, acc, "repair") for op in DEFAULT_REPAIR_OPS),
     )
-    run_state = state.copy()
-    for name in ("begin", "commit", "rollback"):
-        orig = getattr(run_state, name)
+    # The engine transacts on its own copy of the state, so the journal
+    # primitives are timed on the class, not on the instance passed in.
+    with ExitStack() as stack:
+        for name in ("begin", "commit", "rollback"):
+            orig = getattr(ClusterState, name)
 
-        def timed(orig=orig):
-            t0 = time.perf_counter()
-            try:
-                return orig()
-            finally:
-                acc["journal"] += time.perf_counter() - t0
+            def timed(self, orig=orig):
+                t0 = time.perf_counter()
+                try:
+                    return orig(self)
+                finally:
+                    acc["journal"] += time.perf_counter() - t0
 
-        setattr(run_state, name, timed)
-    t0 = time.perf_counter()
-    engine.run(run_state, _TimedObjective(_objective(state), acc))
-    total = time.perf_counter() - t0
+            stack.enter_context(mock.patch.object(ClusterState, name, timed))
+        t0 = time.perf_counter()
+        engine.run(state, _TimedObjective(_objective(state), acc))
+        total = time.perf_counter() - t0
     out = {key: value / total for key, value in acc.items()}
     out["other"] = max(0.0, 1.0 - sum(out.values()))
     return out
