@@ -19,6 +19,7 @@ degraded fleets (e.g. the ``failure-storm`` scenario family).
 
 from __future__ import annotations
 
+import bisect
 import time
 
 import numpy as np
@@ -38,6 +39,11 @@ __all__ = [
 
 #: Tied destinations whose sums of squared peaks are computed per block.
 _TIE_BLOCK = 64
+
+#: Destinations in the first block of the polish move scan (machine ids
+#: below this); the rest are scanned only when no destination in it
+#: improves.
+_MOVE_BLOCK = 512
 
 
 class NoopRebalancer(Rebalancer):
@@ -206,11 +212,12 @@ class LocalSearchRebalancer(Rebalancer):
         budget = self.max_steps if max_steps is None else check_int("max_steps", max_steps)
         tracer = obs.current().tracer
         trace_on = tracer.enabled
+        hosts = _HostLists(work)
         steps = 0
         while steps < budget:
-            if self._try_move(work, rng):
+            if self._try_move(work, rng, hosts):
                 kind = "move"
-            elif self._try_swap(work, rng):
+            elif self._try_swap(work, rng, hosts):
                 kind = "swap"
             else:
                 break
@@ -222,71 +229,90 @@ class LocalSearchRebalancer(Rebalancer):
         return steps
 
     # ------------------------------------------------------------- internal
-    @staticmethod
-    def _score(machine_peak: np.ndarray) -> tuple[float, float]:
-        return float(machine_peak.max()), float(np.sum(machine_peak**2))
-
-    def _try_move(self, work: ClusterState, rng: np.random.Generator) -> bool:
-        machine_peak = work.machine_peak_utilization()
-        current = self._score(machine_peak)
-        hottest = int(np.argmax(machine_peak))
-        members = work.machine_shards(hottest)
-        if members.size == 0:
+    def _try_move(
+        self, work: ClusterState, rng: np.random.Generator, hosts: _HostLists
+    ) -> bool:
+        peaks = work.machine_peak_utilization_view()
+        hottest = int(np.argmax(peaks))
+        members = hosts.members(hottest)
+        if not members:
             return False
         sample = members
-        if sample.size > self.neighborhood_sample:
-            sample = rng.choice(members, size=self.neighborhood_sample, replace=False)
-        # Scored over the (d, m) mirrors: one contiguous row per dimension.
-        loads_t, cap_t = work.loads_by_dim(), work.capacity_by_dim()
-        head_t = cap_t - loads_t
-        closed = work.blocked_mask.copy()
-        closed[hottest] = True
+        if len(sample) > self.neighborhood_sample:
+            sample = rng.choice(
+                np.array(members), size=self.neighborhood_sample, replace=False
+            ).tolist()
+        cur_max = float(peaks[hottest])
         # After a move off the hottest machine, the new max is the largest
         # of the source's new peak, the destination's new peak and every
         # other machine's peak.  The destination's old peak is no larger
         # than its new one (demands are non-negative), so "every other
         # machine" may include it: one max over all but the hottest.
-        others = machine_peak.copy()
+        others = peaks.copy()
         others[hottest] = -np.inf
         rest = others.max()
+        # Scored over the (d, m) mirrors: one contiguous row per dimension.
+        loads_t, cap_t = work.loads_by_dim(), work.capacity_by_dim()
+        head_t = cap_t - loads_t
+        open_ = ~work.blocked_mask
+        open_[hottest] = False
+        m = work.num_machines
+        # Destinations are scanned in machine-id order, a first block and
+        # then the rest: the first improving one usually lies early.
+        spans = ((0, _MOVE_BLOCK), (_MOVE_BLOCK, m)) if m > _MOVE_BLOCK else ((0, m),)
         for j in sample:
             extra = work.demand[j]
-            fits = ~closed
-            for k in range(extra.size):
-                fits &= head_t[k] >= extra[k] - 1e-12
-            peers = work.replica_peer_machines(int(j))
-            if peers.size:
-                fits[peers] = False
-            dests = np.flatnonzero(fits)
-            if dests.size == 0:
-                continue
+            need = (extra - 1e-12)[:, None]
             src_peak = ((work.loads[hottest] - extra) / work.capacity[hottest]).max()
-            grown = (loads_t[0] + extra[0]) / cap_t[0]
-            for k in range(1, extra.size):
-                np.maximum(grown, (loads_t[k] + extra[k]) / cap_t[k], out=grown)
-            dst_peak = grown[dests]
-            new_max = np.maximum(max(rest, src_peak), dst_peak)
-            c = _first_improving(
-                machine_peak, current, new_max, ((hottest, src_peak), (dests, dst_peak))
-            )
-            if c >= 0:
-                work.move(int(j), int(dests[c]))
+            floor = max(rest, src_peak)
+            peers = work.replica_peer_machines(j)
+            for lo, hi in spans:
+                fits = open_[lo:hi] & np.all(head_t[:, lo:hi] >= need, axis=0)
+                if peers.size:
+                    fits[peers[(peers >= lo) & (peers < hi)] - lo] = False
+                grown = ((loads_t[:, lo:hi] + extra[:, None]) / cap_t[:, lo:hi]).max(axis=0)
+                # A destination whose new peak exceeds the current max
+                # cannot improve.  If the first one left lowers the max,
+                # it is the first improving destination; if it ties the
+                # max, the sums of squares decide among the ties.
+                cands = fits & (grown <= cur_max)
+                c = int(np.argmax(cands))
+                if not cands[c]:
+                    continue
+                if max(floor, grown[c]) < cur_max:
+                    dst = lo + c
+                else:
+                    dests = np.flatnonzero(cands)
+                    dst_peak = grown[dests]
+                    dests += lo
+                    at = _first_improving(
+                        peaks,
+                        cur_max,
+                        np.maximum(floor, dst_peak),
+                        ((hottest, src_peak), (dests, dst_peak)),
+                    )
+                    if at < 0:
+                        continue
+                    dst = int(dests[at])
+                hosts.move(work, j, dst)
                 return True
         return False
 
-    def _try_swap(self, work: ClusterState, rng: np.random.Generator) -> bool:
-        machine_peak = work.machine_peak_utilization()
-        current = self._score(machine_peak)
+    def _try_swap(
+        self, work: ClusterState, rng: np.random.Generator, hosts: _HostLists
+    ) -> bool:
+        machine_peak = work.machine_peak_utilization_view()
         hottest = int(np.argmax(machine_peak))
-        hot_members = work.machine_shards(hottest)
+        hot_members = np.array(hosts.members(hottest), dtype=np.int64)
         if hot_members.size == 0:
             return False
+        cur_max = float(machine_peak[hottest])
         coolest_order = np.argsort(machine_peak)
         for i in coolest_order[: min(8, work.num_machines)]:
             i = int(i)
             if i == hottest:
                 continue
-            cool_members = work.machine_shards(i)
+            cool_members = np.array(hosts.members(i), dtype=np.int64)
             if cool_members.size == 0:
                 continue
             hs = hot_members
@@ -295,18 +321,50 @@ class LocalSearchRebalancer(Rebalancer):
                 hs = rng.choice(hs, size=self.neighborhood_sample, replace=False)
             if cs.size > self.neighborhood_sample:
                 cs = rng.choice(cs, size=self.neighborhood_sample, replace=False)
-            pair = _first_improving_swap(work, machine_peak, current, hottest, i, hs, cs)
+            pair = _first_improving_swap(work, machine_peak, cur_max, hottest, i, hs, cs)
             if pair >= 0:
                 a, b = divmod(pair, cs.size)
-                work.move(int(hs[a]), i)
-                work.move(int(cs[b]), hottest)
+                hosts.move(work, int(hs[a]), i)
+                hosts.move(work, int(cs[b]), hottest)
                 return True
         return False
 
 
+class _HostLists:
+    """Each machine's shard ids in ascending order, local to one polish.
+
+    One stable argsort of the assignment orders the shards by machine; a
+    machine's list is read from it on first use, and :meth:`move` keeps
+    the two lists a move touches in step with the state.  A step then
+    reads the hottest machine's shards without a scan over all n shards
+    (``ClusterState.machine_shards``), in the same order.
+    """
+
+    def __init__(self, work: ClusterState) -> None:
+        counts = work.shard_counts_view()
+        order = np.argsort(work.assignment_view(), kind="stable")
+        # Unassigned shards (-1) sort first.
+        self._order = order[order.size - int(counts.sum()) :]
+        self._starts = [0, *np.cumsum(counts).tolist()]
+        self._lists: dict[int, list[int]] = {}
+
+    def members(self, machine: int) -> list[int]:
+        """Shard ids on *machine*, ascending.  Do not mutate."""
+        got = self._lists.get(machine)
+        if got is None:
+            got = self._order[self._starts[machine] : self._starts[machine + 1]].tolist()
+            self._lists[machine] = got
+        return got
+
+    def move(self, work: ClusterState, shard: int, dst: int) -> None:
+        """``work.move(shard, dst)``, with both machines' lists updated."""
+        self.members(work.move(shard, dst)).remove(shard)
+        bisect.insort(self.members(dst), shard)
+
+
 def _first_improving(
     machine_peak: np.ndarray,
-    current: tuple[float, float],
+    cur_max: float,
     new_max: np.ndarray,
     edits: tuple[tuple[int | np.ndarray, float | np.ndarray], ...],
 ) -> int:
@@ -316,16 +374,17 @@ def _first_improving(
     of machine ``cols[c]`` to ``peaks[c]`` (a scalar stands for the same
     machine or peak in every candidate); ``new_max[c]`` is the resulting
     max.  A candidate improves when its ``new_max`` is below the current
-    max, or ties it with a smaller sum of squared peaks (the order of
-    ``LocalSearchRebalancer._score``).  The sums are computed only for
-    ties ahead of the first strict improvement, as ``np.sum`` over each
-    tied candidate's full peak vector (rows of one block, which sum
-    exactly as the 1-D vector does).
+    max *cur_max*, or ties it with a smaller sum of squared peaks (the
+    objective order of :class:`LocalSearchRebalancer`).  The sums, the current
+    one included, are computed only for ties ahead of the first strict
+    improvement, as ``np.sum`` over each tied candidate's full peak
+    vector (rows of one block, which sum exactly as the 1-D vector does).
     """
-    cur_max, cur_sq = current
     strict = np.flatnonzero(new_max < cur_max)
     stop = int(strict[0]) if strict.size else new_max.size
     ties = np.flatnonzero(new_max[:stop] == cur_max)
+    if ties.size:
+        cur_sq = float(np.sum(machine_peak**2))
     for at in range(0, ties.size, _TIE_BLOCK):
         chunk = ties[at : at + _TIE_BLOCK]
         block = np.tile(machine_peak, (chunk.size, 1))
@@ -342,7 +401,7 @@ def _first_improving(
 def _first_improving_swap(
     work: ClusterState,
     machine_peak: np.ndarray,
-    current: tuple[float, float],
+    cur_max: float,
     m1: int,
     m2: int,
     hs: np.ndarray,
@@ -380,7 +439,7 @@ def _first_improving_swap(
     others = machine_peak.copy()
     others[[m1, m2]] = -np.inf
     new_max = np.maximum(np.maximum(others.max(), p1), p2)
-    c = _first_improving(machine_peak, current, new_max, ((m1, p1), (m2, p2)))
+    c = _first_improving(machine_peak, cur_max, new_max, ((m1, p1), (m2, p2)))
     return int(cand[c]) if c >= 0 else -1
 
 

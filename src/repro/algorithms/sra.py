@@ -287,7 +287,8 @@ def _block_designees(
         _drain_machines(work, required - len(vacant))
         vacant = list(work.vacant_machines())
     preferred = [m for m in (ledger.borrowed_ids if ledger else ()) if m in vacant]
-    rest = [m for m in vacant if m not in set(preferred)]
+    chosen = set(preferred)
+    rest = [m for m in vacant if m not in chosen]
     for mid in (preferred + rest)[:required]:
         work.block_machine(int(mid))
 

@@ -172,7 +172,8 @@ class ExchangeLedger:
     def settle(self, state: ClusterState) -> "ExchangeSettlement":
         """Validate and close the ledger against a finished state."""
         returned = self.select_returns(state)
-        kept = [mid for mid in self.borrowed_ids if mid not in set(returned.tolist())]
+        gone = set(returned.tolist())
+        kept = [mid for mid in self.borrowed_ids if mid not in gone]
         return ExchangeSettlement(
             returned_ids=tuple(int(r) for r in returned),
             retained_borrowed_ids=tuple(kept),
@@ -199,23 +200,17 @@ class ExchangeSettlement:
 def settle_fleet(
     final: ClusterState, ledger: ExchangeLedger
 ) -> tuple[ClusterState, ExchangeSettlement, list[Machine]]:
-    """Close the episode: drop the returned machines from the fleet.
+    """Close the episode: drop the returned machines from the fleet; the
+    kept machines keep their masks, and loads and caches are rebuilt.
 
     Returns the post-settlement cluster (returned machines removed,
     remaining machines re-indexed densely, assignment preserved), the
     settlement, and the returned machine descriptions (what goes back
-    into the pool).
+    into the pool).  The kept machines keep their exchange, blocked and
+    offline masks, so a dead machine stays dead after the episode, and
+    the cluster's loads and caches are rebuilt from the remapped
+    assignment (:meth:`ClusterState.without_machines`).
     """
     settlement = ledger.settle(final)
-    returned = set(settlement.returned_ids)
-    returned_machines = [final.machines[mid] for mid in settlement.returned_ids]
-    if not returned:
-        return final.copy(), settlement, returned_machines
-    keep = [m for m in range(final.num_machines) if m not in returned]
-    remap = {old: new for new, old in enumerate(keep)}
-    machines = [final.machines[old].with_id(remap[old]) for old in keep]
-    assignment = np.array(
-        [remap[int(a)] for a in final.assignment_view()], dtype=np.int64
-    )
-    slim = ClusterState(machines, list(final.shards), assignment)
-    return slim, settlement, returned_machines
+    returned = [final.machines[mid] for mid in settlement.returned_ids]
+    return final.without_machines(settlement.returned_ids), settlement, returned

@@ -1015,16 +1015,108 @@ class ClusterState:
         )
 
     def with_extra_machines(self, extra: Iterable[Machine]) -> "ClusterState":
-        """New state with *extra* machines appended (ids are rewritten to
-        continue the dense sequence); the assignment is preserved.
+        """New state with *extra* machines appended (ids continue the
+        dense sequence); the assignment and the masks carry over, and
+        loads and caches are rebuilt.
 
-        This is how borrowed exchange machines join a cluster.
+        This is how borrowed exchange machines join a cluster.  The
+        parent's exchange, blocked and offline masks carry over; the new
+        machines are open.  Shard descriptions, demand, sizes and the
+        replica tables are shared with the parent.  Loads and every
+        cache are rebuilt from the assignment, so they are bitwise what
+        the constructor computes for the grown fleet, even when the
+        parent's loads were kept up move by move.
         """
-        extra = list(extra)
-        machines = list(self._machines) + [
-            mach.with_id(self.num_machines + k) for k, mach in enumerate(extra)
-        ]
-        return ClusterState(machines, self._shards, self._assign)
+        if self._frame is not None:
+            raise RuntimeError("with_extra_machines() inside an open transaction")
+        m = self.num_machines
+        added = [mach.with_id(m + k) for k, mach in enumerate(extra)]
+        if any(mach.schema != self._schema for mach in added):
+            raise ValueError("all machines must share one resource schema")
+        closed = np.zeros(len(added), dtype=bool)
+        return self._with_fleet(
+            self._machines + tuple(added),
+            np.vstack([self._capacity, *(mach.capacity for mach in added)]),
+            np.concatenate(
+                [self._exchange_mask, np.array([mach.exchange for mach in added], dtype=bool)]
+            ),
+            np.concatenate([self._blocked, closed]),
+            np.concatenate([self._offline, closed]),
+            self._assign.copy(),
+        )
+
+    def without_machines(self, machine_ids: Sequence[int] | np.ndarray) -> "ClusterState":
+        """New state with the vacant *machine_ids* removed; the kept
+        machines are re-indexed densely in order, keep their masks, and
+        the assignment follows them; loads and caches are rebuilt.
+
+        This is how returned machines leave the fleet when an exchange
+        episode settles.  The kept machines keep their exchange, blocked
+        and offline masks.  Shard descriptions, demand, sizes and the
+        replica tables are shared with this state.  The assignment is
+        remapped with one ``cumsum`` over a keep mask, and loads and
+        every cache are rebuilt from it, so they are bitwise what the
+        constructor computes for the slimmer fleet.
+        """
+        if self._frame is not None:
+            raise RuntimeError("without_machines() inside an open transaction")
+        ids = np.asarray(machine_ids, dtype=np.int64)
+        m = self.num_machines
+        if np.any((ids < 0) | (ids >= m)):
+            raise ValueError(f"unknown machines in {ids.tolist()}")
+        keep = np.ones(m, dtype=bool)
+        keep[ids] = False
+        if not keep.any():
+            raise ValueError("ClusterState requires at least one machine")
+        busy = ids[self._counts[ids] > 0]
+        if busy.size:
+            raise ValueError(f"cannot remove machines that host shards: {busy.tolist()}")
+        new_id = np.cumsum(keep) - 1
+        assign = self._assign.copy()
+        placed = assign != UNASSIGNED
+        assign[placed] = new_id[assign[placed]]
+        kept = [self._machines[i] for i in np.flatnonzero(keep).tolist()]
+        machines = tuple(mach if mach.id == k else mach.with_id(k) for k, mach in enumerate(kept))
+        return self._with_fleet(
+            machines,
+            self._capacity[keep],
+            self._exchange_mask[keep],
+            self._blocked[keep],
+            self._offline[keep],
+            assign,
+        )
+
+    def _with_fleet(
+        self,
+        machines: tuple[Machine, ...],
+        capacity: np.ndarray,
+        exchange: np.ndarray,
+        blocked: np.ndarray,
+        offline: np.ndarray,
+        assign: np.ndarray,
+    ) -> "ClusterState":
+        """A state over another fleet of machines (given by its
+        descriptions, capacity rows, masks and the assignment onto it)
+        that shares this state's shard side; every cache is rebuilt."""
+        dup = object.__new__(ClusterState)
+        dup._schema = self._schema
+        dup._machines = machines
+        dup._shards = self._shards
+        dup._capacity = capacity
+        dup._demand = self._demand
+        dup._sizes = self._sizes
+        dup._exchange_mask = exchange
+        dup._norm_demand = self._norm_demand
+        dup._cap_t = None
+        dup._inv_cap_t = None
+        dup._assign = assign
+        dup._blocked = blocked
+        dup._offline = offline
+        dup._replica_of = self._replica_of
+        dup._replica_groups = self._replica_groups
+        dup._frame = None
+        dup._rebuild_caches()
+        return dup
 
     def validate(self) -> None:
         """Audit every internal invariant; raise ``ValueError`` on breach.

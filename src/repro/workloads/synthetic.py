@@ -323,8 +323,9 @@ def make_exchange_machines(
 ) -> list[Machine]:
     """Build *count* vacant exchange machines sized like the fleet average.
 
-    ``capacity_scale`` lets experiments lend bigger or smaller machines
-    than the in-service average.
+    The average is the mean capacity over every machine of *state*,
+    offline ones included.  ``capacity_scale`` lets experiments lend
+    bigger or smaller machines than that average.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

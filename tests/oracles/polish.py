@@ -1,9 +1,11 @@
 """Test oracle: the per-destination move scan and per-pair swap scan.
 
-:class:`repro.algorithms.baselines.LocalSearchRebalancer` scores every
-fitting destination of a sampled shard (``_try_move``) and every pair
-of a hot and a cool machine's sampled shards (``_try_swap``) in one
-vector pass each.  :class:`OracleLocalSearch` is the reference they
+:class:`repro.algorithms.baselines.LocalSearchRebalancer` scores the
+fitting destinations of a sampled shard (``_try_move``) in one vector
+pass per block of machine ids, and every pair of a hot and a cool
+machine's sampled shards (``_try_swap``) in one vector pass, reading
+each machine's shards from host lists local to the descent.
+:class:`OracleLocalSearch` is the reference they
 must match: the same descent, whose move step copies the m-length peak
 vector per destination and whose swap step checks and scores one pair
 at a time, both scored in full.  The random draws happen at the same
@@ -18,12 +20,20 @@ from repro.algorithms.baselines import LocalSearchRebalancer
 from repro.cluster import ClusterState
 
 
-class OracleLocalSearch(LocalSearchRebalancer):
-    """``LocalSearchRebalancer`` with the copy-per-candidate scans."""
+def score(machine_peak: np.ndarray) -> tuple[float, float]:
+    """The descent's objective, compared lexicographically: the cluster
+    peak, then the sum of squared machine peaks."""
+    return float(machine_peak.max()), float(np.sum(machine_peak**2))
 
-    def _try_move(self, work: ClusterState, rng: np.random.Generator) -> bool:
+
+class OracleLocalSearch(LocalSearchRebalancer):
+    """``LocalSearchRebalancer`` with the copy-per-candidate scans.  The
+    scans read ``ClusterState.machine_shards`` and move through the state
+    itself, so they take and ignore the descent's host lists."""
+
+    def _try_move(self, work: ClusterState, rng: np.random.Generator, hosts: object) -> bool:
         machine_peak = work.machine_peak_utilization()
-        current = self._score(machine_peak)
+        current = score(machine_peak)
         hottest = int(np.argmax(machine_peak))
         members = work.machine_shards(hottest)
         if members.size == 0:
@@ -46,14 +56,14 @@ class OracleLocalSearch(LocalSearchRebalancer):
                     (work.loads[hottest] - extra) / work.capacity[hottest]
                 ).max()
                 new_peak[i] = ((work.loads[i] + extra) / work.capacity[i]).max()
-                if self._score(new_peak) < current:
+                if score(new_peak) < current:
                     work.move(int(j), int(i))
                     return True
         return False
 
-    def _try_swap(self, work: ClusterState, rng: np.random.Generator) -> bool:
+    def _try_swap(self, work: ClusterState, rng: np.random.Generator, hosts: object) -> bool:
         machine_peak = work.machine_peak_utilization()
-        current = self._score(machine_peak)
+        current = score(machine_peak)
         hottest = int(np.argmax(machine_peak))
         hot_members = work.machine_shards(hottest)
         if hot_members.size == 0:
@@ -118,7 +128,7 @@ class OracleLocalSearch(LocalSearchRebalancer):
         new_peak = machine_peak.copy()
         new_peak[m1] = (load1 / work.capacity[m1]).max()
         new_peak[m2] = (load2 / work.capacity[m2]).max()
-        if self._score(new_peak) < current:
+        if score(new_peak) < current:
             work.move(j1, m2)
             work.move(j2, m1)
             return True

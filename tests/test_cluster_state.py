@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import UNASSIGNED, ClusterState, Machine, Shard
+from repro.cluster import UNASSIGNED, ClusterState, Machine, ResourceSchema, Shard
+from tests.oracles.fleet import assert_same_state, degraded_fleets, grown_oracle
 
 
 def small_cluster(m=3, n=6, cap=10.0, dem=1.0):
@@ -263,3 +264,41 @@ def test_property_total_load_is_conserved(data):
         state.move(shard_id, dst)
     np.testing.assert_allclose(state.loads.sum(axis=0), before, atol=1e-9)
     np.testing.assert_allclose(before, state.total_demand(), atol=1e-9)
+
+
+class TestGrowOnArrays:
+    """``with_extra_machines`` builds from the parent's arrays; the
+    constructor (``tests/oracles/fleet.py``) is its oracle."""
+
+    @given(degraded_fleets())
+    @settings(max_examples=80, deadline=None)
+    def test_grow_matches_constructor(self, case):
+        parent, extra = case
+        grown = parent.with_extra_machines(extra)
+        assert_same_state(grown, grown_oracle(parent, extra))
+        assert grown.shards is parent.shards
+        assert grown.demand is parent.demand and grown.sizes is parent.sizes
+        assert grown.replica_groups is parent.replica_groups
+
+    def test_grow_carries_masks_and_opens_new_machines(self):
+        state = small_cluster(m=4, n=6)
+        for j in state.machine_shards(3).tolist():
+            state.move(j, 0)
+        state.set_offline(3)
+        for j in state.machine_shards(2).tolist():
+            state.move(j, 1)
+        state.block_machine(2)
+        grown = state.with_extra_machines(Machine.homogeneous(2, 10.0))
+        assert grown.offline_mask.tolist() == [False, False, False, True, False, False]
+        assert grown.blocked_mask.tolist() == [False, False, True, True, False, False]
+        assert grown.num_vacant_in_service == 3
+        grown.move(0, 5)  # a new machine is open
+
+    def test_grow_rejects_open_transaction_and_foreign_schema(self):
+        state = small_cluster()
+        with state.transaction():
+            with pytest.raises(RuntimeError):
+                state.with_extra_machines([])
+        other = ResourceSchema(("cpu",))
+        with pytest.raises(ValueError, match="schema"):
+            state.with_extra_machines([Machine(id=0, capacity=np.ones(1), schema=other)])

@@ -1,7 +1,7 @@
 """Bitwise parity of the polish move and swap scans against their oracle (hypothesis).
 
-``LocalSearchRebalancer._try_move`` scores all fitting destinations of a
-sampled shard in one vector pass, and ``_try_swap`` all sampled pairs of
+``LocalSearchRebalancer._try_move`` scores the fitting destinations of
+a sampled shard in one vector pass per block, and ``_try_swap`` all sampled pairs of
 the hottest and one cool machine; ``tests/oracles/polish.py`` keeps the
 copy-per-destination move scan and the per-pair swap scan.  On every
 generated instance both descents take the same steps: the assignment
@@ -12,6 +12,14 @@ bottleneck dimension, replica groups, blocked machines, heterogeneous
 capacities, swaps between sampled shard sets, a replica sibling on the
 cool machine, and (in one fixed case) m >= 1000, where ``np.sum`` sums
 in pairwise blocks.
+
+The move scan visits destinations in two blocks, machine ids below
+``_MOVE_BLOCK`` and then the rest.  Fixed fleets of ``_MOVE_BLOCK + 200``
+machines pin the cases that only a second block shows: the first
+improving destination (and a replica sibling to skip) past the first
+block, a tie at the current max in the first block ahead of a strict
+improvement in the second, and a step where no shard moves, so every
+block is scanned before the swap pass runs.
 """
 
 import numpy as np
@@ -20,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.algorithms.baselines import LocalSearchRebalancer
+from repro.algorithms.baselines import _MOVE_BLOCK, LocalSearchRebalancer
 from repro.cluster import ClusterState, Machine, Shard
 from tests.oracles.polish import OracleLocalSearch
 
@@ -222,3 +230,81 @@ def test_swap_below_a_tied_peak_must_lower_the_sum_of_squares():
     shards = [Shard(id=j, demand=np.array(d)) for j, d in enumerate(demand)]
     state = ClusterState(Machine.homogeneous(3, 100.0), shards, [0, 0, 1, 1, 2, 2])
     assert assert_same_steps(state, 0) == []
+
+
+def block_fleet(loads, hot=(30.0, 60.0), capacity=None, groups=None):
+    """Machine 0 holds the *hot* shards; machine ``i >= 1`` holds one
+    shard of ``loads[i - 1]`` (a pair of shards where *loads* gives a
+    pair), every dimension alike, capacity 100 unless *capacity* maps a
+    machine id to another.  *groups* maps shard ids to replica groups."""
+    demand, hosts = list(hot), [0] * len(hot)
+    for i, load in enumerate(loads, start=1):
+        parts = load if isinstance(load, tuple) else (load,)
+        demand.extend(parts)
+        hosts.extend([i] * len(parts))
+    groups = groups or {}
+    shards = [
+        Shard(id=j, demand=np.full(3, d), replica_of=groups.get(j, -1))
+        for j, d in enumerate(demand)
+    ]
+    capacity = capacity or {}
+    machines = [
+        Machine(id=i, capacity=np.full(3, capacity.get(i, 100.0))) for i in range(len(loads) + 1)
+    ]
+    return ClusterState(machines, shards, hosts)
+
+
+def first_move(state):
+    """The shard and destination of the descent's first step."""
+    work = state.copy()
+    LocalSearchRebalancer(seed=0, neighborhood_sample=8).improve_in_place(
+        work, np.random.default_rng(0), max_steps=1
+    )
+    moved = np.flatnonzero(work.assignment_view() != state.assignment_view())
+    return [(int(j), int(work.machine_of(int(j)))) for j in moved]
+
+
+@pytest.mark.parametrize(
+    "sibling,target", [(_MOVE_BLOCK + 50, _MOVE_BLOCK + 60), (_MOVE_BLOCK - 1, _MOVE_BLOCK)]
+)
+def test_first_improving_destination_past_the_first_block(sibling, target):
+    """Every machine before *target* is too full for the 30-shard,
+    except *sibling*, which holds its replica sibling.  The first
+    improving destination is *target*, in the second block (at its
+    first machine in the second case)."""
+    m = _MOVE_BLOCK + 200
+    loads = [10.0 if i in (sibling, target) else 80.0 for i in range(1, m)]
+    # Shard ids: 0, 1 on machine 0; machine i's shard is i + 1.
+    state = block_fleet(loads, groups={0: 0, sibling + 1: 0})
+    assert first_move(state) == [(0, target)]
+    assert_same_steps(state, 0, max_steps=20)
+
+
+def test_tie_in_first_block_is_scored_before_a_later_strict_improvement():
+    """Moving the 30-shard to machine 100 (capacity 200, load 150) raises
+    it exactly to the current max, 0.9, and lowers the sum of squared
+    peaks: a tie-broken improvement in the first block.  Machine
+    ``_MOVE_BLOCK + 60`` would lower the max, but comes later."""
+    m = _MOVE_BLOCK + 200
+    tie, strict = 100, _MOVE_BLOCK + 60
+    loads = [150.0 if i == tie else 10.0 if i == strict else 80.0 for i in range(1, m)]
+    state = block_fleet(loads, capacity={tie: 200.0})
+    assert 180.0 / 200.0 == state.peak_utilization() == 0.9
+    assert first_move(state) == [(0, tie)]
+    assert_same_steps(state, 0, max_steps=20)
+
+
+def test_no_shard_moves_so_every_block_is_scanned_then_swaps():
+    """Every other machine holds 50.5-55 in two shards: the 40-shard of
+    the hot machine fits everywhere but would push its destination past
+    0.9, and the 50-shard fits nowhere.  Both blocks are scanned for
+    each sampled shard, nothing moves, and the step is a swap."""
+    rng = np.random.default_rng(7)
+    loads = []
+    for _ in range(_MOVE_BLOCK + 200):
+        load = rng.uniform(50.5, 55.0)
+        first = rng.uniform(15.0, 30.0)
+        loads.append((first, load - first))
+    state = block_fleet(loads, hot=(50.0, 40.0))
+    kinds = assert_same_steps(state, 7, max_steps=6)
+    assert kinds and kinds[0] == "swap"
