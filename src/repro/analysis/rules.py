@@ -18,14 +18,14 @@ graph (:meth:`~repro.analysis.engine.Rule.check_project`):
   clock must be used.  ``parallel/``, ``obs/`` and the experiment
   drivers legitimately measure real time and are out of scope; the few
   runtime-*reporting* sites inside scope carry inline allows.
-* **REP003** ``state-mutation`` — writes to ``ClusterState`` internals
-  (private caches, live array views, copy-returning properties, the SoA
-  mirrors) outside ``cluster/state.py``, directly or through a mirror
-  alias that crosses function boundaries, and calls to its private
-  methods there, ``begin()`` included.  Such writes bypass the undo
-  journal and desynchronize the delta-evaluation caches; transactions
-  are opened with ``with state.transaction()``, whose ``finally``
-  closes the frame on every path.
+* **REP003** ``state-mutation`` — writes to ``ClusterState``'s private
+  caches or into the copy ``assignment`` returns outside
+  ``cluster/state.py``, and calls to its private methods there,
+  ``begin()`` included.  Such writes bypass the undo journal and
+  desynchronize the delta-evaluation caches; transactions are opened
+  with ``with state.transaction()``, whose ``finally`` closes the frame
+  on every path.  The public array accessors are read-only, so a write
+  through them raises at run time and needs no rule.
 * **REP004** ``span-context`` — ``Tracer.span(...)`` used other than as
   a ``with`` context manager.  A manually entered span leaks on any
   exception path and corrupts the trace tree.
@@ -85,65 +85,12 @@ def _is_self(node: ast.AST) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
 
 
-def _walk_shallow(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk *fn*'s body without descending into nested defs/lambdas —
-    nested functions have their own :class:`FunctionInfo` and are
-    analysed in their own right (with their own lock/taint context)."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def _assign_targets(node: ast.AST) -> list[ast.expr]:
     if isinstance(node, ast.Assign):
         return list(node.targets)
     if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         return [node.target]
     return []
-
-
-def _propagate_params(
-    project: Project,
-    is_tainted_expr: "_TaintTest",
-) -> set[tuple[str, str]]:
-    """Forward interprocedural parameter taint: ``(qualname, param)`` is
-    tainted when *any* call site passes a tainted argument, where the
-    caller's own tainted params feed the test.  Plain fixpoint —
-    monotone over a finite set, so it terminates."""
-    tainted: set[tuple[str, str]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for site in project.graph.sites:
-            caller = project.functions.get(site.caller)
-            mod = project.modules[site.module_rel]
-            for param, arg in site.args.items():
-                key = (site.callee, param)
-                if key in tainted:
-                    continue
-                if is_tainted_expr(project, mod, caller, arg, tainted):
-                    tainted.add(key)
-                    changed = True
-    return tainted
-
-
-class _TaintTest:
-    """Callable protocol stand-in: is *arg* tainted in *caller*?"""
-
-    def __call__(
-        self,
-        project: Project,
-        mod: ModuleContext,
-        caller: FunctionInfo | None,
-        arg: ast.expr,
-        tainted_params: set[tuple[str, str]],
-    ) -> bool:
-        raise NotImplementedError
 
 
 # --------------------------------------------------------------------------
@@ -549,32 +496,6 @@ _STATE_PRIVATE_METHODS = frozenset(
         "_host_leave",
     }
 )
-#: Properties returning live arrays ("do not mutate") or copies (writes
-#: are silently lost): subscript stores through them are always bugs.
-_STATE_VIEW_PROPS = frozenset(
-    {
-        "loads",
-        "capacity",
-        "demand",
-        "sizes",
-        "assignment",
-        "blocked_mask",
-        "offline_mask",
-        "exchange_mask",
-    }
-)
-_STATE_VIEW_CALLS = frozenset(
-    {
-        "assignment_view",
-        "shard_counts_view",
-        "machine_peak_utilization_view",
-    }
-)
-
-#: Zero-copy accessors returning the live SoA mirrors.
-_MIRROR_CALLS = frozenset({"loads_by_dim", "capacity_by_dim", "inv_capacity_by_dim"})
-#: The mirror attributes themselves (ClusterState internals).
-_MIRROR_ATTRS = frozenset({"_loads_t", "_peak_block"})
 
 
 def _is_private_cache(expr: ast.AST) -> TypeGuard[ast.Attribute]:
@@ -588,137 +509,40 @@ def _is_private_cache(expr: ast.AST) -> TypeGuard[ast.Attribute]:
     )
 
 
-class _MirrorTaint(_TaintTest):
-    """Is *arg* (transitively) one of the live SoA mirror views?"""
-
-    def __call__(
-        self,
-        project: Project,
-        mod: ModuleContext,
-        caller: FunctionInfo | None,
-        arg: ast.expr,
-        tainted_params: set[tuple[str, str]],
-    ) -> bool:
-        local = _local_mirror_names(project, caller, tainted_params)
-        return _expr_is_mirror(arg, local, _class_mirror_attrs(project, caller))
-
-
-def _class_mirror_attrs(
-    project: Project, caller: FunctionInfo | None
-) -> frozenset[str]:
-    """Attributes of the caller's class holding a mirror view
-    (``self._lt = state.loads_by_dim()`` in ``__init__``)."""
-    if caller is None or caller.cls is None:
-        return frozenset()
-    info = project.classes.get(caller.cls)
-    if info is None:
-        return frozenset()
-    out = set()
-    for attr, values in info.attr_values.items():
-        for value in values:
-            if _expr_is_mirror(value, frozenset(), frozenset()):
-                out.add(attr)
-                break
-    return frozenset(out)
-
-
-def _expr_is_mirror(
-    expr: ast.expr, local_names: frozenset[str], self_attrs: frozenset[str]
-) -> bool:
-    """Syntactic mirror test.  Taint flows through name copies, slices
-    and ``self.attr`` loads — **not** through BinOp and friends, whose
-    results are fresh arrays (``loads * inv_cap`` is safe to own)."""
-    if isinstance(expr, ast.Name):
-        return expr.id in local_names
-    if isinstance(expr, ast.Call):
-        return (
-            isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in _MIRROR_CALLS
-        )
-    if isinstance(expr, ast.Attribute):
-        if expr.attr in _MIRROR_ATTRS:
-            return True
-        if (
-            isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-            and expr.attr in self_attrs
-        ):
-            return True
-        return False
-    if isinstance(expr, ast.Subscript):
-        return _expr_is_mirror(expr.value, local_names, self_attrs)
-    return False
-
-
-def _local_mirror_names(
-    project: Project,
-    info: FunctionInfo | None,
-    tainted_params: set[tuple[str, str]],
-) -> frozenset[str]:
-    """Names bound to a mirror view inside *info*, flow-insensitively:
-    tainted params plus copy/slice assignments, to a fixpoint."""
-    if info is None:
-        return frozenset()
-    names = {
-        param
-        for param in info.kw_params
-        if (info.qualname, param) in tainted_params
-    }
-    self_attrs = _class_mirror_attrs(project, info)
-    changed = True
-    while changed:
-        changed = False
-        for sub in _walk_shallow(info.node):
-            if (
-                isinstance(sub, ast.Assign)
-                and len(sub.targets) == 1
-                and isinstance(sub.targets[0], ast.Name)
-                and sub.targets[0].id not in names
-                and _expr_is_mirror(sub.value, frozenset(names), self_attrs)
-            ):
-                names.add(sub.targets[0].id)
-                changed = True
-    return frozenset(names)
-
-
 @register
 class StateMutationRule(Rule):
     """Mutation of ``ClusterState`` internals outside
-    ``cluster/state.py``, directly or through a mirror alias, and
-    transactions opened other than with ``with state.transaction()``.
+    ``cluster/state.py``, and transactions opened other than with
+    ``with state.transaction()``.
 
     Contract:
         Outside ``src/repro/cluster/state.py``, no attribute or
         subscript write to the private caches (``_loads``, ``_peak``,
         ``_loads_t``, ``_peak_block``, …), no call to the private
         maintenance methods or to ``begin()``, and no subscript store
-        through the view-returning properties (``loads``,
-        ``assignment``, …) or ``*_view()`` accessors.  Open
+        through ``assignment``, which returns a copy.  Open
         transactions with ``with state.transaction():`` and keep the
-        candidate with ``state.commit()`` in the body.  The SoA
-        mirrors — the arrays returned by ``loads_by_dim()`` /
-        ``capacity_by_dim()`` / ``inv_capacity_by_dim()`` and the
-        ``_loads_t`` / ``_peak_block`` attributes — are read-only too:
-        no subscript stores, augmented assigns, ``.fill()`` or
-        ``np.copyto`` into them, even when the view arrived through
-        helper parameters, a local alias, or was stashed on ``self`` in
-        ``__init__``.  Products and sums *derived* from a mirror
-        (``loads * inv_cap``) are fresh arrays and freely writable.
-        Each offending write or call is one finding.
+        candidate with ``state.commit()`` in the body.  Each offending
+        write or call is one finding.
+
+        The public array accessors (``loads``, ``capacity``,
+        ``blocked_mask``, ``assignment_view()``, ``loads_by_dim()``, …)
+        are not this rule's business: they return read-only arrays, so
+        a write through one, or through any alias of one, raises
+        ``ValueError`` at run time.
 
     Rationale:
         Every legal mutation flows through the transactional API
         (``transaction`` / ``move`` / ``assign_shard`` / ``commit``) so
         the undo journal and the delta-evaluation caches stay coherent.
         A direct write bypasses both: rollback silently restores stale
-        values and incremental objectives drift from the arrays.  The
-        mirrors are zero-copy views, so a write through an alias that
-        crossed a call boundary is the same bug.  A bare ``begin()``
-        leaks its journal on any path that misses ``commit()`` and
-        ``rollback()``, and a later rollback then rewinds through
-        someone else's accepted moves; ``transaction()`` rolls back in
-        a ``finally``, so the frame closes on every path by
-        construction.
+        values and incremental objectives drift from the arrays.  A
+        write into ``assignment`` raises nothing and is silently lost.
+        A bare ``begin()`` leaks its journal on any path that misses
+        ``commit()`` and ``rollback()``, and a later rollback then
+        rewinds through someone else's accepted moves;
+        ``transaction()`` rolls back in a ``finally``, so the frame
+        closes on every path by construction.
 
     Suppression:
         ``# repro: allow-state-mutation`` on the line.  Legitimate only
@@ -729,9 +553,10 @@ class StateMutationRule(Rule):
     rule_id = "REP003"
     slug = "state-mutation"
     description = (
-        "mutation of ClusterState internals (caches, views, SoA mirrors and "
-        "their aliases) or a bare begin() outside cluster/state.py; use the "
-        "transactional API (with state.transaction(), move/assign_shard/commit)"
+        "mutation of ClusterState private caches, a write into the "
+        "assignment copy, or a bare begin() outside cluster/state.py; use "
+        "the transactional API (with state.transaction(), "
+        "move/assign_shard/commit)"
     )
 
     def applies_to(self, rel: str) -> bool:
@@ -773,106 +598,29 @@ class StateMutationRule(Rule):
                 "cluster/state.py bypasses the undo journal",
             )
             return
-        if isinstance(target, ast.Subscript):
-            value = target.value
-            if _is_private_cache(value):
-                yield self.finding(
-                    mod,
-                    target,
-                    f"subscript write into ClusterState private cache "
-                    f".{value.attr} outside cluster/state.py bypasses the "
-                    "undo journal",
-                )
-            elif (
-                isinstance(value, ast.Attribute)
-                and value.attr in _STATE_VIEW_PROPS
-                and not _is_self(value.value)
-            ):
-                kind = (
-                    "a copy (the write is silently lost)"
-                    if value.attr == "assignment"
-                    else "a live cache view"
-                )
-                yield self.finding(
-                    mod,
-                    target,
-                    f"subscript write through .{value.attr} mutates {kind} — "
-                    "use move()/assign_shard()/apply_assignment()",
-                )
-            elif (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr in _STATE_VIEW_CALLS
-            ):
-                yield self.finding(
-                    mod,
-                    target,
-                    f"subscript write through {value.func.attr}() mutates the "
-                    "live array — copy it or use the transactional API",
-                )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        """Writes into the SoA mirrors through aliases: local names,
-        ``self`` attributes and helper parameters (forward taint over
-        the call graph)."""
-        tainted_params = _propagate_params(project, _MirrorTaint())
-        for info in project.functions.values():
-            mod = project.modules[info.module_rel]
-            if not self.applies_to(mod.rel):
-                continue
-            local = _local_mirror_names(project, info, tainted_params)
-            self_attrs = _class_mirror_attrs(project, info)
-            for node in _walk_shallow(info.node):
-                yield from self._check_mirror_write(mod, node, local, self_attrs)
-
-    def _check_mirror_write(
-        self,
-        mod: ModuleContext,
-        node: ast.AST,
-        local: frozenset[str],
-        self_attrs: frozenset[str],
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            for target in _assign_targets(node):
-                if (
-                    isinstance(target, ast.Subscript)
-                    # state._loads_t[...] is already check()'s finding.
-                    and not _is_private_cache(target.value)
-                    and _expr_is_mirror(target.value, local, self_attrs)
-                ):
-                    yield self._mirror_write(mod, target, "subscript store into")
-                elif (
-                    isinstance(node, ast.AugAssign)
-                    and isinstance(target, ast.Name)
-                    and target.id in local
-                ):
-                    yield self._mirror_write(mod, target, "augmented assignment to")
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "fill"
-                and _expr_is_mirror(func.value, local, self_attrs)
-            ):
-                yield self._mirror_write(mod, node, ".fill() on")
-            else:
-                resolved = mod.resolve(func)
-                if (
-                    resolved is not None
-                    and resolved.endswith("copyto")
-                    and node.args
-                    and _expr_is_mirror(node.args[0], local, self_attrs)
-                ):
-                    yield self._mirror_write(mod, node, "np.copyto() into")
-
-    def _mirror_write(self, mod: ModuleContext, node: ast.AST, how: str) -> Finding:
-        return self.finding(
-            mod,
-            node,
-            f"{how} a live SoA mirror view outside cluster/state.py — "
-            "the mirrors are journal-consistent internals; copy() the "
-            "view or use the transactional API",
-        )
+        if not isinstance(target, ast.Subscript):
+            return
+        value = target.value
+        if _is_private_cache(value):
+            yield self.finding(
+                mod,
+                target,
+                f"subscript write into ClusterState private cache "
+                f".{value.attr} outside cluster/state.py bypasses the "
+                "undo journal",
+            )
+        elif (
+            isinstance(value, ast.Attribute)
+            and value.attr == "assignment"
+            and not _is_self(value.value)
+        ):
+            yield self.finding(
+                mod,
+                target,
+                "subscript write through .assignment mutates a copy (the "
+                "write is silently lost) — use "
+                "move()/assign_shard()/apply_assignment()",
+            )
 
 
 # --------------------------------------------------------------------------

@@ -20,11 +20,15 @@ evaluation contract" section of docs/ARCHITECTURE.md):
   :meth:`peak_utilization` rescans only blocks containing touched
   machines), and the replica anti-affinity conflict count
   (:attr:`replica_conflict_count`);
-* ``capacity``, ``demand``, ``loads`` are dense ``float64`` arrays safe to
-  read (but not write) directly; :meth:`loads_by_dim` /
-  :meth:`capacity_by_dim` / :meth:`inv_capacity_by_dim` expose the same
-  data as C-contiguous ``(d, m)`` structure-of-arrays mirrors, the layout
-  the vectorized score kernels consume (see docs/ARCHITECTURE.md, "SoA
+* every array accessor (``capacity``, ``demand``, ``loads``, the masks,
+  the ``*_view()`` and ``*_by_dim()`` methods, …) is read-only: a write
+  raises ``ValueError``.  The live arrays show through cached read-only
+  views, so reading costs nothing and a write through any alias fails
+  loudly instead of desynchronizing the caches below.
+  :meth:`loads_by_dim` / :meth:`capacity_by_dim` /
+  :meth:`inv_capacity_by_dim` expose the loads and capacities as
+  C-contiguous ``(d, m)`` structure-of-arrays mirrors, the layout the
+  vectorized score kernels consume (see docs/ARCHITECTURE.md, "SoA
   memory layout");
 * ``copy()`` is a cheap structural copy (arrays copied, descriptions
   shared);
@@ -69,6 +73,71 @@ _SNAPSHOT_ELEMENT_LIMIT = 65_536
 #: maxima is bitwise-identical to a full scan — but after a transaction
 #: touching k machines only ``O(k + m/B)`` elements are rescanned.
 _PEAK_BLOCK = 1024
+
+#: The arrays fixed for a state's lifetime (the last three computed
+#: lazily).  Each is frozen where it is made, so copies share one
+#: read-only object.
+_FROZEN_ATTRS = (
+    "_capacity", "_demand", "_sizes", "_exchange_mask", "_norm_demand", "_cap_t", "_inv_cap_t"
+)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """*arr* itself, made read-only: a write through it raises ``ValueError``."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _summed_loads(hosts: np.ndarray, demand: np.ndarray, m: int) -> np.ndarray:
+    """(d, m) per-machine sums of *demand* rows, row ``j`` landing on
+    machine ``hosts[j]``.
+
+    One ``np.bincount`` per dimension.  It adds the weights in row order
+    starting from 0.0, so the sums are bitwise what ``np.add.at`` over
+    the rows gives.
+    """
+    # A float output: bincount returns int zeros when *hosts* is empty.
+    out = np.empty((demand.shape[1], m))
+    for k in range(demand.shape[1]):
+        out[k] = np.bincount(hosts, weights=demand[:, k], minlength=m)
+    return out
+
+
+def _check_fleet(machines: Sequence[Machine], shards: Sequence[Shard]) -> None:
+    """Raise unless both lists are non-empty with dense ids ``0..k-1``."""
+    if not machines:
+        raise ValueError("ClusterState requires at least one machine")
+    if not shards:
+        raise ValueError("ClusterState requires at least one shard")
+    if [mach.id for mach in machines] != list(range(len(machines))):
+        raise ValueError("machine ids must be dense 0..m-1 in order")
+    if [sh.id for sh in shards] != list(range(len(shards))):
+        raise ValueError("shard ids must be dense 0..n-1 in order")
+
+
+def _checked_assignment(assignment: Sequence[int] | np.ndarray, n: int, m: int) -> np.ndarray:
+    """A private int64 copy of *assignment*, checked to place *n* shards
+    on machines ``0..m-1`` (or leave them :data:`UNASSIGNED`)."""
+    arr = np.array(assignment, dtype=np.int64)
+    if arr.shape != (n,):
+        raise ValueError(f"assignment must have shape ({n},), got {arr.shape}")
+    bad = (arr != UNASSIGNED) & ((arr < 0) | (arr >= m))
+    if np.any(bad):
+        raise ValueError(f"assignment references unknown machines at shards {np.flatnonzero(bad)}")
+    return arr
+
+
+def _replica_tables(shards: Sequence[Shard]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Each shard's logical id (``-1`` if unreplicated), and logical id
+    -> member shard ids for the replicated ones."""
+    groups: dict[int, list[int]] = {}
+    for sh in shards:
+        if sh.replica_of >= 0:
+            groups.setdefault(sh.replica_of, []).append(sh.id)
+    return (
+        np.array([sh.replica_of for sh in shards], dtype=np.int64),
+        {g: np.asarray(members, dtype=np.int64) for g, members in groups.items()},
+    )
 
 
 class _Frame:
@@ -160,10 +229,7 @@ class ClusterState:
         shards: Sequence[Shard],
         assignment: Sequence[int] | np.ndarray | None = None,
     ) -> None:
-        if not machines:
-            raise ValueError("ClusterState requires at least one machine")
-        if not shards:
-            raise ValueError("ClusterState requires at least one shard")
+        _check_fleet(machines, shards)
         schema = machines[0].schema
         for mach in machines:
             if mach.schema != schema:
@@ -171,18 +237,14 @@ class ClusterState:
         for sh in shards:
             if sh.schema != schema:
                 raise ValueError("all shards must share the machines' resource schema")
-        if [mach.id for mach in machines] != list(range(len(machines))):
-            raise ValueError("machine ids must be dense 0..m-1 in order")
-        if [sh.id for sh in shards] != list(range(len(shards))):
-            raise ValueError("shard ids must be dense 0..n-1 in order")
 
         self._schema = schema
         self._machines: tuple[Machine, ...] = tuple(machines)
         self._shards: tuple[Shard, ...] = tuple(shards)
-        self._capacity = np.stack([mach.capacity for mach in machines])  # (m, d)
-        self._demand = np.stack([sh.demand for sh in shards])  # (n, d)
-        self._sizes = np.array([sh.size_bytes for sh in shards], dtype=np.float64)
-        self._exchange_mask = np.array([mach.exchange for mach in machines], dtype=bool)
+        self._capacity = _frozen(np.stack([mach.capacity for mach in machines]))  # (m, d)
+        self._demand = _frozen(np.stack([sh.demand for sh in shards]))  # (n, d)
+        self._sizes = _frozen(np.array([sh.size_bytes for sh in shards], dtype=np.float64))
+        self._exchange_mask = _frozen(np.array([mach.exchange for mach in machines], dtype=bool))
         self._norm_demand: np.ndarray | None = None  # lazy, shared by copies
         # Lazy (d, m) SoA mirrors of the immutable capacity matrix, shared
         # by copies like _norm_demand.
@@ -193,27 +255,14 @@ class ClusterState:
         if assignment is None:
             self._assign = np.full(n, UNASSIGNED, dtype=np.int64)
         else:
-            arr = np.asarray(assignment, dtype=np.int64)
-            if arr.shape != (n,):
-                raise ValueError(f"assignment must have shape ({n},), got {arr.shape}")
-            bad = (arr != UNASSIGNED) & ((arr < 0) | (arr >= len(machines)))
-            if np.any(bad):
-                raise ValueError(f"assignment references unknown machines at shards {np.flatnonzero(bad)}")
-            self._assign = arr.copy()
+            self._assign = _checked_assignment(assignment, n, len(machines))
         self._blocked = np.zeros(len(machines), dtype=bool)
         self._offline = np.zeros(len(machines), dtype=bool)
         # Replica groups: logical shard id -> member shard ids (only for
         # shards declaring replica_of >= 0).  Anti-affinity (no two
         # members on one machine) is enforced by the algorithms, checked
         # via replica_conflicts().
-        self._replica_of = np.array([sh.replica_of for sh in shards], dtype=np.int64)
-        groups: dict[int, list[int]] = {}
-        for sh in shards:
-            if sh.replica_of >= 0:
-                groups.setdefault(sh.replica_of, []).append(sh.id)
-        self._replica_groups = {
-            g: np.asarray(members, dtype=np.int64) for g, members in groups.items()
-        }
+        self._replica_of, self._replica_groups = _replica_tables(shards)
         self._frame: _Frame | None = None
         self._rebuild_caches()
 
@@ -221,18 +270,15 @@ class ClusterState:
     def _rebuild_caches(self) -> None:
         """Recompute every incrementally-maintained cache from scratch."""
         m = len(self._machines)
-        self._loads = np.zeros_like(self._capacity)
         placed = self._assign != UNASSIGNED
-        if np.any(placed):
-            np.add.at(self._loads, self._assign[placed], self._demand[placed])
-        self._counts = np.bincount(
-            self._assign[placed], minlength=m
-        ).astype(np.int64, copy=False)
-        self._num_unassigned = int(np.sum(~placed))
-        self._num_vacant = int(np.sum((self._counts == 0) & ~self._offline))
+        hosts = self._assign[placed]
         # (d, m) C-contiguous SoA mirror of the load matrix, maintained in
         # lock-step with self._loads by every mutator (see loads_by_dim).
-        self._loads_t = np.ascontiguousarray(self._loads.T)
+        self._loads_t = _summed_loads(hosts, self._demand[placed], m)
+        self._loads = self._loads_t.T.copy()
+        self._counts = np.bincount(hosts, minlength=m).astype(np.int64, copy=False)
+        self._num_unassigned = int(np.sum(~placed))
+        self._num_vacant = int(np.sum((self._counts == 0) & ~self._offline))
         self._peak = (self._loads / self._capacity).max(axis=1)
         self._peak_dirty = np.zeros(m, dtype=bool)
         self._peak_any_dirty = False
@@ -259,6 +305,39 @@ class ClusterState:
                     if cnt == 2:
                         self._replica_conflicts += 1
             self._replica_hosts[g] = hosts
+        self._publish_views()
+
+    def _publish_views(self) -> None:
+        """Cache the read-only view of each mutable array that the
+        accessors hand out.
+
+        The state writes its arrays in place (rollback included), so a
+        view keeps showing the live data and reading it costs one
+        attribute load.  Called wherever the arrays are (re)bound.
+        """
+        self._assign_view = _frozen(self._assign.view())
+        self._loads_view = _frozen(self._loads.view())
+        self._loads_t_view = _frozen(self._loads_t.view())
+        self._counts_view = _frozen(self._counts.view())
+        self._peak_view = _frozen(self._peak.view())
+        self._blocked_view = _frozen(self._blocked.view())
+        self._offline_view = _frozen(self._offline.view())
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle without the cached ``*_view`` attributes: numpy pickles
+        a view as an independent copy, which would stop following the
+        array it mirrors."""
+        return {k: v for k, v in self.__dict__.items() if not k.endswith("_view")}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        """Restore a pickled state, freezing its fixed arrays again and
+        rebuilding the views over its own arrays."""
+        self.__dict__.update(state)
+        for name in _FROZEN_ATTRS:
+            arr = getattr(self, name)
+            if arr is not None:
+                _frozen(arr)
+        self._publish_views()
 
     def _refreshed_peaks(self) -> np.ndarray:
         """The live per-machine peak-utilization cache, refreshed lazily.
@@ -266,7 +345,8 @@ class ClusterState:
         Peak rows are marked dirty by mutations and recomputed here in
         one vectorized pass — bitwise identical to a from-scratch
         ``(loads / capacity).max(axis=1)`` because machine capacities are
-        validated strictly positive.  Do not mutate the returned array.
+        validated strictly positive.  Returns the private array itself,
+        for reads inside this module.
         """
         if self._peak_any_dirty:
             idx = np.flatnonzero(self._peak_dirty)
@@ -304,27 +384,29 @@ class ClusterState:
     # --------------------------------------------------------------- arrays
     @property
     def capacity(self) -> np.ndarray:
-        """(m, d) capacity matrix.  Read-only by convention."""
+        """(m, d) capacity matrix.  Read-only: a write raises ``ValueError``."""
         return self._capacity
 
     @property
     def demand(self) -> np.ndarray:
-        """(n, d) demand matrix.  Read-only by convention."""
+        """(n, d) demand matrix.  Read-only: a write raises ``ValueError``."""
         return self._demand
 
     @property
     def sizes(self) -> np.ndarray:
-        """(n,) migration byte sizes.  Read-only by convention."""
+        """(n,) migration byte sizes.  Read-only: a write raises ``ValueError``."""
         return self._sizes
 
     @property
     def loads(self) -> np.ndarray:
-        """(m, d) current load matrix, maintained incrementally."""
-        return self._loads
+        """(m, d) current load matrix, maintained incrementally.
+        Read-only: a write raises ``ValueError``."""
+        return self._loads_view
 
     @property
     def exchange_mask(self) -> np.ndarray:
-        """(m,) bool mask of machines borrowed from the exchange pool."""
+        """(m,) bool mask of machines borrowed from the exchange pool.
+        Read-only: a write raises ``ValueError``."""
         return self._exchange_mask
 
     @property
@@ -333,20 +415,23 @@ class ClusterState:
         return self._assign.copy()
 
     def assignment_view(self) -> np.ndarray:
-        """The live assignment array — do not mutate."""
-        return self._assign
+        """The live assignment array.  Read-only: a write raises
+        ``ValueError``."""
+        return self._assign_view
 
     def normalized_demand(self) -> np.ndarray:
         """(n, d) demand scaled to [0, 1] per dimension (cached; demand is
-        immutable so the matrix is computed once and shared by copies)."""
+        immutable so the matrix is computed once and shared by copies).
+        Read-only: a write raises ``ValueError``."""
         if self._norm_demand is None:
-            self._norm_demand = self._demand / np.maximum(
-                self._demand.max(axis=0, keepdims=True), 1e-12
+            self._norm_demand = _frozen(
+                self._demand / np.maximum(self._demand.max(axis=0, keepdims=True), 1e-12)
             )
         return self._norm_demand
 
     def loads_by_dim(self) -> np.ndarray:
-        """The live (d, m) C-contiguous load mirror — do not mutate.
+        """The live (d, m) C-contiguous load mirror.  Read-only: a write
+        raises ``ValueError``.
 
         Row ``k`` is the per-machine load in dimension ``k``, bitwise
         equal to ``loads[:, k]`` at all times (maintained in lock-step by
@@ -354,21 +439,21 @@ class ClusterState:
         structure-of-arrays layout the vectorized score kernels stream
         over: one contiguous row per resource dimension.
         """
-        return self._loads_t
+        return self._loads_t_view
 
     def capacity_by_dim(self) -> np.ndarray:
         """(d, m) C-contiguous capacity mirror (lazy; shared by copies).
-        Do not mutate."""
+        Read-only: a write raises ``ValueError``."""
         if self._cap_t is None:
-            self._cap_t = np.ascontiguousarray(self._capacity.T)
+            self._cap_t = _frozen(np.ascontiguousarray(self._capacity.T))
         return self._cap_t
 
     def inv_capacity_by_dim(self) -> np.ndarray:
         """(d, m) elementwise ``1.0 / capacity`` mirror (lazy; shared by
-        copies).  Do not mutate.  Capacities are validated strictly
-        positive, so every entry is finite."""
+        copies).  Read-only: a write raises ``ValueError``.  Capacities
+        are validated strictly positive, so every entry is finite."""
         if self._inv_cap_t is None:
-            self._inv_cap_t = 1.0 / self.capacity_by_dim()
+            self._inv_cap_t = _frozen(1.0 / self.capacity_by_dim())
         return self._inv_cap_t
 
     # --------------------------------------------------------- transactions
@@ -637,13 +722,7 @@ class ClusterState:
         """Replace the whole assignment (recomputes loads once, O(n·d))."""
         if self._frame is not None:
             raise RuntimeError("apply_assignment() inside an open transaction")
-        arr = np.asarray(assignment, dtype=np.int64)
-        if arr.shape != (self.num_shards,):
-            raise ValueError(f"assignment must have shape ({self.num_shards},), got {arr.shape}")
-        bad = (arr != UNASSIGNED) & ((arr < 0) | (arr >= self.num_machines))
-        if np.any(bad):
-            raise ValueError("assignment references unknown machines")
-        self._assign = arr.copy()
+        self._assign = _checked_assignment(assignment, self.num_shards, self.num_machines)
         self._rebuild_caches()
 
     # -------------------------------------------------------------- queries
@@ -656,8 +735,10 @@ class ClusterState:
         return self._refreshed_peaks().copy()
 
     def machine_peak_utilization_view(self) -> np.ndarray:
-        """The live per-machine peak-utilization cache — do not mutate."""
-        return self._refreshed_peaks()
+        """The live per-machine peak-utilization cache, refreshed.
+        Read-only: a write raises ``ValueError``."""
+        self._refreshed_peaks()
+        return self._peak_view
 
     def peak_utilization(self) -> float:
         """Cluster-wide peak utilization (the primary imbalance measure).
@@ -707,8 +788,9 @@ class ClusterState:
         return self._counts.copy()
 
     def shard_counts_view(self) -> np.ndarray:
-        """The live per-machine shard-count cache — do not mutate."""
-        return self._counts
+        """The live per-machine shard-count cache.  Read-only: a write
+        raises ``ValueError``."""
+        return self._counts_view
 
     def vacant_machines(self) -> np.ndarray:
         """Ids of machines hosting no shard."""
@@ -805,8 +887,9 @@ class ClusterState:
         Blocking is how SRA pins its *designated-return* machines: a
         blocked machine accepts no new shard, so it stays vacant by
         construction and can be handed back when the episode settles.
+        Read-only: a write raises ``ValueError``.
         """
-        return self._blocked
+        return self._blocked_view
 
     def block_machine(self, machine_id: int) -> None:
         """Forbid placements on *machine_id* (it must currently be vacant)."""
@@ -838,9 +921,10 @@ class ClusterState:
         Offline implies blocked-for-placement, but unlike a blocked
         designated-return machine an offline machine can never be
         unblocked, used as a staging host, swapped by the exchange
-        operator, or returned as exchange compensation.
+        operator, or returned as exchange compensation.  Read-only: a
+        write raises ``ValueError``.
         """
-        return self._offline
+        return self._offline_view
 
     def set_offline(self, machine_id: int) -> None:
         """Mark a (vacant) machine as permanently out of service."""
@@ -897,6 +981,7 @@ class ClusterState:
         }
         dup._replica_conflicts = self._replica_conflicts
         dup._frame = None
+        dup._publish_views()
         return dup
 
     # ------------------------------------------------------ shared buffers
@@ -930,15 +1015,8 @@ class ClusterState:
         :meth:`detach` to sever the dependency).  Offline machines are
         forced blocked, matching :meth:`set_offline`.
         """
-        if not machines:
-            raise ValueError("ClusterState requires at least one machine")
-        if not shards:
-            raise ValueError("ClusterState requires at least one shard")
+        _check_fleet(machines, shards)
         schema = machines[0].schema
-        if [mach.id for mach in machines] != list(range(len(machines))):
-            raise ValueError("machine ids must be dense 0..m-1 in order")
-        if [sh.id for sh in shards] != list(range(len(shards))):
-            raise ValueError("shard ids must be dense 0..n-1 in order")
         m, n, d = len(machines), len(shards), schema.dims
         if capacity.shape != (m, d):
             raise ValueError(f"capacity must have shape ({m}, {d}), got {capacity.shape}")
@@ -951,21 +1029,16 @@ class ClusterState:
         state._schema = schema
         state._machines = tuple(machines)
         state._shards = tuple(shards)
-        state._capacity = capacity
-        state._demand = demand
-        state._sizes = sizes
-        state._exchange_mask = np.array([mach.exchange for mach in machines], dtype=bool)
+        # Read-only views: the caller's buffers keep their own flags.
+        state._capacity = _frozen(capacity.view())
+        state._demand = _frozen(demand.view())
+        state._sizes = _frozen(sizes.view())
+        state._exchange_mask = _frozen(np.array([mach.exchange for mach in machines], dtype=bool))
         state._norm_demand = None
         state._cap_t = None
         state._inv_cap_t = None
 
-        arr = np.asarray(assignment, dtype=np.int64)
-        if arr.shape != (n,):
-            raise ValueError(f"assignment must have shape ({n},), got {arr.shape}")
-        bad = (arr != UNASSIGNED) & ((arr < 0) | (arr >= m))
-        if np.any(bad):
-            raise ValueError(f"assignment references unknown machines at shards {np.flatnonzero(bad)}")
-        state._assign = arr.copy()
+        state._assign = _checked_assignment(assignment, n, m)
         state._offline = (
             np.zeros(m, dtype=bool) if offline is None else np.asarray(offline, dtype=bool).copy()
         )
@@ -973,14 +1046,7 @@ class ClusterState:
             np.zeros(m, dtype=bool) if blocked is None else np.asarray(blocked, dtype=bool).copy()
         )
         state._blocked |= state._offline
-        state._replica_of = np.array([sh.replica_of for sh in shards], dtype=np.int64)
-        groups: dict[int, list[int]] = {}
-        for sh in shards:
-            if sh.replica_of >= 0:
-                groups.setdefault(sh.replica_of, []).append(sh.id)
-        state._replica_groups = {
-            g: np.asarray(members, dtype=np.int64) for g, members in groups.items()
-        }
+        state._replica_of, state._replica_groups = _replica_tables(shards)
         state._frame = None
         state._rebuild_caches()
         return state
@@ -999,9 +1065,9 @@ class ClusterState:
         """
         if self._frame is not None:
             raise RuntimeError("detach() inside an open transaction")
-        self._capacity = self._capacity.copy()
-        self._demand = self._demand.copy()
-        self._sizes = self._sizes.copy()
+        self._capacity = _frozen(self._capacity.copy())
+        self._demand = _frozen(self._demand.copy())
+        self._sizes = _frozen(self._sizes.copy())
         self._norm_demand = None
         self._cap_t = None
         self._inv_cap_t = None
@@ -1102,10 +1168,10 @@ class ClusterState:
         dup._schema = self._schema
         dup._machines = machines
         dup._shards = self._shards
-        dup._capacity = capacity
+        dup._capacity = _frozen(capacity)
         dup._demand = self._demand
         dup._sizes = self._sizes
-        dup._exchange_mask = exchange
+        dup._exchange_mask = _frozen(exchange)
         dup._norm_demand = self._norm_demand
         dup._cap_t = None
         dup._inv_cap_t = None
@@ -1122,16 +1188,30 @@ class ClusterState:
         """Audit every internal invariant; raise ``ValueError`` on breach.
 
         Used by tests (and available to users debugging custom state
-        manipulations).  Checks: loads and every incremental cache match
-        the assignment exactly, blocked machines host nothing, offline
-        implies blocked, and the replica-group tables agree with the
-        shard descriptions.
+        manipulations).  Checks: every accessor hands out a read-only
+        array, and each cached view aliases its live array; loads and
+        every incremental cache match the assignment exactly, blocked
+        machines host nothing, offline implies blocked, and the
+        replica-group tables agree with the shard descriptions.
         """
-        recomputed = np.zeros_like(self._loads)
+        for name in _FROZEN_ATTRS:
+            arr = getattr(self, name)
+            if arr is not None and arr.flags.writeable:
+                raise ValueError(f"{name} is writeable")
+        for arr, view in (
+            (self._assign, self._assign_view),
+            (self._loads, self._loads_view),
+            (self._loads_t, self._loads_t_view),
+            (self._counts, self._counts_view),
+            (self._peak, self._peak_view),
+            (self._blocked, self._blocked_view),
+            (self._offline, self._offline_view),
+        ):
+            if view.base is not arr or view.flags.writeable:
+                raise ValueError("a cached accessor view does not alias its live array")
         placed = self._assign != UNASSIGNED
-        if np.any(placed):
-            np.add.at(recomputed, self._assign[placed], self._demand[placed])
-        if not np.allclose(self._loads, recomputed, atol=1e-6):
+        recomputed = _summed_loads(self._assign[placed], self._demand[placed], self.num_machines)
+        if not np.allclose(self._loads, recomputed.T, atol=1e-6):
             raise ValueError("loads diverged from the assignment")
         counts = np.bincount(self._assign[placed], minlength=self.num_machines)
         if not np.array_equal(self._counts, counts):

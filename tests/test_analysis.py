@@ -152,18 +152,10 @@ class TestRep003StateMutation:
         src = "state._num_unassigned += 1\n"
         assert rule_ids(lint(src)) == ["REP003"]
 
-    def test_view_property_subscript_write_flagged(self):
-        src = "state.loads[i] -= delta\n"
-        assert rule_ids(lint(src)) == ["REP003"]
-
     def test_assignment_copy_write_gets_copy_message(self):
         findings = lint("state.assignment[j] = m\n")
         assert rule_ids(findings) == ["REP003"]
         assert "silently lost" in findings[0].message
-
-    def test_view_call_subscript_write_flagged(self):
-        src = "state.assignment_view()[j] = m\n"
-        assert rule_ids(lint(src)) == ["REP003"]
 
     def test_private_method_call_flagged(self):
         src = "state._rebuild_caches()\n"
@@ -221,25 +213,12 @@ class TestRep003StateMutation:
         assert lint(src, rel=ALGORITHMS) == []
 
     def test_private_mirror_write_reported_once(self):
-        # Both the direct-write and the mirror-alias check see this
-        # write; it is one offending write, so one finding.
+        # A subscript store into a private cache is one offending
+        # write, so one finding.
         src = "def f(state):\n    state._loads_t[0] = 1.0\n"
         findings = lint(src)
         assert rule_ids(findings) == ["REP003"]
         assert findings[0].line == 2
-
-    def test_self_mirror_attr_write_in_foreign_class_flagged(self):
-        # A bare-self private name is usually the class's own field, but
-        # the SoA mirror names are flagged wherever they are written.
-        src = (
-            "class Scorer:\n"
-            "    def reset(self):\n"
-            "        self._loads_t[0] = 0.0\n"
-        )
-        findings = lint(src)
-        assert rule_ids(findings) == ["REP003"]
-        assert findings[0].line == 3
-        assert "SoA mirror" in findings[0].message
 
 
 class TestRep004SpanContext:
@@ -375,62 +354,14 @@ class TestRep008SeedProvenance:
 
 
 class TestRep009SoaMirror:
-    """REP003's mirror-alias check follows the SoA views across the call
-    graph: the view escapes through a parameter and is clobbered
-    elsewhere."""
-
-    def test_cross_module_param_write_flagged(self):
-        helper = "def clobber(lt):\n    lt[0] = 0.0\n"
-        driver = (
-            "from repro.algorithms.helper import clobber\n"
-            "\n"
-            "def run(state):\n"
-            "    clobber(state.loads_by_dim())\n"
-        )
-        findings = lint_project({
-            "src/repro/algorithms/helper.py": helper,
-            "src/repro/algorithms/driver.py": driver,
-        })
-        assert rule_ids(findings) == ["REP003"]
-        assert findings[0].file == "src/repro/algorithms/helper.py"
-        assert findings[0].line == 2
+    """REP003 does not follow the SoA mirror views through aliases: the
+    views are read-only, so a write through one raises at run time
+    (``tests/test_cluster_state.py::TestReadOnlyAccessors``).
+    These writes into parameters and derived arrays stay clean."""
 
     def test_old_per_module_engine_cannot_see_it(self):
         helper = "def clobber(lt):\n    lt[0] = 0.0\n"
         assert lint_project({"src/repro/algorithms/helper.py": helper}) == []
-
-    def test_local_alias_subscript_write_flagged(self):
-        src = (
-            "def scale(state):\n"
-            "    lt = state.loads_by_dim()\n"
-            "    lt[0] = 1.0\n"
-        )
-        findings = lint_project({"src/repro/algorithms/x.py": src})
-        assert rule_ids(findings) == ["REP003"]
-
-    def test_fill_and_copyto_flagged(self):
-        src = (
-            "import numpy as np\n"
-            "\n"
-            "def wipe(state, row):\n"
-            "    state.loads_by_dim().fill(0.0)\n"
-            "    np.copyto(state.loads_by_dim(), row)\n"
-        )
-        findings = lint_project({"src/repro/algorithms/x.py": src})
-        assert rule_ids(findings) == ["REP003", "REP003"]
-
-    def test_self_attr_mirror_write_flagged(self):
-        src = (
-            "class Scorer:\n"
-            "    def __init__(self, state):\n"
-            "        self._lt = state.loads_by_dim()\n"
-            "\n"
-            "    def reset(self):\n"
-            "        self._lt[0] = 0.0\n"
-        )
-        findings = lint_project({"src/repro/algorithms/x.py": src})
-        assert rule_ids(findings) == ["REP003"]
-        assert findings[0].line == 6
 
     def test_derived_array_is_fresh_and_writable(self):
         src = (

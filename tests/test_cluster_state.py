@@ -5,6 +5,8 @@ load conservation under arbitrary move sequences, and agreement between
 incremental load updates and a from-scratch recomputation.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import UNASSIGNED, ClusterState, Machine, ResourceSchema, Shard
 from tests.oracles.fleet import assert_same_state, degraded_fleets, grown_oracle
+from tests.oracles.loads import added_loads
 
 
 def small_cluster(m=3, n=6, cap=10.0, dem=1.0):
@@ -302,3 +305,144 @@ class TestGrowOnArrays:
         other = ResourceSchema(("cpu",))
         with pytest.raises(ValueError, match="schema"):
             state.with_extra_machines([Machine(id=0, capacity=np.ones(1), schema=other)])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_rebuilt_loads_equal_add_at_bitwise(data):
+    """Loads built from scratch (one ``np.bincount`` per dimension) are
+    bitwise what ``np.add.at`` gives, however the demands round."""
+    m = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 40))
+    level = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+    shards = [
+        Shard(id=j, demand=np.array(data.draw(st.lists(level, min_size=3, max_size=3))))
+        for j in range(n)
+    ]
+    host = st.sampled_from([UNASSIGNED, *range(m)])
+    assignment = np.array([data.draw(host) for _ in range(n)])
+    state = ClusterState(Machine.homogeneous(m, 1.0), shards, assignment)
+    want = added_loads(assignment, state.demand, m)
+    assert state.loads.tobytes() == want.tobytes()
+    assert state.loads_by_dim().tobytes() == np.ascontiguousarray(want.T).tobytes()
+    state.validate()
+
+
+# --------------------------------------------------------------------------
+# Read-only accessors
+# --------------------------------------------------------------------------
+
+#: Every public array accessor -> the private array it shows.
+ACCESSORS = {
+    "capacity": "_capacity",
+    "demand": "_demand",
+    "sizes": "_sizes",
+    "loads": "_loads",
+    "exchange_mask": "_exchange_mask",
+    "blocked_mask": "_blocked",
+    "offline_mask": "_offline",
+    "assignment_view": "_assign",
+    "normalized_demand": "_norm_demand",
+    "loads_by_dim": "_loads_t",
+    "capacity_by_dim": "_cap_t",
+    "inv_capacity_by_dim": "_inv_cap_t",
+    "shard_counts_view": "_counts",
+    "machine_peak_utilization_view": "_peak",
+}
+
+
+def read(state, name):
+    value = getattr(state, name)
+    return value() if callable(value) else value
+
+
+def assert_accessors_live(state):
+    """Every accessor hands out a read-only array equal to the live
+    private array (dirty peak rows refreshed first)."""
+    state.machine_peak_utilization()
+    for name, private in ACCESSORS.items():
+        arr = read(state, name)
+        assert not arr.flags.writeable, name
+        assert np.array_equal(arr, getattr(state, private)), name
+
+
+def assert_follows(state, name):
+    """The array *name* handed out before a run of mutations still shows
+    the live data after each: moves, blocking, a rolled-back transaction
+    and a machine taken offline."""
+    held = read(state, name)
+    open_vacant = np.flatnonzero((state.shard_counts_view() == 0) & ~state.blocked_mask)
+    with state.transaction():
+        state.move(0, state.machine_of(1))
+        state.block_machine(int(open_vacant[0]))
+        assert_accessors_live(state)
+        assert np.array_equal(held, getattr(state, ACCESSORS[name]))
+    assert_accessors_live(state)
+    assert np.array_equal(held, getattr(state, ACCESSORS[name]))
+    state.move(0, state.machine_of(1))
+    state.set_offline(int(open_vacant[0]))
+    assert_accessors_live(state)
+    assert np.array_equal(held, getattr(state, ACCESSORS[name]))
+    state.validate()
+
+
+class TestReadOnlyAccessors:
+    @pytest.mark.parametrize("name", sorted(ACCESSORS))
+    def test_accessor_is_read_only(self, name):
+        state = small_cluster(m=24, n=8)  # machines 8..23 start vacant
+        arr = read(state, name)
+        assert arr.flags.writeable is False
+        first = (0,) * arr.ndim
+        for write in (
+            lambda: arr.__setitem__(first, arr[first]),
+            lambda: arr.fill(arr[first]),
+            lambda: np.copyto(arr, arr.copy()),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert_follows(state, name)
+        dup = state.copy()
+        assert_follows(dup, name)
+        dup.apply_assignment(dup.assignment)
+        assert_follows(dup, name)
+        lent = [Machine(id=0, capacity=np.full(3, 10.0), exchange=True)] * 2
+        grown = dup.with_extra_machines(lent)
+        assert_follows(grown, name)
+        vacant = np.flatnonzero((grown.shard_counts_view() == 0) & ~grown.blocked_mask)
+        settled = grown.without_machines(vacant[:1])
+        assert_follows(settled, name)
+        buffers = {key: read(settled, key).copy() for key in ("capacity", "demand", "sizes")}
+        attached = ClusterState.attach(
+            settled.machines,
+            settled.shards,
+            assignment=settled.assignment_view(),
+            blocked=settled.blocked_mask,
+            offline=settled.offline_mask,
+            **buffers,
+        )
+        assert all(buf.flags.writeable for buf in buffers.values())  # caller's flags kept
+        assert_follows(attached, name)
+        attached.detach()
+        assert_follows(attached, name)
+        assert_follows(pickle.loads(pickle.dumps(attached)), name)
+
+    @given(degraded_fleets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pickle_round_trip_keeps_views_live(self, case, data):
+        """An unpickled state's accessors follow its own arrays: numpy
+        pickles a view as an independent copy, so the views are rebuilt
+        on load."""
+        parent, _ = case
+        state = pickle.loads(pickle.dumps(parent))
+        assert_accessors_live(state)
+        open_ids = np.flatnonzero(~state.blocked_mask).tolist()
+        if open_ids:
+            moves = st.tuples(st.integers(0, state.num_shards - 1), st.sampled_from(open_ids))
+            for shard, dst in data.draw(st.lists(moves, max_size=8)):
+                state.move(shard, dst)
+            with state.transaction():
+                for shard, dst in data.draw(st.lists(moves, min_size=1, max_size=8)):
+                    state.move(shard, dst)
+                assert_accessors_live(state)
+        state.validate()
+        assert_accessors_live(state)

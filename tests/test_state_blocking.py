@@ -104,7 +104,7 @@ class TestValidate:
 
     def test_corrupted_loads_detected(self):
         st = state3()
-        st.loads[0, 0] += 1.0  # simulate external corruption
+        st._loads[0, 0] += 1.0  # corrupt the private array
         with pytest.raises(ValueError, match="diverged"):
             st.validate()
 
@@ -115,7 +115,7 @@ class TestValidate:
         # Force a shard onto the blocked machine behind the API's back.
         st.unblock_machine(2)
         st.move(0, 2)
-        st.blocked_mask[2] = True
+        st._blocked[2] = True
         with pytest.raises(ValueError, match="blocked machines host"):
             st.validate()
 
@@ -123,7 +123,7 @@ class TestValidate:
         st = state3()
         st.move(2, 0)
         st.set_offline(2)
-        st.blocked_mask[2] = False  # corrupt
+        st._blocked[2] = False  # corrupt
         with pytest.raises(ValueError, match="offline"):
             st.validate()
 
