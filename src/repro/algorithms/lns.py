@@ -19,7 +19,6 @@ best — the feasibility coupling of DESIGN.md §1.2).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,8 +41,6 @@ class AlnsConfig:
     ----------
     iterations:
         Destroy/repair rounds.
-    time_limit:
-        Optional wall-clock cap in seconds (None = iterations only).
     removal_fraction_min / removal_fraction_max:
         Bounds of the per-iteration removal quantity, as a fraction of the
         shard count (quantity is drawn uniformly in between, ≥ 1).
@@ -64,7 +61,6 @@ class AlnsConfig:
     """
 
     iterations: int = 2500
-    time_limit: float | None = None
     removal_fraction_min: float = 0.05
     removal_fraction_max: float = 0.25
     #: Absolute cap on the removal quantity.  On large instances a 25%
@@ -80,14 +76,9 @@ class AlnsConfig:
     score_improve: float = 4.0
     score_accept: float = 1.0
     seed: int = 0
-    #: Record the incumbent objective after every iteration.  Disable on
-    #: long runs where only the final outcome matters.
-    collect_history: bool = True
 
     def __post_init__(self) -> None:
         check_positive("iterations", check_int("iterations", self.iterations))
-        if self.time_limit is not None:
-            check_positive("time_limit", self.time_limit)
         check_fraction("removal_fraction_min", self.removal_fraction_min)
         check_fraction("removal_fraction_max", self.removal_fraction_max)
         if self.removal_fraction_min > self.removal_fraction_max:
@@ -184,7 +175,6 @@ class AlnsEngine:
         history: list[float] = [cur_obj]
         accepted = 0
         vetoed = 0
-        started = time.perf_counter()  # repro: allow-wall-clock (runtime reporting)
         it = 0
 
         # RNG consumption is identical with tracing on or off (the
@@ -199,12 +189,6 @@ class AlnsEngine:
         ) as run_span:
             try:
                 for it in range(1, cfg.iterations + 1):
-                    if (
-                        cfg.time_limit is not None
-                        # repro: allow-wall-clock (real-time search budget)
-                        and time.perf_counter() - started > cfg.time_limit
-                    ):
-                        break
                     di = _roulette(rng, d_weights)
                     ri = _roulette(rng, r_weights)
                     d_uses[di] += 1
@@ -263,8 +247,7 @@ class AlnsEngine:
                         )
 
                     temperature *= cfg.cooling
-                    if cfg.collect_history:
-                        history.append(cur_obj)
+                    history.append(cur_obj)
 
                     if it % cfg.segment_length == 0:
                         d_weights = _update_weights(d_weights, d_scores, d_uses, cfg.reaction)

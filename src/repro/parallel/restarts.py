@@ -16,8 +16,8 @@ The multi-worker fan-out runs on the :class:`ParallelRunner` pool over
 :func:`repro.parallel.shm.publish_state` and each worker attaches at
 spawn, so a restart task pickles only its config — not tens of
 thousands of machine/shard dataclasses.  This is what turned the pool
-from a slowdown (BENCH_alns.json historically recorded 0.70x at 2
-workers on m50) into a speedup on instances large enough to amortize
+from a slowdown (0.70x at 2 workers on m50, when each task pickled
+the state) into a speedup on instances large enough to amortize
 the worker spawn.
 """
 

@@ -6,7 +6,7 @@ loop is the reference it must match: every iteration destroys and
 repairs a fresh copy of the incumbent and keeps or drops the copy.  The
 roulette, the removal-quantity draw, the acceptance test and the weight
 update run in the engine's order, so one seed gives one trajectory.
-There is no best filter, tracing, exchange channel or time limit.
+There is no best filter, tracing or exchange channel.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ def run_copy_engine(config: AlnsConfig, destroy_ops, repair_ops, state, objectiv
         r_scores[ri] += score
 
         temperature *= cfg.cooling
-        if cfg.collect_history:
-            history.append(cur_obj)
+        history.append(cur_obj)
         if it % cfg.segment_length == 0:
             d_weights = _update_weights(d_weights, d_scores, d_uses, cfg.reaction)
             r_weights = _update_weights(r_weights, r_scores, r_uses, cfg.reaction)

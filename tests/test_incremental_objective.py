@@ -249,16 +249,3 @@ class TestDeltaEngineTrajectory:
         # raises on any divergence, so a clean run is the assertion.
         out = engine.run(state.copy(), CheckedObjective(state.assignment, state.sizes))
         assert out.iterations == 60
-
-    def test_collect_history_flag(self):
-        state = synthetic_state(seed=7)
-        objective = Objective(state.assignment, state.sizes)
-        for collect, expected_len in ((True, 81), (False, 1)):
-            engine = AlnsEngine(
-                AlnsConfig(iterations=80, seed=1, collect_history=collect),
-                DEFAULT_DESTROY_OPS,
-                DEFAULT_REPAIR_OPS,
-            )
-            out = engine.run(state.copy(), objective)
-            assert len(out.history) == expected_len
-            assert out.best_objective < np.inf

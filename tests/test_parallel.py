@@ -24,7 +24,7 @@ from repro.parallel import (
     spawn_seeds,
 )
 from repro.cluster import ExchangeLedger
-from repro.workloads import SyntheticConfig, generate, make_exchange_machines
+from repro.workloads import SyntheticConfig, generate, make_exchange_machines, scaling_suite
 
 
 # ----------------------------------------------------------------- task fns
@@ -199,15 +199,27 @@ class TestObsMerge:
 class TestRestartDeterminism:
     """Identical objectives and seeds for any worker count."""
 
-    def test_workers_1_2_4_identical(self):
-        state = _small_state()
-        config = SRAConfig(alns=AlnsConfig(iterations=60, seed=10))
+    @pytest.mark.parametrize(
+        "make_state, config",
+        [
+            (_small_state, SRAConfig(alns=AlnsConfig(iterations=60, seed=10))),
+            # Fleet size: m400 blind best-of-3 through the shared-memory
+            # pool.  polish=False keeps the check about the fan-out.
+            (
+                lambda: scaling_suite(sizes=((400, 6),))[0][1],
+                SRAConfig(alns=AlnsConfig(iterations=60, seed=1), polish=False),
+            ),
+        ],
+        ids=["m12", "m400"],
+    )
+    def test_workers_1_2_4_identical(self, make_state, config):
+        state = make_state()
         reports = {
             w: run_sra_restarts(state, config=config, restarts=3, n_workers=w)
             for w in (1, 2, 4)
         }
         ref = reports[1]
-        assert ref.seeds == spawn_seeds(10, 3)
+        assert ref.seeds == spawn_seeds(config.alns.seed, 3)
         for w in (2, 4):
             assert reports[w].seeds == ref.seeds
             assert reports[w].best.peak_after == ref.best.peak_after

@@ -36,7 +36,6 @@ class TestAlnsConfig:
         "kwargs",
         [
             {"iterations": 0},
-            {"time_limit": 0.0},
             {"removal_fraction_min": 0.5, "removal_fraction_max": 0.2},
             {"cooling": 0.0},
             {"cooling": 1.5},
@@ -134,17 +133,6 @@ class TestAlnsEngine:
         assert any(k.startswith("destroy:") for k in outcome.operator_weights)
         assert any(k.startswith("repair:") for k in outcome.operator_weights)
         assert all(w > 0 for w in outcome.operator_weights.values())
-
-    def test_time_limit_stops_early(self):
-        state = generate(SyntheticConfig(num_machines=10, shards_per_machine=8, seed=0))
-        obj = Objective(state.assignment, state.sizes)
-        engine = AlnsEngine(
-            AlnsConfig(iterations=10_000_000, time_limit=0.2, seed=1),
-            DEFAULT_DESTROY_OPS,
-            DEFAULT_REPAIR_OPS,
-        )
-        outcome = engine.run(state, obj)
-        assert outcome.iterations < 10_000_000
 
 
 class TestSRA:
