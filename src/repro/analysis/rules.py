@@ -21,8 +21,8 @@ graph (:meth:`~repro.analysis.engine.Rule.check_project`):
 * **REP003** ``state-mutation`` — writes to ``ClusterState``'s private
   caches or into the copy ``assignment`` returns outside
   ``cluster/state.py``, and calls to its private methods there,
-  ``begin()`` included.  Such writes bypass the undo journal and
-  desynchronize the delta-evaluation caches; transactions are opened
+  ``begin()`` included.  Such writes desynchronize the
+  delta-evaluation caches from the arrays; transactions are opened
   with ``with state.transaction()``, whose ``finally`` closes the frame
   on every path.  The public array accessors are read-only, so a write
   through them raises at run time and needs no rule.
@@ -461,7 +461,8 @@ class WallClockRule(Rule):
 # REP003 — ClusterState mutation discipline
 # --------------------------------------------------------------------------
 
-#: ClusterState's private caches (cluster/state.py is the one writer).
+#: ClusterState's private arrays, masks and caches (cluster/state.py is
+#: the one writer).
 _STATE_PRIVATE_ATTRS = frozenset(
     {
         "_assign",
@@ -479,6 +480,8 @@ _STATE_PRIVATE_ATTRS = frozenset(
         "_peak_block",
         "_block_dirty",
         "_block_any_dirty",
+        "_blocked",
+        "_offline",
     }
 )
 #: ClusterState methods callable only inside cluster/state.py: the cache
@@ -489,8 +492,6 @@ _STATE_PRIVATE_METHODS = frozenset(
     {
         "begin",
         "_rebuild_caches",
-        "_journal_shard",
-        "_journal_machine",
         "_refreshed_peaks",
         "_host_enter",
         "_host_leave",
@@ -534,11 +535,13 @@ class StateMutationRule(Rule):
     Rationale:
         Every legal mutation flows through the transactional API
         (``transaction`` / ``move`` / ``assign_shard`` / ``commit``) so
-        the undo journal and the delta-evaluation caches stay coherent.
-        A direct write bypasses both: rollback silently restores stale
-        values and incremental objectives drift from the arrays.  A
+        the delta-evaluation caches stay coherent with the arrays they
+        summarize.  A direct write bypasses them: incremental
+        objectives drift from the arrays (a write to ``_offline`` leaves
+        the vacant-machine count stale), and a frame opened before the
+        write can roll it back or keep it by accident.  A
         write into ``assignment`` raises nothing and is silently lost.
-        A bare ``begin()`` leaks its journal on any path that misses
+        A bare ``begin()`` leaks its frame on any path that misses
         ``commit()`` and ``rollback()``, and a later rollback then
         rewinds through someone else's accepted moves;
         ``transaction()`` rolls back in a ``finally``, so the frame
@@ -594,8 +597,8 @@ class StateMutationRule(Rule):
             yield self.finding(
                 mod,
                 target,
-                f"write to ClusterState private cache .{target.attr} outside "
-                "cluster/state.py bypasses the undo journal",
+                f"write to ClusterState private state .{target.attr} outside "
+                "cluster/state.py desynchronizes its caches",
             )
             return
         if not isinstance(target, ast.Subscript):
@@ -605,9 +608,9 @@ class StateMutationRule(Rule):
             yield self.finding(
                 mod,
                 target,
-                f"subscript write into ClusterState private cache "
-                f".{value.attr} outside cluster/state.py bypasses the "
-                "undo journal",
+                f"subscript write into ClusterState private state "
+                f".{value.attr} outside cluster/state.py desynchronizes "
+                "its caches",
             )
         elif (
             isinstance(value, ast.Attribute)

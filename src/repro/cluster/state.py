@@ -32,12 +32,13 @@ evaluation contract" section of docs/ARCHITECTURE.md):
   memory layout");
 * ``copy()`` is a cheap structural copy (arrays copied, descriptions
   shared);
-* ``with state.transaction():`` brackets a transaction: every
+* ``with state.transaction():`` brackets a transaction: the block
+  opens on a snapshot of the mutable arrays, so every
   ``move``/``assign_shard``/``unassign``/``unassign_many``/
-  ``block_machine``/``unblock_machine`` inside the block is recorded in
-  an undo journal.  ``commit()`` inside the block keeps the mutations;
-  any other exit, an exception included, restores the state —
-  including every cache above — **bitwise** to its entry image.  The
+  ``block_machine``/``unblock_machine`` inside it is undoable.
+  ``commit()`` inside the block keeps the mutations; any other exit,
+  an exception included, restores the state — including every cache
+  above — **bitwise** to its entry image.  The
   ``begin()``/``commit()``/``rollback()`` primitives underneath stay
   public, but code outside this module opens transactions only through
   ``transaction()`` (lint rule REP003).
@@ -60,13 +61,6 @@ __all__ = ["ClusterState", "UNASSIGNED"]
 #: Sentinel value in the assignment array for a shard not currently placed
 #: (only ever observed transiently, inside destroy/repair cycles).
 UNASSIGNED: int = -1
-
-#: :meth:`ClusterState.begin` picks the array-snapshot journal while
-#: ``n + m·d`` is at most this many elements, and the per-operation
-#: journal above it.  Snapshotting is a handful of ``memcpy`` calls and
-#: beats per-op recording until the arrays are large; the per-op journal
-#: costs O(touched) regardless of cluster size.
-_SNAPSHOT_ELEMENT_LIMIT = 65_536
 
 #: Machines per segment of the peak-utilization block-max.  Float ``max``
 #: is exact and associative, so the global peak recomputed from block
@@ -141,21 +135,18 @@ def _replica_tables(shards: Sequence[Shard]) -> tuple[np.ndarray, dict[int, np.n
 
 
 class _Frame:
-    """One open transaction: either an array snapshot or an undo journal.
+    """One open transaction: a snapshot of the mutable arrays.
 
-    Snapshot mode stores bitwise copies of the mutable arrays; rollback
-    is a few ``np.copyto`` calls, O(n + m·d) with memcpy constants.
-
-    Journal mode stores, for every shard / machine / blocked flag /
-    replica-host counter *first touched* inside the frame, its value at
-    ``begin()``; rollback restores exactly those values, O(touched·d).
-    Both modes restore the state bitwise — they record old values rather
-    than replaying inverse arithmetic (``(x + b) - b`` is not always
-    ``x`` in floating point).
+    ``begin()`` stores bitwise copies of the arrays, O(n + m·d) with
+    memcpy constants, and rollback is a few ``np.copyto`` calls.  The
+    replica-host counters are the exception: each ``(group, machine)``
+    counter *first touched* inside the frame records its value at
+    ``begin()``.  Rollback restores saved values rather than replaying
+    inverse arithmetic (``(x + b) - b`` is not always ``x`` in floating
+    point), so the state comes back bitwise.
     """
 
     __slots__ = (
-        "snapshot",
         "assign",
         "loads",
         "loads_t",
@@ -167,36 +158,27 @@ class _Frame:
         "block_dirty",
         "block_any_dirty",
         "blocked",
-        "shards",
-        "machines",
-        "blocked_old",
         "replica_hosts",
         "num_unassigned",
         "num_vacant",
         "conflicts",
     )
 
-    def __init__(self, state: "ClusterState", snapshot: bool) -> None:
-        self.snapshot = snapshot
-        if snapshot:
-            self.assign = state._assign.copy()
-            self.loads = state._loads.copy()
-            self.loads_t = state._loads_t.copy()
-            self.counts = state._counts.copy()
-            self.peak = state._peak.copy()
-            self.peak_dirty = state._peak_dirty.copy()
-            self.peak_any_dirty = state._peak_any_dirty
-            self.peak_block = state._peak_block.copy()
-            self.block_dirty = state._block_dirty.copy()
-            self.block_any_dirty = state._block_any_dirty
-            self.blocked = state._blocked.copy()
-        else:
-            self.shards: dict[int, int] = {}
-            self.machines: dict[int, tuple[np.ndarray, int]] = {}
-            self.blocked_old: dict[int, bool] = {}
-        # Replica host counters are journaled per touched (group, machine)
-        # pair in both modes: they live in nested dicts whose full copy
-        # would be O(groups) even for a tiny transaction.
+    def __init__(self, state: "ClusterState") -> None:
+        self.assign = state._assign.copy()
+        self.loads = state._loads.copy()
+        self.loads_t = state._loads_t.copy()
+        self.counts = state._counts.copy()
+        self.peak = state._peak.copy()
+        self.peak_dirty = state._peak_dirty.copy()
+        self.peak_any_dirty = state._peak_any_dirty
+        self.peak_block = state._peak_block.copy()
+        self.block_dirty = state._block_dirty.copy()
+        self.block_any_dirty = state._block_any_dirty
+        self.blocked = state._blocked.copy()
+        # Replica host counters are saved per touched (group, machine)
+        # pair: they live in nested dicts whose full copy would be
+        # O(groups) even for a tiny transaction.
         self.replica_hosts: dict[tuple[int, int], int] = {}
         self.num_unassigned = state._num_unassigned
         self.num_vacant = state._num_vacant
@@ -485,11 +467,9 @@ class ClusterState:
         the frame is closed on every path (lint rule REP003 flags any
         other ``.begin()`` call).
 
-        Up to ``_SNAPSHOT_ELEMENT_LIMIT`` elements (``n + m·d``) the
-        frame copies the mutable arrays up front (memcpy — fastest for
-        small/medium clusters); above it, it records old values per
-        touched shard/machine (O(moves·d) — wins on large clusters where
-        the arrays dwarf the move set).
+        The frame copies the mutable arrays up front, O(n + m·d) with
+        memcpy constants; the mutators record only the replica-host
+        counters they touch.
 
         Transactions do not nest, and :meth:`apply_assignment`,
         :meth:`set_offline`, :meth:`copy` and :meth:`detach` are
@@ -497,11 +477,7 @@ class ClusterState:
         """
         if self._frame is not None:
             raise RuntimeError("transaction already open (nested begin())")
-        snapshot = (
-            self.num_shards + self.num_machines * self.dims
-            <= _SNAPSHOT_ELEMENT_LIMIT
-        )
-        self._frame = _Frame(self, snapshot)
+        self._frame = _Frame(self)
 
     @property
     def in_transaction(self) -> bool:
@@ -509,7 +485,7 @@ class ClusterState:
         return self._frame is not None
 
     def commit(self) -> None:
-        """Keep every mutation since :meth:`begin`; drop the journal."""
+        """Keep every mutation since :meth:`begin`; drop the snapshot."""
         if self._frame is None:
             raise RuntimeError("commit() without begin()")
         self._frame = None
@@ -519,33 +495,18 @@ class ClusterState:
         fr = self._frame
         if fr is None:
             raise RuntimeError("rollback() without begin()")
-        self._frame = None  # mutations below must not be re-journaled
-        if fr.snapshot:
-            np.copyto(self._assign, fr.assign)
-            np.copyto(self._loads, fr.loads)
-            np.copyto(self._loads_t, fr.loads_t)
-            np.copyto(self._counts, fr.counts)
-            np.copyto(self._peak, fr.peak)
-            np.copyto(self._peak_dirty, fr.peak_dirty)
-            self._peak_any_dirty = fr.peak_any_dirty
-            np.copyto(self._peak_block, fr.peak_block)
-            np.copyto(self._block_dirty, fr.block_dirty)
-            self._block_any_dirty = fr.block_any_dirty
-            np.copyto(self._blocked, fr.blocked)
-        else:
-            for j, old in fr.shards.items():
-                self._assign[j] = old
-            for i, (row, count) in fr.machines.items():
-                self._loads[i] = row
-                self._loads_t[:, i] = row
-                self._counts[i] = count
-                self._peak_dirty[i] = True
-                self._block_dirty[i // _PEAK_BLOCK] = True
-            if fr.machines:
-                self._peak_any_dirty = True
-                self._block_any_dirty = True
-            for i, old_blocked in fr.blocked_old.items():
-                self._blocked[i] = old_blocked
+        self._frame = None
+        np.copyto(self._assign, fr.assign)
+        np.copyto(self._loads, fr.loads)
+        np.copyto(self._loads_t, fr.loads_t)
+        np.copyto(self._counts, fr.counts)
+        np.copyto(self._peak, fr.peak)
+        np.copyto(self._peak_dirty, fr.peak_dirty)
+        self._peak_any_dirty = fr.peak_any_dirty
+        np.copyto(self._peak_block, fr.peak_block)
+        np.copyto(self._block_dirty, fr.block_dirty)
+        self._block_any_dirty = fr.block_any_dirty
+        np.copyto(self._blocked, fr.blocked)
         for (g, mach), cnt in fr.replica_hosts.items():
             hosts = self._replica_hosts[g]
             if cnt == 0:
@@ -555,17 +516,6 @@ class ClusterState:
         self._num_unassigned = fr.num_unassigned
         self._num_vacant = fr.num_vacant
         self._replica_conflicts = fr.conflicts
-
-    def _journal_shard(self, fr: _Frame, shard_id: int, old: int) -> None:
-        if shard_id not in fr.shards:
-            fr.shards[shard_id] = old
-
-    def _journal_machine(self, fr: _Frame, machine_id: int) -> None:
-        if machine_id not in fr.machines:
-            fr.machines[machine_id] = (
-                self._loads[machine_id].copy(),
-                int(self._counts[machine_id]),
-            )
 
     # ------------------------------------------------------------ mutation
     def machine_of(self, shard_id: int) -> int:
@@ -609,13 +559,11 @@ class ClusterState:
 
     def unassign(self, shard_id: int) -> int:
         """Remove a shard from its machine; return the former machine id."""
+        if not 0 <= shard_id < self.num_shards:
+            raise ValueError(f"unknown shard {shard_id}")
         src = int(self._assign[shard_id])
         if src == UNASSIGNED:
             return UNASSIGNED
-        fr = self._frame
-        if fr is not None and not fr.snapshot:
-            self._journal_shard(fr, shard_id, src)
-            self._journal_machine(fr, src)
         self._loads[src] -= self._demand[shard_id]
         self._loads_t[:, src] = self._loads[src]
         self._assign[shard_id] = UNASSIGNED
@@ -639,11 +587,15 @@ class ClusterState:
         Equivalent to calling :meth:`unassign` in sequence — including
         bitwise-identical load arithmetic, since ``np.subtract.at``
         applies the per-shard subtractions in the order given — but with
-        one NumPy dispatch instead of one per shard.
+        one NumPy dispatch instead of one per shard.  Raises
+        ``ValueError`` for an unknown or repeated shard id.
         """
         ids = np.asarray(shard_ids, dtype=np.int64)
         if ids.size == 0:
             return
+        if ids.min() < 0 or ids.max() >= self.num_shards:
+            bad = ids[(ids < 0) | (ids >= self.num_shards)]
+            raise ValueError(f"unknown shards {bad.tolist()}")
         srcs = self._assign[ids]
         placed = srcs != UNASSIGNED
         if not np.all(placed):
@@ -655,12 +607,6 @@ class ClusterState:
             s = np.sort(ids)
             if bool(np.any(s[1:] == s[:-1])):
                 raise ValueError("unassign_many: duplicate shard ids")
-        fr = self._frame
-        if fr is not None and not fr.snapshot:
-            for j, s in zip(ids.tolist(), srcs.tolist(), strict=True):
-                self._journal_shard(fr, j, s)
-            for i in np.unique(srcs).tolist():
-                self._journal_machine(fr, i)
         np.subtract.at(self._loads, srcs, self._demand[ids])
         self._assign[ids] = UNASSIGNED
         self._num_unassigned += int(ids.size)
@@ -681,8 +627,11 @@ class ClusterState:
     def assign_shard(self, shard_id: int, machine_id: int) -> None:
         """Place an unassigned shard on *machine_id* (O(d)).
 
-        Raises when the machine is blocked (see :meth:`block_machine`).
+        Raises ``ValueError`` for an unknown shard or machine id, a
+        placed shard, or a blocked machine (see :meth:`block_machine`).
         """
+        if not 0 <= shard_id < self.num_shards:
+            raise ValueError(f"unknown shard {shard_id}")
         if self._assign[shard_id] != UNASSIGNED:
             raise ValueError(
                 f"shard {shard_id} is already on machine {self._assign[shard_id]}; "
@@ -692,10 +641,6 @@ class ClusterState:
             raise ValueError(f"unknown machine {machine_id}")
         if self._blocked[machine_id]:
             raise ValueError(f"machine {machine_id} is blocked for placement")
-        fr = self._frame
-        if fr is not None and not fr.snapshot:
-            self._journal_shard(fr, shard_id, UNASSIGNED)
-            self._journal_machine(fr, machine_id)
         self._assign[shard_id] = machine_id
         self._loads[machine_id] += self._demand[shard_id]
         self._loads_t[:, machine_id] = self._loads[machine_id]
@@ -781,6 +726,8 @@ class ClusterState:
 
     def machine_shards(self, machine_id: int) -> np.ndarray:
         """Shard ids currently hosted by *machine_id* (ascending)."""
+        if not 0 <= machine_id < self.num_machines:
+            raise ValueError(f"unknown machine {machine_id}")
         return np.flatnonzero(self._assign == machine_id)
 
     def shard_counts(self) -> np.ndarray:
@@ -897,9 +844,6 @@ class ClusterState:
             raise ValueError(f"unknown machine {machine_id}")
         if self._counts[machine_id] > 0:
             raise ValueError(f"cannot block machine {machine_id}: it hosts shards")
-        fr = self._frame
-        if fr is not None and not fr.snapshot and machine_id not in fr.blocked_old:
-            fr.blocked_old[machine_id] = bool(self._blocked[machine_id])
         self._blocked[machine_id] = True
 
     def unblock_machine(self, machine_id: int) -> None:
@@ -909,9 +853,6 @@ class ClusterState:
             raise ValueError(f"unknown machine {machine_id}")
         if self._offline[machine_id]:
             raise ValueError(f"machine {machine_id} is offline and cannot be unblocked")
-        fr = self._frame
-        if fr is not None and not fr.snapshot and machine_id not in fr.blocked_old:
-            fr.blocked_old[machine_id] = bool(self._blocked[machine_id])
         self._blocked[machine_id] = False
 
     @property

@@ -212,6 +212,17 @@ class TestRep003StateMutation:
         )
         assert lint(src, rel=ALGORITHMS) == []
 
+    def test_mask_writes_flagged(self):
+        # A write to _offline leaves the vacant-machine count stale.
+        src = (
+            "def f(state):\n"
+            "    state._offline[0] = True\n"
+            "    state._blocked[1] = True\n"
+        )
+        findings = lint(src, rel=ALGORITHMS)
+        assert rule_ids(findings) == ["REP003", "REP003"]
+        assert [f.line for f in findings] == [2, 3]
+
     def test_private_mirror_write_reported_once(self):
         # A subscript store into a private cache is one offending
         # write, so one finding.

@@ -99,6 +99,30 @@ class TestMutation:
         with pytest.raises(ValueError, match="unknown machine"):
             state.assign_shard(0, 99)
 
+    @pytest.mark.parametrize("shard", [-1, -6, 6, 99])
+    def test_unknown_shard_rejected_by_every_mutator(self, shard):
+        # A negative id used to wrap around to shard n + id.
+        state = small_cluster()
+        before = state.assignment
+        with pytest.raises(ValueError, match="unknown shard"):
+            state.move(shard, 0)
+        with pytest.raises(ValueError, match="unknown shard"):
+            state.unassign(shard)
+        with pytest.raises(ValueError, match="unknown shard"):
+            state.assign_shard(shard, 0)
+        with pytest.raises(ValueError, match="unknown shards"):
+            state.unassign_many([1, shard])
+        assert np.array_equal(state.assignment, before)
+        state.validate()
+
+    @pytest.mark.parametrize("machine", [-1, 3])
+    def test_machine_shards_rejects_unknown_machine(self, machine):
+        # machine_shards(-1) used to list the unassigned shards.
+        state = small_cluster()
+        state.unassign(0)
+        with pytest.raises(ValueError, match="unknown machine"):
+            state.machine_shards(machine)
+
     def test_unassign_unassigned_is_noop(self):
         state = ClusterState(Machine.homogeneous(1, 5.0), Shard.uniform(1, 1.0))
         assert state.unassign(0) == UNASSIGNED

@@ -3,7 +3,7 @@
 Two contracts pin the vectorized repair kernel (see the "Delta
 evaluation contract" in docs/ARCHITECTURE.md):
 
-* The delta-evaluated engine — SoA score kernel, journal transactions,
+* The delta-evaluated engine — SoA score kernel, snapshot transactions,
   cache-backed objective (``CheckedObjective`` asserting every term
   against the from-scratch oracle) — walks the exact trajectory of the
   copy-based reference loop (``tests/oracles/copy_engine.py``), which

@@ -1,12 +1,12 @@
-"""Transaction (undo journal) tests for ClusterState.
+"""Transaction (snapshot frame) tests for ClusterState.
 
 The delta-evaluated ALNS loop mutates the incumbent in place and rolls
 back rejected candidates, so these tests pin the contract the search
 relies on (docs/ARCHITECTURE.md, "Delta evaluation contract"):
 
 * rollback restores every observable — assignment, loads, counts, peak
-  cache, vacancy, blocking, replica conflicts — **bitwise**, in both
-  snapshot and journal modes;
+  cache, vacancy, blocking, replica conflicts — **bitwise**, on small
+  fleets and on fleets with many peak blocks alike;
 * commit keeps the mutation and leaves every incremental cache equal to
   a from-scratch recomputation (``validate()`` audits all of them);
 * ``with state.transaction():`` rolls back on every exit that did not
@@ -14,9 +14,6 @@ relies on (docs/ARCHITECTURE.md, "Delta evaluation contract"):
   no frame open when an operator raises;
 * real destroy/repair operator pairs ride transactions cleanly.
 """
-
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,26 +28,6 @@ from repro.algorithms.repair import DEFAULT_REPAIR_OPS
 from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads.replicated import ReplicatedConfig, generate_replicated
 from repro.workloads.synthetic import SyntheticConfig, generate
-
-MODES = ("snapshot", "journal")
-#: ``_SNAPSHOT_ELEMENT_LIMIT`` values forcing each mode: ``begin()``
-#: snapshots while ``n + m·d`` is at most the limit.
-MODE_LIMITS = {"snapshot": 2**62, "journal": -1}
-
-
-def begin(state: ClusterState, mode: str) -> None:
-    """Open a transaction in *mode* by moving the size crossover."""
-    with mock.patch.object(state_module, "_SNAPSHOT_ELEMENT_LIMIT", MODE_LIMITS[mode]):
-        state.begin()
-    assert state._frame.snapshot == (mode == "snapshot")
-
-
-@contextmanager
-def forced_mode(mode: str):
-    """Transactions opened in the block use *mode* whatever the size."""
-    with mock.patch.object(state_module, "_SNAPSHOT_ELEMENT_LIMIT", MODE_LIMITS[mode]):
-        yield
-
 
 class Boom(Exception):
     """Raised by test bodies and operators to exercise exception exits."""
@@ -121,13 +98,12 @@ def assert_observables_consistent(a: dict, b: dict) -> None:
 
 
 class TestTransactionBasics:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_rollback_restores_single_ops(self, mode):
+    def test_rollback_restores_single_ops(self):
         state = synthetic_state()
         before = observables(state)
         shard = int(np.flatnonzero(state.assignment_view() >= 0)[0])
         other = (state.machine_of(shard) + 1) % state.num_machines
-        begin(state, mode)
+        state.begin()
         state.move(shard, other)
         state.unassign(shard + 1)
         state.assign_shard(shard + 1, other)
@@ -135,12 +111,11 @@ class TestTransactionBasics:
         assert_observables_equal(observables(state), before)
         state.validate()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_commit_keeps_changes_and_caches(self, mode):
+    def test_commit_keeps_changes_and_caches(self):
         state = synthetic_state()
         shard = int(np.flatnonzero(state.assignment_view() >= 0)[0])
         other = (state.machine_of(shard) + 1) % state.num_machines
-        begin(state, mode)
+        state.begin()
         state.move(shard, other)
         state.commit()
         assert state.machine_of(shard) == other
@@ -173,11 +148,10 @@ class TestTransactionBasics:
             state.apply_assignment(state.assignment)
         state.rollback()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_blocking_rolls_back(self, mode):
+    def test_blocking_rolls_back(self):
         state = synthetic_state()
         before = observables(state)
-        begin(state, mode)
+        state.begin()
         state.unassign_many([int(j) for j in state.machine_shards(0)])
         state.block_machine(0)
         state.unassign_many([int(j) for j in state.machine_shards(1)])
@@ -192,42 +166,38 @@ class TestTransactionContext:
     opens a frame (lint rule REP003 flags a bare ``begin()``)."""
 
     @staticmethod
-    def mutate(state, mode, seed=7):
+    def mutate(state, seed=7):
         """A destroy/repair round plus a blocked machine, in the frame."""
-        assert state._frame.snapshot == (mode == "snapshot")
         rng = np.random.default_rng(seed)
         removed = DEFAULT_DESTROY_OPS[0](state, rng, 6)
         DEFAULT_REPAIR_OPS[0](state, rng, removed)
         state.unassign_many([int(j) for j in state.machine_shards(0)])
         state.block_machine(0)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_exception_propagates_and_rolls_back(self, mode):
+    def test_exception_propagates_and_rolls_back(self):
         state = replicated_state()
         before = observables(state)
-        with pytest.raises(Boom), forced_mode(mode), state.transaction():
-            self.mutate(state, mode)
+        with pytest.raises(Boom), state.transaction():
+            self.mutate(state)
             raise Boom
         assert not state.in_transaction
         assert_observables_equal(observables(state), before)
         state.validate()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_exit_without_commit_rolls_back(self, mode):
+    def test_exit_without_commit_rolls_back(self):
         state = replicated_state()
         before = observables(state)
-        with forced_mode(mode), state.transaction():
-            self.mutate(state, mode)
+        with state.transaction():
+            self.mutate(state)
             assert state.blocked_mask[0]
         assert not state.in_transaction
         assert_observables_equal(observables(state), before)
         state.validate()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_commit_keeps_mutations(self, mode):
+    def test_commit_keeps_mutations(self):
         state = replicated_state()
-        with forced_mode(mode), state.transaction():
-            self.mutate(state, mode)
+        with state.transaction():
+            self.mutate(state)
             inside = observables(state)
             state.commit()
         assert not state.in_transaction
@@ -238,11 +208,10 @@ class TestTransactionContext:
         twin.block_machine(0)
         assert_observables_consistent(observables(state), observables(twin))
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_exception_after_commit_keeps_mutations(self, mode):
+    def test_exception_after_commit_keeps_mutations(self):
         state = replicated_state()
-        with pytest.raises(Boom), forced_mode(mode), state.transaction():
-            self.mutate(state, mode)
+        with pytest.raises(Boom), state.transaction():
+            self.mutate(state)
             inside = observables(state)
             state.commit()
             raise Boom
@@ -250,12 +219,11 @@ class TestTransactionContext:
         assert_observables_equal(observables(state), inside)
         state.validate()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_nested_transaction_rejected_outer_rolls_back(self, mode):
+    def test_nested_transaction_rejected_outer_rolls_back(self):
         state = replicated_state()
         before = observables(state)
-        with forced_mode(mode), state.transaction():
-            self.mutate(state, mode)
+        with state.transaction():
+            self.mutate(state)
             with pytest.raises(RuntimeError, match="transaction"):
                 with state.transaction():
                     pytest.fail("nested transaction body ran")
@@ -264,8 +232,7 @@ class TestTransactionContext:
         assert_observables_equal(observables(state), before)
         state.validate()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_engine_operator_error_leaves_no_frame(self, mode):
+    def test_engine_operator_error_leaves_no_frame(self):
         state = synthetic_state(seed=4)
         before = observables(state)
         fail_at = 5
@@ -287,7 +254,7 @@ class TestTransactionContext:
         engine = AlnsEngine(
             AlnsConfig(iterations=20, seed=3), [recording_destroy], [failing_repair]
         )
-        with pytest.raises(Boom), forced_mode(mode):
+        with pytest.raises(Boom):
             engine.run(state, Objective(state.assignment, state.sizes))
         assert seen["calls"] == fail_at
         assert not state.in_transaction
@@ -303,16 +270,15 @@ class TestTransactionContext:
 
 
 class TestOperatorTransactions:
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("replicated", [False, True])
-    def test_destroy_repair_rollback_is_bitwise(self, mode, replicated):
+    def test_destroy_repair_rollback_is_bitwise(self, replicated):
         state = replicated_state() if replicated else synthetic_state(seed=4)
         rng = np.random.default_rng(7)
         for round_idx in range(12):
             before = observables(state)
             destroy = DEFAULT_DESTROY_OPS[round_idx % len(DEFAULT_DESTROY_OPS)]
             repair = DEFAULT_REPAIR_OPS[round_idx % len(DEFAULT_REPAIR_OPS)]
-            begin(state, mode)
+            state.begin()
             removed = destroy(state, rng, int(rng.integers(1, 8)))
             repair(state, rng, removed)
             if round_idx % 3 == 0:
@@ -323,15 +289,14 @@ class TestOperatorTransactions:
                 assert_observables_equal(observables(state), before)
                 state.validate()
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_exchange_swap_blocking_rolls_back(self, mode):
+    def test_exchange_swap_blocking_rolls_back(self):
         state = synthetic_state(seed=5)
         for j in state.machine_shards(2):
             state.move(int(j), 3)
         state.block_machine(2)
         before = observables(state)
         rng = np.random.default_rng(3)
-        begin(state, mode)
+        state.begin()
         removed = exchange_swap_removal(state, rng, 4)
         DEFAULT_REPAIR_OPS[0](state, rng, removed)
         state.rollback()
@@ -339,20 +304,60 @@ class TestOperatorTransactions:
         state.validate()
 
 
+class TestLargeFleetRollback:
+    """Rollback on a fleet past 65,536 state elements (``n + m·d``) and
+    1,024 machines, where the peak block-max has several segments."""
+
+    M, SHARDS_PER_MACHINE = 2100, 30
+
+    @classmethod
+    def large_state(cls):
+        rng = np.random.default_rng(11)
+        n = cls.M * cls.SHARDS_PER_MACHINE
+        demand = rng.uniform(0.5, 1.5, size=(n, 3))
+        shards = [Shard(id=j, demand=demand[j]) for j in range(n)]
+        state = ClusterState(Machine.homogeneous(cls.M, 60.0), shards, np.arange(n) % cls.M)
+        assert n + state.num_machines * state.dims > 65_536
+        assert state.num_machines > state_module._PEAK_BLOCK
+        return state
+
+    def test_destroy_repair_rollback_is_bitwise(self):
+        state = self.large_state()
+        rng = np.random.default_rng(5)
+        # The first round enters with machines in two blocks dirty.
+        state.move(0, 1)
+        state.move(1, state.num_machines - 1)
+        for destroy, repair in zip(DEFAULT_DESTROY_OPS[:3], DEFAULT_REPAIR_OPS * 2):
+            # The expected image comes from a copy, so the state enters
+            # the frame with whatever dirty flags the last round left.
+            twin = state.copy()
+            before = observables(twin)
+            with state.transaction():
+                removed = destroy(state, rng, 60)
+                repair(state, rng, removed)
+                touched = {state.machine_of(j) for j in removed}
+                assert len({i // state_module._PEAK_BLOCK for i in touched}) > 1
+                assert state.assignment_drift(before["assignment"])[0] > 0
+                state.peak_utilization()  # refreshes block maxima in the frame
+            assert_observables_equal(observables(state), before)
+            assert np.array_equal(state._peak_block, twin._peak_block)
+            assert not state._block_dirty.any()
+            state.validate()
+
+
 class TestJournalProperties:
     @given(
         seed=st.integers(0, 30),
         ops=st.lists(st.integers(0, 99), min_size=1, max_size=25),
-        mode=st.sampled_from(MODES),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_mutation_sequences_roll_back(self, seed, ops, mode):
+    def test_random_mutation_sequences_roll_back(self, seed, ops):
         machines = Machine.homogeneous(4, 12.0)
         shards = Shard.uniform(10, 1.0)
         state = ClusterState(machines, shards, [j % 4 for j in range(10)])
         rng = np.random.default_rng(seed)
         before = observables(state)
-        begin(state, mode)
+        state.begin()
         for code in ops:
             j = int(rng.integers(state.num_shards))
             i = int(rng.integers(state.num_machines))
@@ -375,15 +380,12 @@ class TestJournalProperties:
         assert_observables_equal(observables(state), before)
         state.validate()
 
-    @given(
-        seed=st.integers(0, 30),
-        mode=st.sampled_from(MODES),
-    )
+    @given(seed=st.integers(0, 30))
     @settings(max_examples=30, deadline=None)
-    def test_committed_caches_match_rebuild(self, seed, mode):
+    def test_committed_caches_match_rebuild(self, seed):
         state = replicated_state(seed=seed % 5)
         rng = np.random.default_rng(seed)
-        begin(state, mode)
+        state.begin()
         for _ in range(15):
             j = int(rng.integers(state.num_shards))
             i = int(rng.integers(state.num_machines))
