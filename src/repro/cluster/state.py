@@ -47,7 +47,6 @@ evaluation contract" section of docs/ARCHITECTURE.md):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -472,8 +471,8 @@ class ClusterState:
         counters they touch.
 
         Transactions do not nest, and :meth:`apply_assignment`,
-        :meth:`set_offline`, :meth:`copy` and :meth:`detach` are
-        forbidden while one is open.
+        :meth:`set_offline` and :meth:`copy` are forbidden while one is
+        open.
         """
         if self._frame is not None:
             raise RuntimeError("transaction already open (nested begin())")
@@ -518,8 +517,20 @@ class ClusterState:
         self._replica_conflicts = fr.conflicts
 
     # ------------------------------------------------------------ mutation
+    def _check_shard(self, shard_id: int) -> None:
+        """Raise ``ValueError`` unless *shard_id* names a shard (a
+        negative id would otherwise wrap around the arrays)."""
+        if not 0 <= shard_id < self.num_shards:
+            raise ValueError(f"unknown shard {shard_id}")
+
+    def _check_machine(self, machine_id: int) -> None:
+        """Raise ``ValueError`` unless *machine_id* names a machine."""
+        if not 0 <= machine_id < self.num_machines:
+            raise ValueError(f"unknown machine {machine_id}")
+
     def machine_of(self, shard_id: int) -> int:
         """Machine currently hosting *shard_id* (or :data:`UNASSIGNED`)."""
+        self._check_shard(shard_id)
         return int(self._assign[shard_id])
 
     def _host_leave(self, shard_id: int, machine_id: int) -> None:
@@ -559,6 +570,7 @@ class ClusterState:
 
     def unassign(self, shard_id: int) -> int:
         """Remove a shard from its machine; return the former machine id."""
+        # The id checks of the two hot mutators are inlined.
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(f"unknown shard {shard_id}")
         src = int(self._assign[shard_id])
@@ -658,7 +670,14 @@ class ClusterState:
             self._host_enter(shard_id, machine_id)
 
     def move(self, shard_id: int, dst: int) -> int:
-        """Move a shard to machine *dst*; return its former machine (O(d))."""
+        """Move a shard to machine *dst*; return its former machine (O(d)).
+
+        Raises ``ValueError`` for an unknown shard or machine id or a
+        blocked *dst*, before anything changes.
+        """
+        self._check_machine(dst)
+        if self._blocked[dst]:
+            raise ValueError(f"machine {dst} is blocked for placement")
         src = self.unassign(shard_id)
         self.assign_shard(shard_id, dst)
         return src
@@ -726,8 +745,7 @@ class ClusterState:
 
     def machine_shards(self, machine_id: int) -> np.ndarray:
         """Shard ids currently hosted by *machine_id* (ascending)."""
-        if not 0 <= machine_id < self.num_machines:
-            raise ValueError(f"unknown machine {machine_id}")
+        self._check_machine(machine_id)
         return np.flatnonzero(self._assign == machine_id)
 
     def shard_counts(self) -> np.ndarray:
@@ -767,6 +785,8 @@ class ClusterState:
     def fits(self, shard_id: int, machine_id: int, *, atol: float = 1e-9) -> bool:
         """Would *shard_id* fit on *machine_id* right now (ignoring its
         current placement if it is already there)?"""
+        self._check_shard(shard_id)
+        self._check_machine(machine_id)
         extra = self._demand[shard_id]
         load = self._loads[machine_id]
         if self._assign[shard_id] == machine_id:
@@ -793,6 +813,7 @@ class ClusterState:
 
     def replica_peers(self, shard_id: int) -> np.ndarray:
         """Sibling shard ids of *shard_id* (empty for unreplicated shards)."""
+        self._check_shard(shard_id)
         group = int(self._replica_of[shard_id])
         if group < 0:
             return np.empty(0, dtype=np.int64)
@@ -840,8 +861,7 @@ class ClusterState:
 
     def block_machine(self, machine_id: int) -> None:
         """Forbid placements on *machine_id* (it must currently be vacant)."""
-        if not 0 <= machine_id < self.num_machines:
-            raise ValueError(f"unknown machine {machine_id}")
+        self._check_machine(machine_id)
         if self._counts[machine_id] > 0:
             raise ValueError(f"cannot block machine {machine_id}: it hosts shards")
         self._blocked[machine_id] = True
@@ -849,8 +869,7 @@ class ClusterState:
     def unblock_machine(self, machine_id: int) -> None:
         """Allow placements on *machine_id* again (not possible for
         offline machines — a dead machine stays dead)."""
-        if not 0 <= machine_id < self.num_machines:
-            raise ValueError(f"unknown machine {machine_id}")
+        self._check_machine(machine_id)
         if self._offline[machine_id]:
             raise ValueError(f"machine {machine_id} is offline and cannot be unblocked")
         self._blocked[machine_id] = False
@@ -871,8 +890,7 @@ class ClusterState:
         """Mark a (vacant) machine as permanently out of service."""
         if self._frame is not None:
             raise RuntimeError("set_offline() inside an open transaction")
-        if not 0 <= machine_id < self.num_machines:
-            raise ValueError(f"unknown machine {machine_id}")
+        self._check_machine(machine_id)
         if self._counts[machine_id] > 0:
             raise ValueError(
                 f"cannot take machine {machine_id} offline: it hosts shards "
@@ -924,102 +942,6 @@ class ClusterState:
         dup._frame = None
         dup._publish_views()
         return dup
-
-    # ------------------------------------------------------ shared buffers
-    @classmethod
-    def attach(
-        cls,
-        machines: Sequence[Machine],
-        shards: Sequence[Shard],
-        *,
-        capacity: np.ndarray,
-        demand: np.ndarray,
-        sizes: np.ndarray,
-        assignment: Sequence[int] | np.ndarray,
-        blocked: np.ndarray | None = None,
-        offline: np.ndarray | None = None,
-    ) -> "ClusterState":
-        """Build a state over externally owned description buffers.
-
-        Unlike the constructor — which ``np.stack``s per-object vectors
-        into fresh matrices — this adopts *capacity* (m, d), *demand*
-        (n, d) and *sizes* (n,) **as given**, without copying.  That is
-        the zero-copy path used by :mod:`repro.parallel.shm`: the
-        matrices are views into a ``multiprocessing.shared_memory``
-        segment, attached once per worker, and the *machines* / *shards*
-        descriptions are expected to reference rows of the same buffers.
-
-        Mutable state (*assignment*, *blocked*, *offline*) is copied, so
-        the returned state searches privately; only the immutable
-        instance description is shared.  The caller keeps the backing
-        buffers alive for the lifetime of the state (or calls
-        :meth:`detach` to sever the dependency).  Offline machines are
-        forced blocked, matching :meth:`set_offline`.
-        """
-        _check_fleet(machines, shards)
-        schema = machines[0].schema
-        m, n, d = len(machines), len(shards), schema.dims
-        if capacity.shape != (m, d):
-            raise ValueError(f"capacity must have shape ({m}, {d}), got {capacity.shape}")
-        if demand.shape != (n, d):
-            raise ValueError(f"demand must have shape ({n}, {d}), got {demand.shape}")
-        if sizes.shape != (n,):
-            raise ValueError(f"sizes must have shape ({n},), got {sizes.shape}")
-
-        state = object.__new__(cls)
-        state._schema = schema
-        state._machines = tuple(machines)
-        state._shards = tuple(shards)
-        # Read-only views: the caller's buffers keep their own flags.
-        state._capacity = _frozen(capacity.view())
-        state._demand = _frozen(demand.view())
-        state._sizes = _frozen(sizes.view())
-        state._exchange_mask = _frozen(np.array([mach.exchange for mach in machines], dtype=bool))
-        state._norm_demand = None
-        state._cap_t = None
-        state._inv_cap_t = None
-
-        state._assign = _checked_assignment(assignment, n, m)
-        state._offline = (
-            np.zeros(m, dtype=bool) if offline is None else np.asarray(offline, dtype=bool).copy()
-        )
-        state._blocked = (
-            np.zeros(m, dtype=bool) if blocked is None else np.asarray(blocked, dtype=bool).copy()
-        )
-        state._blocked |= state._offline
-        state._replica_of, state._replica_groups = _replica_tables(shards)
-        state._frame = None
-        state._rebuild_caches()
-        return state
-
-    def detach(self) -> None:
-        """Re-home shared description buffers into private copies.
-
-        After :meth:`attach` the capacity/demand/sizes matrices (and the
-        machine/shard vectors referencing their rows) may live in a
-        shared-memory segment the caller is about to unlink.  ``detach``
-        copies them into process-private arrays and rebuilds the
-        machine/shard descriptions over the copies, so the state remains
-        valid after the segment is unmapped.  Lazy derived mirrors are
-        dropped (they are recomputed on demand from the private copies).
-        No-op cost beyond the copies; safe to call on any state.
-        """
-        if self._frame is not None:
-            raise RuntimeError("detach() inside an open transaction")
-        self._capacity = _frozen(self._capacity.copy())
-        self._demand = _frozen(self._demand.copy())
-        self._sizes = _frozen(self._sizes.copy())
-        self._norm_demand = None
-        self._cap_t = None
-        self._inv_cap_t = None
-        self._machines = tuple(
-            replace(mach, capacity=self._capacity[i])
-            for i, mach in enumerate(self._machines)
-        )
-        self._shards = tuple(
-            replace(sh, demand=self._demand[j], size_bytes=float(self._sizes[j]))
-            for j, sh in enumerate(self._shards)
-        )
 
     def with_extra_machines(self, extra: Iterable[Machine]) -> "ClusterState":
         """New state with *extra* machines appended (ids continue the

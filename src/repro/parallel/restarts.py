@@ -1,4 +1,4 @@
-"""Parallel SRA restarts over a shared-memory worker pool.
+"""Parallel SRA restarts over a worker pool.
 
 This is the library's one best-of-K runner: ``SRA(SRAConfig(restarts=K,
 n_workers=N))`` calls it.  LNS restarts share nothing, so K restarts
@@ -11,26 +11,25 @@ workers produce bitwise-identical per-restart results, and the winner
 is selected by a deterministic rule over the task-ordered results
 (feasibility first, then peak utilization, then move count).
 
-The multi-worker fan-out runs on the :class:`ParallelRunner` pool over
-**shared-memory state**: the parent publishes the instance once via
-:func:`repro.parallel.shm.publish_state` and each worker attaches at
-spawn, so a restart task pickles only its config — not tens of
-thousands of machine/shard dataclasses.  This is what turned the pool
-from a slowdown (0.70x at 2 workers on m50, when each task pickled
-the state) into a speedup on instances large enough to amortize
-the worker spawn.
+The multi-worker fan-out runs on the :class:`ParallelRunner` pool, and
+the instance travels once per worker, through the pool initializer: a
+worker inherits the state at ``fork`` (nothing is pickled), or unpickles
+it once at start under ``spawn``/``forkserver``.  A restart task then
+pickles only its config, not tens of thousands of machine/shard
+dataclasses.  Long-lived workers plus that hand-off are what turned the
+pool from a slowdown (0.70x at 2 workers on m50, when each task pickled
+the state) into a speedup on instances large enough to amortize the
+worker spawn.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro._validation import check_int, check_positive
 from repro.parallel.runner import ParallelRunner, TaskResult, TaskSpec
 from repro.parallel.seeds import spawn_seeds
-from repro.parallel.shm import AttachedState, StateHandle, attach_state, publish_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sra imports us)
     from repro.algorithms.base import RebalanceResult
@@ -63,17 +62,13 @@ class RestartReport:
 # Worker-process global, installed once per worker by ``_init_worker``
 # (the pool initializer).  Tasks consult it instead of carrying the
 # state through pickled task args.
-_WORKER_STATE: AttachedState | None = None
+_WORKER_STATE: ClusterState | None = None
 
 
-def _init_worker(state_handle: StateHandle) -> None:
-    """Pool initializer: attach the shared instance once.
-
-    Runs in the worker process at spawn.  Attach-only: the parent owns
-    the segment's unlink.
-    """
+def _init_worker(state: "ClusterState") -> None:
+    """Pool initializer: keep the worker's copy of the instance."""
     global _WORKER_STATE
-    _WORKER_STATE = attach_state(state_handle)
+    _WORKER_STATE = state
 
 
 def _run_one(
@@ -86,11 +81,11 @@ def _run_one(
 
 
 def _run_one_shared(config: "SRAConfig", ledger: "ExchangeLedger | None") -> "RebalanceResult":
-    """One restart over the worker's attached shared-memory state."""
-    attached = _WORKER_STATE
-    if attached is None:
-        raise RuntimeError("shared-state task ran in a worker without _init_worker")
-    return _run_one(config, attached.state, ledger)
+    """One restart over the state the worker received at start."""
+    state = _WORKER_STATE
+    if state is None:
+        raise RuntimeError("restart task ran in a worker without _init_worker")
+    return _run_one(config, state, ledger)
 
 
 def run_sra_restarts(
@@ -106,8 +101,8 @@ def run_sra_restarts(
 
     Each restart gets its spawned seed and ``restarts=1, n_workers=1``
     (so a restart never recursively fans out).  With ``n_workers > 1``
-    the fan-out runs on a worker pool that reads *state* from shared
-    memory; results stay bitwise-identical to the serial path.  Raises
+    the fan-out runs on a worker pool that receives *state* once per
+    worker; results stay bitwise-identical to the serial path.  Raises
     ``RuntimeError`` when every restart failed.
     """
     if check_int("restarts", restarts) < 1:
@@ -115,26 +110,20 @@ def run_sra_restarts(
     check_positive("n_workers", check_int("n_workers", n_workers))
     seeds = spawn_seeds(config.alns.seed, restarts)
     configs = [replace(config, seed=seed, restarts=1, n_workers=1) for seed in seeds]
-    with ExitStack() as owned:
-        if n_workers == 1:
-            runner = ParallelRunner(1, timeout_s=timeout_s)
-            fn, args = _run_one, (state, ledger)
-        else:
-            # The parent owns the segment: the stack closes and unlinks
-            # it after the runner has shut its workers down.
-            shared = owned.enter_context(publish_state(state))
-            runner = ParallelRunner(
-                n_workers,
-                timeout_s=timeout_s,
-                initializer=_init_worker,
-                initargs=(shared.handle,),
-            )
-            fn, args = _run_one_shared, (ledger,)
-        specs = [
-            TaskSpec(fn=fn, args=(cfg, *args), name=f"sra.restart[{k}]", seed=seed)
-            for k, (cfg, seed) in enumerate(zip(configs, seeds, strict=True))
-        ]
-        results = owned.enter_context(runner).run(specs)
+    if n_workers == 1:
+        runner = ParallelRunner(1, timeout_s=timeout_s)
+        fn, args = _run_one, (state, ledger)
+    else:
+        runner = ParallelRunner(
+            n_workers, timeout_s=timeout_s, initializer=_init_worker, initargs=(state,)
+        )
+        fn, args = _run_one_shared, (ledger,)
+    specs = [
+        TaskSpec(fn=fn, args=(cfg, *args), name=f"sra.restart[{k}]", seed=seed)
+        for k, (cfg, seed) in enumerate(zip(configs, seeds, strict=True))
+    ]
+    with runner:
+        results = runner.run(specs)
     return _select(results, seeds, restarts)
 
 

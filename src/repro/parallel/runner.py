@@ -22,11 +22,10 @@ an idle one, and feeds tasks through per-worker duplex pipes.  The
 workers serve every later :meth:`ParallelRunner.run` call and live
 until :meth:`ParallelRunner.close` (the runner is a context manager).
 An optional ``initializer(*initargs)`` runs once per worker at spawn —
-this is how ``run_sra_restarts`` attaches workers to the shared-memory
-instance (see :mod:`repro.parallel.shm`) so tasks stop re-pickling
-``ClusterState``.  A dead or overrunning worker is detected via pipe
-EOF / wall clock, its task recorded as failed/timed out, and a
-replacement spawned while tasks remain.
+this is how ``run_sra_restarts`` hands each worker the instance once,
+so tasks stop re-pickling ``ClusterState``.  A dead or overrunning
+worker is detected via pipe EOF / wall clock, its task recorded as
+failed/timed out, and a replacement spawned while tasks remain.
 
 ``n_workers=1`` is the serial path: tasks run in-process (no
 ``multiprocessing`` at all) under the ambient obs bundle, which is

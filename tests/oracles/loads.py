@@ -1,8 +1,8 @@
 """Test oracle: the load matrix summed from scratch with ``np.add.at``.
 
 ``ClusterState`` rebuilds its loads (in the constructor,
-``apply_assignment``, ``attach``, growing and settling) and recomputes
-them in ``validate()`` with one ``np.bincount`` per resource dimension.
+``apply_assignment``, growing and settling) and recomputes them in
+``validate()`` with one ``np.bincount`` per resource dimension.
 :func:`added_loads` is the reference it must match: ``np.add.at`` over
 the placed shards' demand rows.  Both add in shard order starting from
 0.0, so the two agree bitwise.

@@ -123,6 +123,32 @@ class TestMutation:
         with pytest.raises(ValueError, match="unknown machine"):
             state.machine_shards(machine)
 
+    @pytest.mark.parametrize("dst,needle", [(99, "unknown machine"), (7, "blocked")])
+    def test_failed_move_leaves_state_untouched(self, dst, needle):
+        # move() used to unassign the shard before checking dst.
+        state = small_cluster(m=8, n=6)  # machines 6 and 7 start vacant
+        state.block_machine(7)
+        before = (
+            [state.machine_of(j) for j in range(state.num_shards)],
+            state.loads.copy(),
+            state.shard_counts(),
+            state.peak_utilization(),
+        )
+        with pytest.raises(ValueError, match=needle):
+            state.move(0, dst)
+        after = (
+            [state.machine_of(j) for j in range(state.num_shards)],
+            state.loads,
+            state.shard_counts(),
+            state.peak_utilization(),
+        )
+        assert after[0] == before[0]
+        assert after[1].tobytes() == before[1].tobytes()
+        assert after[2].tobytes() == before[2].tobytes()
+        assert after[3] == before[3]
+        assert state.is_fully_assigned()
+        state.validate()
+
     def test_unassign_unassigned_is_noop(self):
         state = ClusterState(Machine.homogeneous(1, 5.0), Shard.uniform(1, 1.0))
         assert state.unassign(0) == UNASSIGNED
@@ -158,6 +184,23 @@ class TestQueries:
         state = ClusterState(Machine.homogeneous(2, 1.0), Shard.uniform(2, 1.0), [0, 1])
         assert state.fits(0, 0)  # already there, machine exactly full
         assert not state.fits(0, 1)  # target already full
+
+    @pytest.mark.parametrize("shard", [-1, 6])
+    @pytest.mark.parametrize(
+        "query", ["machine_of", "fits", "replica_peers", "replica_peer_machines"]
+    )
+    def test_unknown_shard_rejected_by_queries(self, query, shard):
+        # A negative id used to wrap: machine_of(-1) gave shard n-1's host.
+        state = small_cluster()  # 6 shards
+        args = (shard, 0) if query == "fits" else (shard,)
+        with pytest.raises(ValueError, match=f"unknown shard {shard}"):
+            getattr(state, query)(*args)
+
+    @pytest.mark.parametrize("machine", [-1, 3])
+    def test_fits_rejects_unknown_machine(self, machine):
+        state = small_cluster()  # 3 machines
+        with pytest.raises(ValueError, match=f"unknown machine {machine}"):
+            state.fits(0, machine)
 
     def test_mean_utilization(self):
         state = small_cluster(m=2, n=4, cap=4.0, dem=1.0)
@@ -435,20 +478,7 @@ class TestReadOnlyAccessors:
         vacant = np.flatnonzero((grown.shard_counts_view() == 0) & ~grown.blocked_mask)
         settled = grown.without_machines(vacant[:1])
         assert_follows(settled, name)
-        buffers = {key: read(settled, key).copy() for key in ("capacity", "demand", "sizes")}
-        attached = ClusterState.attach(
-            settled.machines,
-            settled.shards,
-            assignment=settled.assignment_view(),
-            blocked=settled.blocked_mask,
-            offline=settled.offline_mask,
-            **buffers,
-        )
-        assert all(buf.flags.writeable for buf in buffers.values())  # caller's flags kept
-        assert_follows(attached, name)
-        attached.detach()
-        assert_follows(attached, name)
-        assert_follows(pickle.loads(pickle.dumps(attached)), name)
+        assert_follows(pickle.loads(pickle.dumps(settled)), name)
 
     @given(degraded_fleets(), st.data())
     @settings(max_examples=60, deadline=None)

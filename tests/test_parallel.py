@@ -203,8 +203,8 @@ class TestRestartDeterminism:
         "make_state, config",
         [
             (_small_state, SRAConfig(alns=AlnsConfig(iterations=60, seed=10))),
-            # Fleet size: m400 blind best-of-3 through the shared-memory
-            # pool.  polish=False keeps the check about the fan-out.
+            # Fleet size: m400 blind best-of-3 through the worker pool.
+            # polish=False keeps the check about the fan-out.
             (
                 lambda: scaling_suite(sizes=((400, 6),))[0][1],
                 SRAConfig(alns=AlnsConfig(iterations=60, seed=1), polish=False),

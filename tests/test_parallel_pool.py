@@ -1,12 +1,14 @@
-"""Correctness sweep for the shared-memory restart pool.
+"""Correctness sweep for the restart worker pool.
 
 Covers the winner-aliasing regression, the serial/pool exception
-contract, worker reuse/crash/timeout semantics, the shared-memory
-lifecycle (attach/detach/unlink with no leaked ``/dev/shm`` segments on
-any exit path), and the hypothesis-pinned property that pool results
-stay bitwise-identical to serial with shm enabled.
+contract, worker reuse/crash/timeout semantics, the instance hand-off
+(the state reaches workers through the pool initializer, never through
+task arguments, and no worker process outlives its runner on any exit
+path), and the hypothesis-pinned property that pool results stay
+bitwise-identical to serial.
 """
 
+import multiprocessing as mp
 import os
 import subprocess
 import sys
@@ -19,16 +21,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro import obs
-from repro.algorithms import AlnsConfig, SRA, SRAConfig
+from repro.algorithms import AlnsConfig, SRAConfig
 from repro.cluster import ClusterState
-from repro.parallel import (
-    ParallelRunner,
-    TaskSpec,
-    attach_state,
-    publish_state,
-    run_sra_restarts,
-)
-from repro.parallel.restarts import _init_worker
+from repro.parallel import ParallelRunner, TaskSpec, run_sra_restarts
+from repro.parallel import restarts as restarts_mod
 from repro.workloads import SyntheticConfig, generate
 
 
@@ -99,16 +95,9 @@ def _small_state(seed=3):
     )
 
 
-def _shm_names():
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
-        return set()
-
-
-needs_dev_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="/dev/shm not available"
-)
+def _worker_state_is_frozen():
+    state = restarts_mod._WORKER_STATE
+    return state is not None and not state.capacity.flags.writeable
 
 
 # --------------------------------------------------------------- satellites
@@ -268,119 +257,101 @@ class TestPersistentPool:
         )
 
 
-# ------------------------------------------------------------ shm lifecycle
+# ---------------------------------------------------------- instance hand-off
 class TestSharedStateLifecycle:
-    def test_attach_reconstructs_equivalent_state(self):
+    """The state reaches workers once, through the pool initializer, and
+    no worker process outlives its runner on any exit path."""
+
+    def test_pooled_task_args_hold_no_state(self, monkeypatch):
+        # The property the instance hand-off exists for: a restart task
+        # pickles its config, not the cluster state.
+        captured = []
+        run = ParallelRunner.run
+
+        def capturing_run(runner, specs):
+            captured.append((runner, list(specs)))
+            return run(runner, specs)
+
+        monkeypatch.setattr(ParallelRunner, "run", capturing_run)
         state = _small_state()
-        with publish_state(state) as shared:
-            attached = attach_state(shared.handle)
-            s2 = attached.state
-            np.testing.assert_array_equal(s2.assignment, state.assignment)
-            np.testing.assert_array_equal(s2.capacity, state.capacity)
-            np.testing.assert_array_equal(s2.demand, state.demand)
-            np.testing.assert_array_equal(s2.sizes, state.sizes)
-            np.testing.assert_array_equal(s2.loads, state.loads)
-            np.testing.assert_array_equal(s2.blocked_mask, state.blocked_mask)
-            assert s2.peak_utilization() == state.peak_utilization()
-            assert [m.cls for m in s2.machines] == [m.cls for m in state.machines]
-            assert [sh.replica_of for sh in s2.shards] == [
-                sh.replica_of for sh in state.shards
-            ]
-            s2.validate()
-            s2.detach()
-            attached.close()
+        config = SRAConfig(alns=AlnsConfig(iterations=10, seed=2))
+        run_sra_restarts(state, config=config, restarts=2, n_workers=2)
+        [(runner, specs)] = captured
+        assert runner._initargs == (state,)
+        for spec in specs:
+            values = [*spec.args, *spec.kwargs.values()]
+            assert not any(isinstance(v, ClusterState) for v in values)
 
     def test_shared_matrices_are_read_only(self):
-        state = _small_state()
-        with publish_state(state) as shared:
-            attached = attach_state(shared.handle)
-            with pytest.raises((ValueError, RuntimeError)):
-                attached.state.capacity[0, 0] = 99.0
-            attached.state.detach()
-            attached.close()
+        with ParallelRunner(
+            2, initializer=restarts_mod._init_worker, initargs=(_small_state(),)
+        ) as runner:
+            rows = runner.run([TaskSpec(fn=_worker_state_is_frozen) for _ in range(2)])
+        assert [r.value for r in rows] == [True, True]
 
-    def test_detach_survives_unlink(self):
-        state = _small_state()
-        shared = publish_state(state)
-        attached = attach_state(shared.handle)
-        s2 = attached.state
-        s2.detach()
-        attached.close()
-        shared.close()
-        shared.unlink()
-        # The state must remain fully usable after the segment is gone.
-        s2.validate()
-        result = SRA(SRAConfig(alns=AlnsConfig(iterations=10, seed=1))).rebalance(s2)
-        assert result.target_assignment.shape == (s2.num_shards,)
-
-    def test_attach_constructor_validates(self):
-        state = _small_state()
-        with pytest.raises(ValueError, match="capacity"):
-            ClusterState.attach(
-                state.machines,
-                state.shards,
-                capacity=state.capacity[:-1],
-                demand=state.demand,
-                sizes=state.sizes,
-                assignment=state.assignment,
-            )
-        with pytest.raises(ValueError, match="unknown machines"):
-            ClusterState.attach(
-                state.machines,
-                state.shards,
-                capacity=state.capacity,
-                demand=state.demand,
-                sizes=state.sizes,
-                assignment=np.full(state.num_shards, 10_000, dtype=np.int64),
-            )
-
-    @needs_dev_shm
     def test_no_leak_on_normal_exit(self):
-        before = _shm_names()
+        before = set(mp.active_children())
         state = _small_state()
         config = SRAConfig(alns=AlnsConfig(iterations=20, seed=2))
         run_sra_restarts(state, config=config, restarts=2, n_workers=2)
-        assert _shm_names() == before
+        assert set(mp.active_children()) <= before
 
-    @needs_dev_shm
     def test_no_leak_when_worker_crashes(self):
-        before = _shm_names()
-        state = _small_state()
-        shared = publish_state(state)
-        try:
-            with ParallelRunner(
-                2,
-                initializer=_init_worker,
-                initargs=(shared.handle,),
-            ) as runner:
-                rows = runner.run([TaskSpec(fn=_hard_exit, name="die"),
-                                   TaskSpec(fn=_pid, name="ok")])
-            assert not rows[0].ok and rows[1].ok
-        finally:
-            shared.close()
-            shared.unlink()
-        assert _shm_names() == before
+        before = set(mp.active_children())
+        with ParallelRunner(
+            2, initializer=restarts_mod._init_worker, initargs=(_small_state(),)
+        ) as runner:
+            rows = runner.run([TaskSpec(fn=_hard_exit, name="die"),
+                               TaskSpec(fn=_worker_state_is_frozen, name="ok")])
+        assert not rows[0].ok and "crashed" in rows[0].error
+        assert rows[1].ok and rows[1].value is True
+        assert set(mp.active_children()) <= before
 
-    @needs_dev_shm
     def test_no_leak_when_tasks_time_out(self):
-        before = _shm_names()
+        before = set(mp.active_children())
         state = _small_state()
         config = SRAConfig(alns=AlnsConfig(iterations=5_000_000, seed=2))
         with pytest.raises(RuntimeError, match="restarts failed"):
             run_sra_restarts(
                 state, config=config, restarts=2, n_workers=2, timeout_s=0.4
             )
-        assert _shm_names() == before
+        assert set(mp.active_children()) <= before
+
+    def test_pickled_hand_off_matches_serial(self):
+        # Under fork the workers inherit the state; spawn pickles it once
+        # per worker, so this case exercises ClusterState's pickle.
+        script = (
+            "import multiprocessing\n"
+            "import numpy as np\n"
+            "from repro.algorithms import AlnsConfig, SRAConfig\n"
+            "from repro.parallel import run_sra_restarts\n"
+            "from repro.workloads import scaling_suite\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "state = scaling_suite(sizes=((20, 6),), seed=4)[0][1]\n"
+            "config = SRAConfig(alns=AlnsConfig(iterations=15, seed=3))\n"
+            "runs = [run_sra_restarts(state, config=config, restarts=3, n_workers=w)\n"
+            "        for w in (1, 2)]\n"
+            "for a, b in zip(*(r.results for r in runs), strict=True):\n"
+            "    assert a.ok and b.ok, (a.error, b.error)\n"
+            "    assert np.array_equal(a.value.target_assignment, b.value.target_assignment)\n"
+            "print('identical')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=120, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "identical"
 
 
 # ------------------------------------------------------- bitwise determinism
 class TestBlindBitwiseIdentity:
-    """Blind pool results (state in shared memory) stay
+    """Blind pool results (state handed over by the initializer) stay
     bitwise-identical to serial."""
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**16))
-    def test_pool_with_shm_matches_serial(self, seed):
+    def test_pool_matches_serial(self, seed):
         state = _small_state(seed % 7)
         config = SRAConfig(alns=AlnsConfig(iterations=15, seed=seed))
         serial = run_sra_restarts(state, config=config, restarts=2, n_workers=1)
