@@ -15,8 +15,8 @@
   a one-shot ``--rebalance-at T`` check or a continuous ``--controller``
   loop (``incremental`` = EWMA drift detection gating
   budget-bounded rounds; compose with ``--drift`` to exercise it);
-* ``experiment`` — regenerate one experiment table (E1–E21) or, with
-  ``--all``, the whole suite — optionally fanned across worker
+* ``experiment`` — regenerate one experiment table or, with
+  ``--all``, every registered experiment — optionally fanned across worker
   processes (``--workers N``) by the ``repro.parallel`` driver, with
   the same artifact flags plus ``--out-dir`` for machine-readable
   tables;
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("id", nargs="?", default=None,
                      help="experiment id, e.g. e3 (omit with --all)")
     exp.add_argument("--all", action="store_true",
-                     help="run every registered experiment (E1-E21)")
+                     help="run every registered experiment")
     exp.add_argument("--workers", type=int, default=1, metavar="N",
                      help="worker processes to run experiments on (row "
                           "tables are identical for any worker count, "

@@ -1,9 +1,7 @@
 """Search-engine substrate: corpus, inverted index, BM25, sharding, broker."""
 
-from repro.engine.boolean import ConjunctiveScorer, intersect_postings
 from repro.engine.broker import BrokerResponse, SearchBroker
 from repro.engine.index import InvertedIndex, Postings
-from repro.engine.pruning import MaxScoreScorer
 from repro.engine.scoring import BM25Scorer, CollectionStats, ScoredDoc
 from repro.engine.sharding import ShardedIndex, partition_documents
 from repro.engine.text import (
@@ -27,9 +25,6 @@ __all__ = [
     "BM25Scorer",
     "CollectionStats",
     "ScoredDoc",
-    "MaxScoreScorer",
-    "ConjunctiveScorer",
-    "intersect_postings",
     "ShardedIndex",
     "partition_documents",
     "SearchBroker",

@@ -18,7 +18,6 @@ from repro.experiments import (  # noqa: F401  (imported for registration)
     e11_replicas,
     e12_recovery,
     e13_online,
-    e14_pruning,
     e15_migration_window,
     e16_routing,
     e17_pool,

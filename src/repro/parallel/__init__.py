@@ -13,9 +13,9 @@ Public surface:
   ``SRAConfig.restarts`` / CLI ``--restarts`` and the scenario matrix's
   ``portfolio`` axis drive);
 * :func:`~repro.parallel.driver.run_experiments` /
-  :func:`~repro.parallel.driver.save_tables` — parallel E1–E20
-  experiment driver (what ``repro.cli experiment --all --workers N``
-  drives).
+  :func:`~repro.parallel.driver.save_tables` — parallel driver for
+  every registered experiment (what ``repro.cli experiment --all
+  --workers N`` drives).
 
 See docs/ARCHITECTURE.md, "Parallel execution", for the seed-spawning
 contract, worker crash semantics, the instance hand-off and the obs

@@ -1,4 +1,4 @@
-"""Parallel experiment driver: run the E1–E20 registry on a worker pool.
+"""Parallel experiment driver: run every registered experiment on a worker pool.
 
 ``run_experiments`` fans the ``repro.experiments.REGISTRY`` modules
 across a :class:`~repro.parallel.runner.ParallelRunner` and aggregates

@@ -455,8 +455,10 @@ class TestIncrementalController:
         )
         rt.add(ctrl)
         rt.run()
-        fired = [e for e in ctrl.episodes if e["feasible"]]
-        assert fired, "detector never fired on a hot drifting cluster"
+        assert ctrl.episodes, "detector never fired on a hot drifting cluster"
+        assert any(e["feasible"] for e in ctrl.episodes), (
+            "no episode fit the 6-move budget"
+        )
         assert all(e["moves"] <= 6 for e in ctrl.episodes)
 
     def test_runs_are_deterministic(self):

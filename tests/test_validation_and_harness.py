@@ -232,5 +232,7 @@ class TestHarness:
             del REGISTRY["zz-test"]
 
     def test_all_experiments_registered(self):
-        expected = {f"e{i}" for i in range(1, 17)}
-        assert expected <= set(REGISTRY)
+        # E14 is retired; a lost or stray registration
+        # fails here.
+        expected = {f"e{i}" for i in range(1, 22)} - {"e14"}
+        assert set(REGISTRY) == expected
