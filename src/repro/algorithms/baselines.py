@@ -164,15 +164,11 @@ class LocalSearchRebalancer(Rebalancer):
         seed: int = 0,
         neighborhood_sample: int = 64,
     ) -> None:
-        max_steps = check_int("max_steps", max_steps)
-        if max_steps <= 0:
-            raise ValueError(f"max_steps must be > 0, got {max_steps}")
-        neighborhood_sample = check_int("neighborhood_sample", neighborhood_sample)
-        if neighborhood_sample <= 0:
-            raise ValueError("neighborhood_sample must be > 0")
-        self.max_steps = max_steps
+        self.max_steps = check_positive("max_steps", check_int("max_steps", max_steps))
         self.seed = seed
-        self.neighborhood_sample = neighborhood_sample
+        self.neighborhood_sample = check_positive(
+            "neighborhood_sample", check_int("neighborhood_sample", neighborhood_sample)
+        )
 
     # ------------------------------------------------------------------ API
     def rebalance(
@@ -209,7 +205,11 @@ class LocalSearchRebalancer(Rebalancer):
         designated-return contract.  With tracing on, each step emits a
         ``polish.step`` event whose ``kind`` is ``move`` or ``swap``.
         """
-        budget = self.max_steps if max_steps is None else check_int("max_steps", max_steps)
+        budget = (
+            self.max_steps
+            if max_steps is None
+            else check_positive("max_steps", check_int("max_steps", max_steps))
+        )
         tracer = obs.current().tracer
         trace_on = tracer.enabled
         hosts = _HostLists(work)
@@ -232,7 +232,7 @@ class LocalSearchRebalancer(Rebalancer):
     def _try_move(
         self, work: ClusterState, rng: np.random.Generator, hosts: _HostLists
     ) -> bool:
-        peaks = work.machine_peak_utilization_view()
+        peaks = work.machine_peak_utilization()
         hottest = int(np.argmax(peaks))
         members = hosts.members(hottest)
         if not members:
@@ -301,7 +301,7 @@ class LocalSearchRebalancer(Rebalancer):
     def _try_swap(
         self, work: ClusterState, rng: np.random.Generator, hosts: _HostLists
     ) -> bool:
-        machine_peak = work.machine_peak_utilization_view()
+        machine_peak = work.machine_peak_utilization()
         hottest = int(np.argmax(machine_peak))
         hot_members = np.array(hosts.members(hottest), dtype=np.int64)
         if hot_members.size == 0:
@@ -341,7 +341,7 @@ class _HostLists:
     """
 
     def __init__(self, work: ClusterState) -> None:
-        counts = work.shard_counts_view()
+        counts = work.shard_counts()
         order = np.argsort(work.assignment_view(), kind="stable")
         # Unassigned shards (-1) sort first.
         self._order = order[order.size - int(counts.sum()) :]

@@ -85,8 +85,8 @@ def worst_machine_removal(
     Python loop, so the cost scales with the shards actually examined
     rather than the fleet size.
     """
-    peaks = state.machine_peak_utilization_view()
-    counts = state.shard_counts_view()
+    peaks = state.machine_peak_utilization()
+    counts = state.shard_counts()
     m = state.num_machines
     # Grow K until the K hottest machines hold enough shards (almost
     # always the first try: quantity is capped and hot machines are full).
@@ -152,7 +152,7 @@ def vacancy_removal(
     borrowed ones: emptying an in-service machine is what enables the
     exchange to return it.
     """
-    occupied = np.flatnonzero(state.shard_counts_view() > 0)
+    occupied = np.flatnonzero(state.shard_counts() > 0)
     if occupied.size == 0:
         return []
     # Prefer in-service machines, then least loaded (L1 of utilization).

@@ -4,7 +4,7 @@ Ropke & Pisinger-style ALNS: at each iteration a (destroy, repair) pair
 is drawn by roulette wheel over adaptive weights, applied to the
 incumbent inside a ``ClusterState`` transaction, and the candidate is
 accepted (commit) or rejected (bitwise rollback) by a simulated-annealing
-criterion.  Operator weights are refreshed every ``segment_length``
+criterion.  Operator weights are refreshed every ``_SEGMENT_LENGTH``
 iterations from the scores the operators earned (new global best >
 improvement > accepted).  The copy-based loop this replaced is kept as
 a test oracle (``tests/oracles/copy_engine.py``); the parity tests pin
@@ -32,6 +32,25 @@ from repro.algorithms.repair import RepairOperator
 
 __all__ = ["AlnsConfig", "AlnsOutcome", "AlnsEngine"]
 
+#: Bounds of the per-iteration removal quantity, as a fraction of the
+#: shard count (the quantity is drawn uniformly in between, >= 1).
+_REMOVAL_FRACTION_MIN = 0.05
+_REMOVAL_FRACTION_MAX = 0.25
+#: Absolute cap on the removal quantity.  On large instances a 25%
+#: removal is a near-rebuild: slow and unlikely to be accepted; the cap
+#: keeps per-iteration cost bounded so big clusters get many iterations
+#: instead of few huge ones.
+_REMOVAL_CAP = 100
+#: Geometric cooling factor of the SA temperature per iteration.
+_COOLING = 0.996
+#: Iterations per adaptive-weight segment.
+_SEGMENT_LENGTH = 100
+#: Operator scores for finding a new global best / improving the current
+#: / being accepted.
+_SCORE_BEST = 12.0
+_SCORE_IMPROVE = 4.0
+_SCORE_ACCEPT = 1.0
+
 
 @dataclass(frozen=True)
 class AlnsConfig:
@@ -41,53 +60,23 @@ class AlnsConfig:
     ----------
     iterations:
         Destroy/repair rounds.
-    removal_fraction_min / removal_fraction_max:
-        Bounds of the per-iteration removal quantity, as a fraction of the
-        shard count (quantity is drawn uniformly in between, ≥ 1).
     start_temperature_ratio:
         SA start temperature as a fraction of the initial objective — a
         candidate this much worse is accepted with probability ``e⁻¹``.
-    cooling:
-        Geometric cooling factor per iteration.
-    segment_length:
-        Iterations per adaptive-weight segment.
     reaction:
         Weight update smoothing in [0, 1] (1 = replace, 0 = frozen).
-    score_best / score_improve / score_accept:
-        Operator scores for finding a new global best / improving the
-        current / being accepted.
     seed:
         RNG seed.
     """
 
     iterations: int = 2500
-    removal_fraction_min: float = 0.05
-    removal_fraction_max: float = 0.25
-    #: Absolute cap on the removal quantity.  On large instances a 25%
-    #: removal is a near-rebuild: slow and unlikely to be accepted; the
-    #: cap keeps per-iteration cost bounded so big clusters get many
-    #: iterations instead of few huge ones.
-    removal_cap: int = 100
     start_temperature_ratio: float = 0.01
-    cooling: float = 0.996
-    segment_length: int = 100
     reaction: float = 0.4
-    score_best: float = 12.0
-    score_improve: float = 4.0
-    score_accept: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_positive("iterations", check_int("iterations", self.iterations))
-        check_fraction("removal_fraction_min", self.removal_fraction_min)
-        check_fraction("removal_fraction_max", self.removal_fraction_max)
-        if self.removal_fraction_min > self.removal_fraction_max:
-            raise ValueError("removal_fraction_min must be <= removal_fraction_max")
-        check_positive("removal_cap", check_int("removal_cap", self.removal_cap))
         check_positive("start_temperature_ratio", self.start_temperature_ratio)
-        if not 0.0 < self.cooling <= 1.0:
-            raise ValueError(f"cooling must be in (0, 1], got {self.cooling}")
-        check_positive("segment_length", check_int("segment_length", self.segment_length))
         check_fraction("reaction", self.reaction)
 
 
@@ -161,8 +150,8 @@ class AlnsEngine:
             best_obj = cur_obj
 
         n = state.num_shards
-        q_min = max(1, min(int(cfg.removal_fraction_min * n), cfg.removal_cap))
-        q_max = max(q_min, min(int(cfg.removal_fraction_max * n), cfg.removal_cap))
+        q_min = max(1, min(int(_REMOVAL_FRACTION_MIN * n), _REMOVAL_CAP))
+        q_max = max(q_min, min(int(_REMOVAL_FRACTION_MAX * n), _REMOVAL_CAP))
 
         d_weights = np.ones(len(self.destroy_ops))
         r_weights = np.ones(len(self.repair_ops))
@@ -212,13 +201,13 @@ class AlnsEngine:
                             if best_filter is None or best_filter(current):
                                 best_assignment = current.assignment
                                 best_obj = cand_obj
-                                score = cfg.score_best
+                                score = _SCORE_BEST
                                 new_best = True
                             else:
                                 vetoed += 1
                                 was_vetoed = True
                         if score == 0.0 and cand_obj < cur_obj - 1e-12:
-                            score = cfg.score_improve
+                            score = _SCORE_IMPROVE
 
                         accept = cand_obj <= cur_obj or rng.random() < math.exp(
                             -(cand_obj - cur_obj) / max(temperature, 1e-12)
@@ -228,7 +217,7 @@ class AlnsEngine:
                             cur_obj = cand_obj
                             accepted += 1
                             if score == 0.0:
-                                score = cfg.score_accept
+                                score = _SCORE_ACCEPT
                     d_scores[di] += score
                     r_scores[ri] += score
 
@@ -246,10 +235,10 @@ class AlnsEngine:
                             vetoed=was_vetoed,
                         )
 
-                    temperature *= cfg.cooling
+                    temperature *= _COOLING
                     history.append(cur_obj)
 
-                    if it % cfg.segment_length == 0:
+                    if it % _SEGMENT_LENGTH == 0:
                         d_weights = _update_weights(d_weights, d_scores, d_uses, cfg.reaction)
                         r_weights = _update_weights(r_weights, r_scores, r_uses, cfg.reaction)
                         d_scores[:] = 0

@@ -7,14 +7,17 @@ per-machine peak utilization) and penalty terms that let the LNS walk
 through mildly infeasible states while being pushed firmly back:
 
 ``value = peak
-        + smooth_weight   · mean_i(peak_util_i²)
-        + move_penalty    · moved_bytes / total_bytes
-        + overload_penalty· Σ_i,k relu(load−cap)/cap
-        + vacancy_penalty · max(0, R − #vacant)``
+        + _SMOOTH_WEIGHT    · mean_i(peak_util_i²)
+        + move_penalty      · moved_bytes / total_bytes
+        + _OVERLOAD_PENALTY · Σ_i,k relu(load−cap)/cap
+        + _VACANCY_PENALTY  · max(0, R − #vacant)
+        + _REPLICA_PENALTY  · #replica-conflicts``
 
-With default weights the peak term dominates; the smoothing term only
-orders states with equal peaks, and both penalties are large enough that
-no feasible state is ever beaten by an infeasible one in practice.
+Only ``move_penalty`` is the caller's (:class:`ObjectiveWeights`); the
+other weights are module constants.  The peak term dominates; the
+smoothing term only orders states with equal peaks, and the penalties
+are large enough that no feasible state is ever beaten by an infeasible
+one in practice.
 """
 
 from __future__ import annotations
@@ -23,30 +26,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._validation import check_non_negative
+from repro._validation import check_int, check_non_negative
 from repro.cluster import ClusterState
 
 __all__ = ["ObjectiveWeights", "Objective"]
 
+_SMOOTH_WEIGHT = 0.05
+_OVERLOAD_PENALTY = 10.0
+_VACANCY_PENALTY = 2.0
+#: Penalty per (machine, logical shard) replica-anti-affinity violation;
+#: replicas of one logical shard must not colocate.
+_REPLICA_PENALTY = 5.0
+
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Weights of the search objective (see module docstring)."""
+    """Weights of the search objective a caller sets (see module
+    docstring)."""
 
     move_penalty: float = 0.002
-    smooth_weight: float = 0.05
-    overload_penalty: float = 10.0
-    vacancy_penalty: float = 2.0
-    #: Penalty per (machine, logical shard) replica-anti-affinity
-    #: violation; replicas of one logical shard must not colocate.
-    replica_penalty: float = 5.0
 
     def __post_init__(self) -> None:
         check_non_negative("move_penalty", self.move_penalty)
-        check_non_negative("smooth_weight", self.smooth_weight)
-        check_non_negative("overload_penalty", self.overload_penalty)
-        check_non_negative("vacancy_penalty", self.vacancy_penalty)
-        check_non_negative("replica_penalty", self.replica_penalty)
 
 
 class Objective:
@@ -61,7 +62,7 @@ class Objective:
     required_returns:
         ``R`` — vacant machines owed at the end.
     weights:
-        Term weights.
+        The caller's term weights (the move penalty).
 
     The instance is immutable and cheap to call: it reads the state's
     incremental caches rather than rescanning the ``(m, d)`` load matrix.
@@ -79,8 +80,9 @@ class Objective:
         self.sizes = np.asarray(sizes, dtype=np.float64)
         if self.a0.shape != self.sizes.shape:
             raise ValueError("initial_assignment and sizes must have equal length")
-        check_non_negative("required_returns", required_returns)
-        self.required_returns = int(required_returns)
+        self.required_returns = check_non_negative(
+            "required_returns", check_int("required_returns", required_returns)
+        )
         self.weights = weights or ObjectiveWeights()
         self._total_bytes = float(self.sizes.sum()) or 1.0
 
@@ -99,11 +101,10 @@ class Objective:
         are bitwise those of a from-scratch recompute; the test oracle
         ``tests/oracles/objective.py`` pins this.
         """
-        w = self.weights
-        # Block-max peak: bitwise-equal to the full-scan max (float max
-        # is exact) but only rescans blocks containing touched machines.
+        # The max over the per-machine peak cache, whose dirty rows are
+        # refreshed first.
         peak = state.peak_utilization()
-        machine_peak = state.machine_peak_utilization_view()
+        machine_peak = state.machine_peak_utilization()
         smooth = float(np.mean(machine_peak**2))
 
         assign = state.assignment_view()
@@ -127,11 +128,11 @@ class Objective:
 
         value = (
             peak
-            + w.smooth_weight * smooth
-            + w.move_penalty * moved
-            + w.overload_penalty * overload
-            + w.vacancy_penalty * shortfall
-            + w.replica_penalty * conflicts
+            + _SMOOTH_WEIGHT * smooth
+            + self.weights.move_penalty * moved
+            + _OVERLOAD_PENALTY * overload
+            + _VACANCY_PENALTY * shortfall
+            + _REPLICA_PENALTY * conflicts
         )
         return {
             "value": value,

@@ -306,7 +306,7 @@ def _drain_machines(work: ClusterState, count: int) -> None:
     Fully deterministic: ties resolve to the lowest machine id.
     """
     blocked = work.blocked_mask | work.offline_mask
-    counts = work.shard_counts_view()
+    counts = work.shard_counts()
     occupied = np.flatnonzero(~blocked & (counts > 0))
     if occupied.size <= count:
         # Impossible contract (no machine would be left to host the

@@ -466,7 +466,7 @@ class WallClockRule(Rule):
 _STATE_PRIVATE_ATTRS = frozenset(
     {
         "_assign",
-        "_loads",
+        "_loads_t",
         "_counts",
         "_peak",
         "_peak_dirty",
@@ -476,10 +476,6 @@ _STATE_PRIVATE_ATTRS = frozenset(
         "_replica_hosts",
         "_replica_conflicts",
         "_norm_demand",
-        "_loads_t",
-        "_peak_block",
-        "_block_dirty",
-        "_block_any_dirty",
         "_blocked",
         "_offline",
     }
@@ -500,8 +496,8 @@ _STATE_PRIVATE_METHODS = frozenset(
 
 
 def _is_private_cache(expr: ast.AST) -> TypeGuard[ast.Attribute]:
-    """``<state>._loads`` and friends.  A foreign write goes through a
-    state reference (``state._loads = ...``); a bare-self attribute is
+    """``<state>._loads_t`` and friends.  A foreign write goes through a
+    state reference (``state._loads_t = ...``); a bare-self attribute is
     another class's own field that happens to share the name."""
     return (
         isinstance(expr, ast.Attribute)
@@ -518,8 +514,8 @@ class StateMutationRule(Rule):
 
     Contract:
         Outside ``src/repro/cluster/state.py``, no attribute or
-        subscript write to the private caches (``_loads``, ``_peak``,
-        ``_loads_t``, ``_peak_block``, …), no call to the private
+        subscript write to the private arrays and caches (``_loads_t``,
+        ``_counts``, ``_peak``, …), no call to the private
         maintenance methods or to ``begin()``, and no subscript store
         through ``assignment``, which returns a copy.  Open
         transactions with ``with state.transaction():`` and keep the

@@ -10,26 +10,26 @@ O(d) rather than O(n·d).
 Hot-path contract (relied on by the LNS inner loop; see the "Delta
 evaluation contract" section of docs/ARCHITECTURE.md):
 
-* ``move``/``unassign``/``assign_shard`` update ``loads`` in O(d);
+* the loads live in one C-contiguous ``(d, m)`` array, the layout the
+  vectorized score kernels consume (:meth:`loads_by_dim`; see
+  docs/ARCHITECTURE.md, "SoA memory layout"); ``loads`` is its ``(m, d)``
+  transpose, a view of the same memory;
+* ``move``/``unassign``/``assign_shard`` update the loads in O(d);
 * incrementally maintained caches: per-machine shard counts
   (:meth:`shard_counts`, O(1) per move), the vacant in-service machine
   count (:attr:`num_vacant_in_service`), the unassigned-shard count
   (:meth:`is_fully_assigned` is O(1)), per-machine peak utilization
   (:meth:`machine_peak_utilization`, lazily refreshed for dirty rows
-  only), a segmented block-max over those peaks (so
-  :meth:`peak_utilization` rescans only blocks containing touched
-  machines), and the replica anti-affinity conflict count
+  only), and the replica anti-affinity conflict count
   (:attr:`replica_conflict_count`);
 * every array accessor (``capacity``, ``demand``, ``loads``, the masks,
-  the ``*_view()`` and ``*_by_dim()`` methods, …) is read-only: a write
-  raises ``ValueError``.  The live arrays show through cached read-only
-  views, so reading costs nothing and a write through any alias fails
-  loudly instead of desynchronizing the caches below.
-  :meth:`loads_by_dim` / :meth:`capacity_by_dim` /
-  :meth:`inv_capacity_by_dim` expose the loads and capacities as
-  C-contiguous ``(d, m)`` structure-of-arrays mirrors, the layout the
-  vectorized score kernels consume (see docs/ARCHITECTURE.md, "SoA
-  memory layout");
+  :meth:`assignment_view`, :meth:`shard_counts`,
+  :meth:`machine_peak_utilization`, the ``*_by_dim()`` methods, …) is
+  read-only: a write raises ``ValueError``.  The live arrays show
+  through cached read-only views, so reading costs nothing and a write
+  through any alias fails loudly instead of desynchronizing the caches
+  below.  :meth:`capacity_by_dim` / :meth:`inv_capacity_by_dim` are
+  ``(d, m)`` mirrors of the immutable capacities;
 * ``copy()`` is a cheap structural copy (arrays copied, descriptions
   shared);
 * ``with state.transaction():`` brackets a transaction: the block
@@ -60,12 +60,6 @@ __all__ = ["ClusterState", "UNASSIGNED"]
 #: Sentinel value in the assignment array for a shard not currently placed
 #: (only ever observed transiently, inside destroy/repair cycles).
 UNASSIGNED: int = -1
-
-#: Machines per segment of the peak-utilization block-max.  Float ``max``
-#: is exact and associative, so the global peak recomputed from block
-#: maxima is bitwise-identical to a full scan — but after a transaction
-#: touching k machines only ``O(k + m/B)`` elements are rescanned.
-_PEAK_BLOCK = 1024
 
 #: The arrays fixed for a state's lifetime (the last three computed
 #: lazily).  Each is frozen where it is made, so copies share one
@@ -147,15 +141,11 @@ class _Frame:
 
     __slots__ = (
         "assign",
-        "loads",
         "loads_t",
         "counts",
         "peak",
         "peak_dirty",
         "peak_any_dirty",
-        "peak_block",
-        "block_dirty",
-        "block_any_dirty",
         "blocked",
         "replica_hosts",
         "num_unassigned",
@@ -165,15 +155,11 @@ class _Frame:
 
     def __init__(self, state: "ClusterState") -> None:
         self.assign = state._assign.copy()
-        self.loads = state._loads.copy()
         self.loads_t = state._loads_t.copy()
         self.counts = state._counts.copy()
         self.peak = state._peak.copy()
         self.peak_dirty = state._peak_dirty.copy()
         self.peak_any_dirty = state._peak_any_dirty
-        self.peak_block = state._peak_block.copy()
-        self.block_dirty = state._block_dirty.copy()
-        self.block_any_dirty = state._block_any_dirty
         self.blocked = state._blocked.copy()
         # Replica host counters are saved per touched (group, machine)
         # pair: they live in nested dicts whose full copy would be
@@ -253,25 +239,15 @@ class ClusterState:
         m = len(self._machines)
         placed = self._assign != UNASSIGNED
         hosts = self._assign[placed]
-        # (d, m) C-contiguous SoA mirror of the load matrix, maintained in
-        # lock-step with self._loads by every mutator (see loads_by_dim).
+        # The one load array, (d, m) C-contiguous; ``loads`` is its
+        # transpose (see loads_by_dim).
         self._loads_t = _summed_loads(hosts, self._demand[placed], m)
-        self._loads = self._loads_t.T.copy()
         self._counts = np.bincount(hosts, minlength=m).astype(np.int64, copy=False)
         self._num_unassigned = int(np.sum(~placed))
         self._num_vacant = int(np.sum((self._counts == 0) & ~self._offline))
-        self._peak = (self._loads / self._capacity).max(axis=1)
+        self._peak = (self._loads_t.T / self._capacity).max(axis=1)
         self._peak_dirty = np.zeros(m, dtype=bool)
         self._peak_any_dirty = False
-        # Segmented block-max over the per-machine peaks: peak_utilization()
-        # rescans only blocks whose members were touched.  Float max is
-        # exact, so the blocked recomputation is bitwise-identical to a
-        # full scan.
-        self._peak_block = np.maximum.reduceat(
-            self._peak, np.arange(0, m, _PEAK_BLOCK)
-        )
-        self._block_dirty = np.zeros(self._peak_block.size, dtype=bool)
-        self._block_any_dirty = False
         # Replica host counters: group -> {machine -> member count}, and
         # the number of (machine, group) pairs hosting > 1 member.
         self._replica_hosts: dict[int, dict[int, int]] = {}
@@ -297,7 +273,7 @@ class ClusterState:
         attribute load.  Called wherever the arrays are (re)bound.
         """
         self._assign_view = _frozen(self._assign.view())
-        self._loads_view = _frozen(self._loads.view())
+        self._loads_view = _frozen(self._loads_t.T)
         self._loads_t_view = _frozen(self._loads_t.view())
         self._counts_view = _frozen(self._counts.view())
         self._peak_view = _frozen(self._peak.view())
@@ -331,7 +307,7 @@ class ClusterState:
         """
         if self._peak_any_dirty:
             idx = np.flatnonzero(self._peak_dirty)
-            self._peak[idx] = (self._loads[idx] / self._capacity[idx]).max(axis=1)
+            self._peak[idx] = (self._loads_view[idx] / self._capacity[idx]).max(axis=1)
             self._peak_dirty[idx] = False
             self._peak_any_dirty = False
         return self._peak
@@ -380,7 +356,8 @@ class ClusterState:
 
     @property
     def loads(self) -> np.ndarray:
-        """(m, d) current load matrix, maintained incrementally.
+        """(m, d) current load matrix, maintained incrementally: the
+        transpose of :meth:`loads_by_dim`, sharing its memory.
         Read-only: a write raises ``ValueError``."""
         return self._loads_view
 
@@ -411,12 +388,11 @@ class ClusterState:
         return self._norm_demand
 
     def loads_by_dim(self) -> np.ndarray:
-        """The live (d, m) C-contiguous load mirror.  Read-only: a write
+        """The live (d, m) C-contiguous load array.  Read-only: a write
         raises ``ValueError``.
 
-        Row ``k`` is the per-machine load in dimension ``k``, bitwise
-        equal to ``loads[:, k]`` at all times (maintained in lock-step by
-        every mutator and restored by :meth:`rollback`).  This is the
+        Row ``k`` is the per-machine load in dimension ``k``; ``loads``
+        is the transpose of the same array.  This is the
         structure-of-arrays layout the vectorized score kernels stream
         over: one contiguous row per resource dimension.
         """
@@ -496,15 +472,11 @@ class ClusterState:
             raise RuntimeError("rollback() without begin()")
         self._frame = None
         np.copyto(self._assign, fr.assign)
-        np.copyto(self._loads, fr.loads)
         np.copyto(self._loads_t, fr.loads_t)
         np.copyto(self._counts, fr.counts)
         np.copyto(self._peak, fr.peak)
         np.copyto(self._peak_dirty, fr.peak_dirty)
         self._peak_any_dirty = fr.peak_any_dirty
-        np.copyto(self._peak_block, fr.peak_block)
-        np.copyto(self._block_dirty, fr.block_dirty)
-        self._block_any_dirty = fr.block_any_dirty
         np.copyto(self._blocked, fr.blocked)
         for (g, mach), cnt in fr.replica_hosts.items():
             hosts = self._replica_hosts[g]
@@ -576,8 +548,7 @@ class ClusterState:
         src = int(self._assign[shard_id])
         if src == UNASSIGNED:
             return UNASSIGNED
-        self._loads[src] -= self._demand[shard_id]
-        self._loads_t[:, src] = self._loads[src]
+        self._loads_t[:, src] -= self._demand[shard_id]
         self._assign[shard_id] = UNASSIGNED
         self._num_unassigned += 1
         cnt = int(self._counts[src]) - 1
@@ -587,8 +558,6 @@ class ClusterState:
         if not self._peak_dirty[src]:
             self._peak_dirty[src] = True
             self._peak_any_dirty = True
-            self._block_dirty[src // _PEAK_BLOCK] = True
-            self._block_any_dirty = True
         if self._replica_groups:
             self._host_leave(shard_id, src)
         return src
@@ -619,19 +588,16 @@ class ClusterState:
             s = np.sort(ids)
             if bool(np.any(s[1:] == s[:-1])):
                 raise ValueError("unassign_many: duplicate shard ids")
-        np.subtract.at(self._loads, srcs, self._demand[ids])
+        np.subtract.at(self._loads_t.T, srcs, self._demand[ids])
         self._assign[ids] = UNASSIGNED
         self._num_unassigned += int(ids.size)
         touched, per = np.unique(srcs, return_counts=True)
-        self._loads_t[:, touched] = self._loads[touched].T
         self._counts[touched] -= per
         self._num_vacant += int(
             np.sum((self._counts[touched] == 0) & ~self._offline[touched])
         )
         self._peak_dirty[touched] = True
         self._peak_any_dirty = True
-        self._block_dirty[touched // _PEAK_BLOCK] = True
-        self._block_any_dirty = True
         if self._replica_groups:
             for j, s in zip(ids.tolist(), srcs.tolist(), strict=True):
                 self._host_leave(int(j), int(s))
@@ -654,8 +620,7 @@ class ClusterState:
         if self._blocked[machine_id]:
             raise ValueError(f"machine {machine_id} is blocked for placement")
         self._assign[shard_id] = machine_id
-        self._loads[machine_id] += self._demand[shard_id]
-        self._loads_t[:, machine_id] = self._loads[machine_id]
+        self._loads_t[:, machine_id] += self._demand[shard_id]
         self._num_unassigned -= 1
         cnt = int(self._counts[machine_id]) + 1
         self._counts[machine_id] = cnt
@@ -664,8 +629,6 @@ class ClusterState:
         if not self._peak_dirty[machine_id]:
             self._peak_dirty[machine_id] = True
             self._peak_any_dirty = True
-            self._block_dirty[machine_id // _PEAK_BLOCK] = True
-            self._block_any_dirty = True
         if self._replica_groups:
             self._host_enter(shard_id, machine_id)
 
@@ -692,38 +655,21 @@ class ClusterState:
     # -------------------------------------------------------------- queries
     def utilization(self) -> np.ndarray:
         """(m, d) load / capacity."""
-        return safe_ratio(self._loads, self._capacity)
+        return safe_ratio(self._loads_view, self._capacity)
 
     def machine_peak_utilization(self) -> np.ndarray:
-        """(m,) worst-dimension utilization per machine (cached)."""
-        return self._refreshed_peaks().copy()
-
-    def machine_peak_utilization_view(self) -> np.ndarray:
-        """The live per-machine peak-utilization cache, refreshed.
-        Read-only: a write raises ``ValueError``."""
+        """(m,) worst-dimension utilization per machine: the live cache,
+        refreshed.  Read-only: a write raises ``ValueError``."""
         self._refreshed_peaks()
         return self._peak_view
 
     def peak_utilization(self) -> float:
-        """Cluster-wide peak utilization (the primary imbalance measure).
-
-        Computed from the segmented block-max: only blocks containing
-        machines touched since the last call are rescanned, then the
-        (short) block vector is reduced.  Bitwise-identical to
-        ``machine_peak_utilization().max()`` because float ``max`` is
-        exact and associative.
-        """
-        peaks = self._refreshed_peaks()
-        if self._block_any_dirty:
-            for b in np.flatnonzero(self._block_dirty).tolist():
-                self._peak_block[b] = peaks[b * _PEAK_BLOCK : (b + 1) * _PEAK_BLOCK].max()
-            self._block_dirty[:] = False
-            self._block_any_dirty = False
-        return float(self._peak_block.max())
+        """Cluster-wide peak utilization (the primary imbalance measure)."""
+        return float(self._refreshed_peaks().max())
 
     def headroom(self) -> np.ndarray:
         """(m, d) remaining capacity (may be negative when overloaded)."""
-        return self._capacity - self._loads
+        return self._capacity - self._loads_view
 
     def assignment_drift(self, reference: np.ndarray) -> tuple[int, float]:
         """Size of the placement delta against *reference*.
@@ -749,12 +695,8 @@ class ClusterState:
         return np.flatnonzero(self._assign == machine_id)
 
     def shard_counts(self) -> np.ndarray:
-        """(m,) number of shards per machine (cached, O(m))."""
-        return self._counts.copy()
-
-    def shard_counts_view(self) -> np.ndarray:
-        """The live per-machine shard-count cache.  Read-only: a write
-        raises ``ValueError``."""
+        """(m,) number of shards per machine: the live cache.  Read-only:
+        a write raises ``ValueError``."""
         return self._counts_view
 
     def vacant_machines(self) -> np.ndarray:
@@ -776,11 +718,11 @@ class ClusterState:
 
     def is_within_capacity(self, *, atol: float = 1e-9) -> bool:
         """True when no machine exceeds capacity in any dimension."""
-        return bool(np.all(self._loads <= self._capacity + atol))
+        return bool(np.all(self._loads_view <= self._capacity + atol))
 
     def overloaded_machines(self, *, atol: float = 1e-9) -> np.ndarray:
         """Ids of machines exceeding capacity in some dimension."""
-        return np.flatnonzero(np.any(self._loads > self._capacity + atol, axis=1))
+        return np.flatnonzero(np.any(self._loads_view > self._capacity + atol, axis=1))
 
     def fits(self, shard_id: int, machine_id: int, *, atol: float = 1e-9) -> bool:
         """Would *shard_id* fit on *machine_id* right now (ignoring its
@@ -788,7 +730,7 @@ class ClusterState:
         self._check_shard(shard_id)
         self._check_machine(machine_id)
         extra = self._demand[shard_id]
-        load = self._loads[machine_id]
+        load = self._loads_view[machine_id]
         if self._assign[shard_id] == machine_id:
             return bool(np.all(load <= self._capacity[machine_id] + atol))
         return bool(np.all(load + extra <= self._capacity[machine_id] + atol))
@@ -920,7 +862,6 @@ class ClusterState:
         dup._cap_t = self._cap_t
         dup._inv_cap_t = self._inv_cap_t
         dup._assign = self._assign.copy()
-        dup._loads = self._loads.copy()
         dup._loads_t = self._loads_t.copy()
         dup._blocked = self._blocked.copy()
         dup._offline = self._offline.copy()
@@ -932,9 +873,6 @@ class ClusterState:
         dup._peak = self._peak.copy()
         dup._peak_dirty = self._peak_dirty.copy()
         dup._peak_any_dirty = self._peak_any_dirty
-        dup._peak_block = self._peak_block.copy()
-        dup._block_dirty = self._block_dirty.copy()
-        dup._block_any_dirty = self._block_any_dirty
         dup._replica_hosts = {
             g: hosts.copy() for g, hosts in self._replica_hosts.items()
         }
@@ -1052,7 +990,8 @@ class ClusterState:
 
         Used by tests (and available to users debugging custom state
         manipulations).  Checks: every accessor hands out a read-only
-        array, and each cached view aliases its live array; loads and
+        array, and each cached view aliases its live array (``loads``
+        included: it is the transpose of the one load array); loads and
         every incremental cache match the assignment exactly, blocked
         machines host nothing, offline implies blocked, and the
         replica-group tables agree with the shard descriptions.
@@ -1063,7 +1002,7 @@ class ClusterState:
                 raise ValueError(f"{name} is writeable")
         for arr, view in (
             (self._assign, self._assign_view),
-            (self._loads, self._loads_view),
+            (self._loads_t, self._loads_view),
             (self._loads_t, self._loads_t_view),
             (self._counts, self._counts_view),
             (self._peak, self._peak_view),
@@ -1074,7 +1013,7 @@ class ClusterState:
                 raise ValueError("a cached accessor view does not alias its live array")
         placed = self._assign != UNASSIGNED
         recomputed = _summed_loads(self._assign[placed], self._demand[placed], self.num_machines)
-        if not np.allclose(self._loads, recomputed.T, atol=1e-6):
+        if not np.allclose(self._loads_t, recomputed, atol=1e-6):
             raise ValueError("loads diverged from the assignment")
         counts = np.bincount(self._assign[placed], minlength=self.num_machines)
         if not np.array_equal(self._counts, counts):
@@ -1083,20 +1022,10 @@ class ClusterState:
             raise ValueError("unassigned-count cache diverged from the assignment")
         if self._num_vacant != int(np.sum((counts == 0) & ~self._offline)):
             raise ValueError("vacant-count cache diverged from the assignment")
-        if not np.array_equal(self._loads_t, self._loads.T):
-            raise ValueError("SoA load mirror diverged from the load matrix")
-        peaks = (self._loads / self._capacity).max(axis=1)
+        peaks = (self._loads_view / self._capacity).max(axis=1)
         live = ~self._peak_dirty
         if not np.allclose(self._peak[live], peaks[live], atol=1e-9):
             raise ValueError("peak-utilization cache diverged from the loads")
-        dirty_blocks = np.zeros(self._block_dirty.size, dtype=bool)
-        dirty_blocks[np.flatnonzero(self._peak_dirty) // _PEAK_BLOCK] = True
-        if np.any(dirty_blocks & ~self._block_dirty):
-            raise ValueError("dirty peak row inside a clean block")
-        for b in np.flatnonzero(~self._block_dirty).tolist():
-            seg = self._peak[b * _PEAK_BLOCK : (b + 1) * _PEAK_BLOCK]
-            if self._peak_block[b] != seg.max():
-                raise ValueError(f"block-max cache diverged in block {b}")
         bad = np.flatnonzero(self._blocked & (counts > 0))
         if bad.size:
             raise ValueError(f"blocked machines host shards: {bad.tolist()}")

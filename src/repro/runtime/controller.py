@@ -195,7 +195,7 @@ class IncrementalRebalanceController(RebalanceController):
     def maybe_rebalance(self, rt: Runtime) -> EpisodeOutcome:
         """Observe the detector, tick the pool, publish, then gate as usual."""
         self.detector.observe(
-            rt.now, self.handle.state.machine_peak_utilization_view()
+            rt.now, self.handle.state.machine_peak_utilization()
         )
         if self.pool is not None:
             self.pool.tick()

@@ -16,7 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms.lns import AlnsConfig, _roulette, _update_weights
+from repro.algorithms.lns import (
+    _COOLING,
+    _REMOVAL_CAP,
+    _REMOVAL_FRACTION_MAX,
+    _REMOVAL_FRACTION_MIN,
+    _SCORE_ACCEPT,
+    _SCORE_BEST,
+    _SCORE_IMPROVE,
+    _SEGMENT_LENGTH,
+    AlnsConfig,
+    _roulette,
+    _update_weights,
+)
 
 
 @dataclass
@@ -37,8 +49,8 @@ def run_copy_engine(config: AlnsConfig, destroy_ops, repair_ops, state, objectiv
     cur_obj = float(objective(current))
     best_assignment, best_obj = current.assignment, cur_obj
     n = state.num_shards
-    q_min = max(1, min(int(cfg.removal_fraction_min * n), cfg.removal_cap))
-    q_max = max(q_min, min(int(cfg.removal_fraction_max * n), cfg.removal_cap))
+    q_min = max(1, min(int(_REMOVAL_FRACTION_MIN * n), _REMOVAL_CAP))
+    q_max = max(q_min, min(int(_REMOVAL_FRACTION_MAX * n), _REMOVAL_CAP))
     d_weights, r_weights = np.ones(len(destroy_ops)), np.ones(len(repair_ops))
     d_scores, r_scores = np.zeros_like(d_weights), np.zeros_like(r_weights)
     d_uses, r_uses = np.zeros_like(d_weights), np.zeros_like(r_weights)
@@ -58,22 +70,22 @@ def run_copy_engine(config: AlnsConfig, destroy_ops, repair_ops, state, objectiv
 
         score = 0.0
         if cand_obj < best_obj - 1e-12:
-            best_assignment, best_obj, score = candidate.assignment, cand_obj, cfg.score_best
+            best_assignment, best_obj, score = candidate.assignment, cand_obj, _SCORE_BEST
         if score == 0.0 and cand_obj < cur_obj - 1e-12:
-            score = cfg.score_improve
+            score = _SCORE_IMPROVE
         if cand_obj <= cur_obj or rng.random() < math.exp(
             -(cand_obj - cur_obj) / max(temperature, 1e-12)
         ):
             current, cur_obj = candidate, cand_obj
             accepted += 1
             if score == 0.0:
-                score = cfg.score_accept
+                score = _SCORE_ACCEPT
         d_scores[di] += score
         r_scores[ri] += score
 
-        temperature *= cfg.cooling
+        temperature *= _COOLING
         history.append(cur_obj)
-        if it % cfg.segment_length == 0:
+        if it % _SEGMENT_LENGTH == 0:
             d_weights = _update_weights(d_weights, d_scores, d_uses, cfg.reaction)
             r_weights = _update_weights(r_weights, r_scores, r_uses, cfg.reaction)
             for arr in (d_scores, r_scores, d_uses, r_uses):

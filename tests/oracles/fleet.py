@@ -24,13 +24,10 @@ _ARRAYS = (
     "_sizes",
     "_exchange_mask",
     "_assign",
-    "_loads",
     "_loads_t",
     "_counts",
     "_peak",
     "_peak_dirty",
-    "_peak_block",
-    "_block_dirty",
     "_blocked",
     "_offline",
     "_replica_of",
@@ -39,7 +36,6 @@ _SCALARS = (
     "_num_unassigned",
     "_num_vacant",
     "_peak_any_dirty",
-    "_block_any_dirty",
     "_replica_conflicts",
 )
 

@@ -1,7 +1,7 @@
 """Test oracle: the search objective recomputed from scratch.
 
 :meth:`repro.algorithms.Objective.components` reads the state's
-incremental caches (block-max peak, per-machine peak view, vacancy and
+incremental caches (per-machine peak cache, vacancy and
 replica-conflict counters).  :func:`reference_components` derives every
 term from the load matrix and the assignment alone, with the same IEEE
 operations in the same order, so the two must agree bitwise on any
@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.objective import Objective
+from repro.algorithms.objective import (
+    _OVERLOAD_PENALTY,
+    _REPLICA_PENALTY,
+    _SMOOTH_WEIGHT,
+    _VACANCY_PENALTY,
+    Objective,
+)
 from repro.cluster import ClusterState
 
 
@@ -37,7 +43,6 @@ def _replica_conflicts(state: ClusterState) -> int:
 
 def reference_components(objective: Objective, state: ClusterState) -> dict[str, float]:
     """Every term of ``objective.components(state)``, without the caches."""
-    w = objective.weights
     util = state.loads / state.capacity  # capacities are > 0
     machine_peak = util.max(axis=1)
     peak = float(machine_peak.max())
@@ -53,11 +58,11 @@ def reference_components(objective: Objective, state: ClusterState) -> dict[str,
 
     value = (
         peak
-        + w.smooth_weight * smooth
-        + w.move_penalty * moved
-        + w.overload_penalty * overload
-        + w.vacancy_penalty * shortfall
-        + w.replica_penalty * conflicts
+        + _SMOOTH_WEIGHT * smooth
+        + objective.weights.move_penalty * moved
+        + _OVERLOAD_PENALTY * overload
+        + _VACANCY_PENALTY * shortfall
+        + _REPLICA_PENALTY * conflicts
     )
     return {
         "value": value,

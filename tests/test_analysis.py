@@ -141,11 +141,11 @@ class TestRep002WallClock:
 
 class TestRep003StateMutation:
     def test_private_attr_rebind_flagged(self):
-        src = "state._loads = fresh\n"
+        src = "state._loads_t = fresh\n"
         assert rule_ids(lint(src)) == ["REP003"]
 
     def test_private_attr_subscript_write_flagged(self):
-        src = "state._loads[0] = 1.0\n"
+        src = "state._loads_t[0] = 1.0\n"
         assert rule_ids(lint(src)) == ["REP003"]
 
     def test_private_attr_augassign_flagged(self):
@@ -168,7 +168,7 @@ class TestRep003StateMutation:
         assert lint(src) == []
 
     def test_state_py_itself_exempt(self):
-        src = "state._loads[0] = 1.0\n"
+        src = "state._loads_t[0] = 1.0\n"
         assert lint(src, rel="src/repro/cluster/state.py") == []
 
     def test_transactional_api_clean(self):
@@ -226,7 +226,7 @@ class TestRep003StateMutation:
     def test_private_mirror_write_reported_once(self):
         # A subscript store into a private cache is one offending
         # write, so one finding.
-        src = "def f(state):\n    state._loads_t[0] = 1.0\n"
+        src = "def f(state):\n    state._counts[0] = 1\n"
         findings = lint(src)
         assert rule_ids(findings) == ["REP003"]
         assert findings[0].line == 2

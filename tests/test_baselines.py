@@ -118,6 +118,16 @@ class TestLocalSearch:
                 work, np.random.default_rng(0), max_steps=value
             )
 
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_non_positive_step_budget_rejected(self, value):
+        # The constructor rejects max_steps <= 0; the per-call budget
+        # must too, not silently run zero steps.
+        work = imbalanced_state()
+        with pytest.raises(ValueError, match="max_steps must be > 0"):
+            LocalSearchRebalancer().improve_in_place(
+                work, np.random.default_rng(0), max_steps=value
+            )
+
     def test_numpy_integer_params_accepted(self):
         ls = LocalSearchRebalancer(max_steps=np.int64(3), neighborhood_sample=np.int32(4))
         assert (ls.max_steps, ls.neighborhood_sample) == (3, 4)

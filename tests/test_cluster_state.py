@@ -131,7 +131,7 @@ class TestMutation:
         before = (
             [state.machine_of(j) for j in range(state.num_shards)],
             state.loads.copy(),
-            state.shard_counts(),
+            state.shard_counts().copy(),
             state.peak_utilization(),
         )
         with pytest.raises(ValueError, match=needle):
@@ -312,7 +312,7 @@ class TestSoAMirrors:
         assert clone.inv_capacity_by_dim() is inv
 
     def test_block_max_peak_after_partial_updates(self):
-        # Exercise the segmented block-max: dirty one machine, read the
+        # Exercise the lazy peak refresh: dirty one machine, read the
         # peak, then dirty another and read again — both reads must equal
         # the full recompute.
         state = small_cluster(m=5, n=10, cap=10.0, dem=2.0)
@@ -399,12 +399,13 @@ def test_rebuilt_loads_equal_add_at_bitwise(data):
 # Read-only accessors
 # --------------------------------------------------------------------------
 
-#: Every public array accessor -> the private array it shows.
+#: Every public array accessor -> the private array it shows (``loads``
+#: shows the transpose of ``_loads_t``, see :func:`private`).
 ACCESSORS = {
     "capacity": "_capacity",
     "demand": "_demand",
     "sizes": "_sizes",
-    "loads": "_loads",
+    "loads": "_loads_t",
     "exchange_mask": "_exchange_mask",
     "blocked_mask": "_blocked",
     "offline_mask": "_offline",
@@ -413,8 +414,8 @@ ACCESSORS = {
     "loads_by_dim": "_loads_t",
     "capacity_by_dim": "_cap_t",
     "inv_capacity_by_dim": "_inv_cap_t",
-    "shard_counts_view": "_counts",
-    "machine_peak_utilization_view": "_peak",
+    "shard_counts": "_counts",
+    "machine_peak_utilization": "_peak",
 }
 
 
@@ -423,14 +424,24 @@ def read(state, name):
     return value() if callable(value) else value
 
 
+def private(state, name):
+    """The private array accessor *name* shows, in the accessor's shape."""
+    arr = getattr(state, ACCESSORS[name])
+    return arr.T if name == "loads" else arr
+
+
 def assert_accessors_live(state):
-    """Every accessor hands out a read-only array equal to the live
-    private array (dirty peak rows refreshed first)."""
+    """Every accessor hands out a read-only array that shares memory
+    with, and equals, the live private array (dirty peak rows refreshed
+    first)."""
     state.machine_peak_utilization()
-    for name, private in ACCESSORS.items():
+    # One load array: ``loads`` is the transpose of ``loads_by_dim()``.
+    assert np.shares_memory(state.loads, state.loads_by_dim())
+    for name in ACCESSORS:
         arr = read(state, name)
         assert not arr.flags.writeable, name
-        assert np.array_equal(arr, getattr(state, private)), name
+        assert np.shares_memory(arr, getattr(state, ACCESSORS[name])), name
+        assert np.array_equal(arr, private(state, name)), name
 
 
 def assert_follows(state, name):
@@ -438,18 +449,18 @@ def assert_follows(state, name):
     the live data after each: moves, blocking, a rolled-back transaction
     and a machine taken offline."""
     held = read(state, name)
-    open_vacant = np.flatnonzero((state.shard_counts_view() == 0) & ~state.blocked_mask)
+    open_vacant = np.flatnonzero((state.shard_counts() == 0) & ~state.blocked_mask)
     with state.transaction():
         state.move(0, state.machine_of(1))
         state.block_machine(int(open_vacant[0]))
         assert_accessors_live(state)
-        assert np.array_equal(held, getattr(state, ACCESSORS[name]))
+        assert np.array_equal(held, private(state, name))
     assert_accessors_live(state)
-    assert np.array_equal(held, getattr(state, ACCESSORS[name]))
+    assert np.array_equal(held, private(state, name))
     state.move(0, state.machine_of(1))
     state.set_offline(int(open_vacant[0]))
     assert_accessors_live(state)
-    assert np.array_equal(held, getattr(state, ACCESSORS[name]))
+    assert np.array_equal(held, private(state, name))
     state.validate()
 
 
@@ -475,7 +486,7 @@ class TestReadOnlyAccessors:
         lent = [Machine(id=0, capacity=np.full(3, 10.0), exchange=True)] * 2
         grown = dup.with_extra_machines(lent)
         assert_follows(grown, name)
-        vacant = np.flatnonzero((grown.shard_counts_view() == 0) & ~grown.blocked_mask)
+        vacant = np.flatnonzero((grown.shard_counts() == 0) & ~grown.blocked_mask)
         settled = grown.without_machines(vacant[:1])
         assert_follows(settled, name)
         assert_follows(pickle.loads(pickle.dumps(settled)), name)

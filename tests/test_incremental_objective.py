@@ -5,7 +5,7 @@ which reads the state's incremental caches, produces the exact float the
 from-scratch recompute (``tests/oracles/objective.py``) produces — same
 IEEE operations in the same order.  These tests compare every term with
 ``==`` (not approx) across feasible, overloaded, vacancy-short,
-replica-conflicted, multi-block, blocked, offline and rolled-back
+replica-conflicted, thousand-machine, blocked, offline and rolled-back
 states, and pin that the delta-evaluated engine walks the same
 trajectory as the copy-based reference loop
 (``tests/oracles/copy_engine.py``) scoring with the oracle.
@@ -40,13 +40,13 @@ def synthetic_state(seed=0, m=8, spm=5, util=0.8):
 
 
 @functools.lru_cache(maxsize=None)
-def _multi_block_state(seed):
-    # m = 1030 spans two _PEAK_BLOCK blocks of the segmented block-max.
+def _large_state(seed):
+    # m = 1030: the peak can sit on machines more than a thousand ids apart.
     return synthetic_state(seed=seed, m=1030, spm=3)
 
 
-def multi_block_state(seed):
-    return _multi_block_state(seed).copy()
+def large_state(seed):
+    return _large_state(seed).copy()
 
 
 def replicated_state(seed=2):
@@ -153,14 +153,15 @@ class TestOracleProperty:
     @given(seed=st.integers(0, 1000), moves=st.integers(1, 60))
     @settings(max_examples=15, deadline=None)
     def test_multi_block_peak(self, seed, moves):
-        state = multi_block_state(seed % 5)
+        state = large_state(seed % 5)
         a0 = state.assignment
         rng = np.random.default_rng(seed)
         for _ in range(moves):
             j = int(rng.integers(state.num_shards))
             state.move(j, int(rng.integers(state.num_machines)))
         assert_components_bitwise(state, required_returns=seed % 3, a0=a0)
-        # Overload one machine in each block so the peak moves across blocks.
+        # Overload machines at both ends of the fleet so the peak moves
+        # between them.
         for hot in (3, 1027):
             for j in rng.choice(state.num_shards, size=12, replace=False).tolist():
                 state.move(int(j), hot)
@@ -208,7 +209,7 @@ class TestOracleProperty:
     @given(seed=st.integers(0, 500), moves=st.integers(1, 40), big=st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_after_rollback(self, seed, moves, big):
-        state = multi_block_state(seed % 5) if big else replicated_state(seed=seed % 5)
+        state = large_state(seed % 5) if big else replicated_state(seed=seed % 5)
         a0 = state.assignment
         rng = np.random.default_rng(seed)
         state.begin()

@@ -85,8 +85,8 @@ def assert_regret2_matches_oracle(state, removed):
     regret2_exact(exact_state, removed)
     regret2_insertion(list_state, np.random.default_rng(0), removed)
     np.testing.assert_array_equal(exact_state.assignment, list_state.assignment)
-    # Both end states satisfy every cache invariant (SoA mirror,
-    # segmented block-max, peaks, counts, replica hosts).
+    # Both end states satisfy every cache invariant (loads, peaks,
+    # counts, replica hosts).
     exact_state.validate()
     list_state.validate()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import Objective, ObjectiveWeights
+from repro.algorithms.objective import _SMOOTH_WEIGHT
 from repro.cluster import ClusterState, Machine, Shard
 
 
@@ -21,9 +22,8 @@ class TestWeights:
         "kwargs",
         [
             {"move_penalty": -1.0},
-            {"smooth_weight": -0.1},
-            {"overload_penalty": -1.0},
-            {"vacancy_penalty": -1.0},
+            {"move_penalty": -1e-12},
+            {"move_penalty": float("-inf")},
         ],
     )
     def test_negative_rejected(self, kwargs):
@@ -38,7 +38,7 @@ class TestObjective:
         comps = obj.components(state)
         assert comps["peak"] == pytest.approx(0.2)
         assert comps["value"] == pytest.approx(
-            0.2 + obj.weights.smooth_weight * comps["smooth"], abs=1e-9
+            0.2 + _SMOOTH_WEIGHT * comps["smooth"], abs=1e-9
         )
 
     def test_moved_fraction(self):
@@ -96,6 +96,15 @@ class TestObjective:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             Objective(np.zeros(3, dtype=np.int64), np.zeros(2))
+
+    @pytest.mark.parametrize("value", [1.5, "1", -1])
+    def test_invalid_required_returns_rejected(self, value):
+        with pytest.raises(ValueError, match="required_returns"):
+            Objective(np.zeros(3, dtype=np.int64), np.ones(3), required_returns=value)
+
+    def test_numpy_integer_required_returns_accepted(self):
+        obj = Objective(np.zeros(3, dtype=np.int64), np.ones(3), required_returns=np.int64(2))
+        assert obj.required_returns == 2 and type(obj.required_returns) is int
 
     def test_lower_peak_is_better(self):
         state = state_with([0, 0, 1])

@@ -36,15 +36,15 @@ class TestAlnsConfig:
         "kwargs",
         [
             {"iterations": 0},
-            {"removal_fraction_min": 0.5, "removal_fraction_max": 0.2},
-            {"cooling": 0.0},
-            {"cooling": 1.5},
-            {"segment_length": 0},
+            {"iterations": -5},
+            {"start_temperature_ratio": 0.0},
+            {"start_temperature_ratio": -0.01},
+            {"start_temperature_ratio": float("nan")},
             {"reaction": 1.5},
-            {"removal_cap": 0},
+            {"reaction": -0.1},
             {"iterations": 60.5},
-            {"removal_cap": 2.5},
-            {"segment_length": 2.5},
+            {"reaction": float("nan")},
+            {"iterations": 2.0},
             {"iterations": "60"},
         ],
     )
@@ -53,7 +53,7 @@ class TestAlnsConfig:
             AlnsConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):
-        cfg = AlnsConfig(iterations=np.int64(60), removal_cap=np.int32(5), segment_length=np.int64(10))
+        cfg = AlnsConfig(iterations=np.int64(60))
         assert cfg.iterations == 60
 
 

@@ -104,8 +104,15 @@ class TestValidate:
 
     def test_corrupted_loads_detected(self):
         st = state3()
-        st._loads[0, 0] += 1.0  # corrupt the private array
+        st._loads_t[0, 0] += 1.0  # corrupt the private array
         with pytest.raises(ValueError, match="diverged"):
+            st.validate()
+
+    def test_detached_loads_view_detected(self):
+        st = state3()
+        st._loads_view = st.loads.copy()  # no longer the load array's transpose
+        st._loads_view.flags.writeable = False
+        with pytest.raises(ValueError, match="alias"):
             st.validate()
 
     def test_blocked_with_shards_detected(self):

@@ -6,7 +6,7 @@ relies on (docs/ARCHITECTURE.md, "Delta evaluation contract"):
 
 * rollback restores every observable — assignment, loads, counts, peak
   cache, vacancy, blocking, replica conflicts — **bitwise**, on small
-  fleets and on fleets with many peak blocks alike;
+  fleets and on a fleet of thousands of machines alike;
 * commit keeps the mutation and leaves every incremental cache equal to
   a from-scratch recomputation (``validate()`` audits all of them);
 * ``with state.transaction():`` rolls back on every exit that did not
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.cluster.state as state_module
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS, exchange_swap_removal
 from repro.algorithms.lns import AlnsConfig, AlnsEngine
 from repro.algorithms.objective import Objective
@@ -57,8 +56,8 @@ def observables(state: ClusterState) -> dict:
     return {
         "assignment": state.assignment,
         "loads": state.loads.copy(),
-        "counts": state.shard_counts(),
-        "peaks": state.machine_peak_utilization(),
+        "counts": state.shard_counts().copy(),
+        "peaks": state.machine_peak_utilization().copy(),
         "peak": state.peak_utilization(),
         "vacant": state.num_vacant_in_service,
         "vacant_ids": state.vacant_machines().tolist(),
@@ -305,8 +304,8 @@ class TestOperatorTransactions:
 
 
 class TestLargeFleetRollback:
-    """Rollback on a fleet past 65,536 state elements (``n + m·d``) and
-    1,024 machines, where the peak block-max has several segments."""
+    """Rollback on a fleet of 2,100 machines and 63,000 shards, past
+    65,536 state elements (``n + m·d``)."""
 
     M, SHARDS_PER_MACHINE = 2100, 30
 
@@ -318,13 +317,12 @@ class TestLargeFleetRollback:
         shards = [Shard(id=j, demand=demand[j]) for j in range(n)]
         state = ClusterState(Machine.homogeneous(cls.M, 60.0), shards, np.arange(n) % cls.M)
         assert n + state.num_machines * state.dims > 65_536
-        assert state.num_machines > state_module._PEAK_BLOCK
         return state
 
     def test_destroy_repair_rollback_is_bitwise(self):
         state = self.large_state()
         rng = np.random.default_rng(5)
-        # The first round enters with machines in two blocks dirty.
+        # The first round enters with dirty peak rows at both ends.
         state.move(0, 1)
         state.move(1, state.num_machines - 1)
         for destroy, repair in zip(DEFAULT_DESTROY_OPS[:3], DEFAULT_REPAIR_OPS * 2):
@@ -335,13 +333,9 @@ class TestLargeFleetRollback:
             with state.transaction():
                 removed = destroy(state, rng, 60)
                 repair(state, rng, removed)
-                touched = {state.machine_of(j) for j in removed}
-                assert len({i // state_module._PEAK_BLOCK for i in touched}) > 1
                 assert state.assignment_drift(before["assignment"])[0] > 0
-                state.peak_utilization()  # refreshes block maxima in the frame
+                state.peak_utilization()  # refreshes peak rows in the frame
             assert_observables_equal(observables(state), before)
-            assert np.array_equal(state._peak_block, twin._peak_block)
-            assert not state._block_dirty.any()
             state.validate()
 
 
