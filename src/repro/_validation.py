@@ -40,8 +40,9 @@ def check_int(name: str, value: Any) -> int:
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Return *value* if >= 0, else raise ``ValueError``."""
-    if value < 0:
+    """Return *value* if >= 0, else raise ``ValueError`` (NaN included;
+    ``inf`` passes)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -212,29 +212,29 @@ class LocalSearchRebalancer(Rebalancer):
         )
         tracer = obs.current().tracer
         trace_on = tracer.enabled
-        hosts = _HostLists(work)
+        kern = _PolishKernel(work)
         steps = 0
         while steps < budget:
-            if self._try_move(work, rng, hosts):
+            if self._try_move(work, rng, kern):
                 kind = "move"
-            elif self._try_swap(work, rng, hosts):
+            elif self._try_swap(work, rng, kern):
                 kind = "swap"
             else:
                 break
             steps += 1
             if history is not None:
-                history.append(work.peak_utilization())
+                history.append(float(kern.peak.max()))
             if trace_on:
                 tracer.event("polish.step", step=steps, kind=kind)
         return steps
 
     # ------------------------------------------------------------- internal
     def _try_move(
-        self, work: ClusterState, rng: np.random.Generator, hosts: _HostLists
+        self, work: ClusterState, rng: np.random.Generator, kern: _PolishKernel
     ) -> bool:
-        peaks = work.machine_peak_utilization()
-        hottest = int(np.argmax(peaks))
-        members = hosts.members(hottest)
+        peaks = kern.peak
+        hottest = int(peaks.argmax())
+        members = kern.members(hottest)
         if not members:
             return False
         sample = members
@@ -248,14 +248,10 @@ class LocalSearchRebalancer(Rebalancer):
         # other machine's peak.  The destination's old peak is no larger
         # than its new one (demands are non-negative), so "every other
         # machine" may include it: one max over all but the hottest.
-        others = peaks.copy()
-        others[hottest] = -np.inf
-        rest = others.max()
+        rest = kern.rest_max(hottest)
         # Scored over the (d, m) mirrors: one contiguous row per dimension.
-        loads_t, cap_t = work.loads_by_dim(), work.capacity_by_dim()
-        head_t = cap_t - loads_t
-        open_ = ~work.blocked_mask
-        open_[hottest] = False
+        loads_t, cap_t, head_t = kern.loads_t, kern.cap_t, kern.head_t
+        src_load, src_cap = loads_t[:, hottest], cap_t[:, hottest]
         m = work.num_machines
         # Destinations are scanned in machine-id order, a first block and
         # then the rest: the first improving one usually lies early.
@@ -263,11 +259,13 @@ class LocalSearchRebalancer(Rebalancer):
         for j in sample:
             extra = work.demand[j]
             need = (extra - 1e-12)[:, None]
-            src_peak = ((work.loads[hottest] - extra) / work.capacity[hottest]).max()
+            src_peak = ((src_load - extra) / src_cap).max()
             floor = max(rest, src_peak)
             peers = work.replica_peer_machines(j)
             for lo, hi in spans:
-                fits = open_[lo:hi] & np.all(head_t[:, lo:hi] >= need, axis=0)
+                fits = kern.open[lo:hi] & (head_t[:, lo:hi] >= need).all(axis=0)
+                if lo <= hottest < hi:
+                    fits[hottest - lo] = False
                 if peers.size:
                     fits[peers[(peers >= lo) & (peers < hi)] - lo] = False
                 grown = ((loads_t[:, lo:hi] + extra[:, None]) / cap_t[:, lo:hi]).max(axis=0)
@@ -276,7 +274,7 @@ class LocalSearchRebalancer(Rebalancer):
                 # it is the first improving destination; if it ties the
                 # max, the sums of squares decide among the ties.
                 cands = fits & (grown <= cur_max)
-                c = int(np.argmax(cands))
+                c = int(cands.argmax())
                 if not cands[c]:
                     continue
                 if max(floor, grown[c]) < cur_max:
@@ -294,25 +292,28 @@ class LocalSearchRebalancer(Rebalancer):
                     if at < 0:
                         continue
                     dst = int(dests[at])
-                hosts.move(work, j, dst)
+                kern.move(work, j, dst)
                 return True
         return False
 
     def _try_swap(
-        self, work: ClusterState, rng: np.random.Generator, hosts: _HostLists
+        self, work: ClusterState, rng: np.random.Generator, kern: _PolishKernel
     ) -> bool:
-        machine_peak = work.machine_peak_utilization()
-        hottest = int(np.argmax(machine_peak))
-        hot_members = np.array(hosts.members(hottest), dtype=np.int64)
+        peaks = kern.peak
+        hottest = int(peaks.argmax())
+        hot_members = np.array(kern.members(hottest), dtype=np.int64)
         if hot_members.size == 0:
             return False
-        cur_max = float(machine_peak[hottest])
-        coolest_order = np.argsort(machine_peak)
+        cur_max = float(peaks[hottest])
+        coolest_order = np.argsort(peaks)
+        # The machines of the three largest peaks: the largest peak of
+        # every machine but the hottest and the cool one is among them.
+        top = coolest_order[::-1][:3].tolist()
         for i in coolest_order[: min(8, work.num_machines)]:
             i = int(i)
             if i == hottest:
                 continue
-            cool_members = np.array(hosts.members(i), dtype=np.int64)
+            cool_members = np.array(kern.members(i), dtype=np.int64)
             if cool_members.size == 0:
                 continue
             hs = hot_members
@@ -321,23 +322,29 @@ class LocalSearchRebalancer(Rebalancer):
                 hs = rng.choice(hs, size=self.neighborhood_sample, replace=False)
             if cs.size > self.neighborhood_sample:
                 cs = rng.choice(cs, size=self.neighborhood_sample, replace=False)
-            pair = _first_improving_swap(work, machine_peak, cur_max, hottest, i, hs, cs)
+            rest = next((peaks[k] for k in top if k != hottest and k != i), -np.inf)
+            pair = _first_improving_swap(work, peaks, rest, cur_max, hottest, i, hs, cs)
             if pair >= 0:
                 a, b = divmod(pair, cs.size)
-                hosts.move(work, int(hs[a]), i)
-                hosts.move(work, int(cs[b]), hottest)
+                kern.swap(work, int(hs[a]), int(cs[b]))
                 return True
         return False
 
 
-class _HostLists:
-    """Each machine's shard ids in ascending order, local to one polish.
+class _PolishKernel:
+    """What one descent reads, kept in step with the state move by move.
 
-    One stable argsort of the assignment orders the shards by machine; a
-    machine's list is read from it on first use, and :meth:`move` keeps
-    the two lists a move touches in step with the state.  A step then
-    reads the hottest machine's shards without a scan over all n shards
-    (``ClusterState.machine_shards``), in the same order.
+    It holds each machine's shard ids in ascending order (one stable
+    argsort of the assignment orders the shards by machine; a machine's
+    list is read from it on first use), the per-machine peak utilization
+    ``peak``, the (d, m) headroom ``head_t`` and the ``open`` mask of
+    machines that accept shards.  :meth:`move` and :meth:`swap` go
+    through ``ClusterState.move`` and then refresh only the two machines
+    they touched, with the state's own expressions, so every value stays
+    bitwise equal to ``machine_peak_utilization()`` and
+    ``capacity_by_dim() - loads_by_dim()``.  A step then reads the
+    hottest machine's shards, the peaks and the headroom without a pass
+    over all n shards and without copying an m-length or (d, m) array.
     """
 
     def __init__(self, work: ClusterState) -> None:
@@ -347,6 +354,11 @@ class _HostLists:
         self._order = order[order.size - int(counts.sum()) :]
         self._starts = [0, *np.cumsum(counts).tolist()]
         self._lists: dict[int, list[int]] = {}
+        # The state's live (d, m) views: ``ClusterState.move`` updates them.
+        self.loads_t, self.cap_t = work.loads_by_dim(), work.capacity_by_dim()
+        self.peak = work.machine_peak_utilization().copy()
+        self.head_t = self.cap_t - self.loads_t
+        self.open = ~work.blocked_mask
 
     def members(self, machine: int) -> list[int]:
         """Shard ids on *machine*, ascending.  Do not mutate."""
@@ -356,10 +368,36 @@ class _HostLists:
             self._lists[machine] = got
         return got
 
+    def rest_max(self, machine: int) -> float:
+        """The largest peak of every machine but *machine* (``-inf`` if
+        there is none), read without a copy of the peak vector."""
+        peaks = self.peak
+        own = peaks[machine]
+        peaks[machine] = -np.inf
+        rest = peaks.max()
+        peaks[machine] = own
+        return rest
+
     def move(self, work: ClusterState, shard: int, dst: int) -> None:
-        """``work.move(shard, dst)``, with both machines' lists updated."""
-        self.members(work.move(shard, dst)).remove(shard)
+        """``work.move(shard, dst)``, with both machines refreshed."""
+        self._refresh(self._shift(work, shard, dst), dst)
+
+    def swap(self, work: ClusterState, a: int, b: int) -> None:
+        """Exchange the machines of shards *a* and *b*: *a* moves first."""
+        src = self._shift(work, a, work.machine_of(b))
+        self._refresh(src, self._shift(work, b, src))
+
+    def _shift(self, work: ClusterState, shard: int, dst: int) -> int:
+        src = work.move(shard, dst)
+        self.members(src).remove(shard)
         bisect.insort(self.members(dst), shard)
+        return src
+
+    def _refresh(self, i: int, k: int) -> None:
+        for col in (i, k):
+            load, cap = self.loads_t[:, col], self.cap_t[:, col]
+            self.peak[col] = (load / cap).max()
+            self.head_t[:, col] = cap - load
 
 
 def _first_improving(
@@ -401,6 +439,7 @@ def _first_improving(
 def _first_improving_swap(
     work: ClusterState,
     machine_peak: np.ndarray,
+    rest: float,
     cur_max: float,
     m1: int,
     m2: int,
@@ -416,8 +455,8 @@ def _first_improving_swap(
     both machines are within capacity, and when one execution order
     works: order A parks ``hs[a]`` on *m2* first (*m2* holds its load
     plus the in-flight copy), order B parks ``cs[b]`` on *m1* first.
-    The new max is ``max(rest, p1, p2)``, ``rest`` being the largest
-    peak of every other machine.
+    The new max is ``max(rest, p1, p2)``, *rest* being the largest peak
+    of every machine but the two.
     """
     loads, cap = work.loads, work.capacity
     d1, d2 = work.demand[hs], work.demand[cs]  # (a, d), (b, d)
@@ -436,9 +475,7 @@ def _first_improving_swap(
         return -1
     p1 = np.max(load1 / cap[m1], axis=2).ravel()[cand]
     p2 = np.max(load2 / cap[m2], axis=2).ravel()[cand]
-    others = machine_peak.copy()
-    others[[m1, m2]] = -np.inf
-    new_max = np.maximum(np.maximum(others.max(), p1), p2)
+    new_max = np.maximum(np.maximum(rest, p1), p2)
     c = _first_improving(machine_peak, cur_max, new_max, ((m1, p1), (m2, p2)))
     return int(cand[c]) if c >= 0 else -1
 

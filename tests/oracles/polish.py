@@ -4,12 +4,14 @@
 fitting destinations of a sampled shard (``_try_move``) in one vector
 pass per block of machine ids, and every pair of a hot and a cool
 machine's sampled shards (``_try_swap``) in one vector pass, reading
-each machine's shards from host lists local to the descent.
-:class:`OracleLocalSearch` is the reference they
-must match: the same descent, whose move step copies the m-length peak
-vector per destination and whose swap step checks and scores one pair
-at a time, both scored in full.  The random draws happen at the same
-points, so one seed gives one step sequence.
+each machine's shards, the peaks, the headroom and the open mask from
+a kernel local to the descent (``_PolishKernel``) that refreshes only
+the machines a step touched.  :class:`OracleLocalSearch` is the
+reference they must match: the same descent, whose move step reads the
+state afresh and copies the m-length peak vector per destination and
+whose swap step checks and scores one pair at a time, both scored in
+full.  The random draws happen at the same points, so one seed gives
+one step sequence.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ def score(machine_peak: np.ndarray) -> tuple[float, float]:
 
 class OracleLocalSearch(LocalSearchRebalancer):
     """``LocalSearchRebalancer`` with the copy-per-candidate scans.  The
-    scans read ``ClusterState.machine_shards`` and move through the state
-    itself, so they take and ignore the descent's host lists."""
+    scans read ``ClusterState.machine_shards`` and the state's peaks and
+    move through the state itself, so they take and ignore the descent's
+    kernel (which then goes stale: the ``history`` the descent appends
+    from it is only meaningful for ``LocalSearchRebalancer``)."""
 
     def _try_move(self, work: ClusterState, rng: np.random.Generator, hosts: object) -> bool:
         machine_peak = work.machine_peak_utilization()

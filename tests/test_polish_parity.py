@@ -2,8 +2,11 @@
 
 ``LocalSearchRebalancer._try_move`` scores the fitting destinations of
 a sampled shard in one vector pass per block, and ``_try_swap`` all sampled pairs of
-the hottest and one cool machine; ``tests/oracles/polish.py`` keeps the
-copy-per-destination move scan and the per-pair swap scan.  On every
+the hottest and one cool machine, both reading a kernel local to the
+descent (``_PolishKernel``: host lists, peaks, headroom and open mask,
+refreshed only at the machines a step touched); ``tests/oracles/polish.py``
+keeps the copy-per-destination move scan and the per-pair swap scan,
+which read the state afresh.  On every
 generated instance both descents take the same steps: the assignment
 after each step and the step count are identical.  The instances force
 the cases the vector passes handle separately: two machines tied at the
@@ -20,6 +23,10 @@ improving destination (and a replica sibling to skip) past the first
 block, a tie at the current max in the first block ahead of a strict
 improvement in the second, and a step where no shard moves, so every
 block is scanned before the swap pass runs.
+
+After every move and swap scan of descents that take both kinds of step,
+the kernel's peaks, headroom, open mask and host lists equal the
+state's bitwise, and each ``history`` entry equals the state's peak.
 """
 
 import numpy as np
@@ -308,3 +315,72 @@ def test_no_shard_moves_so_every_block_is_scanned_then_swaps():
     state = block_fleet(loads, hot=(50.0, 40.0))
     kinds = assert_same_steps(state, 7, max_steps=6)
     assert kinds and kinds[0] == "swap"
+
+
+class CheckedLocalSearch(LocalSearchRebalancer):
+    """``LocalSearchRebalancer`` that checks the descent's kernel against
+    the state after every move and swap scan, and records the state's
+    peak after every step taken."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.kinds, self.peaks = [], []
+
+    def _try_move(self, work, rng, kern):
+        return self._checked("move", super()._try_move(work, rng, kern), work, kern)
+
+    def _try_swap(self, work, rng, kern):
+        return self._checked("swap", super()._try_swap(work, rng, kern), work, kern)
+
+    def _checked(self, kind, took, work, kern):
+        assert kern.peak.tobytes() == work.machine_peak_utilization().tobytes()
+        head_t = work.capacity_by_dim() - work.loads_by_dim()
+        assert kern.head_t.tobytes() == head_t.tobytes()
+        np.testing.assert_array_equal(kern.open, ~work.blocked_mask)
+        for i in range(work.num_machines):
+            assert kern.members(i) == work.machine_shards(i).tolist()
+        if took:
+            self.kinds.append(kind)
+            self.peaks.append(work.peak_utilization())
+        return took
+
+
+def checked_descent(state, seed, sample, max_steps=200):
+    """Run the checked descent; its ``history`` must equal the state's
+    peak after each step.  Returns the kinds of the steps taken."""
+    ls = CheckedLocalSearch(seed=seed, neighborhood_sample=sample)
+    work = state.copy()
+    history = [work.peak_utilization()]
+    rng = np.random.default_rng(seed)
+    steps = ls.improve_in_place(work, rng, history=history, max_steps=max_steps)
+    assert steps == len(ls.kinds) == len(history) - 1
+    assert np.array(history[1:]).tobytes() == np.array(ls.peaks).tobytes()
+    return ls.kinds
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(5, 16),
+    hetero=st.booleans(),
+    replicas=st.booleans(),
+    blocked=st.booleans(),
+    tie=st.booleans(),
+    sample=st.sampled_from([2, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_state_after_every_step(seed, m, hetero, replicas, blocked, tie, sample):
+    """The kernel's peaks, headroom, open mask and host lists equal the
+    state's bitwise after every move and swap, and so does ``history``."""
+    state = build_instance(seed, m, hetero=hetero, replicas=replicas, blocked=blocked, tie=tie)
+    checked_descent(state, seed, sample)
+
+
+@pytest.mark.parametrize(
+    "seed,flags", [(0, (True, True, True, True)), (1, (True, False, True, False))]
+)
+def test_kernel_matches_state_through_moves_and_swaps(seed, flags):
+    """Fixed fleets whose descents take both kinds of step."""
+    hetero, replicas, blocked, tie = flags
+    state = build_instance(seed, 12, hetero=hetero, replicas=replicas, blocked=blocked, tie=tie)
+    kinds = checked_descent(state, seed, 2)
+    assert kinds.count("move") > 10 and kinds.count("swap") >= 3

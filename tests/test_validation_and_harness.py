@@ -10,7 +10,7 @@ from repro._validation import (
     check_non_negative,
     check_positive,
 )
-from repro.algorithms import MigrationBudget, SRA, SRAConfig
+from repro.algorithms import MigrationBudget, ObjectiveWeights, SRA, SRAConfig
 from repro.algorithms.baselines import RandomRestartRebalancer
 from repro.cluster import Shard
 from repro.core import ResourceExchangeRebalancer
@@ -32,6 +32,17 @@ class TestValidationHelpers:
         assert check_non_negative("x", 0.0) == 0.0
         with pytest.raises(ValueError, match=">= 0"):
             check_non_negative("x", -1)
+
+    def test_check_non_negative_rejects_nan_and_accepts_inf(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            check_non_negative("x", float("nan"))
+        assert check_non_negative("x", float("inf")) == float("inf")
+
+    def test_nan_weight_and_size_rejected(self):
+        with pytest.raises(ValueError, match="move_penalty must be >= 0"):
+            ObjectiveWeights(move_penalty=float("nan"))
+        with pytest.raises(ValueError, match="size_bytes must be >= 0"):
+            Shard(id=0, demand=[1.0, 1.0, 1.0], size_bytes=float("nan"))
 
     def test_check_fraction(self):
         assert check_fraction("x", 0.5) == 0.5
