@@ -19,11 +19,7 @@ from repro.algorithms.destroy import (
 )
 from repro.algorithms.lns import AlnsConfig, AlnsEngine, AlnsOutcome
 from repro.algorithms.objective import Objective, ObjectiveWeights
-from repro.algorithms.repair import (
-    DEFAULT_REPAIR_OPS,
-    greedy_best_fit,
-    regret2_insertion,
-)
+from repro.algorithms.repair import DEFAULT_REPAIR_OPS, greedy_best_fit
 from repro.algorithms.sra import SRA
 from repro.algorithms.sra_config import SRAConfig
 
@@ -51,6 +47,5 @@ __all__ = [
     "exchange_swap_removal",
     "DEFAULT_DESTROY_OPS",
     "greedy_best_fit",
-    "regret2_insertion",
     "DEFAULT_REPAIR_OPS",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._validation import check_int
+from repro._validation import check_int, check_non_negative
 
 __all__ = ["MigrationBudget"]
 
@@ -58,8 +58,8 @@ class MigrationBudget:
     def __post_init__(self) -> None:
         if self.max_moves is not None and check_int("max_moves", self.max_moves) < 0:
             raise ValueError(f"max_moves must be >= 0, got {self.max_moves}")
-        if self.max_bytes is not None and self.max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {self.max_bytes}")
+        if self.max_bytes is not None:
+            check_non_negative("max_bytes", self.max_bytes)
 
     @property
     def bounded(self) -> bool:

@@ -202,9 +202,15 @@ class BudgetLocalityBias:
     """Move-budget locality wrapper around a destroy operator.
 
     While the working state's placement delta from *reference* is still
-    inside *budget*, the wrapped operator runs unchanged.  At or beyond
-    the boundary (:meth:`MigrationBudget.exhausted` over the moved-shard
-    count and their summed index sizes) removal is redirected to the
+    inside *budget*, the wrapped operator runs with its ``quantity``
+    capped at the moves the budget has left (``max_moves`` minus the
+    shards already off *reference*): the removed shards are the only
+    ones the repair can move, so a quantity-respecting operator and a
+    repair never take the delta past ``max_moves``.
+    :func:`exchange_swap_removal` ignores ``quantity``, so its removals
+    are not capped.  At or beyond the boundary
+    (:meth:`MigrationBudget.exhausted` over the moved-shard count and
+    their summed index sizes) removal is redirected to the
     *already-moved* shards, drawn uniformly by the same rng: a moved
     shard's reinsertion can only keep or shrink the move set, so the
     search walks the budget boundary — swapping which shards spend the
@@ -235,6 +241,8 @@ class BudgetLocalityBias:
         if moved.size == 0 or not self.budget.exhausted(
             int(moved.size), float(self.sizes[moved].sum())
         ):
+            if self.budget.max_moves is not None:
+                quantity = min(quantity, self.budget.max_moves - int(moved.size))
             return self.base(state, rng, quantity)
         take = min(quantity, int(moved.size))
         return _remove(state, rng.choice(moved, size=take, replace=False))

@@ -38,7 +38,7 @@ from repro.algorithms.destroy import (
 )
 from repro.algorithms.lns import AlnsEngine
 from repro.algorithms.objective import Objective
-from repro.algorithms.repair import DEFAULT_REPAIR_OPS, RepairOperator
+from repro.algorithms.repair import DEFAULT_REPAIR_OPS
 from repro.algorithms.sra_config import SRAConfig
 
 __all__ = ["SRA", "SRAConfig", "MigrationBudget"]
@@ -166,7 +166,7 @@ class SRA(Rebalancer):
         _block_designees(work, ledger, required)
 
         engine = AlnsEngine(
-            cfg.alns, self._destroy_ops(budget, reference, sizes), self._repair_ops()
+            cfg.alns, self._destroy_ops(budget, reference, sizes), DEFAULT_REPAIR_OPS
         )
         initial_valid = objective.is_feasible(work) and (
             ledger is None or ledger.is_satisfiable(work)
@@ -262,9 +262,6 @@ class SRA(Rebalancer):
         return tuple(
             BudgetLocalityBias(op, reference, sizes, budget) for op in ops
         )
-
-    def _repair_ops(self) -> tuple[RepairOperator, ...]:
-        return DEFAULT_REPAIR_OPS
 
 
 def _block_designees(

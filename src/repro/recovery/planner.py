@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms import RebalanceResult, SRA, SRAConfig
-from repro.algorithms.repair import regret2_insertion
+from repro.algorithms.repair import greedy_best_fit
 from repro.cluster import ClusterState, ExchangeLedger
 
 __all__ = ["fail_machine", "RecoveryResult", "RecoveryPlanner"]
@@ -109,11 +109,12 @@ class RecoveryPlanner:
     ) -> RecoveryResult:
         """Recover *degraded* (as produced by :func:`fail_machine`).
 
-        Orphans are placed by regret-2 insertion (capacity, anti-affinity
-        and blocked machines respected); rebuild sources are surviving
-        replica siblings where available.  The placement RNG derives
-        from the configured ALNS seed (``sra_config.alns.seed``), so
-        recovery plans are reproducible under user-controlled seeding.
+        Orphans are placed by greedy best-fit insertion (capacity,
+        anti-affinity and blocked machines respected); rebuild sources
+        are surviving replica siblings where available.  The placement
+        draws no random numbers, and the rebalance after it is seeded
+        by ``sra_config.alns.seed``, so recovery plans are reproducible
+        under user-controlled seeding.
         """
         tracer = obs.current().tracer
         with tracer.span(
@@ -123,7 +124,7 @@ class RecoveryPlanner:
             missing = [j for j in orphans if work.machine_of(j) < 0]
             rng = np.random.default_rng(self.sra_config.alns.seed)
             with tracer.span("recovery.place", missing=len(missing)):
-                regret2_insertion(work, rng, missing)
+                greedy_best_fit(work, rng, missing)
 
             # Peak over in-service machines only.
             peaks = work.machine_peak_utilization()

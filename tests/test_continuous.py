@@ -29,7 +29,11 @@ from repro.algorithms import (
     NoopRebalancer,
     SRA,
     SRAConfig,
+    greedy_best_fit,
     random_removal,
+    shaw_removal,
+    vacancy_removal,
+    worst_machine_removal,
 )
 from repro.algorithms.objective import Objective
 from repro.cluster import ExchangeLedger
@@ -78,8 +82,10 @@ class TestMigrationBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             MigrationBudget(max_moves=-1)
-        with pytest.raises(ValueError):
-            MigrationBudget(max_bytes=-0.5)
+        for max_bytes in (-0.5, -1, float("nan")):
+            with pytest.raises(ValueError, match="max_bytes"):
+                MigrationBudget(max_bytes=max_bytes)
+        assert MigrationBudget(max_bytes=float("inf")).admits(0, 1e300)
 
     def test_admits_and_exhausted(self):
         b = MigrationBudget(max_moves=3, max_bytes=10.0)
@@ -203,6 +209,35 @@ class TestBudgetLocalityBias:
         removed = bias(work, np.random.default_rng(0), 2)
         assert set(removed) <= set(moved_ids)
         assert all(work.assignment_view()[sid] == -1 for sid in removed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 50),
+        max_moves=st.integers(0, 6),
+        premoved=st.integers(0, 6),
+        op=st.sampled_from(
+            [random_removal, worst_machine_removal, shaw_removal, vacancy_removal]
+        ),
+        quantity=st.integers(1, 15),
+    )
+    def test_greedy_repair_stays_within_move_cap(
+        self, seed, max_moves, premoved, op, quantity
+    ):
+        """From a state within budget, rounds of a quantity-respecting
+        operator under the bias and greedy repair never leave more than
+        ``max_moves`` shards off the reference."""
+        state = hot_state(seed=seed)
+        reference = state.assignment_view().copy()
+        for sid in range(min(premoved, max_moves)):
+            state.move(sid, (int(reference[sid]) + 1) % state.num_machines)
+        bias = BudgetLocalityBias(
+            op, reference, state.sizes, MigrationBudget(max_moves=max_moves)
+        )
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            greedy_best_fit(state, rng, bias(state, rng, quantity))
+            assert state.is_fully_assigned()
+            assert np.count_nonzero(state.assignment_view() != reference) <= max_moves
 
 
 # --------------------------------------------------------------------------
@@ -459,6 +494,39 @@ class TestIncrementalController:
         assert any(e["feasible"] for e in ctrl.episodes), (
             "no episode fit the 6-move budget"
         )
+        assert all(e["moves"] <= 6 for e in ctrl.episodes)
+
+    @pytest.mark.parametrize("seed", range(2, 9))
+    def test_budgeted_episodes_feasible_at_every_seed(self, seed):
+        """The scenario above at SRA seeds 2-8 (seed 1 is the test
+        above): each seed fits at least one episode into the 6-move
+        budget and none exceeds it."""
+        state = _drift_instance()
+        handle = ClusterHandle(state)
+        rt = Runtime()
+        rt.add(
+            DriftProcess(
+                handle,
+                PopularityDrift(drift=0.1, target_utilization=0.68, seed=7),
+                epochs=4,
+                epoch_length=30.0,
+            )
+        )
+        ctrl = _simulated_controller(
+            state,
+            handle,
+            cls=IncrementalRebalanceController,
+            detector_config=DriftDetectorConfig(hot_threshold=0.78),
+            check_interval=10.0,
+            horizon=120.0,
+            cooldown=10.0,
+        )
+        ctrl.rebalancer = quick_sra(
+            iterations=120, seed=seed, migration_budget=MigrationBudget(max_moves=6)
+        )
+        rt.add(ctrl)
+        rt.run()
+        assert any(e["feasible"] for e in ctrl.episodes)
         assert all(e["moves"] <= 6 for e in ctrl.episodes)
 
     def test_runs_are_deterministic(self):

@@ -6,20 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
-    AlnsConfig,
-    AlnsEngine,
-    Objective,
     greedy_best_fit,
     random_removal,
-    regret2_insertion,
     shaw_removal,
     vacancy_removal,
     worst_machine_removal,
 )
-from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
 from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads import SyntheticConfig, generate
-from tests.oracles.regret2 import regret2_exact, regret2_oracle
 
 
 def rng():
@@ -102,21 +96,21 @@ class TestDestroyOperators:
 
 
 class TestRepairOperators:
-    @pytest.mark.parametrize("op", [greedy_best_fit, regret2_insertion])
+    @pytest.mark.parametrize("op", [greedy_best_fit])
     def test_reinserts_everything(self, op):
         state = demo_state()
         removed = random_removal(state, rng(), 4)
         op(state, rng(), removed)
         assert state.is_fully_assigned()
 
-    @pytest.mark.parametrize("op", [greedy_best_fit, regret2_insertion])
+    @pytest.mark.parametrize("op", [greedy_best_fit])
     def test_noop_on_empty(self, op):
         state = demo_state()
         before = state.assignment
         op(state, rng(), [])
         np.testing.assert_array_equal(state.assignment, before)
 
-    @pytest.mark.parametrize("op", [greedy_best_fit, regret2_insertion])
+    @pytest.mark.parametrize("op", [greedy_best_fit])
     def test_prefers_feasible_placements(self, op):
         # One machine nearly full; repair must not overflow it.
         machines = Machine.homogeneous(2, 10.0)
@@ -151,61 +145,6 @@ class TestRepairOperators:
         assert batch.assignment.tolist() == [2, 2, 1, 1, 0]
 
 
-class TestRegret2Gate:
-    """Regret-2 on top-``T`` candidate lists must produce placements
-    (and therefore engine trajectories) bitwise equal to the
-    full-repartition oracle."""
-
-    @pytest.mark.parametrize("seed", [0, 5, 11])
-    def test_pruned_matches_exact_operator_level(self, seed):
-        state = generate(
-            SyntheticConfig(num_machines=40, shards_per_machine=5, seed=seed)
-        )
-        exact_state, pruned_state = state.copy(), state.copy()
-        removed = random_removal(exact_state, np.random.default_rng(seed), 25)
-        pruned_state.unassign_many(removed)
-        regret2_exact(exact_state, removed)
-        regret2_insertion(pruned_state, rng(), removed)
-        np.testing.assert_array_equal(
-            exact_state.assignment, pruned_state.assignment
-        )
-
-    def test_pruned_matches_exact_with_replicas_and_blocked(self):
-        machines = Machine.homogeneous(12, 30.0)
-        shards = [
-            Shard(id=j, demand=np.full(3, 1.0 + (j % 5)), replica_of=j // 3)
-            for j in range(24)
-        ]
-        state = ClusterState(machines, shards, [j % 12 for j in range(24)])
-        # Remove the evens plus machine 7's hosts so it can be blocked.
-        removed = sorted(set(range(0, 24, 2)) | {7, 19})
-        state.unassign_many(removed)
-        state.block_machine(7)
-        exact_state, pruned_state = state.copy(), state.copy()
-        regret2_exact(exact_state, removed)
-        regret2_insertion(pruned_state, rng(), removed)
-        np.testing.assert_array_equal(
-            exact_state.assignment, pruned_state.assignment
-        )
-
-    def test_engine_trajectory_identical_across_gate(self):
-        state = generate(
-            SyntheticConfig(num_machines=30, shards_per_machine=5, seed=2)
-        )
-        results = []
-        for regret2 in (regret2_insertion, regret2_oracle):
-            cfg = AlnsConfig(iterations=120, seed=7)
-            repair_ops = (greedy_best_fit, regret2)
-            engine = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, repair_ops)
-            obj = Objective(state.assignment, state.sizes)
-            results.append(engine.run(state.copy(), obj))
-        pruned, exact = results
-        assert repr(pruned.best_objective) == repr(exact.best_objective)
-        assert pruned.accepted == exact.accepted
-        assert pruned.history == exact.history
-        np.testing.assert_array_equal(pruned.best_assignment, exact.best_assignment)
-
-
 @given(seed=st.integers(min_value=0, max_value=100), q=st.integers(min_value=1, max_value=20))
 @settings(max_examples=40, deadline=None)
 def test_property_destroy_repair_roundtrip_preserves_shards(seed, q):
@@ -215,9 +154,8 @@ def test_property_destroy_repair_roundtrip_preserves_shards(seed, q):
         SyntheticConfig(num_machines=6, shards_per_machine=5, seed=seed)
     )
     ops = [random_removal, worst_machine_removal, shaw_removal, vacancy_removal]
-    repairs = [greedy_best_fit, regret2_insertion]
     removed = ops[seed % 4](state, r, q)
-    repairs[seed % 2](state, r, removed)
+    greedy_best_fit(state, r, removed)
     assert state.is_fully_assigned()
     recomputed = np.zeros_like(state.loads)
     np.add.at(recomputed, state.assignment, state.demand)

@@ -19,7 +19,6 @@ from repro.algorithms import (
     AlnsConfig,
     greedy_best_fit,
     random_removal,
-    regret2_insertion,
 )
 from repro.cluster import ClusterState, Machine, Shard
 from repro.migration import StagingPlanner, WaveScheduler, diff_moves
@@ -111,7 +110,7 @@ class TestReplicatedGenerator:
 
 
 class TestRepairAntiAffinity:
-    @pytest.mark.parametrize("op", [greedy_best_fit, regret2_insertion])
+    @pytest.mark.parametrize("op", [greedy_best_fit])
     def test_repair_never_colocates(self, op):
         cfg = ReplicatedConfig(
             base=SyntheticConfig(num_machines=8, shards_per_machine=3, seed=3),
