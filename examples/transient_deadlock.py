@@ -3,8 +3,9 @@
 
 Two machines, each 60% full with a single big shard, must swap shards —
 but during a shard move its resources are held on BOTH machines, so
-neither move can ever start: a capacity deadlock.  One vacant exchange
-machine breaks it by hosting one shard in transit.
+neither move can ever start: a capacity deadlock.  The moves the wave
+scheduler strands are the witness of it.  One vacant exchange machine
+breaks it by hosting one shard in transit.
 
 This is the smallest instance of the phenomenon the paper's "resource
 exchange" exists to solve; experiment E7 measures it at cluster scale.
@@ -15,7 +16,7 @@ Run:  python examples/transient_deadlock.py
 import numpy as np
 
 from repro.cluster import ClusterState, Machine, Shard
-from repro.migration import StagingPlanner, WaveScheduler, deadlock_cycles, diff_moves
+from repro.migration import StagingPlanner, WaveScheduler, diff_moves
 
 
 def show_plan(title: str, state: ClusterState, target: np.ndarray) -> None:
@@ -24,16 +25,15 @@ def show_plan(title: str, state: ClusterState, target: np.ndarray) -> None:
     direct = WaveScheduler().schedule(state, moves)
     print(f"direct scheduling: {'feasible' if direct.feasible else 'DEADLOCK'}"
           f" ({len(direct.stranded)} moves stranded)")
-    cycles = deadlock_cycles(state, moves)
-    if cycles:
-        print(f"dependency cycles among machines: {cycles}")
+    for mv in direct.stranded:
+        print(f"  stranded: shard {mv.shard_id}: m{mv.src}->m{mv.dst}")
     plan = StagingPlanner().plan(state, target)
     if plan.feasible:
         print(f"staged plan: feasible with {plan.num_hops} staging hop(s), "
               f"{plan.schedule.num_waves} wave(s):")
         for w, wave in enumerate(plan.schedule.waves):
             steps = ", ".join(
-                f"shard{mv.shard_id}: m{mv.src}->m{mv.dst}"
+                f"shard {mv.shard_id}: m{mv.src}->m{mv.dst}"
                 + (" (staging)" if mv.is_staged_hop else "")
                 for mv in wave
             )

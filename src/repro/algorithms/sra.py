@@ -110,7 +110,7 @@ class SRA(Rebalancer):
             required_returns=required,
             weights=cfg.weights,
         )
-        planner = StagingPlanner(max_hops_per_shard=cfg.max_hops_per_shard)
+        planner = StagingPlanner()
         budget = cfg.migration_budget
         if budget is not None and not budget.bounded:
             budget = None

@@ -22,8 +22,6 @@ class SRAConfig:
         Hyper-parameters of the underlying ALNS engine.
     weights:
         Search-objective weights (move penalty, vacancy penalty, ...).
-    max_hops_per_shard:
-        Staging depth allowed in the migration planner.
     feasibility_coupling:
         When True (default, the paper's design) a candidate may only
         become the incumbent best if a transient-feasible migration
@@ -68,7 +66,6 @@ class SRAConfig:
 
     alns: AlnsConfig = field(default_factory=AlnsConfig)
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
-    max_hops_per_shard: int = 2
     feasibility_coupling: bool = True
     use_vacancy_removal: bool = True
     polish: bool = True
@@ -79,8 +76,6 @@ class SRAConfig:
     migration_budget: MigrationBudget | None = None
 
     def __post_init__(self) -> None:
-        if check_int("max_hops_per_shard", self.max_hops_per_shard) < 1:
-            raise ValueError("max_hops_per_shard must be >= 1")
         check_positive("polish_steps", check_int("polish_steps", self.polish_steps))
         if check_int("restarts", self.restarts) < 1:
             raise ValueError("restarts must be >= 1")

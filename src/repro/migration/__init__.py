@@ -3,12 +3,7 @@
 from repro.migration.costmodel import BandwidthModel, MigrationCost
 from repro.migration.moves import Move, MoveTable, diff_moves
 from repro.migration.scheduler import Schedule, WaveScheduler
-from repro.migration.staging import (
-    PlanResult,
-    StagingPlanner,
-    deadlock_cycles,
-    dependency_graph,
-)
+from repro.migration.staging import PlanResult, StagingPlanner
 
 __all__ = [
     "Move",
@@ -18,8 +13,6 @@ __all__ = [
     "WaveScheduler",
     "StagingPlanner",
     "PlanResult",
-    "dependency_graph",
-    "deadlock_cycles",
     "BandwidthModel",
     "MigrationCost",
 ]

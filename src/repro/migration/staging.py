@@ -1,53 +1,32 @@
-"""Deadlock analysis and multi-hop staging.
+"""Multi-hop staging through spare headroom.
 
-When the wave scheduler strands moves, the residual instance contains a
+When the wave packer strands moves, the residual instance contains a
 **capacity deadlock**: every remaining destination is full until some
-other remaining move frees it — a cycle in the space-dependency graph.
-The classical fix is to route one shard of the cycle through a third
-machine with spare headroom (two hops instead of one).  Borrowed exchange
-machines, being vacant, are the ideal staging hosts; this module is where
+other remaining move frees it.  The stranded moves
+(``Schedule.stranded``) are the witness of that deadlock.  The classical
+fix is to route one stranded shard through a third machine with spare
+headroom (two hops instead of one).  Borrowed exchange machines, being
+vacant, are the ideal staging hosts; this module is where
 their value for *feasibility* (not just balance) materializes, and is
 measured by experiment E7.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro import obs
-from repro._validation import check_int
 from repro.cluster import ClusterState
 from repro.migration.moves import Move, diff_moves
-from repro.migration.scheduler import ATOL, Schedule, WavePacker
+from repro.migration.scheduler import Schedule, WavePacker
 
-__all__ = ["dependency_graph", "deadlock_cycles", "StagingPlanner", "PlanResult"]
+__all__ = ["MAX_HOPS_PER_SHARD", "StagingPlanner", "PlanResult"]
 
-
-def dependency_graph(state: ClusterState, moves: Iterable[Move]) -> nx.DiGraph:
-    """Space-dependency digraph over machines.
-
-    Edge ``s -> t`` means some move wants to push demand from ``s`` into
-    ``t`` while ``t`` currently lacks headroom for it — i.e. ``t`` must be
-    drained (by its own outgoing moves) before ``s`` can proceed.  Cycles
-    in this graph witness capacity deadlocks.
-    """
-    g = nx.DiGraph()
-    g.add_nodes_from(range(state.num_machines))
-    headroom = state.headroom()
-    for mv in moves:
-        if not np.all(state.demand[mv.shard_id] <= headroom[mv.dst] + ATOL):
-            g.add_edge(mv.src, mv.dst, shard=mv.shard_id)
-    return g
-
-
-def deadlock_cycles(state: ClusterState, moves: Iterable[Move]) -> list[list[int]]:
-    """Machine cycles currently blocking progress (may be empty)."""
-    g = dependency_graph(state, moves)
-    return [list(c) for c in nx.simple_cycles(g)]
+#: Times one shard may be rerouted through a staging host in one plan.
+MAX_HOPS_PER_SHARD = 2
 
 
 @dataclass
@@ -83,19 +62,8 @@ class PlanResult:
 class StagingPlanner:
     """Plan a transient-feasible migration, staging through spare headroom.
 
-    Parameters
-    ----------
-    max_hops_per_shard:
-        Staging depth limit; 1 intermediate hop suffices for all capacity
-        deadlocks that any single machine's headroom can break, higher
-        values let chains of staging hosts be used.
+    Each shard may be staged at most ``MAX_HOPS_PER_SHARD`` times.
     """
-
-    def __init__(self, *, max_hops_per_shard: int = 2) -> None:
-        max_hops_per_shard = check_int("max_hops_per_shard", max_hops_per_shard)
-        if max_hops_per_shard < 1:
-            raise ValueError("max_hops_per_shard must be >= 1")
-        self.max_hops_per_shard = max_hops_per_shard
 
     # ------------------------------------------------------------------ API
     def plan(
@@ -173,7 +141,7 @@ class StagingPlanner:
         for k in ready.tolist():
             row = int(pending[k])
             shard = int(table.shard[row])
-            if hops_used.get(shard, 0) >= self.max_hops_per_shard:
+            if hops_used.get(shard, 0) >= MAX_HOPS_PER_SHARD:
                 continue
             host = self._staging_host(packer, row)
             if host is None:

@@ -18,8 +18,6 @@ from repro.migration import (
     MoveTable,
     StagingPlanner,
     WaveScheduler,
-    deadlock_cycles,
-    dependency_graph,
     diff_moves,
 )
 from repro.workloads import SyntheticConfig, generate
@@ -163,26 +161,6 @@ class TestWaveScheduler:
         assert sched.peak_transient_utilization >= 0.6 - 1e-12
 
 
-class TestDependencyGraph:
-    def test_swap_creates_two_cycle(self):
-        state, target = swap_deadlock_state()
-        moves = diff_moves(state, target)
-        cycles = deadlock_cycles(state, moves)
-        assert any(set(c) == {0, 1} for c in cycles)
-
-    def test_no_cycle_when_room(self):
-        machines = Machine.homogeneous(2, 100.0)
-        shards = Shard.uniform(2, 1.0)
-        state = ClusterState(machines, shards, [0, 1])
-        moves = diff_moves(state, np.array([1, 0]))
-        assert deadlock_cycles(state, moves) == []
-
-    def test_graph_has_all_machines_as_nodes(self):
-        state, target = swap_deadlock_state(extra_vacant=1)
-        g = dependency_graph(state, diff_moves(state, target))
-        assert set(g.nodes) == {0, 1, 2}
-
-
 class TestStagingPlanner:
     def test_direct_when_possible(self):
         machines = Machine.homogeneous(2, 10.0)
@@ -219,19 +197,6 @@ class TestStagingPlanner:
         assert plan.feasible
         hop_hosts = {mv.dst for mv in plan.schedule.all_moves() if mv.is_staged_hop}
         assert 3 in hop_hosts  # staged via the exchange machine
-
-    def test_hop_limit_respected(self):
-        state, target = swap_deadlock_state(extra_vacant=1)
-        plan = StagingPlanner(max_hops_per_shard=1).plan(state, target)
-        # One hop (src->host->dst counts as one staging decision).
-        assert plan.feasible
-
-    def test_invalid_hop_limit(self):
-        with pytest.raises(ValueError, match="max_hops"):
-            StagingPlanner(max_hops_per_shard=0)
-        for value in (1.5, "2", None):
-            with pytest.raises(ValueError, match="max_hops_per_shard must be an integer"):
-                StagingPlanner(max_hops_per_shard=value)
 
     def test_each_wave_traced_once(self):
         # A small shard moves off m0 in wave 0; only then does the m0/m1

@@ -1,13 +1,14 @@
 """Parity of the resumable staging planner against a two-loop reference.
 
 ``reference_plan`` below is the earlier two-loop planner, kept as an
-oracle at its default settings: a direct wave schedule and, when that
-deadlocks, a second copy of the wave loop (``_reference_stage``) that
-replays every wave from the start, staging one stranded shard through
-spare headroom at each deadlock.  ``StagingPlanner`` packs once and
-resumes the same packer after each staging hop; these properties pin
-that every plan it returns is bitwise-identical to the reference: waves,
-stranded moves, transient peak, staged shards and ``direct_feasible``.
+oracle: a direct wave schedule and, when that deadlocks, a second copy
+of the wave loop (``_reference_stage``) that replays every wave from the
+start, staging one stranded shard through spare headroom at each
+deadlock.  The properties run it at the planner's hop limit,
+``MAX_HOPS_PER_SHARD``.  ``StagingPlanner`` packs once and resumes the
+same packer after each staging hop; these properties pin that every plan
+it returns is bitwise-identical to the reference: waves, stranded moves,
+transient peak, staged shards and ``direct_feasible``.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.migration import Move, MoveTable, Schedule, StagingPlanner, WaveScheduler, diff_moves
 from repro.migration.scheduler import WavePacker
+from repro.migration.staging import MAX_HOPS_PER_SHARD
 from repro.workloads import (
     ReplicatedConfig,
     SyntheticConfig,
@@ -190,9 +192,9 @@ def _moves(moves):
     return [(mv.shard_id, mv.src, mv.dst, mv.bytes, mv.hop_of) for mv in moves]
 
 
-def assert_plan_matches_reference(state, target, max_hops):
-    plan = StagingPlanner(max_hops_per_shard=max_hops).plan(state, target)
-    ref, ref_staged, ref_direct = reference_plan(state, target, max_hops)
+def assert_plan_matches_reference(state, target):
+    plan = StagingPlanner().plan(state, target)
+    ref, ref_staged, ref_direct = reference_plan(state, target, MAX_HOPS_PER_SHARD)
     got = plan.schedule
     assert [_moves(w) for w in got.waves] == [_moves(w) for w in ref.waves]
     assert _moves(got.stranded) == _moves(ref.stranded)
@@ -234,18 +236,16 @@ def _permuted_target(state, rng, kind):
     return rng.permutation(state.num_machines)[state.assignment]
 
 
-hops = st.sampled_from([1, 2])
 permutations = st.sampled_from(["shards", "machines"])
 
 
 @given(
     seed=st.integers(0, 10_000),
     borrowed=st.integers(0, 2),
-    max_hops=hops,
     kind=permutations,
 )
 @settings(max_examples=60, deadline=None)
-def test_parity_tight_permuted_targets(seed, borrowed, max_hops, kind):
+def test_parity_tight_permuted_targets(seed, borrowed, kind):
     """Tight instances with permuted targets: mostly staged or infeasible."""
     rng = np.random.default_rng(seed)
     state = generate(
@@ -258,12 +258,12 @@ def test_parity_tight_permuted_targets(seed, borrowed, max_hops, kind):
         )
     )
     target = _permuted_target(state, rng, kind)
-    assert_plan_matches_reference(_with_exchange(state, borrowed), target, max_hops)
+    assert_plan_matches_reference(_with_exchange(state, borrowed), target)
 
 
-@given(seed=st.integers(0, 10_000), max_hops=hops)
+@given(seed=st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_parity_capacity_feasible_targets(seed, max_hops):
+def test_parity_capacity_feasible_targets(seed):
     rng = np.random.default_rng(seed)
     state = generate(
         SyntheticConfig(
@@ -275,17 +275,16 @@ def test_parity_capacity_feasible_targets(seed, max_hops):
         )
     )
     target = _capacity_feasible_target(state, rng)
-    assert_plan_matches_reference(state, target, max_hops)
+    assert_plan_matches_reference(state, target)
 
 
 @given(
     seed=st.integers(0, 10_000),
     borrowed=st.integers(0, 2),
-    max_hops=hops,
     kind=permutations,
 )
 @settings(max_examples=40, deadline=None)
-def test_parity_replicated_instances(seed, borrowed, max_hops, kind):
+def test_parity_replicated_instances(seed, borrowed, kind):
     """Replicated instances cover the sibling anti-affinity checks."""
     rng = np.random.default_rng(seed)
     state = generate_replicated(
@@ -301,30 +300,7 @@ def test_parity_replicated_instances(seed, borrowed, max_hops, kind):
         )
     )
     target = _permuted_target(state, rng, kind)
-    assert_plan_matches_reference(_with_exchange(state, borrowed), target, max_hops)
-
-
-@given(
-    seed=st.integers(0, 10_000),
-    borrowed=st.integers(0, 2),
-    max_hops=st.sampled_from([3, 4, 6]),
-    kind=permutations,
-)
-@settings(max_examples=40, deadline=None)
-def test_parity_deep_hop_limits(seed, borrowed, max_hops, kind):
-    """Deep hop budgets let the planner stage one shard several times."""
-    rng = np.random.default_rng(seed)
-    state = generate(
-        SyntheticConfig(
-            num_machines=5,
-            shards_per_machine=5,
-            target_utilization=0.92,
-            placement_skew=0.6,
-            seed=seed,
-        )
-    )
-    target = _permuted_target(state, rng, kind)
-    assert_plan_matches_reference(_with_exchange(state, borrowed), target, max_hops)
+    assert_plan_matches_reference(_with_exchange(state, borrowed), target)
 
 
 @given(seed=st.integers(0, 10_000), extra=st.integers(1, 6))
@@ -357,11 +333,10 @@ def test_scheduler_parity_with_repeated_shards(seed, extra):
 @given(
     seed=st.integers(0, 10_000),
     borrowed=st.integers(0, 2),
-    max_hops=hops,
     kind=permutations,
 )
 @settings(max_examples=25, deadline=None)
-def test_parity_wide_waves(seed, borrowed, max_hops, kind):
+def test_parity_wide_waves(seed, borrowed, kind):
     """Fleets of 40 machines: waves start dozens of moves, several per
     destination, so the packer decides them round by round."""
     rng = np.random.default_rng(seed)
@@ -375,7 +350,7 @@ def test_parity_wide_waves(seed, borrowed, max_hops, kind):
         )
     )
     target = _permuted_target(state, rng, kind)
-    assert_plan_matches_reference(_with_exchange(state, borrowed), target, max_hops)
+    assert_plan_matches_reference(_with_exchange(state, borrowed), target)
 
 
 @given(seed=st.integers(0, 10_000), share=st.floats(0.1, 1.0))

@@ -61,8 +61,8 @@ class TestSRAConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_hops_per_shard": 0},
-            {"max_hops_per_shard": 1.5},
+            {"polish_steps": "3000"},
+            {"restarts": None},
             {"polish_steps": 0},
             {"polish_steps": -5},
             {"polish_steps": 2.5},
@@ -237,10 +237,6 @@ class TestSRA:
         no_couple = SRA(SRAConfig(alns=AlnsConfig(iterations=100), feasibility_coupling=False))
         assert no_vac.rebalance(state).feasible
         assert no_couple.rebalance(state).feasible
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_hops"):
-            SRAConfig(max_hops_per_shard=0)
 
     def test_seed_override(self):
         cfg = SRAConfig(seed=42)
